@@ -1,4 +1,4 @@
-//! Full-state training checkpoints (`FTC1`).
+//! The `FTC1` container: full-state training checkpoints and model files.
 //!
 //! A checkpoint captures everything [`crate::Trainer::train`] needs to
 //! continue a run **bit-identically**: model parameters and the best-seen
@@ -20,28 +20,30 @@
 //! followed by an atomic rename, so a crash mid-write never leaves a
 //! half-written file under the checkpoint's final name.
 //!
-//! Payload version 2 prepends a self-describing [`ModelMeta`] section
-//! (architecture kind, modes, width, channels, training grid) so tools
-//! like the serving registry can validate a checkpoint against the model
-//! they are about to build **before** instantiating weights — a mismatch
-//! surfaces as a typed [`CheckpointError`] instead of a late panic at
-//! tensor-reshape time. Version-1 files (no metadata) still load; their
-//! `meta` is `None`.
+//! The payload (version 2, the only one this build reads) starts with a
+//! self-describing [`ModelMeta`] section (architecture kind, modes, width,
+//! channels, training grid), so a loader can validate a file against the
+//! model it is about to build **before** instantiating weights — a
+//! mismatch surfaces as a typed [`CheckpointError`] instead of a late
+//! panic at tensor-reshape time.
+//!
+//! The same container is the on-disk model format: [`Checkpoint::model_file`]
+//! holds the metadata and the weights with every training-state field
+//! empty, and `Fno::load` reads either that or a trainer's `latest.ftc`.
 
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use ft_nn::{load_param_values_from, save_param_values_to, AdamState, ParamValue};
+use ft_nn::{load_param_values_from, save_param_values_to, AdamState, Layer, ParamMut, ParamValue};
 
 use crate::config::{FnoConfig, FnoKind};
 use crate::train::{RecoveryCause, RecoveryEvent};
 
 const MAGIC: &[u8; 4] = b"FTC1";
-/// Current payload version: v2 = v1 plus the leading model-meta section.
+/// The one payload version read and written; any other is
+/// [`CheckpointError::UnsupportedVersion`].
 const VERSION: u32 = 2;
-/// Legacy headerless payload (pre-metadata); still readable.
-const VERSION_V1: u32 = 1;
 
 /// Typed failure modes of [`Checkpoint::load_typed`] and
 /// [`Checkpoint::validate_meta`]. Converts into `io::Error(InvalidData)`
@@ -52,14 +54,16 @@ pub enum CheckpointError {
     Io(io::Error),
     /// Bad magic, length, checksum, or unparseable payload.
     Corrupt(String),
-    /// Payload version newer than this build understands.
+    /// Payload version other than the one this build reads.
     UnsupportedVersion(u32),
-    /// The checkpoint predates model metadata (version 1), but the caller
-    /// requires validated metadata.
+    /// The file carries no model metadata, but the caller requires it.
     MetaMissing,
-    /// A metadata field disagrees with the expected architecture.
+    /// A metadata field, or a stored weight tensor, disagrees with the
+    /// expected architecture.
     MetaMismatch {
-        /// Which architecture field disagrees.
+        /// Which architecture field disagrees (`param_tensors`,
+        /// `param_kind`, `param_rank` and `param_dim` name a stored weight
+        /// that does not fit the live model).
         field: &'static str,
         /// Value the caller's configuration expects.
         expected: u64,
@@ -77,11 +81,12 @@ impl std::fmt::Display for CheckpointError {
                 write!(f, "unsupported FTC payload version {v}")
             }
             CheckpointError::MetaMissing => {
-                write!(f, "checkpoint has no model metadata (legacy v1 file)")
+                write!(f, "checkpoint has no model metadata")
             }
             CheckpointError::MetaMismatch { field, expected, found } => write!(
                 f,
-                "checkpoint metadata mismatch: {field} expected {expected}, found {found}"
+                "checkpoint does not fit the architecture: {field} expected {expected}, \
+                 found {found}"
             ),
         }
     }
@@ -111,7 +116,7 @@ impl From<CheckpointError> for io::Error {
     }
 }
 
-/// Self-describing architecture record embedded in v2 checkpoints.
+/// Self-describing architecture record embedded in checkpoints.
 ///
 /// Mirrors [`FnoConfig`] plus the training grid resolution (informational —
 /// FNOs are resolution-invariant, so `grid` is recorded but never
@@ -226,11 +231,32 @@ pub struct Checkpoint {
     pub best: Option<(u64, f64, Vec<ParamValue>)>,
     /// Current model weights.
     pub params: Vec<ParamValue>,
-    /// Architecture self-description (`None` for legacy v1 files).
+    /// Architecture self-description (`None` for models that cannot
+    /// describe themselves, e.g. DeepONet).
     pub meta: Option<ModelMeta>,
 }
 
 impl Checkpoint {
+    /// A model file: the architecture `meta` and the weights `params`, with
+    /// every training-state field empty (`lr_scale` is the neutral 1). The
+    /// bytes then depend on the weights alone.
+    pub fn model_file(meta: ModelMeta, params: Vec<ParamValue>) -> Self {
+        Checkpoint {
+            epochs_done: 0,
+            rng_state: 0,
+            lr_scale: 1.0,
+            stale: 0,
+            sched_epoch: 0,
+            adam: AdamState { m: Vec::new(), v: Vec::new(), t: 0 },
+            train_loss: Vec::new(),
+            eval_history: Vec::new(),
+            recoveries: Vec::new(),
+            best: None,
+            params,
+            meta: Some(meta),
+        }
+    }
+
     /// Serializes and atomically writes the checkpoint to `path`.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let mut payload = Vec::new();
@@ -289,9 +315,9 @@ impl Checkpoint {
     }
 
     /// Checks the embedded [`ModelMeta`] against an expected architecture
-    /// **before** any weights are instantiated. Legacy v1 files fail with
-    /// [`CheckpointError::MetaMissing`]; any disagreeing field fails with
-    /// [`CheckpointError::MetaMismatch`]. As a final guard against a
+    /// **before** any weights are instantiated. A file without metadata
+    /// fails with [`CheckpointError::MetaMissing`]; any disagreeing field
+    /// fails with [`CheckpointError::MetaMismatch`]. As a final guard against a
     /// metadata section inconsistent with its own weights, the total
     /// parameter count of the stored snapshot must equal the
     /// configuration's closed-form count.
@@ -319,13 +345,51 @@ impl Checkpoint {
             }
         }
         let stored: usize = self.params.iter().map(param_numel).sum();
-        let declared = expected.param_count();
-        if stored != declared {
+        // Checked, so a corrupt metadata section that still passes the
+        // CRC cannot overflow the closed form.
+        let declared = expected.checked_param_count();
+        if declared != Some(stored) {
             return Err(CheckpointError::MetaMismatch {
                 field: "param_count",
-                expected: declared as u64,
+                expected: declared.map_or(u64::MAX, |d| d as u64),
                 found: stored as u64,
             });
+        }
+        Ok(())
+    }
+
+    /// Checks the stored weights against `model` tensor by tensor — count,
+    /// then kind (real/complex), rank and dims of each — so that
+    /// `ft_nn::restore_params` cannot panic on them. A mismatch is a
+    /// [`CheckpointError::MetaMismatch`] naming the first disagreement.
+    pub fn check_params(&self, model: &mut dyn Layer) -> Result<(), CheckpointError> {
+        let mut live: Vec<(u64, Vec<usize>)> = Vec::new();
+        model.visit_params(&mut |p| {
+            live.push(match p {
+                ParamMut::Real { value, .. } => (0, value.dims().to_vec()),
+                ParamMut::Complex { value, .. } => (1, value.dims().to_vec()),
+            })
+        });
+        let mismatch = |field, expected: u64, found: u64| {
+            Err(CheckpointError::MetaMismatch { field, expected, found })
+        };
+        if live.len() != self.params.len() {
+            return mismatch("param_tensors", live.len() as u64, self.params.len() as u64);
+        }
+        for ((kind, dims), stored) in live.iter().zip(&self.params) {
+            let (stored_kind, stored_dims) = match stored {
+                ParamValue::Real(t) => (0, t.dims()),
+                ParamValue::Complex(t) => (1, t.dims()),
+            };
+            if *kind != stored_kind {
+                return mismatch("param_kind", *kind, stored_kind);
+            }
+            if dims.len() != stored_dims.len() {
+                return mismatch("param_rank", dims.len() as u64, stored_dims.len() as u64);
+            }
+            if let Some((&e, &f)) = dims.iter().zip(stored_dims).find(|(e, f)| e != f) {
+                return mismatch("param_dim", e as u64, f as u64);
+            }
         }
         Ok(())
     }
@@ -402,53 +466,49 @@ impl Checkpoint {
     fn read_payload(r: &mut impl Read) -> Result<Checkpoint, CheckpointError> {
         let bad = |msg: &str| CheckpointError::Corrupt(msg.to_string());
         let version = read_u32(r)?;
-        if version != VERSION && version != VERSION_V1 {
+        if version != VERSION {
             return Err(CheckpointError::UnsupportedVersion(version));
         }
-        let meta = if version >= 2 {
-            let mut flag = [0u8; 1];
-            r.read_exact(&mut flag)?;
-            match flag[0] {
-                0 => None,
-                1 => {
-                    let mut kb = [0u8; 2];
-                    r.read_exact(&mut kb)?;
-                    let kind = match kb[0] {
-                        0 => FnoKind::TwoDChannels,
-                        1 => FnoKind::ThreeD,
-                        _ => return Err(bad("unknown model kind in metadata")),
-                    };
-                    let norm = match kb[1] {
-                        0 => false,
-                        1 => true,
-                        _ => return Err(bad("corrupt norm flag in metadata")),
-                    };
-                    let mut f = [0u64; 8];
-                    for v in &mut f {
-                        *v = read_u64(r)?;
-                    }
-                    // Grid (f[7]) is informational; the architecture dims
-                    // must at least be plausible.
-                    if f[..7].iter().any(|&v| v == 0 || v > 1 << 20) {
-                        return Err(bad("implausible architecture dimension in metadata"));
-                    }
-                    Some(ModelMeta {
-                        kind,
-                        width: f[0],
-                        layers: f[1],
-                        modes: f[2],
-                        in_channels: f[3],
-                        out_channels: f[4],
-                        lifting_channels: f[5],
-                        projection_channels: f[6],
-                        norm,
-                        grid: f[7],
-                    })
+        let mut flag = [0u8; 1];
+        r.read_exact(&mut flag)?;
+        let meta = match flag[0] {
+            0 => None,
+            1 => {
+                let mut kb = [0u8; 2];
+                r.read_exact(&mut kb)?;
+                let kind = match kb[0] {
+                    0 => FnoKind::TwoDChannels,
+                    1 => FnoKind::ThreeD,
+                    _ => return Err(bad("unknown model kind in metadata")),
+                };
+                let norm = match kb[1] {
+                    0 => false,
+                    1 => true,
+                    _ => return Err(bad("corrupt norm flag in metadata")),
+                };
+                let mut f = [0u64; 8];
+                for v in &mut f {
+                    *v = read_u64(r)?;
                 }
-                _ => return Err(bad("corrupt model-metadata flag")),
+                // Grid (f[7]) is informational; the architecture dims
+                // must at least be plausible.
+                if f[..7].iter().any(|&v| v == 0 || v > 1 << 20) {
+                    return Err(bad("implausible architecture dimension in metadata"));
+                }
+                Some(ModelMeta {
+                    kind,
+                    width: f[0],
+                    layers: f[1],
+                    modes: f[2],
+                    in_channels: f[3],
+                    out_channels: f[4],
+                    lifting_channels: f[5],
+                    projection_channels: f[6],
+                    norm,
+                    grid: f[7],
+                })
             }
-        } else {
-            None
+            _ => return Err(bad("corrupt model-metadata flag")),
         };
         let epochs_done = read_u64(r)?;
         let rng_state = read_u64(r)?;
@@ -716,29 +776,22 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_payload_loads_with_no_meta() {
-        // Hand-build a v1 payload: same body as `sample()` minus the meta
-        // section, with the version field set to 1.
-        let mut ck = sample();
-        ck.meta = None;
-        let p = tmp("legacy.ftc");
+    fn version_1_payload_is_unsupported() {
+        let ck = sample();
+        let p = tmp("v1.ftc");
         ck.save(&p).unwrap();
         let mut bytes = std::fs::read(&p).unwrap();
-        // Payload starts at offset 16: version u32, then the meta flag
-        // byte (0 for None). Rewrite as version 1 and drop the flag byte.
+        // Payload starts at offset 16 with the version u32; rewrite it as 1
+        // and re-seal the CRC so only the version check can refuse it.
         assert_eq!(&bytes[16..20], &2u32.to_le_bytes());
-        assert_eq!(bytes[20], 0);
         bytes[16..20].copy_from_slice(&1u32.to_le_bytes());
-        bytes.remove(20);
-        let payload_len = (bytes.len() - 16) as u64;
-        bytes[8..16].copy_from_slice(&payload_len.to_le_bytes());
         let crc = crc32(&bytes[16..]);
         bytes[4..8].copy_from_slice(&crc.to_le_bytes());
         std::fs::write(&p, &bytes).unwrap();
-
-        let back = Checkpoint::load(&p).unwrap();
-        assert_eq!(back.epochs_done, ck.epochs_done);
-        assert!(back.meta.is_none());
+        assert!(matches!(
+            Checkpoint::load_typed(&p),
+            Err(CheckpointError::UnsupportedVersion(1))
+        ));
         std::fs::remove_file(&p).ok();
     }
 
@@ -758,10 +811,10 @@ mod tests {
             }
             other => panic!("expected width mismatch, got {other:?}"),
         }
-        let mut ck_legacy = ck.clone();
-        ck_legacy.meta = None;
+        let mut no_meta = ck.clone();
+        no_meta.meta = None;
         assert!(matches!(
-            ck_legacy.validate_meta(&good),
+            no_meta.validate_meta(&good),
             Err(CheckpointError::MetaMissing)
         ));
     }

@@ -89,14 +89,30 @@ impl FnoConfig {
     ///
     /// `lifting + L·(2·w²·block + w² + w) + projection`.
     pub fn param_count(&self) -> usize {
-        let w = self.width;
-        let lc = self.lifting_channels;
-        let pc = self.projection_channels;
-        let lifting = (self.in_channels * lc + lc) + (lc * w + w);
-        let per_layer = 2 * w * w * self.spectral_block() + (w * w + w);
-        let projection = (w * pc + pc) + (pc * self.out_channels + self.out_channels);
-        let norm = if self.norm { self.layers * 2 * w } else { 0 };
-        lifting + self.layers * per_layer + projection + norm
+        self.checked_param_count().expect("parameter count overflows usize")
+    }
+
+    /// [`FnoConfig::param_count`], or `None` when it does not fit a `usize`
+    /// (a model file's metadata is checked with this before any weights
+    /// are built).
+    pub fn checked_param_count(&self) -> Option<usize> {
+        // u128 holds the closed form for every dimension up to 2^20, the
+        // bound model-file metadata is parsed with.
+        let [w, lc, pc, l, c_in, c_out, block] = [
+            self.width,
+            self.lifting_channels,
+            self.projection_channels,
+            self.layers,
+            self.in_channels,
+            self.out_channels,
+            self.spectral_block(),
+        ]
+        .map(|v| v as u128);
+        let lifting = (c_in * lc + lc) + (lc * w + w);
+        let per_layer = 2 * w * w * block + (w * w + w);
+        let projection = (w * pc + pc) + (pc * c_out + c_out);
+        let norm = if self.norm { l * 2 * w } else { 0 };
+        usize::try_from(lifting + l * per_layer + projection + norm).ok()
     }
 
     /// The twelve Table I rows: `(label, config, expected parameter count)`.

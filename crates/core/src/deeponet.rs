@@ -52,6 +52,7 @@ impl DeepONetConfig {
 }
 
 /// An unstacked DeepONet over 2D snapshot stacks.
+#[derive(Clone)]
 pub struct DeepONet {
     cfg: DeepONetConfig,
     branch1: Linear,
@@ -71,6 +72,7 @@ pub struct DeepONet {
     cache: Option<Cache>,
 }
 
+#[derive(Clone)]
 struct Cache {
     /// Branch output `[B, p·C_out, 1]`.
     b_out: Tensor,
@@ -307,6 +309,10 @@ impl ForecastModel for DeepONet {
 
     fn out_channels(&self) -> usize {
         self.cfg.out_channels
+    }
+
+    fn replicate(&self) -> Option<Box<dyn ForecastModel + Send>> {
+        Some(Box::new(self.clone()))
     }
 }
 

@@ -4,11 +4,14 @@
 //! the spectral convolutions transform 2 axes (`[B, C, H, W]`, temporal
 //! channels) or 3 (`[B, 1, X, Y, T]`).
 
+use std::path::Path;
+
 use ft_nn::{Gelu, InstanceNorm, Layer, Linear, ParamMut, SpectralConv};
 use ft_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::checkpoint::{Checkpoint, CheckpointError, ModelMeta};
 use crate::config::{FnoConfig, FnoKind};
 
 /// A trained (or trainable) forecasting operator: the interface the
@@ -34,16 +37,14 @@ pub trait ForecastModel: Layer {
     /// Architecture self-description for checkpoint embedding (`None`
     /// when the implementation cannot describe itself; `grid` is left 0
     /// for the caller to fill in).
-    fn model_meta(&self) -> Option<crate::checkpoint::ModelMeta> {
+    fn model_meta(&self) -> Option<ModelMeta> {
         None
     }
     /// A structural copy of this model (weights and gradient accumulators
-    /// included) for data-parallel training replicas. `None` (the default)
-    /// opts the model out of batch sharding — the trainer falls back to the
-    /// serial whole-batch path.
-    fn replicate(&self) -> Option<Box<dyn ForecastModel + Send>> {
-        None
-    }
+    /// included) for the trainer's data-parallel replicas. Every model the
+    /// trainer accepts must return `Some`; the `Option` only keeps callers
+    /// that `expect` it unchanged.
+    fn replicate(&self) -> Option<Box<dyn ForecastModel + Send>>;
 }
 
 /// A Fourier neural operator (2D-with-channels or 3D).
@@ -107,81 +108,27 @@ impl Fno {
         &self.config
     }
 
-    /// Saves the model (configuration header + FTW1 weights) to `path` as a
-    /// single self-describing file.
-    pub fn save(&mut self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        use std::io::Write;
-        let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-        w.write_all(b"FNC1")?;
-        let kind = match self.config.kind {
-            FnoKind::TwoDChannels => 0u8,
-            FnoKind::ThreeD => 1u8,
-        };
-        w.write_all(&[kind])?;
-        // Feature flags: bit 0 = per-layer instance norm.
-        w.write_all(&[u8::from(self.config.norm)])?;
-        for v in [
-            self.config.width,
-            self.config.layers,
-            self.config.modes,
-            self.config.in_channels,
-            self.config.out_channels,
-            self.config.lifting_channels,
-            self.config.projection_channels,
-        ] {
-            w.write_all(&(v as u64).to_le_bytes())?;
-        }
-        ft_nn::serialize::save_params_to(self, &mut w)?;
-        w.flush()
+    /// Saves the model as an `FTC1` model file: the architecture metadata
+    /// and the weights, with an empty training state (see
+    /// [`Checkpoint::model_file`]).
+    pub fn save(&mut self, path: impl AsRef<Path>) -> std::io::Result<()> {
+        let meta = ModelMeta::from_config(&self.config, 0);
+        Checkpoint::model_file(meta, ft_nn::snapshot_params(self)).save(path)
     }
 
-    /// Loads a model saved by [`Fno::save`]: reads the configuration header,
-    /// rebuilds the architecture, and restores the weights.
-    pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        use std::io::Read;
-        let bad = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
-        let mut r = std::io::BufReader::new(std::fs::File::open(path)?);
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != b"FNC1" {
-            return Err(bad("not an FNC1 model file"));
-        }
-        let mut kind = [0u8; 1];
-        r.read_exact(&mut kind)?;
-        let mut flags = [0u8; 1];
-        r.read_exact(&mut flags)?;
-        let mut vals = [0u64; 7];
-        let mut b8 = [0u8; 8];
-        for v in &mut vals {
-            r.read_exact(&mut b8)?;
-            *v = u64::from_le_bytes(b8);
-            // Guard against corrupt or version-skewed headers before any
-            // dimension reaches an allocation.
-            if *v == 0 || *v > 1_000_000 {
-                return Err(bad("implausible model dimension in header"));
-            }
-        }
-        let config = FnoConfig {
-            kind: match kind[0] {
-                0 => FnoKind::TwoDChannels,
-                1 => FnoKind::ThreeD,
-                _ => return Err(bad("unknown model kind byte")),
-            },
-            width: vals[0] as usize,
-            layers: vals[1] as usize,
-            modes: vals[2] as usize,
-            in_channels: vals[3] as usize,
-            out_channels: vals[4] as usize,
-            lifting_channels: vals[5] as usize,
-            projection_channels: vals[6] as usize,
-            norm: flags[0] & 1 != 0,
-        };
+    /// Loads a model from any `FTC1` file that carries model metadata — an
+    /// [`Fno::save`] model file or a trainer's `latest.ftc`, whose training
+    /// state is ignored. The metadata is validated first, then every stored
+    /// tensor is checked against the rebuilt architecture, and only then
+    /// are the weights restored: a file that does not fit is a typed
+    /// [`CheckpointError`], never a panic.
+    pub fn load(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
+        let ck = Checkpoint::load_typed(path)?;
+        let config = ck.meta.as_ref().ok_or(CheckpointError::MetaMissing)?.to_config();
+        ck.validate_meta(&config)?;
         let mut model = Fno::new(config, 0);
-        ft_nn::serialize::load_params_from(&mut model, &mut r)?;
-        let mut extra = [0u8; 1];
-        if r.read(&mut extra)? != 0 {
-            return Err(bad("trailing bytes in model file"));
-        }
+        ck.check_params(&mut model)?;
+        ft_nn::restore_params(&mut model, &ck.params);
         Ok(model)
     }
 
@@ -225,8 +172,8 @@ impl ForecastModel for Fno {
     fn out_channels(&self) -> usize {
         self.config.out_channels
     }
-    fn model_meta(&self) -> Option<crate::checkpoint::ModelMeta> {
-        Some(crate::checkpoint::ModelMeta::from_config(&self.config, 0))
+    fn model_meta(&self) -> Option<ModelMeta> {
+        Some(ModelMeta::from_config(&self.config, 0))
     }
     fn replicate(&self) -> Option<Box<dyn ForecastModel + Send>> {
         Some(Box::new(self.clone()))
@@ -426,31 +373,72 @@ mod tests {
         m.infer(&Tensor::zeros(&[2, 2, 8]));
     }
 
-    #[test]
-    fn checkpoint_roundtrip_preserves_predictions() {
-        let mut m = Fno::new(tiny2d(), 11);
-        let x = rand_input(&[1, 2, 8, 8], 12);
-        let y = m.infer(&x);
-        let mut path = std::env::temp_dir();
-        path.push(format!("fno_ckpt_{}.ftw", std::process::id()));
+    fn tmp(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("fno_model_{}_{name}", std::process::id()))
+    }
+
+    /// Saves `m`, loads it back, and checks bitwise-identical predictions.
+    fn assert_roundtrip(m: &mut Fno, x: &Tensor, name: &str) -> Fno {
+        let y = m.infer(x);
+        let path = tmp(name);
         m.save(&path).unwrap();
         let loaded = Fno::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(loaded.infer(x).allclose(&y, 0.0), "bitwise-identical predictions");
+        loaded
+    }
+
+    #[test]
+    fn model_file_roundtrip_preserves_predictions() {
+        let x = rand_input(&[1, 2, 8, 8], 12);
+        let loaded = assert_roundtrip(&mut Fno::new(tiny2d(), 11), &x, "2d.ftc");
         assert_eq!(loaded.config().width, tiny2d().width);
         assert_eq!(loaded.config().kind, tiny2d().kind);
-        assert!(loaded.infer(&x).allclose(&y, 0.0), "bitwise-identical predictions");
-        // Garbage files are rejected.
-        std::fs::write(&path, b"NOPEnope").unwrap();
-        assert!(Fno::load(&path).is_err());
 
         // The norm flag round-trips too.
         let mut cfg_n = tiny2d();
         cfg_n.norm = true;
-        let mut mn = Fno::new(cfg_n, 3);
-        let yn = mn.infer(&x);
-        mn.save(&path).unwrap();
-        let ln = Fno::load(&path).unwrap();
-        assert!(ln.config().norm);
-        assert!(ln.infer(&x).allclose(&yn, 0.0));
+        let loaded = assert_roundtrip(&mut Fno::new(cfg_n, 3), &x, "norm.ftc");
+        assert!(loaded.config().norm);
+
+        let cfg3 = FnoConfig { kind: FnoKind::ThreeD, in_channels: 1, out_channels: 1, ..tiny2d() };
+        let x3 = rand_input(&[1, 1, 6, 6, 4], 13);
+        let loaded = assert_roundtrip(&mut Fno::new(cfg3, 4), &x3, "3d.ftc");
+        assert_eq!(loaded.config().kind, FnoKind::ThreeD);
+    }
+
+    #[test]
+    fn model_file_depends_on_the_weights_alone() {
+        let (a, b) = (tmp("a.ftc"), tmp("b.ftc"));
+        Fno::new(tiny2d(), 5).save(&a).unwrap();
+        Fno::new(tiny2d(), 5).save(&b).unwrap();
+        assert_eq!(std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
+        std::fs::remove_file(&a).ok();
+        std::fs::remove_file(&b).ok();
+    }
+
+    #[test]
+    fn rejects_architecture_mismatch() {
+        // Weights of a modes-2 model under metadata that claims modes 4:
+        // the tensor count agrees, the spectral shapes do not.
+        let mut m = Fno::new(tiny2d(), 1);
+        let mut wide = tiny2d();
+        wide.modes = 4;
+        let ck = Checkpoint::model_file(
+            ModelMeta::from_config(&wide, 0),
+            ft_nn::snapshot_params(&mut m),
+        );
+        let path = tmp("mismatch.ftc");
+        ck.save(&path).unwrap();
+        assert!(matches!(
+            Fno::load(&path),
+            Err(CheckpointError::MetaMismatch { field: "param_count", .. })
+        ));
+        // The per-tensor check catches it even when the count is skipped.
+        assert!(matches!(
+            ck.check_params(&mut Fno::new(wide, 0)),
+            Err(CheckpointError::MetaMismatch { field: "param_dim", .. })
+        ));
         std::fs::remove_file(&path).ok();
     }
 }

@@ -1,11 +1,11 @@
 //! The Sec. VI training loop: relative-L2 loss, Adam, StepLR, mini-batches.
 //!
-//! Data parallelism: when the model can [`ForecastModel::replicate`]
-//! itself, each mini-batch is sharded per-sample across worker replicas
-//! that share an epoch-consistent parameter snapshot; the per-sample
-//! gradients are reduced in a fixed, index-ordered tree
-//! ([`tree_reduce_grads`]) so results are bit-identical for any worker
-//! count — see DESIGN.md §13 for the determinism contract.
+//! Data parallelism: there is one training path. Every mini-batch is
+//! sharded per-sample across worker replicas ([`ForecastModel::replicate`])
+//! that share the batch's parameter snapshot; the per-sample gradients are
+//! reduced in a fixed, index-ordered tree ([`tree_reduce_grads`]) so
+//! results are bit-identical for any worker count — see DESIGN.md §13 for
+//! the determinism contract.
 //!
 //! Fault tolerance: the loop snapshots its full state at every epoch
 //! boundary, optionally persists it as an `FTC1` checkpoint (see
@@ -214,10 +214,13 @@ impl<M: ForecastModel> Trainer<M> {
     /// [`Trainer::train`] call restores weights, optimizer moments,
     /// scheduler epoch, RNG state, and histories, then resumes at the
     /// checkpointed epoch — producing bit-identical results to a run that
-    /// was never interrupted. Corrupt or truncated files are rejected here
+    /// was never interrupted. Corrupt or truncated files, and files whose
+    /// weights do not fit this model tensor by tensor, are rejected here
     /// with `InvalidData`.
     pub fn resume_from(mut self, path: impl AsRef<Path>) -> io::Result<Self> {
-        self.resume = Some(Checkpoint::load(path)?);
+        let ck = Checkpoint::load_typed(path)?;
+        ck.check_params(&mut self.model)?;
+        self.resume = Some(ck);
         Ok(self)
     }
 
@@ -255,12 +258,6 @@ impl<M: ForecastModel> Trainer<M> {
         let mut start_epoch = 0usize;
 
         if let Some(ck) = self.resume.take() {
-            let expected = ft_nn::snapshot_params(&mut self.model).len();
-            assert_eq!(
-                ck.params.len(),
-                expected,
-                "resume checkpoint does not match the model architecture"
-            );
             ft_nn::restore_params(&mut self.model, &ck.params);
             opt.import_state(ck.adam);
             sched.set_epoch(ck.sched_epoch);
@@ -278,20 +275,15 @@ impl<M: ForecastModel> Trainer<M> {
 
         // Data-parallel worker replicas for batch sharding, built once and
         // re-synced from a parameter snapshot every batch. More replicas
-        // than the batch size (or the pool width) would sit idle; models
-        // that cannot replicate (`replicate() == None`, e.g. DeepONet) get
-        // an empty set and take the serial whole-batch path instead.
+        // than the batch size (or the pool width) would sit idle.
         let worker_cap = rayon::current_num_threads().clamp(1, self.cfg.batch_size.max(1));
-        let mut replicas: Vec<Box<dyn ForecastModel + Send>> = Vec::new();
-        for _ in 0..worker_cap {
-            match self.model.replicate() {
-                Some(r) => replicas.push(r),
-                None => {
-                    replicas.clear();
-                    break;
-                }
-            }
-        }
+        let mut replicas: Vec<Box<dyn ForecastModel + Send>> = (0..worker_cap)
+            .map(|_| {
+                self.model.replicate().unwrap_or_else(|| {
+                    panic!("{} cannot replicate for training", std::any::type_name::<M>())
+                })
+            })
+            .collect();
 
         'training: for epoch in start_epoch..self.cfg.epochs {
             last_epoch = epoch;
@@ -316,67 +308,39 @@ impl<M: ForecastModel> Trainer<M> {
                     if skip.contains(&bi) {
                         continue;
                     }
-                    // Produce the mean batch loss and leave the batch
-                    // gradient (averaged over the chunk) in the main
-                    // model's accumulators.
-                    let loss = if replicas.is_empty() {
-                        // Serial whole-batch path.
-                        let (x, y) = batch_of(train_pairs, chunk, kind);
-                        let pred = self.model.forward(&x);
-                        let (mut loss, mut grad) = match self.cfg.loss {
-                            LossKind::RelativeL2 => RelativeL2::value_and_grad(&pred, &y),
-                            LossKind::Mse => Mse::value_and_grad(&pred, &y),
-                        };
-                        if self.cfg.divergence_weight > 0.0 {
-                            // Normalize by the target's squared-vorticity scale so the
-                            // penalty is dimensionless and comparable to the data loss
-                            // regardless of field amplitude.
-                            let (pv, pg) = crate::physics::divergence_penalty(&pred);
-                            let scale = crate::physics::mean_sq_vorticity(&y).max(1e-300);
-                            let w = self.cfg.divergence_weight / scale;
-                            loss += w * pv;
-                            grad.add_scaled(&pg, w);
-                        }
-                        if !loss.is_finite() {
-                            fault = Some((bi, RecoveryCause::NonFiniteLoss));
-                            break;
-                        }
-                        self.model.backward(&grad);
-                        loss
-                    } else {
-                        // Sharded data-parallel path: per-sample shards
-                        // against a shared snapshot, fixed-order reduction.
-                        let snap = ft_nn::snapshot_params(&mut self.model);
-                        let per_sample = sharded_batch_grads(
-                            &mut replicas,
-                            &snap,
-                            train_pairs,
-                            chunk,
-                            kind,
-                            self.cfg.loss,
-                            self.cfg.divergence_weight,
-                        );
-                        if per_sample.iter().any(|(l, _)| !l.is_finite()) {
-                            fault = Some((bi, RecoveryCause::NonFiniteLoss));
-                            break;
-                        }
-                        // Index-ordered loss sum and gradient tree: the
-                        // association is a function of the chunk alone, so
-                        // any worker count gives the same bits.
-                        let mut sum = 0.0;
-                        let grads: Vec<Vec<ft_nn::ParamValue>> = per_sample
-                            .into_iter()
-                            .map(|(l, g)| {
-                                sum += l;
-                                g.expect("finite sample carries gradients")
-                            })
-                            .collect();
-                        let mut reduced =
-                            tree_reduce_grads(grads).expect("non-empty batch");
-                        ft_nn::scale_param_values(&mut reduced, 1.0 / chunk.len() as f64);
-                        ft_nn::load_grads(&mut self.model, &reduced);
-                        sum / chunk.len() as f64
-                    };
+                    // Per-sample shards against a shared snapshot, then a
+                    // fixed-order reduction that leaves the batch gradient
+                    // (averaged over the chunk) in the main model's
+                    // accumulators.
+                    let snap = ft_nn::snapshot_params(&mut self.model);
+                    let per_sample = sharded_batch_grads(
+                        &mut replicas,
+                        &snap,
+                        train_pairs,
+                        chunk,
+                        kind,
+                        self.cfg.loss,
+                        self.cfg.divergence_weight,
+                    );
+                    if per_sample.iter().any(|(l, _)| !l.is_finite()) {
+                        fault = Some((bi, RecoveryCause::NonFiniteLoss));
+                        break;
+                    }
+                    // Index-ordered loss sum and gradient tree: the
+                    // association is a function of the chunk alone, so any
+                    // worker count gives the same bits.
+                    let mut sum = 0.0;
+                    let grads: Vec<Vec<ft_nn::ParamValue>> = per_sample
+                        .into_iter()
+                        .map(|(l, g)| {
+                            sum += l;
+                            g.expect("finite sample carries gradients")
+                        })
+                        .collect();
+                    let mut reduced = tree_reduce_grads(grads).expect("non-empty batch");
+                    ft_nn::scale_param_values(&mut reduced, 1.0 / chunk.len() as f64);
+                    ft_nn::load_grads(&mut self.model, &reduced);
+                    let loss = sum / chunk.len() as f64;
                     BATCH_LOSS.observe(loss);
                     let grad_norm = ft_nn::global_grad_norm(&mut self.model);
                     if !grad_norm.is_finite() {
@@ -747,8 +711,9 @@ fn run_shard(
             LossKind::Mse => Mse::value_and_grad(&pred, &y),
         };
         if divergence_weight > 0.0 {
-            // Same dimensionless normalization as the serial path, applied
-            // per sample.
+            // Normalize by the target's squared-vorticity scale so the
+            // penalty is dimensionless and comparable to the data loss
+            // regardless of field amplitude.
             let (pv, pg) = crate::physics::divergence_penalty(&pred);
             let scale = crate::physics::mean_sq_vorticity(&y).max(1e-300);
             let w = divergence_weight / scale;
@@ -928,6 +893,24 @@ mod tests {
     fn evaluate_empty_is_nan() {
         let model = Fno::new(small_cfg(2, 2), 0);
         assert!(evaluate(&model, &[]).is_nan());
+    }
+
+    #[test]
+    fn resume_with_wrong_architecture_is_an_error() {
+        let pairs = shift_pairs(4, 2, 2, 8);
+        let dir = std::env::temp_dir().join(format!("fno_resume_arch_{}", std::process::id()));
+        let cfg = TrainConfig { epochs: 1, batch_size: 2, ..Default::default() };
+        let mut narrow = small_cfg(2, 2);
+        narrow.width = 2;
+        Trainer::new(Fno::new(narrow, 0), cfg.clone())
+            .with_checkpointing(CheckpointConfig::new(&dir, 1))
+            .train(&pairs, &[]);
+        let err = Trainer::new(Fno::new(small_cfg(2, 2), 0), cfg)
+            .resume_from(dir.join("latest.ftc"))
+            .err()
+            .expect("a width-2 checkpoint must not resume a width-4 model");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

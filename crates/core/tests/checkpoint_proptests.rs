@@ -1,12 +1,13 @@
-//! Property-based tests for the `FTC1` checkpoint container: arbitrary
-//! training states round-trip exactly, and no single-byte corruption of the
-//! header region is ever accepted (or panics) — it must always surface as
-//! `io::ErrorKind::InvalidData`.
+//! Property-based tests for the `FTC1` container: arbitrary training states
+//! round-trip exactly; no single-bit flip or truncation of the header
+//! region is ever accepted (or panics) by `Checkpoint::load` or the model
+//! loader `Fno::load`; and a model file corrupted behind a re-sealed CRC
+//! never panics the model loader.
 
 use std::io::ErrorKind;
 
-use fno_core::checkpoint::Checkpoint;
-use fno_core::{RecoveryCause, RecoveryEvent};
+use fno_core::checkpoint::{crc32, Checkpoint};
+use fno_core::{Fno, FnoConfig, FnoKind, RecoveryCause, RecoveryEvent};
 use ft_nn::{AdamState, ParamValue};
 use ft_tensor::{CTensor, Complex64, Tensor};
 use proptest::prelude::*;
@@ -103,8 +104,7 @@ fn arbitrary_checkpoint(
 }
 
 fn assert_roundtrip(ck: &Checkpoint, tag: &str) {
-    let mut p = std::env::temp_dir();
-    p.push(format!("ftc_prop_{}_{tag}.ftc", std::process::id()));
+    let p = tmp(tag);
     ck.save(&p).unwrap();
     let back = Checkpoint::load(&p).unwrap();
     std::fs::remove_file(&p).ok();
@@ -152,24 +152,80 @@ proptest! {
     }
 
     #[test]
-    fn header_region_byte_flips_never_parse(seed in 0u64..200) {
-        let ck = arbitrary_checkpoint(seed, 2, 2, 3, true);
-        let mut p = std::env::temp_dir();
-        p.push(format!("ftc_prop_{}_flip.ftc", std::process::id()));
-        ck.save(&p).unwrap();
-        let bytes = std::fs::read(&p).unwrap();
-        // Every single-byte flip in the 16-byte header (magic + CRC +
-        // length) and the first payload bytes must be InvalidData.
-        let region = 48.min(bytes.len());
-        for byte in 0..region {
-            for bit in 0..8 {
-                let mut corrupt = bytes.clone();
-                corrupt[byte] ^= 1 << bit;
-                std::fs::write(&p, &corrupt).unwrap();
-                let err = Checkpoint::load(&p).err().expect("corruption must be rejected");
-                prop_assert_eq!(err.kind(), ErrorKind::InvalidData, "byte {} bit {}", byte, bit);
+    fn header_region_flips_and_truncations_never_parse(seed in 0u64..200) {
+        let p = tmp("flip");
+        // A synthetic training state and a real model file.
+        arbitrary_checkpoint(seed, 2, 2, 3, true).save(&p).unwrap();
+        let ck_bytes = std::fs::read(&p).unwrap();
+        let model_bytes = model_file_bytes(seed, &p);
+        for bytes in [&ck_bytes, &model_bytes] {
+            // Every single-bit flip in the 16-byte header (magic + CRC +
+            // length) and the first payload bytes must be InvalidData.
+            let region = 48.min(bytes.len());
+            for byte in 0..region {
+                for bit in 0..8 {
+                    let mut corrupt = bytes.clone();
+                    corrupt[byte] ^= 1 << bit;
+                    std::fs::write(&p, &corrupt).unwrap();
+                    let err = Checkpoint::load(&p).err().expect("corruption must be rejected");
+                    let kind = err.kind();
+                    prop_assert_eq!(kind, ErrorKind::InvalidData, "byte {} bit {}", byte, bit);
+                    prop_assert!(Fno::load(&p).is_err(), "byte {} bit {}", byte, bit);
+                }
+            }
+            // So must every cut inside that region and a few beyond it.
+            let cuts = (0..region).chain([bytes.len() / 2, bytes.len() - 1]);
+            for cut in cuts {
+                std::fs::write(&p, &bytes[..cut]).unwrap();
+                let err = Checkpoint::load(&p).err().expect("truncation must be rejected");
+                prop_assert_eq!(err.kind(), ErrorKind::InvalidData, "cut at {}", cut);
+                prop_assert!(Fno::load(&p).is_err(), "cut at {}", cut);
             }
         }
         std::fs::remove_file(&p).ok();
     }
+
+    #[test]
+    fn resealed_model_file_corruption_never_panics_the_loader(
+        seed in 0u64..10_000,
+        picks in proptest::collection::vec(0usize..1 << 20, 16),
+    ) {
+        let p = tmp("reseal");
+        let bytes = model_file_bytes(seed, &p);
+        // Flip one bit of the payload, then recompute the CRC so the
+        // corruption reaches the metadata, blob and per-tensor checks.
+        for pick in picks {
+            let mut corrupt = bytes.clone();
+            let byte = 16 + pick % (bytes.len() - 16);
+            corrupt[byte] ^= 1 << (pick % 8);
+            let crc = crc32(&corrupt[16..]);
+            corrupt[4..8].copy_from_slice(&crc.to_le_bytes());
+            std::fs::write(&p, &corrupt).unwrap();
+            // Either outcome is fine (a flipped weight still loads); a
+            // panic is not.
+            let _ = Fno::load(&p);
+        }
+        std::fs::remove_file(&p).ok();
+    }
+}
+
+fn tmp(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("ftc_prop_{}_{tag}.ftc", std::process::id()))
+}
+
+/// The bytes of a small 2D or 3D model file (`Fno::save`), written via `p`.
+fn model_file_bytes(seed: u64, p: &std::path::Path) -> Vec<u8> {
+    let cfg = FnoConfig {
+        kind: if seed % 2 == 0 { FnoKind::TwoDChannels } else { FnoKind::ThreeD },
+        width: 2,
+        layers: 1,
+        modes: 2,
+        in_channels: 2,
+        out_channels: 1,
+        lifting_channels: 3,
+        projection_channels: 3,
+        norm: seed % 3 == 0,
+    };
+    Fno::new(cfg, seed).save(p).unwrap();
+    std::fs::read(p).unwrap()
 }

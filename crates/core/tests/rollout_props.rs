@@ -60,6 +60,9 @@ impl ForecastModel for Probe {
     fn out_channels(&self) -> usize {
         self.c_out
     }
+    fn replicate(&self) -> Option<Box<dyn ForecastModel + Send>> {
+        unreachable!("rollout never trains")
+    }
 }
 
 /// The window the model sees at every step must be exactly the newest

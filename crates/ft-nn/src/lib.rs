@@ -50,9 +50,8 @@ pub use loss::Mse;
 pub use norm::{InstanceNorm, Sequential};
 pub use scheduler::StepLr;
 pub use serialize::{
-    add_param_values, load_grads, load_param_values_from, load_params, restore_params,
-    save_param_values_to, save_params, scale_param_values, snapshot_grads, snapshot_params,
-    ParamValue,
+    add_param_values, load_grads, load_param_values_from, restore_params, save_param_values_to,
+    scale_param_values, snapshot_grads, snapshot_params, ParamValue,
 };
 pub use spectral::SpectralConv;
 

@@ -1,185 +1,23 @@
-//! Model checkpointing: flat binary serialization of every parameter
-//! reachable through [`crate::Layer::visit_params`].
+//! Parameter snapshots and their flat binary encoding.
 //!
-//! Format (`FTW1`, little-endian): magic, parameter-tensor count `u32`,
-//! then per tensor: kind byte (0 real, 1 complex), rank `u32`, dims
-//! `u64 × rank`, payload `f64` (complex stored re, im interleaved).
-//! Loading is strict: kind, rank, and dims must match the model being
-//! loaded into — a checkpoint from a different architecture is rejected
-//! rather than silently misapplied.
+//! [`snapshot_params`] / [`restore_params`] copy every parameter reachable
+//! through [`crate::Layer::visit_params`] out of and back into a model;
+//! the gradient-side helpers do the same for the accumulators.
+//!
+//! Blob format (`FTW1`, little-endian): magic, parameter-tensor count
+//! `u32`, then per tensor: kind byte (0 real, 1 complex), rank `u32`, dims
+//! `u64 × rank`, payload `f64` (complex stored re, im interleaved). The
+//! blob is not a file format of its own: training checkpoints and model
+//! files (`FTC1`, in `fno-core`) embed it.
 
-use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::path::Path;
+use std::io::{self, Read, Write};
 
 use crate::param::ParamMut;
 use crate::Layer;
 
 const MAGIC: &[u8; 4] = b"FTW1";
 
-/// Writes every parameter of `model` to `path`.
-pub fn save_params(model: &mut dyn Layer, path: impl AsRef<Path>) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    save_params_to(model, &mut w)?;
-    w.flush()
-}
-
-/// Writes every parameter of `model` into an arbitrary writer (used to
-/// embed checkpoints inside larger container files).
-pub fn save_params_to(model: &mut dyn Layer, w: &mut impl Write) -> io::Result<()> {
-    // First pass: count tensors.
-    let mut count = 0u32;
-    model.visit_params(&mut |_| count += 1);
-
-    w.write_all(MAGIC)?;
-    w.write_all(&count.to_le_bytes())?;
-
-    let mut err: Option<io::Error> = None;
-    model.visit_params(&mut |p| {
-        if err.is_some() {
-            return;
-        }
-        let r = write_param(w, &p);
-        if let Err(e) = r {
-            err = Some(e);
-        }
-    });
-    if let Some(e) = err {
-        return Err(e);
-    }
-    Ok(())
-}
-
-fn write_param(w: &mut impl Write, p: &ParamMut<'_>) -> io::Result<()> {
-    match p {
-        ParamMut::Real { value, .. } => {
-            w.write_all(&[0u8])?;
-            w.write_all(&(value.shape().rank() as u32).to_le_bytes())?;
-            for &d in value.dims() {
-                w.write_all(&(d as u64).to_le_bytes())?;
-            }
-            for &v in value.data() {
-                w.write_all(&v.to_le_bytes())?;
-            }
-        }
-        ParamMut::Complex { value, .. } => {
-            w.write_all(&[1u8])?;
-            w.write_all(&(value.shape().rank() as u32).to_le_bytes())?;
-            for &d in value.dims() {
-                w.write_all(&(d as u64).to_le_bytes())?;
-            }
-            for z in value.data() {
-                w.write_all(&z.re.to_le_bytes())?;
-                w.write_all(&z.im.to_le_bytes())?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Loads parameters saved by [`save_params`] into `model`.
-///
-/// The model must have the same architecture (same visit order, kinds, and
-/// shapes); any mismatch aborts with `InvalidData` before mutating further
-/// parameters.
-pub fn load_params(model: &mut dyn Layer, path: impl AsRef<Path>) -> io::Result<()> {
-    let mut r = BufReader::new(File::open(path)?);
-    load_params_from(model, &mut r)?;
-    // Reject trailing bytes: they indicate an architecture mismatch that
-    // happened to share a prefix.
-    let mut extra = [0u8; 1];
-    if r.read(&mut extra)? != 0 {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "trailing bytes in checkpoint"));
-    }
-    Ok(())
-}
-
-/// Reads parameters from an arbitrary reader (the counterpart of
-/// [`save_params_to`]). Does not check for trailing bytes — the caller owns
-/// the rest of the stream.
-pub fn load_params_from(model: &mut dyn Layer, r: &mut impl Read) -> io::Result<()> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "not an FTW1 checkpoint"));
-    }
-    let mut b4 = [0u8; 4];
-    r.read_exact(&mut b4)?;
-    let count = u32::from_le_bytes(b4);
-
-    let mut expected = 0u32;
-    model.visit_params(&mut |_| expected += 1);
-    if count != expected {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("checkpoint has {count} parameter tensors, model has {expected}"),
-        ));
-    }
-
-    let mut err: Option<io::Error> = None;
-    model.visit_params(&mut |p| {
-        if err.is_some() {
-            return;
-        }
-        if let Err(e) = read_param(r, p) {
-            err = Some(e);
-        }
-    });
-    if let Some(e) = err {
-        return Err(e);
-    }
-    Ok(())
-}
-
-fn read_param(r: &mut impl Read, p: ParamMut<'_>) -> io::Result<()> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    let mut kind = [0u8; 1];
-    r.read_exact(&mut kind)?;
-    let mut b4 = [0u8; 4];
-    r.read_exact(&mut b4)?;
-    let rank = u32::from_le_bytes(b4) as usize;
-    if rank > 16 {
-        return Err(bad("implausible rank"));
-    }
-    let mut dims = Vec::with_capacity(rank);
-    let mut b8 = [0u8; 8];
-    for _ in 0..rank {
-        r.read_exact(&mut b8)?;
-        dims.push(u64::from_le_bytes(b8) as usize);
-    }
-    match p {
-        ParamMut::Real { value, .. } => {
-            if kind[0] != 0 {
-                return Err(bad("kind mismatch: expected real parameter"));
-            }
-            if dims != value.dims() {
-                return Err(bad("shape mismatch for real parameter"));
-            }
-            for v in value.data_mut() {
-                r.read_exact(&mut b8)?;
-                *v = f64::from_le_bytes(b8);
-            }
-        }
-        ParamMut::Complex { value, .. } => {
-            if kind[0] != 1 {
-                return Err(bad("kind mismatch: expected complex parameter"));
-            }
-            if dims != value.dims() {
-                return Err(bad("shape mismatch for complex parameter"));
-            }
-            for z in value.data_mut() {
-                r.read_exact(&mut b8)?;
-                z.re = f64::from_le_bytes(b8);
-                r.read_exact(&mut b8)?;
-                z.im = f64::from_le_bytes(b8);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Writes a parameter-value snapshot as a self-delimiting FTW1 blob (the
-/// same encoding as [`save_params_to`], minus the need for a live model).
+/// Writes a parameter-value snapshot as a self-delimiting FTW1 blob.
 /// Training checkpoints embed these for both the current weights and the
 /// best-seen snapshot.
 pub fn save_param_values_to(values: &[ParamValue], w: &mut impl Write) -> io::Result<()> {
@@ -431,60 +269,6 @@ mod tests {
         }
     }
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("ftw_{}_{name}", std::process::id()));
-        p
-    }
-
-    #[test]
-    fn roundtrip_restores_inference_exactly() {
-        let mut a = make(1);
-        let mut b = make(2); // different init
-        let x = Tensor::from_fn(&[1, 2, 8, 8], |i| ((i[2] * 8 + i[3]) as f64 * 0.1).sin());
-        let ya = a.forward(&x);
-        let yb = b.forward(&x);
-        assert!(!ya.allclose(&yb, 1e-9), "different params, different output");
-
-        let p = tmp("roundtrip.ftw");
-        save_params(&mut a, &p).unwrap();
-        load_params(&mut b, &p).unwrap();
-        let yb2 = b.forward(&x);
-        assert!(yb2.allclose(&ya, 0.0), "loaded params must reproduce bitwise");
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn rejects_architecture_mismatch() {
-        let mut a = make(1);
-        let p = tmp("mismatch.ftw");
-        save_params(&mut a, &p).unwrap();
-
-        // Different spectral shape → shape mismatch.
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut wrong = Both {
-            lin: Linear::new(2, 3, &mut rng),
-            spec: SpectralConv::new_2d(3, 2, 4, &mut rng),
-        };
-        let err = load_params(&mut wrong, &p).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn rejects_wrong_magic_and_truncation() {
-        let p = tmp("garbage.ftw");
-        std::fs::write(&p, b"NOPE").unwrap();
-        let mut m = make(1);
-        assert!(load_params(&mut m, &p).is_err());
-
-        save_params(&mut m, &p).unwrap();
-        let bytes = std::fs::read(&p).unwrap();
-        std::fs::write(&p, &bytes[..bytes.len() - 5]).unwrap();
-        assert!(load_params(&mut make(2), &p).is_err());
-        std::fs::remove_file(&p).ok();
-    }
-
     #[test]
     fn param_value_blob_roundtrip() {
         let mut a = make(4);
@@ -511,6 +295,8 @@ mod tests {
         assert!(load_param_values_from(&mut &bad[..]).is_err());
         // Truncation.
         assert!(load_param_values_from(&mut &buf[..buf.len() - 3]).is_err());
+        // Wrong magic.
+        assert!(load_param_values_from(&mut &b"NOPE\0\0\0\0"[..]).is_err());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! `tests/no_alloc.rs` (its own process).
 
 use rayon::prelude::*;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// The JSONL sink is process-global; tests that open/close it serialize
 /// through this lock so the parallel harness cannot interleave them.
@@ -99,7 +99,7 @@ fn train_epoch_jsonl_schema_is_stable() {
 #[test]
 fn jsonl_sink_writes_one_record_per_line() {
     ft_obs::set_enabled(true);
-    let _sink = SINK_LOCK.lock().unwrap();
+    let _sink = SINK_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let path = std::env::temp_dir().join(format!("ft_obs_sink_{}.jsonl", std::process::id()));
     ft_obs::open_jsonl(&path).unwrap();
     ft_obs::emit(&ft_obs::Record::new("a").u64("i", 1));
@@ -119,7 +119,7 @@ fn jsonl_sink_writes_one_record_per_line() {
 #[test]
 fn concurrent_emit_produces_no_torn_lines() {
     ft_obs::set_enabled(true);
-    let _sink = SINK_LOCK.lock().unwrap();
+    let _sink = SINK_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let path = std::env::temp_dir().join(format!("ft_obs_par_sink_{}.jsonl", std::process::id()));
     ft_obs::open_jsonl(&path).unwrap();
     let n = 500u64;

@@ -1,16 +1,15 @@
 //! Inference serving for trained FNO models.
 //!
-//! Training produces a model file (or a fault-tolerance checkpoint); this
-//! crate turns one into a long-lived inference service. It is deliberately
-//! dependency-free (std + the workspace crates), matching the offline
-//! `crates/compat` philosophy. The moving parts:
+//! Training produces an `FTC1` model file (or a checkpoint in the same
+//! container); this crate turns one into a long-lived inference service.
+//! It is deliberately dependency-free (std + the workspace crates),
+//! matching the offline `crates/compat` philosophy. The moving parts:
 //!
-//! * [`registry`] — loads `.fnc` model files and `.ftc` training
-//!   checkpoints into a named [`registry::ModelRegistry`]. Checkpoints are
-//!   validated against their embedded self-describing
-//!   [`fno_core::ModelMeta`] header *before* a model is instantiated, so an
-//!   architecture mismatch is a typed error rather than a panic deep in
-//!   `restore_params`;
+//! * [`registry`] — loads model files into a named
+//!   [`registry::ModelRegistry`] through `Fno::load`, which validates the
+//!   embedded self-describing [`fno_core::ModelMeta`] header and every
+//!   weight tensor *before* restoring them, so an architecture mismatch is
+//!   a typed error rather than a panic deep in `restore_params`;
 //! * [`engine`] — the serving core: a bounded request queue with admission
 //!   control (explicit [`ServeError::Overloaded`] when full), a dispatcher
 //!   that coalesces compatible requests (same model, same input shape)

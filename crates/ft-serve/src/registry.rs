@@ -1,38 +1,29 @@
 //! Named model registry: the serving engine's source of truth for which
 //! models exist and what inputs they accept.
 //!
-//! Two load paths converge on the same [`ModelEntry`]:
-//!
-//! * [`ModelRegistry::load_model`] reads a single-file `.fnc` model
-//!   (config + weights) written by `Fno::save`;
-//! * [`ModelRegistry::load_checkpoint`] reads a full training checkpoint
-//!   (`.ftc`). The checkpoint's embedded [`ModelMeta`] is **validated
-//!   before any weights are instantiated** — the architecture is rebuilt
-//!   from the metadata, `Checkpoint::validate_meta` cross-checks the
-//!   recorded parameter count against that architecture, and only then
-//!   are the parameters restored. A legacy v1 checkpoint (no metadata)
-//!   is a typed [`CheckpointError::MetaMissing`] error: serving refuses
-//!   to guess an architecture.
+//! [`ModelRegistry::load`] reads any `FTC1` model file — an `Fno::save`
+//! export or a trainer's `latest.ftc` — through `Fno::load`, which
+//! validates the embedded metadata and every weight tensor **before**
+//! restoring them. A file without metadata, or one whose weights do not
+//! fit the architecture it describes, is a typed [`CheckpointError`]:
+//! serving refuses to guess an architecture.
 //!
 //! Entries are immutable once registered and shared via `Arc`, so the
 //! dispatcher and every session hold cheap references.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
 use fno_core::checkpoint::CheckpointError;
-use fno_core::{Checkpoint, Fno, FnoConfig, FnoKind, ModelMeta};
+use fno_core::{Fno, FnoConfig, FnoKind};
 
 /// Why a model failed to register.
 #[derive(Debug)]
 pub enum RegistryError {
-    /// Filesystem or format failure loading a `.fnc` model file.
-    Io(io::Error),
-    /// Checkpoint-specific failure (corruption, missing or mismatched
-    /// metadata) loading a `.ftc` file.
+    /// The model file could not be read, is corrupt, or does not fit the
+    /// architecture its metadata describes.
     Checkpoint(CheckpointError),
     /// A model with this name is already registered.
     Duplicate(String),
@@ -41,8 +32,7 @@ pub enum RegistryError {
 impl fmt::Display for RegistryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RegistryError::Io(e) => write!(f, "model load failed: {e}"),
-            RegistryError::Checkpoint(e) => write!(f, "checkpoint load failed: {e}"),
+            RegistryError::Checkpoint(e) => write!(f, "model load failed: {e}"),
             RegistryError::Duplicate(name) => write!(f, "model `{name}` already registered"),
         }
     }
@@ -51,16 +41,9 @@ impl fmt::Display for RegistryError {
 impl std::error::Error for RegistryError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            RegistryError::Io(e) => Some(e),
             RegistryError::Checkpoint(e) => Some(e),
             RegistryError::Duplicate(_) => None,
         }
-    }
-}
-
-impl From<io::Error> for RegistryError {
-    fn from(e: io::Error) -> Self {
-        RegistryError::Io(e)
     }
 }
 
@@ -70,15 +53,13 @@ impl From<CheckpointError> for RegistryError {
     }
 }
 
-/// One registered model: the name clients address it by, the loaded
-/// network, and (when loaded from a checkpoint) its validated metadata.
+/// One registered model: the name clients address it by and the loaded
+/// network.
 pub struct ModelEntry {
     /// Registry name, used as the micro-batching key.
     pub name: String,
     /// The loaded network. Immutable — inference only.
     pub model: Fno,
-    /// Metadata the model was validated against, when known.
-    pub meta: Option<ModelMeta>,
 }
 
 impl ModelEntry {
@@ -113,53 +94,18 @@ impl ModelRegistry {
 
     /// Registers an already-constructed model under `name`.
     pub fn insert(&mut self, name: &str, model: Fno) -> Result<(), RegistryError> {
-        self.insert_entry(name, model, None)
-    }
-
-    fn insert_entry(
-        &mut self,
-        name: &str,
-        model: Fno,
-        meta: Option<ModelMeta>,
-    ) -> Result<(), RegistryError> {
         if self.models.contains_key(name) {
             return Err(RegistryError::Duplicate(name.to_string()));
         }
-        self.models.insert(
-            name.to_string(),
-            Arc::new(ModelEntry { name: name.to_string(), model, meta }),
-        );
+        let entry = ModelEntry { name: name.to_string(), model };
+        self.models.insert(name.to_string(), Arc::new(entry));
         Ok(())
     }
 
-    /// Loads a `.fnc` single-file model (config + weights) as `name`.
-    pub fn load_model(&mut self, name: &str, path: impl AsRef<Path>) -> Result<(), RegistryError> {
+    /// Loads an `FTC1` model file as `name` (see [`Fno::load`]).
+    pub fn load(&mut self, name: &str, path: impl AsRef<Path>) -> Result<(), RegistryError> {
         let model = Fno::load(path)?;
-        self.insert_entry(name, model, None)
-    }
-
-    /// Loads a `.ftc` training checkpoint as `name`, validating its
-    /// embedded metadata before restoring any weights.
-    ///
-    /// The returned errors are typed: a v1 checkpoint without metadata is
-    /// [`CheckpointError::MetaMissing`]; a checkpoint whose recorded
-    /// parameter count disagrees with the architecture its own metadata
-    /// describes is [`CheckpointError::MetaMismatch`].
-    pub fn load_checkpoint(
-        &mut self,
-        name: &str,
-        path: impl AsRef<Path>,
-    ) -> Result<(), RegistryError> {
-        let ck = Checkpoint::load_typed(path)?;
-        let meta = ck.meta.clone().ok_or(CheckpointError::MetaMissing)?;
-        let cfg = meta.to_config();
-        // Cross-checks the stored parameter count against the architecture
-        // described by the metadata itself — catches truncated or spliced
-        // parameter sections before restore_params can panic.
-        ck.validate_meta(&cfg)?;
-        let mut model = Fno::new(cfg, 0);
-        ft_nn::restore_params(&mut model, &ck.params);
-        self.insert_entry(name, model, Some(meta))
+        self.insert(name, model)
     }
 
     /// Looks up a model by name.
@@ -204,22 +150,19 @@ mod tests {
     }
 
     #[test]
-    fn fnc_file_roundtrips_through_registry() {
-        let dir = std::env::temp_dir().join("ft_serve_registry_fnc");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("m.fnc");
+    fn model_file_roundtrips_through_registry() {
+        let path = std::env::temp_dir().join(format!("ft_serve_reg_{}.ftc", std::process::id()));
         let mut model = Fno::new(tiny_cfg(), 9);
         model.save(&path).unwrap();
         let x = ft_tensor::Tensor::from_fn(&[1, 4, 8, 8], |i| (i[2] + i[3]) as f64 * 0.01);
         let want = model.infer(&x);
 
         let mut reg = ModelRegistry::new();
-        reg.load_model("m", &path).unwrap();
+        reg.load("m", &path).unwrap();
         let entry = reg.get("m").unwrap();
-        assert!(entry.meta.is_none());
-        assert!(entry.model.infer(&x).allclose(&want, 1e-12));
+        assert!(entry.model.infer(&x).allclose(&want, 0.0));
         assert_eq!(reg.names(), vec!["m".to_string()]);
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

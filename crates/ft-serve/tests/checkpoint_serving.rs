@@ -1,10 +1,12 @@
-//! End-to-end: a training checkpoint round-trips through the registry's
-//! validated load path and serves the same predictions as the live model.
+//! End-to-end: a training checkpoint loads through the one model loader
+//! (`Fno::load`, behind `ModelRegistry::load`) and serves the same
+//! predictions as the live model; files that do not fit are typed errors.
 
 use ft_serve::{ModelRegistry, RegistryError, ServeConfig, ServeEngine};
 use ft_tensor::Tensor;
 use fno_core::checkpoint::CheckpointError;
 use fno_core::{Checkpoint, Fno, FnoConfig, FnoKind, ModelMeta};
+use ft_nn::ParamValue;
 
 fn tiny_cfg() -> FnoConfig {
     FnoConfig {
@@ -49,10 +51,9 @@ fn checkpoint_serves_identically_to_source_model() {
     let path = tmp("good.ftc");
     ck.save(&path).unwrap();
 
+    // The training state (epochs, losses, RNG) is ignored by the loader.
     let mut reg = ModelRegistry::new();
-    reg.load_checkpoint("ck", &path).unwrap();
-    let entry = reg.get("ck").unwrap();
-    assert_eq!(entry.meta.as_ref().unwrap().grid, 8);
+    reg.load("ck", &path).unwrap();
 
     let x = Tensor::from_fn(&[4, 8, 8], |i| (i[0] as f64 + i[1] as f64 * 0.3 + i[2] as f64).cos());
     let batched = Tensor::from_vec(
@@ -69,20 +70,20 @@ fn checkpoint_serves_identically_to_source_model() {
     // Engine output drops the batch axis; compare raw data.
     assert_eq!(got.len(), want.len());
     for (a, b) in got.data().iter().zip(want.data()) {
-        assert!((a - b).abs() < 1e-12);
+        assert_eq!(a.to_bits(), b.to_bits());
     }
     std::fs::remove_file(&path).ok();
 }
 
 #[test]
-fn legacy_checkpoint_without_meta_is_refused_with_typed_error() {
+fn checkpoint_without_meta_is_refused_with_typed_error() {
     let mut model = Fno::new(tiny_cfg(), 11);
     let ck = checkpoint_of(&mut model, None);
-    let path = tmp("legacy.ftc");
+    let path = tmp("no_meta.ftc");
     ck.save(&path).unwrap();
 
     let mut reg = ModelRegistry::new();
-    let err = reg.load_checkpoint("ck", &path).unwrap_err();
+    let err = reg.load("ck", &path).unwrap_err();
     assert!(matches!(
         err,
         RegistryError::Checkpoint(CheckpointError::MetaMissing)
@@ -103,11 +104,40 @@ fn inconsistent_meta_is_refused_before_weights_restore() {
     ck.save(&path).unwrap();
 
     let mut reg = ModelRegistry::new();
-    let err = reg.load_checkpoint("ck", &path).unwrap_err();
+    let err = reg.load("ck", &path).unwrap_err();
     assert!(matches!(
         err,
         RegistryError::Checkpoint(CheckpointError::MetaMismatch { field: "param_count", .. })
     ));
+    assert!(reg.is_empty());
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn transposed_weight_is_a_typed_error_not_a_panic() {
+    // Consistent metadata, a valid CRC and the right element count, but
+    // the first lifting weight ([3, 4]) is stored transposed as [4, 3].
+    let mut model = Fno::new(tiny_cfg(), 11);
+    let meta = ModelMeta::from_config(model.config(), 0);
+    let mut params = ft_nn::snapshot_params(&mut model);
+    let ParamValue::Real(w) = &params[0] else { panic!("lifting weight is real") };
+    let (rows, cols) = (w.dims()[0], w.dims()[1]);
+    assert_ne!(rows, cols, "a square weight would not change shape");
+    let t = Tensor::from_fn(&[cols, rows], |i| w.at(&[i[1], i[0]]));
+    params[0] = ParamValue::Real(t);
+    let path = tmp("transposed.ftc");
+    Checkpoint::model_file(meta, params).save(&path).unwrap();
+
+    let mismatch = |e: &CheckpointError| {
+        matches!(e, CheckpointError::MetaMismatch { field: "param_dim", expected: 3, found: 4 })
+    };
+    let err = Fno::load(&path).err().expect("transposed weight must be refused");
+    assert!(mismatch(&err), "{err:?}");
+    let mut reg = ModelRegistry::new();
+    match reg.load("ck", &path) {
+        Err(RegistryError::Checkpoint(e)) => assert!(mismatch(&e), "{e:?}"),
+        other => panic!("expected a checkpoint error, got {:?}", other.err()),
+    }
     assert!(reg.is_empty());
     std::fs::remove_file(&path).ok();
 }

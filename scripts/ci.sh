@@ -49,7 +49,7 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 # trajectory is thread-count invariant (DESIGN.md §13), and the
 # train.samples_per_sec gauge is gated one-sided (throughput class).
 ./target/release/fno2dturb train --data "$SMOKE_DIR/data.ftt" \
-    --model "$SMOKE_DIR/model.fnc" --width 4 --layers 2 --modes 4 \
+    --model "$SMOKE_DIR/model.ftc" --width 4 --layers 2 --modes 4 \
     --out-channels 2 --epochs 2 --batch 4 --probe-every 1 --threads 2 \
     --metrics-out "$SMOKE_DIR/train.jsonl" --bench-out BENCH_tier1.json
 
@@ -62,7 +62,7 @@ echo "==> bench_compare gate (BENCH_baseline.json vs BENCH_tier1.json)"
 # `.rejected` to exactly 0 (zero-valued counter baselines are exact in
 # bench_compare), so any failed or shed request fails CI.
 echo "==> serve smoke (fno-serve + serve-bench, BENCH_serve.json)"
-./target/release/fno-serve --model "$SMOKE_DIR/model.fnc" --addr 127.0.0.1:0 \
+./target/release/fno-serve --model "$SMOKE_DIR/model.ftc" --addr 127.0.0.1:0 \
     2>"$SMOKE_DIR/serve.log" &
 SERVE_PID=$!
 ADDR=""
@@ -82,5 +82,20 @@ wait "$SERVE_PID"
 
 echo "==> bench_compare gate (BENCH_serve_baseline.json vs BENCH_serve.json)"
 ./target/release/bench_compare BENCH_serve_baseline.json "$SMOKE_DIR/BENCH_serve.json"
+
+# Negative serve step: a truncated model file must be refused with a
+# clean `error:` line and a non-zero exit, never a panic.
+echo "==> fno-serve refuses a truncated model file"
+head -c 100 "$SMOKE_DIR/model.ftc" > "$SMOKE_DIR/truncated.ftc"
+if ./target/release/fno-serve --model "$SMOKE_DIR/truncated.ftc" --addr 127.0.0.1:0 \
+    2>"$SMOKE_DIR/truncated.log"; then
+    echo "fno-serve accepted a truncated model file" >&2
+    exit 1
+fi
+if ! grep -q '^error:' "$SMOKE_DIR/truncated.log" || grep -q 'panicked' "$SMOKE_DIR/truncated.log"; then
+    echo "fno-serve did not fail cleanly on a truncated model file:" >&2
+    cat "$SMOKE_DIR/truncated.log" >&2
+    exit 1
+fi
 
 echo "CI OK"

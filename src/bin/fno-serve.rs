@@ -1,26 +1,24 @@
 //! `fno-serve` — TCP inference server for trained FNO models.
 //!
 //! ```text
-//! fno-serve --model model.fnc | --checkpoint latest.ftc [--name default]
+//! fno-serve --model model.ftc [--name default]
 //!           [--addr 127.0.0.1:7878] [--max-batch 8] [--batch-window-us 200]
 //!           [--queue-capacity 64] [--max-sessions 64] [--session-ttl-secs 300]
 //!           [--threads N] [--metrics-out FILE] [--profile]
 //! ```
 //!
-//! Loads one or more models (repeat is not supported from the CLI — one
-//! `--model` *or* one `--checkpoint` per process, registered under
-//! `--name`, default `default`), then serves the newline-delimited-JSON
-//! wire protocol documented in `ft_serve::proto` until a client sends a
+//! Loads one model per process (`--model`, registered under `--name`,
+//! default `default`), then serves the newline-delimited-JSON wire
+//! protocol documented in `ft_serve::proto` until a client sends a
 //! `shutdown` frame. Shutdown is graceful: the accept loop stops, open
 //! connections are joined, and every request already admitted to the
 //! queue completes before the process exits.
 //!
-//! `--checkpoint` uses the validated load path: the checkpoint must carry
-//! model metadata (v2 files written by the trainer do), the architecture
-//! is rebuilt from that metadata, and the recorded parameter count is
-//! cross-checked before any weights are restored. Legacy v1 checkpoints
-//! are refused with a typed error — point `--model` at a `.fnc` export
-//! instead.
+//! `--model` takes any `FTC1` file with model metadata: the
+//! `fno2dturb train --model` output or a trainer's `latest.ftc`. The
+//! architecture is rebuilt from the metadata and every stored weight is
+//! checked against it before any is restored; a file that does not fit is
+//! refused with an `error:` line and a non-zero exit.
 //!
 //! `--threads N` sizes the global rayon pool once at startup; batched
 //! forwards parallelise across that pool. The observability options
@@ -36,7 +34,7 @@ use std::time::Duration;
 use fno2d_turbulence::serve::{server, ModelRegistry, ServeConfig, ServeEngine, SessionConfig};
 
 const USAGE: &str = "usage:
-  fno-serve --model model.fnc | --checkpoint latest.ftc [--name default]
+  fno-serve --model model.ftc [--name default]
             [--addr 127.0.0.1:7878] [--max-batch 8] [--batch-window-us 200]
             [--queue-capacity 64] [--max-sessions 64] [--session-ttl-secs 300]
             [--threads N] [--metrics-out FILE] [--profile]
@@ -132,18 +130,8 @@ fn run(opts: &Opts) -> Result<(), String> {
 
     let name = opts.get("name").map(String::as_str).unwrap_or("default");
     let mut registry = ModelRegistry::new();
-    match (opts.get("model"), opts.get("checkpoint")) {
-        (Some(path), None) => registry
-            .load_model(name, path)
-            .map_err(|e| format!("--model {path}: {e}"))?,
-        (None, Some(path)) => registry
-            .load_checkpoint(name, path)
-            .map_err(|e| format!("--checkpoint {path}: {e}"))?,
-        (Some(_), Some(_)) => {
-            return Err("--model and --checkpoint are mutually exclusive".into())
-        }
-        (None, None) => return Err("one of --model or --checkpoint is required".into()),
-    }
+    let path = opts.get("model").ok_or("--model is required")?;
+    registry.load(name, path).map_err(|e| format!("--model {path}: {e}"))?;
     let entry = registry.get(name).expect("model just registered");
     eprintln!(
         "fno-serve: model `{name}` expects {} inputs ({} parameters)",

@@ -3,22 +3,24 @@
 //! ```text
 //! fno2dturb generate --out data.ftt [--grid 32] [--samples 8] [--snapshots 40]
 //!                    [--reynolds 1000] [--solver spectral|lbm|bgk] [--seed 0]
-//! fno2dturb train    --data data.ftt --model model.fnc [--width 8] [--layers 4]
+//! fno2dturb train    --data data.ftt --model model.ftc [--width 8] [--layers 4]
 //!                    [--modes 8] [--out-channels 5] [--epochs 20] [--lr 5e-3]
 //!                    [--batch 8] [--div-weight 0] [--train-frac 0.8]
 //!                    [--checkpoint-dir checkpoints] [--checkpoint-every 1]
 //!                    [--resume checkpoints/latest.ftc]
-//! fno2dturb rollout  --data data.ftt --model model.fnc [--sample 0] [--frames 10]
+//! fno2dturb rollout  --data data.ftt --model model.ftc [--sample 0] [--frames 10]
 //!                    [--out pred.ftt]
-//! fno2dturb hybrid   --data data.ftt --model model.fnc [--frames 60]
+//! fno2dturb hybrid   --data data.ftt --model model.ftc [--frames 60]
 //!                    [--scheme hybrid|fno|pde] [--window 5] [--reynolds 1000]
 //! ```
 //!
 //! `generate` writes a `[S, T, 2, H, W]` velocity tensor in the FTT1 format;
-//! `train` fits a 2D FNO with temporal channels and writes a single-file
-//! model (config + weights); `rollout` autoregressively forecasts a sample
-//! and reports per-frame errors; `hybrid` marches one of the three schemes
-//! and prints the Fig. 8 diagnostics.
+//! `train` fits a 2D FNO with temporal channels and writes an `FTC1` model
+//! file (architecture metadata + weights); `rollout`, `hybrid` and
+//! `ensemble` read that file or a training checkpoint's `latest.ftc`.
+//! `rollout` autoregressively forecasts a sample and reports per-frame
+//! errors; `hybrid` marches one of the three schemes and prints the Fig. 8
+//! diagnostics.
 //!
 //! Every command accepts `--threads N`, which sizes the global rayon
 //! pool once at startup (attempting to size it twice, or after implicit
@@ -130,16 +132,16 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   fno2dturb generate --out data.ftt [--grid N] [--samples S] [--snapshots T]
                      [--reynolds RE] [--solver spectral|lbm|bgk] [--seed K]
-  fno2dturb train    --data data.ftt --model model.fnc [--width W] [--layers L]
+  fno2dturb train    --data data.ftt --model model.ftc [--width W] [--layers L]
                      [--modes M] [--out-channels K] [--epochs E] [--lr LR]
                      [--batch B] [--div-weight WD] [--train-frac F]
                      [--checkpoint-dir DIR] [--checkpoint-every N]
                      [--resume DIR/latest.ftc]
-  fno2dturb rollout  --data data.ftt --model model.fnc [--sample I] [--frames N]
+  fno2dturb rollout  --data data.ftt --model model.ftc [--sample I] [--frames N]
                      [--out pred.ftt]
-  fno2dturb hybrid   --data data.ftt --model model.fnc [--frames N]
+  fno2dturb hybrid   --data data.ftt --model model.ftc [--frames N]
                      [--scheme hybrid|fno|pde] [--window K] [--reynolds RE]
-  fno2dturb ensemble --data data.ftt --model model.fnc [--sample I] [--frames N]
+  fno2dturb ensemble --data data.ftt --model model.ftc [--sample I] [--frames N]
                      [--members M] [--delta D]
 
 global options (any command):

@@ -4,7 +4,7 @@
 //! serve-bench --addr 127.0.0.1:7878 [--requests 50] [--clients 4]
 //!             [--channels 10] [--grid 16] [--model-name default]
 //!             [--rate R] [--shutdown] [--bench-out FILE]
-//! serve-bench --inproc --model model.fnc --compare-batching
+//! serve-bench --inproc --model model.ftc --compare-batching
 //!             [--requests 512] [--clients 16] [--max-batch 16]
 //!             [--bench-out results/BENCH_serve.json]
 //! ```
@@ -38,6 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use fno2d_turbulence::fno::Fno;
 use fno2d_turbulence::serve::{proto, ModelRegistry, ServeConfig, ServeEngine};
 use fno2d_turbulence::tensor::Tensor;
 use ft_obs::{Counter, Histogram, Record};
@@ -55,7 +56,7 @@ const USAGE: &str = "usage:
   serve-bench --addr HOST:PORT [--requests 50] [--clients 4] [--channels 10]
               [--grid 16] [--model-name default] [--rate R] [--shutdown]
               [--bench-out BENCH_serve.json] [--metrics-out FILE] [--profile]
-  serve-bench --inproc --model model.fnc --compare-batching [--requests 512]
+  serve-bench --inproc --model model.ftc --compare-batching [--requests 512]
               [--clients 16] [--max-batch 16] [--bench-out results/BENCH_serve.json]
 
 TCP mode load-tests a running fno-serve (closed-loop by default, Poisson
@@ -303,7 +304,7 @@ fn inproc_phase(
     grid: usize,
 ) -> Result<(f64, u64), String> {
     let mut reg = ModelRegistry::new();
-    reg.load_model("bench", model_path).map_err(|e| format!("--model {model_path}: {e}"))?;
+    reg.load("bench", model_path).map_err(|e| format!("--model {model_path}: {e}"))?;
     let engine = ServeEngine::new(
         reg,
         ServeConfig {
@@ -344,18 +345,16 @@ fn run_inproc(opts: &Opts) -> Result<(), String> {
     if !opts.contains_key("compare-batching") {
         return Err("--inproc currently requires --compare-batching".into());
     }
-    let model_path = opts.get("model").ok_or("--inproc needs --model model.fnc")?;
+    let model_path = opts.get("model").ok_or("--inproc needs --model model.ftc")?;
     let total: u64 = get(opts, "requests", 512u64)?;
     let clients: usize = get(opts, "clients", 16)?.max(2);
     let max_batch: usize = get(opts, "max-batch", 16)?.max(2);
 
     // Probe the model once for the input shape the phases should send.
-    let cfg = {
-        let mut reg = ModelRegistry::new();
-        reg.load_model("probe", model_path)
-            .map_err(|e| format!("--model {model_path}: {e}"))?;
-        reg.get("probe").expect("just registered").config().clone()
-    };
+    let cfg = Fno::load(model_path)
+        .map_err(|e| format!("--model {model_path}: {e}"))?
+        .config()
+        .clone();
     let channels = cfg.in_channels;
     let grid = (2 * cfg.modes).max(8);
 

@@ -36,7 +36,7 @@ fn train_checkpoint_reload_forecast() {
     let mut model = trainer.into_model();
 
     let mut path = std::env::temp_dir();
-    path.push(format!("fno2d_workflow_{}.fnc", std::process::id()));
+    path.push(format!("fno2d_workflow_{}.ftc", std::process::id()));
     model.save(&path).unwrap();
     let loaded = Fno::load(&path).unwrap();
     std::fs::remove_file(&path).ok();
