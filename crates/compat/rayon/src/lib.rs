@@ -8,46 +8,42 @@
 //!   entry points returning a [`ParIter`];
 //! * `enumerate`, `zip`, `map`, `for_each`, `collect`, `reduce` adapters;
 //! * terminal operations (`for_each`, `collect`, `reduce`) split the work
-//!   across `std::thread::scope` threads — real parallelism, no external
-//!   thread-pool crate.
+//!   into contiguous batches and run them on a process-lifetime pool of
+//!   worker threads, through the same fork-join entry point as [`scope`]
+//!   (see the `pool` module: nested calls fan out into the same pool, and
+//!   a panic in any batch is re-raised on the calling thread).
 //!
-//! Small workloads (fewer items than [`MIN_PARALLEL_ITEMS`]) run inline to
-//! avoid paying thread-spawn latency per call. `ParIter` also implements
-//! [`Iterator`], so any adapter this shim does not special-case degrades
-//! gracefully to the sequential std implementation.
+//! Batch boundaries depend only on the item count and the pool width,
+//! never on which thread runs a batch. Small workloads (fewer items than
+//! [`MIN_PARALLEL_ITEMS`]) run inline, and a width-1 pool streams every
+//! terminal operation straight through the iterator. `ParIter` also
+//! implements [`Iterator`], so any adapter this shim does not
+//! special-case degrades gracefully to the sequential std implementation.
 
 #![warn(missing_docs)]
 
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod pool;
 
-/// Below this many items a terminal operation runs inline; thread spawn
-/// costs (~tens of µs) would dominate.
+pub use pool::{scope, set_task_context, Scope, TaskContext};
+
+/// Below this many items a terminal operation runs inline: queueing the
+/// batches and waking a worker (a few µs) would outweigh the work.
 pub const MIN_PARALLEL_ITEMS: usize = 64;
 
-/// Global pool width set by [`ThreadPoolBuilder::build_global`];
-/// 0 means "not configured, use the machine's parallelism".
-static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-fn machine_threads() -> usize {
-    std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
-}
-
 fn num_threads() -> usize {
-    match GLOBAL_THREADS.load(Ordering::Relaxed) {
-        0 => machine_threads(),
-        n => n,
-    }
+    pool::width()
 }
 
 /// Number of worker threads terminal operations may fan out over —
 /// the configured global pool width, or the machine's parallelism when
-/// [`ThreadPoolBuilder::build_global`] was never called.
+/// [`ThreadPoolBuilder::build_global`] was not called first. The first
+/// call fixes the width, as in rayon.
 pub fn current_num_threads() -> usize {
     num_threads()
 }
 
-/// Error returned when the global pool is configured twice.
+/// Error returned when the global pool is configured twice, or after its
+/// width was fixed by use.
 #[derive(Debug)]
 pub struct ThreadPoolBuildError {
     msg: &'static str,
@@ -63,10 +59,11 @@ impl std::error::Error for ThreadPoolBuildError {}
 
 /// Configures the process-global worker pool, rayon-style.
 ///
-/// The shim has no persistent pool threads; "building" the global pool
-/// simply fixes the fan-out width used by every subsequent terminal
-/// operation. Like rayon, the global pool can be initialized at most
-/// once — a second call fails with [`ThreadPoolBuildError`].
+/// "Building" the global pool fixes its width and starts its `width − 1`
+/// workers (the thread that submits work runs one part itself). Like
+/// rayon, the global pool can be initialized at most once: a second call,
+/// or a call after a parallel call or [`current_num_threads`] has fixed
+/// the machine's width, fails with [`ThreadPoolBuildError`].
 #[derive(Debug, Default)]
 pub struct ThreadPoolBuilder {
     num_threads: usize,
@@ -84,23 +81,22 @@ impl ThreadPoolBuilder {
         self
     }
 
-    /// Installs the configuration globally. Errors if the global pool
-    /// was already initialized (by an earlier call).
+    /// Installs the configuration globally and starts the workers. Errors
+    /// if the global pool was already initialized or its width fixed.
     pub fn build_global(self) -> Result<(), ThreadPoolBuildError> {
-        let n = if self.num_threads == 0 { machine_threads() } else { self.num_threads };
-        GLOBAL_THREADS
-            .compare_exchange(0, n, Ordering::SeqCst, Ordering::SeqCst)
-            .map(|_| ())
-            .map_err(|_| ThreadPoolBuildError {
-                msg: "the global thread pool has already been initialized",
-            })
+        let n = if self.num_threads == 0 { pool::machine_threads() } else { self.num_threads };
+        if pool::configure(n) {
+            Ok(())
+        } else {
+            Err(ThreadPoolBuildError { msg: "the global thread pool has already been initialized" })
+        }
     }
 }
 
 /// Number of batches a workload of `n` items should split into: never
 /// more than the pool width, never so many that a batch drops below the
-/// caller's `with_min_len` hint, and 1 (inline, no spawns) for workloads
-/// too small to amortize thread-spawn latency.
+/// caller's `with_min_len` hint, and 1 (inline) for workloads too small
+/// to amortize a fan-out.
 fn fanout(n: usize, min_len: usize) -> usize {
     if n < MIN_PARALLEL_ITEMS.max(min_len) {
         return 1;
@@ -126,23 +122,17 @@ fn split_batches<T>(mut items: Vec<T>, parts: usize) -> Vec<Vec<T>> {
     out
 }
 
-/// Runs `f` over every item, splitting batches across scoped threads.
+/// Runs `f` over every item, one batch per pool thread.
 fn parallel_for_each<T: Send, F: Fn(T) + Sync>(items: Vec<T>, min_len: usize, f: F) {
     let parts = fanout(items.len(), min_len);
     if parts <= 1 {
         items.into_iter().for_each(f);
         return;
     }
-    let batches = split_batches(items, parts);
-    std::thread::scope(|s| {
-        let f = &f;
-        for batch in batches {
-            s.spawn(move || batch.into_iter().for_each(f));
-        }
-    });
+    pool::fork_join(split_batches(items, parts), |batch| batch.into_iter().for_each(&f));
 }
 
-/// Maps every item, preserving order, splitting batches across threads.
+/// Maps every item, preserving order, one batch per pool thread.
 fn parallel_map<T: Send, R: Send, F: Fn(T) -> R + Sync>(
     items: Vec<T>,
     min_len: usize,
@@ -152,23 +142,15 @@ fn parallel_map<T: Send, R: Send, F: Fn(T) -> R + Sync>(
     if parts <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let batches = split_batches(items, parts);
-    let mut out = Vec::new();
-    std::thread::scope(|s| {
-        let f = &f;
-        let handles: Vec<_> = batches
-            .into_iter()
-            .map(|batch| s.spawn(move || batch.into_iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("rayon-compat worker panicked"));
-        }
-    });
-    out
+    let mut outs: Vec<Vec<R>> = Vec::new();
+    outs.resize_with(parts, Vec::new);
+    let work: Vec<_> = split_batches(items, parts).into_iter().zip(outs.iter_mut()).collect();
+    pool::fork_join(work, |(batch, out)| *out = batch.into_iter().map(&f).collect());
+    outs.into_iter().flatten().collect()
 }
 
 /// A "parallel" iterator: a plain iterator whose terminal operations fan
-/// out over scoped threads.
+/// out over the worker pool.
 pub struct ParIter<I> {
     inner: I,
     min_len: usize,
@@ -202,7 +184,7 @@ impl<I: Iterator> ParIter<I> {
     }
 
     /// Requires at least `min` items per worker batch before splitting,
-    /// matching rayon: workloads too small to amortize a spawn run inline.
+    /// matching rayon: workloads too small to amortize a fan-out run inline.
     pub fn with_min_len(mut self, min: usize) -> Self {
         self.min_len = min.max(1);
         self
@@ -210,7 +192,7 @@ impl<I: Iterator> ParIter<I> {
 
     /// Consumes the iterator, applying `f` to every item in parallel.
     /// With a single-thread pool the items stream straight through the
-    /// iterator — no intermediate `Vec`, no scoped threads.
+    /// iterator — no intermediate `Vec`, no pool.
     pub fn for_each<F>(self, f: F)
     where
         I::Item: Send,
@@ -349,39 +331,6 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
     }
 }
 
-/// A scope handle for structured task spawning (see [`scope`]).
-///
-/// Unlike the iterator shims above, `spawn` always creates a real OS
-/// thread — callers use `scope` when they *want* concurrency regardless of
-/// workload size (e.g. sharding a mini-batch across replicas), so there is
-/// no inline fallback here.
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawns `f` on a scoped thread; the closure may spawn further tasks
-    /// through the scope handle it receives, rayon-style.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce(&Scope<'scope, 'env>) + Send + 'scope,
-    {
-        let inner = self.inner;
-        self.inner.spawn(move || f(&Scope { inner }));
-    }
-}
-
-/// Structured fork-join, rayon-style: runs `f` with a [`Scope`] whose
-/// spawned tasks are all joined before `scope` returns. Borrows of stack
-/// data from the enclosing frame are allowed, as with `std::thread::scope`.
-pub fn scope<'env, F, R>(f: F) -> R
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R + Send,
-    R: Send,
-{
-    std::thread::scope(|s| f(&Scope { inner: s }))
-}
-
 /// Everything a `use rayon::prelude::*` consumer expects.
 pub mod prelude {
     pub use crate::{IntoParallelIterator, ParallelSlice, ParallelSliceMut};
@@ -439,7 +388,7 @@ mod tests {
 
     #[test]
     fn small_workloads_run_inline() {
-        // Below the threshold nothing should spawn; just verify behavior.
+        // Below the threshold nothing is queued; just verify behavior.
         let mut data = vec![1.0f64; 8];
         data.par_iter_mut().for_each(|x| *x *= 2.0);
         assert!(data.iter().all(|&x| x == 2.0));

@@ -651,8 +651,8 @@ pub fn sharded_batch_grads(
     let mut results: Vec<Option<SampleGrad>> = Vec::new();
     results.resize_with(chunk.len(), || None);
     if workers == 1 {
-        // Single worker (or single-sample batch): run inline rather than
-        // paying a thread spawn per batch.
+        // Single worker (or single-sample batch): run inline; a scope
+        // would only queue the one shard for this thread to run anyway.
         run_shard(
             replicas[0].as_mut(),
             snap,

@@ -98,8 +98,8 @@ proptest! {
     }
 
     /// The index-ordered per-sample loss sum divided by the batch size is
-    /// bitwise the batch loss the serial whole-batch path computes — the
-    /// two trainer paths report identical loss trajectories.
+    /// bitwise the relative-L2 loss of the whole batch in one forward, so
+    /// the sharded trainer reports the batch loss itself.
     #[test]
     fn per_sample_loss_sum_matches_batch_loss(batch in 1usize..5, seed in 0u64..40) {
         let pairs = shift_pairs(batch, 2, 8);

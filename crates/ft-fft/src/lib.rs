@@ -31,7 +31,7 @@ pub mod radix2;
 pub mod real;
 
 pub use nd::{fft2, fftn, ifft2, ifftn, irfft2, irfftn, rfft2, rfftn};
-pub use plan::{shared_plan, Fft, FftPlanner};
+pub use plan::{shared_plan, Fft};
 pub use real::{irfft, rfft, shared_real_plan, RealPlan};
 
 use ft_tensor::Complex64;
@@ -79,9 +79,9 @@ pub fn dft(input: &[Complex64], dir: Direction) -> Vec<Complex64> {
     out
 }
 
-/// Convenience one-shot 1D transform using a thread-local plan cache.
+/// Convenience one-shot 1D transform using the process-wide plan cache.
 pub fn fft_1d(data: &mut [Complex64], dir: Direction) {
-    plan::with_plan(data.len(), |fft| fft.process(data, dir));
+    shared_plan(data.len()).process(data, dir);
 }
 
 #[cfg(test)]

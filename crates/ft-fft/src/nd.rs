@@ -15,7 +15,8 @@ use crate::Direction;
 
 thread_local! {
     /// Reusable line buffer for the strided (non-last-axis) transform path,
-    /// so a batched `fft_axis` performs no per-line heap allocation.
+    /// so a batched `fft_axis` performs no per-line heap allocation. Pool
+    /// threads persist, so each keeps its buffer across calls.
     static AXIS_SCRATCH: RefCell<Vec<Complex64>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -32,9 +33,8 @@ pub fn fft_axis(ct: &mut CTensor, axis: usize, dir: Direction) {
     let block: usize = dims[axis..].iter().product();
     let inner: usize = dims[axis + 1..].iter().product();
 
-    // One planner lookup covers the whole batch; workers share the handle
-    // instead of paying a plan-cache probe (or a twiddle re-derivation on a
-    // freshly spawned thread) per line.
+    // One cache lookup covers the whole batch; workers share the handle
+    // instead of paying a plan-cache probe per line.
     let plan = shared_plan(n);
     ct.data_mut().par_chunks_mut(block).for_each(|chunk| {
         if inner == 1 {

@@ -1,14 +1,13 @@
 //! Transform planning and caching.
 //!
 //! [`Fft`] picks the right algorithm for a size (radix-2 for powers of two,
-//! mixed-radix for 7-smooth composites, Bluestein otherwise). [`FftPlanner`]
-//! caches plans by size; [`with_plan`] offers a zero-setup thread-local cache
-//! so call sites never re-derive twiddle tables.
+//! mixed-radix for 7-smooth composites, Bluestein otherwise). [`shared_plan`]
+//! serves them from one process-wide cache, so no thread ever re-derives a
+//! twiddle table another thread already built.
 
-use std::cell::RefCell;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use ft_tensor::Complex64;
 
@@ -64,66 +63,53 @@ impl Fft {
     }
 }
 
-/// Plan-cache hits across every planner in the process (including the
-/// thread-local ones behind [`with_plan`] and the real-transform plan cache
-/// in `crate::real`). Only ticks while `ft-obs` instrumentation is enabled.
+/// Plan-cache hits across the process (complex plans and the real-transform
+/// plans in `crate::real`). Only ticks while `ft-obs` instrumentation is
+/// enabled.
 pub(crate) static PLAN_CACHE_HITS: ft_obs::Counter = ft_obs::Counter::new("fft.plan_cache.hits");
 /// Plan-cache misses (a twiddle-table derivation) across the process.
 pub(crate) static PLAN_CACHE_MISSES: ft_obs::Counter =
     ft_obs::Counter::new("fft.plan_cache.misses");
 
-/// A by-size cache of [`Fft`] plans. Clone the returned `Arc`s freely; plans
-/// are immutable after construction and safe to share across threads.
-#[derive(Default)]
-pub struct FftPlanner {
-    cache: HashMap<usize, Arc<Fft>>,
-}
+/// A process-wide by-size cache of immutable plans, shared by every thread.
+/// A hit takes the read lock only; a miss plans under the write lock, so
+/// each size is planned, and counted as a miss, exactly once. The counters
+/// then depend on the sequence of lookups alone, not on the thread count.
+pub(crate) struct PlanCache<P>(RwLock<BTreeMap<usize, Arc<P>>>);
 
-impl FftPlanner {
-    /// An empty planner.
-    pub fn new() -> Self {
-        Self::default()
+impl<P> PlanCache<P> {
+    pub(crate) const fn new() -> Self {
+        PlanCache(RwLock::new(BTreeMap::new()))
     }
 
-    /// Returns the cached plan for size `n`, creating it on first use.
-    /// Hits and misses feed the `fft.plan_cache.{hits,misses}` counters
-    /// when observability is enabled.
-    pub fn plan(&mut self, n: usize) -> Arc<Fft> {
-        match self.cache.entry(n) {
+    /// The cached plan for size `n`, made by `plan` on first use.
+    pub(crate) fn get(&self, n: usize, plan: impl FnOnce(usize) -> P) -> Arc<P> {
+        if let Some(p) = self.0.read().unwrap_or_else(PoisonError::into_inner).get(&n) {
+            PLAN_CACHE_HITS.inc();
+            return Arc::clone(p);
+        }
+        match self.0.write().unwrap_or_else(PoisonError::into_inner).entry(n) {
             Entry::Occupied(e) => {
                 PLAN_CACHE_HITS.inc();
-                e.get().clone()
+                Arc::clone(e.get())
             }
             Entry::Vacant(v) => {
                 PLAN_CACHE_MISSES.inc();
-                v.insert(Arc::new(Fft::plan(n))).clone()
+                Arc::clone(v.insert(Arc::new(plan(n))))
             }
         }
     }
 }
 
-thread_local! {
-    static LOCAL_PLANNER: RefCell<FftPlanner> = RefCell::new(FftPlanner::new());
-}
+static PLANS: PlanCache<Fft> = PlanCache::new();
 
-/// Runs `f` with the thread-local cached plan for size `n`.
+/// Returns the cached plan for size `n` as a shareable handle.
 ///
-/// Each rayon worker keeps its own cache, so parallel batched transforms
-/// never contend on a lock.
-pub fn with_plan<R>(n: usize, f: impl FnOnce(&Fft) -> R) -> R {
-    let plan = LOCAL_PLANNER.with(|p| p.borrow_mut().plan(n));
-    f(&plan)
-}
-
-/// Returns the thread-local cached plan for size `n` as a shareable handle.
-///
-/// Batched call sites hoist this out of their per-slice loops: one planner
+/// Batched call sites hoist this out of their per-slice loops: one cache
 /// lookup (and one hit/miss tick) covers the whole batch, and because plans
-/// are immutable the `Arc` crosses worker threads without each of them
-/// paying a cache lookup — or, on a freshly spawned worker, a full twiddle
-/// re-derivation — per row.
+/// are immutable the `Arc` crosses worker threads freely.
 pub fn shared_plan(n: usize) -> Arc<Fft> {
-    LOCAL_PLANNER.with(|p| p.borrow_mut().plan(n))
+    PLANS.get(n, Fft::plan)
 }
 
 #[cfg(test)]
@@ -155,20 +141,19 @@ mod tests {
     }
 
     #[test]
-    fn planner_caches_by_size() {
-        let mut planner = FftPlanner::new();
-        let a = planner.plan(64);
-        let b = planner.plan(64);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(planner.plan(48).len(), 48);
+    fn shared_plans_are_cached_by_size_across_threads() {
+        let a = shared_plan(64);
+        let b = std::thread::spawn(|| shared_plan(64)).join().unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "one plan per size for the whole process");
+        assert_eq!(shared_plan(48).len(), 48);
     }
 
     #[test]
-    fn thread_local_convenience_roundtrip() {
+    fn shared_plan_roundtrip() {
         let x: Vec<Complex64> = (0..24).map(|i| Complex64::from_re(i as f64)).collect();
         let mut y = x.clone();
-        with_plan(24, |p| p.process(&mut y, Direction::Forward));
-        with_plan(24, |p| p.process(&mut y, Direction::Inverse));
+        shared_plan(24).process(&mut y, Direction::Forward);
+        shared_plan(24).process(&mut y, Direction::Inverse);
         for (a, b) in x.iter().zip(&y) {
             assert!((*a - *b).abs() < 1e-10);
         }

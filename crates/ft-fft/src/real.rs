@@ -6,12 +6,11 @@
 //! sizes fall back to a full complex transform.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use ft_tensor::Complex64;
 
-use crate::plan::{shared_plan, Fft, PLAN_CACHE_HITS, PLAN_CACHE_MISSES};
+use crate::plan::{shared_plan, Fft, PlanCache};
 use crate::Direction;
 
 /// Number of non-redundant spectrum bins for a real signal of length `n`.
@@ -20,14 +19,15 @@ pub fn rfft_len(n: usize) -> usize {
     n / 2 + 1
 }
 
-thread_local! {
-    /// Per-size [`RealPlan`] cache behind [`shared_real_plan`]. Sizes recur
-    /// across every row of every batch, so re-deriving the twiddle table per
-    /// call would dominate small transforms.
-    static REAL_PLANS: RefCell<HashMap<usize, Arc<RealPlan>>> = RefCell::new(HashMap::new());
+/// Process-wide [`RealPlan`] cache behind [`shared_real_plan`]. Sizes recur
+/// across every row of every batch, so re-deriving the twiddle table per
+/// call would dominate small transforms.
+static REAL_PLANS: PlanCache<RealPlan> = PlanCache::new();
 
+thread_local! {
     /// Reusable complex scratch for the `*_into` row transforms, so a batched
-    /// n-d transform performs zero heap allocations per row.
+    /// n-d transform performs zero heap allocations per row. Pool threads
+    /// persist, so each keeps its buffer across calls.
     static SCRATCH: RefCell<Vec<Complex64>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -186,20 +186,11 @@ impl RealPlan {
     }
 }
 
-/// Returns the thread-local cached [`RealPlan`] for length `n`. Feeds the
-/// same `fft.plan_cache.{hits,misses}` counters as [`crate::FftPlanner`],
+/// Returns the process-wide cached [`RealPlan`] for length `n`. Feeds the
+/// same `fft.plan_cache.{hits,misses}` counters as [`crate::shared_plan`],
 /// so the hit rate reflects every planning decision in the process.
 pub fn shared_real_plan(n: usize) -> Arc<RealPlan> {
-    REAL_PLANS.with(|m| match m.borrow_mut().entry(n) {
-        std::collections::hash_map::Entry::Occupied(e) => {
-            PLAN_CACHE_HITS.inc();
-            e.get().clone()
-        }
-        std::collections::hash_map::Entry::Vacant(v) => {
-            PLAN_CACHE_MISSES.inc();
-            v.insert(Arc::new(RealPlan::new(n))).clone()
-        }
-    })
+    REAL_PLANS.get(n, RealPlan::new)
 }
 
 /// Forward real transform: `n` reals → `n/2 + 1` complex bins

@@ -1,15 +1,15 @@
 //! Allocation-churn guarantees for the batched transform hot path: after a
 //! warm-up call, the in-place `fft_axis` performs **zero** heap allocations
-//! (the strided path reuses the thread-local line scratch, the planner hands
-//! out `Arc` clones of cached plans), and `rfftn`/`irfftn` settle to an
+//! (the strided path reuses the thread-local line scratch, the plan cache
+//! hands out `Arc` clones of cached plans), and `rfftn`/`irfftn` settle to an
 //! exact, stable per-call allocation count (output buffers only — no hidden
 //! cache accretion or per-row planning).
 //!
 //! Own test binary (same convention as `crates/core/tests/infer_no_tape_alloc.rs`):
 //! a counting global allocator sees every allocation in the process, so the
 //! measurement must not share a process with concurrently-allocating tests.
-//! Shapes are kept below the rayon shim's inline threshold so no worker
-//! threads (whose spawning allocates) are involved.
+//! Shapes are kept below the rayon shim's inline threshold so nothing is
+//! queued on the worker pool (queueing a batch allocates).
 
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,7 +59,7 @@ fn warm_transforms_have_stable_allocation_counts() {
         Complex64::new((i[2] as f64 * 0.5).cos(), (i[3] as f64 * 0.9).sin())
     });
 
-    // Warm-up: populates the thread-local planner, real-plan cache, and
+    // Warm-up: populates the process-wide plan caches and this thread's
     // line scratch for every size these shapes touch.
     let spec = rfftn(&x, 2);
     let _ = irfftn(&spec, 8, 2);

@@ -40,13 +40,16 @@ static DUMP_DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
 static DUMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Builds a `run_manifest` [`Record`] pre-filled with the environment:
-/// the workload name, thread count and build profile. Callers append
-/// their config/seed fields and pass the result to [`set_manifest`].
+/// the workload name, the host's core count (`nproc`), the worker-pool
+/// width and the build profile. Size the pool first (`--threads`) so
+/// `pool_width` is the width the run uses. Callers append their
+/// config/seed fields and pass the result to [`set_manifest`].
 pub fn run_manifest(name: &str) -> Record {
-    let threads = std::thread::available_parallelism().map_or(0, |n| n.get() as u64);
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get() as u64);
     Record::new("run_manifest")
         .str("name", name)
-        .u64("threads", threads)
+        .u64("nproc", nproc)
+        .u64("pool_width", rayon::current_num_threads() as u64)
         .str("build", if cfg!(debug_assertions) { "debug" } else { "release" })
 }
 

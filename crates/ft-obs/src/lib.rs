@@ -70,8 +70,15 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Globally enables or disables all instrumentation (spans, counters,
 /// gauges). Disabled is the default; see the crate docs for the
-/// zero-overhead guarantee.
+/// zero-overhead guarantee. Enabling also has pool tasks inherit the
+/// span path of the thread that spawned them ([`span()`]).
 pub fn set_enabled(on: bool) {
+    if on {
+        rayon::set_task_context(rayon::TaskContext {
+            capture: span::capture_context,
+            swap: span::swap_context,
+        });
+    }
     ENABLED.store(on, Ordering::Relaxed);
 }
 

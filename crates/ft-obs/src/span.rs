@@ -3,7 +3,10 @@
 //! [`span()`] returns an RAII guard that times the enclosing scope. Guards
 //! nest through a thread-local stack: a span entered while another is live
 //! on the same thread aggregates under the parent's path joined with `/`
-//! (`train/epoch/eval`). On drop, the elapsed time is merged into a
+//! (`train/epoch/eval`). A pool task starts from the path that was live
+//! where it was spawned (installed through `rayon::set_task_context` by
+//! [`crate::set_enabled`]), so its spans nest the same whichever thread
+//! runs it. On drop, the elapsed time is merged into a
 //! process-global table keyed by path, so repeated entries of the same
 //! scope accumulate `count` and `total_ns` rather than growing a log.
 //!
@@ -44,7 +47,8 @@ struct ActiveSpan {
 pub struct SpanGuard(Option<ActiveSpan>);
 
 /// Enters a timing span named `name`, nested under any span already live
-/// on this thread. Returns the guard whose drop ends the span.
+/// on this thread — or, inside a pool task, under the span that was live
+/// where the task was spawned. Returns the guard whose drop ends the span.
 pub fn span(name: &'static str) -> SpanGuard {
     if !crate::enabled() {
         return SpanGuard(None);
@@ -81,6 +85,22 @@ impl Drop for SpanGuard {
         stat.count += 1;
         stat.total_ns += elapsed;
     }
+}
+
+/// The innermost live span path of this thread, for a pool task spawned
+/// here to nest under (empty while instrumentation is off).
+pub(crate) fn capture_context() -> Vec<String> {
+    if !crate::enabled() {
+        return Vec::new();
+    }
+    STACK.with(|s| s.borrow().last().cloned().into_iter().collect())
+}
+
+/// Replaces this thread's span stack for the length of a pool task and
+/// returns the displaced one, so span paths do not depend on which thread
+/// runs the task.
+pub(crate) fn swap_context(stack: Vec<String>) -> Vec<String> {
+    STACK.with(|s| s.replace(stack))
 }
 
 /// Snapshot of every span aggregate, sorted by path (so children follow

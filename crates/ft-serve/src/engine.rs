@@ -518,8 +518,8 @@ mod tests {
     use crate::registry::ModelRegistry;
     use fno_core::{Fno, FnoConfig, FnoKind};
 
-    fn tiny_registry() -> ModelRegistry {
-        let cfg = FnoConfig {
+    fn tiny_cfg() -> FnoConfig {
+        FnoConfig {
             kind: FnoKind::TwoDChannels,
             width: 2,
             layers: 1,
@@ -529,9 +529,12 @@ mod tests {
             lifting_channels: 3,
             projection_channels: 3,
             norm: false,
-        };
+        }
+    }
+
+    fn tiny_registry() -> ModelRegistry {
         let mut reg = ModelRegistry::new();
-        reg.insert("m", Fno::new(cfg, 42)).unwrap();
+        reg.insert("m", Fno::new(tiny_cfg(), 42)).unwrap();
         reg
     }
 
@@ -640,6 +643,39 @@ mod tests {
         for p in pending {
             assert!(p.wait().is_ok(), "admitted requests must complete through drain");
         }
+    }
+
+    #[test]
+    fn panicking_forward_is_a_typed_error_and_the_engine_keeps_serving() {
+        // The lifting layer's bias is emptied, so every one of its 64
+        // output planes, which the pool splits across its threads, indexes
+        // past the end and panics inside the parallel call.
+        let mut broken = Fno::new(FnoConfig { lifting_channels: 64, ..tiny_cfg() }, 7);
+        let mut k = 0;
+        ft_nn::Layer::visit_params(&mut broken, &mut |p| {
+            if let ft_nn::ParamMut::Real { value, .. } = p {
+                if k == 1 {
+                    *value = Tensor::zeros(&[0]);
+                }
+                k += 1;
+            }
+        });
+        let mut reg = tiny_registry();
+        reg.insert("broken", broken).unwrap();
+        let engine =
+            ServeEngine::new(reg, ServeConfig { auto_dispatch: false, ..Default::default() });
+        let h = engine.handle();
+        let broken = h.submit("broken", input(8)).unwrap();
+        assert_eq!(h.dispatch_once(), 1, "the panic stays inside the dispatch");
+        match broken.wait() {
+            Err(ServeError::BadInput(msg)) => assert!(msg.contains("panicked"), "{msg}"),
+            other => panic!("expected the typed panic error, got {other:?}"),
+        }
+        let next = h.submit("m", input(8)).unwrap();
+        assert_eq!(h.dispatch_once(), 1);
+        let out = next.wait().expect("the next request is served");
+        assert_eq!(out.dims(), &[2, 8, 8]);
+        assert!(out.all_finite());
     }
 
     #[test]

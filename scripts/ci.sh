@@ -26,6 +26,17 @@ cargo test -q --offline
 echo "==> parallel-parity proptest (release)"
 cargo test -q --release --offline -p fno-core --test parallel_parity
 
+# Pinned to one core, `available_parallelism` (which honours the affinity
+# mask) sizes a width-1 pool: the plan-cache diagnostics and the parity
+# proptest must hold there as well as at the host's width.
+echo "==> diagnostics + parallel-parity proptest on one core (taskset -c 0)"
+if command -v taskset >/dev/null 2>&1; then
+    taskset -c 0 cargo test -q --offline --test diagnostics
+    taskset -c 0 cargo test -q --release --offline -p fno-core --test parallel_parity
+else
+    echo "taskset not found: one-core step skipped"
+fi
+
 if [ "$LINT" = 1 ]; then
     echo "==> cargo clippy (workspace, warnings are errors)"
     cargo clippy --workspace --offline -- -D warnings
@@ -62,6 +73,9 @@ echo "==> bench_compare gate (BENCH_baseline.json vs BENCH_tier1.json)"
 # `.rejected` to exactly 0 (zero-valued counter baselines are exact in
 # bench_compare), so any failed or shed request fails CI.
 echo "==> serve smoke (fno-serve + serve-bench, BENCH_serve.json)"
+# Create the log first: the backgrounded server may not have opened it
+# yet when the polling loop below first reads it.
+: > "$SMOKE_DIR/serve.log"
 ./target/release/fno-serve --model "$SMOKE_DIR/model.ftc" --addr 127.0.0.1:0 \
     2>"$SMOKE_DIR/serve.log" &
 SERVE_PID=$!

@@ -83,6 +83,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // Size the pool before anything runs on it, so the manifest records
+    // the width the server uses.
+    if let Err(e) = fno2d_turbulence::size_pool(opts.get("threads").map(String::as_str)) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     let profile = opts.contains_key("profile");
     if profile {
         ft_obs::set_enabled(true);
@@ -118,16 +124,6 @@ fn main() -> ExitCode {
 }
 
 fn run(opts: &Opts) -> Result<(), String> {
-    if let Some(threads) = opts.get("threads") {
-        let n: usize = threads
-            .parse()
-            .map_err(|_| format!("--threads: cannot parse `{threads}`"))?;
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build_global()
-            .map_err(|e| format!("--threads {n}: {e}"))?;
-    }
-
     let name = opts.get("name").map(String::as_str).unwrap_or("default");
     let mut registry = ModelRegistry::new();
     let path = opts.get("model").ok_or("--model is required")?;

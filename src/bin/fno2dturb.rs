@@ -67,20 +67,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(threads) = opts.get("threads") {
-        let n: usize = match threads.parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("error: --threads: cannot parse `{threads}`");
-                return ExitCode::FAILURE;
-            }
-        };
-        // The pool can only be sized once per process; a second attempt
-        // (or an earlier implicit initialization) is a clean error.
-        if let Err(e) = rayon::ThreadPoolBuilder::new().num_threads(n).build_global() {
-            eprintln!("error: --threads {n}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Err(e) = fno2d_turbulence::size_pool(opts.get("threads").map(String::as_str)) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
     }
     let profile = opts.contains_key("profile");
     if profile {

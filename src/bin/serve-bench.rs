@@ -3,10 +3,10 @@
 //! ```text
 //! serve-bench --addr 127.0.0.1:7878 [--requests 50] [--clients 4]
 //!             [--channels 10] [--grid 16] [--model-name default]
-//!             [--rate R] [--shutdown] [--bench-out FILE]
+//!             [--rate R] [--shutdown] [--bench-out FILE] [--threads N]
 //! serve-bench --inproc --model model.ftc --compare-batching
 //!             [--requests 512] [--clients 16] [--max-batch 16]
-//!             [--bench-out results/BENCH_serve.json]
+//!             [--bench-out results/BENCH_serve.json] [--threads N]
 //! ```
 //!
 //! **TCP mode** (`--addr`) drives a running `fno-serve` over loopback or
@@ -29,6 +29,12 @@
 //! with `--max-batch` — and reports the sustained-throughput ratio. This
 //! isolates the micro-batching win from network effects; the acceptance
 //! demo in `results/BENCH_serve.json` comes from this mode.
+//!
+//! `--threads N` sizes this process's worker pool once at startup, as in
+//! `fno2dturb` and `fno-serve`; it is what the in-process engine's
+//! forwards run on. Every bench file starts with the `run_manifest`
+//! record, which carries `nproc` and `pool_width`, so a speedup is always
+//! read next to the width it was measured at.
 
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
@@ -56,8 +62,10 @@ const USAGE: &str = "usage:
   serve-bench --addr HOST:PORT [--requests 50] [--clients 4] [--channels 10]
               [--grid 16] [--model-name default] [--rate R] [--shutdown]
               [--bench-out BENCH_serve.json] [--metrics-out FILE] [--profile]
+              [--threads N]
   serve-bench --inproc --model model.ftc --compare-batching [--requests 512]
               [--clients 16] [--max-batch 16] [--bench-out results/BENCH_serve.json]
+              [--threads N]
 
 TCP mode load-tests a running fno-serve (closed-loop by default, Poisson
 open-loop with --rate). In-process mode measures the micro-batching
@@ -104,6 +112,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if let Err(e) = fno2d_turbulence::size_pool(opts.get("threads").map(String::as_str)) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     // The bench file needs live counters/histograms regardless of the
     // observability flags.
     ft_obs::set_enabled(true);
@@ -137,6 +149,11 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// `records` behind the run's manifest (nproc, pool width, options).
+fn with_manifest(records: Vec<Record>) -> Vec<Record> {
+    ft_obs::flight::manifest().into_iter().chain(records).collect()
 }
 
 /// A deterministic xorshift64* stream, for Poisson inter-arrival gaps.
@@ -278,7 +295,7 @@ fn run_tcp(opts: &Opts) -> Result<(), String> {
         ERRORS.get(),
         if rate > 0.0 { format!(", Poisson {rate}/s per client") } else { ", closed-loop".into() }
     );
-    let record = Record::new("serve_load")
+    let load = Record::new("serve_load")
         .str("mode", if rate > 0.0 { "poisson" } else { "closed_loop" })
         .u64("clients", clients as u64)
         .u64("requests_ok", ok)
@@ -287,7 +304,7 @@ fn run_tcp(opts: &Opts) -> Result<(), String> {
         .f64("wall_seconds", wall)
         .f64("throughput_per_sec", throughput);
     let bench = opts.get("bench-out").map(String::as_str).unwrap_or("BENCH_serve.json");
-    ft_obs::bench::write_bench_json(bench, "experiment", "serve-bench", wall, &[record])
+    ft_obs::bench::write_bench_json(bench, "experiment", "serve-bench", wall, &with_manifest(vec![load]))
         .map_err(|e| format!("{bench}: {e}"))?;
     eprintln!("wrote {bench}");
     Ok(())
@@ -374,7 +391,8 @@ fn run_inproc(opts: &Opts) -> Result<(), String> {
     let speedup = tput_b / tput_1.max(1e-9);
     eprintln!(
         "serve-bench: max_batch 1: {tput_1:.1} req/s | max_batch {max_batch}: {tput_b:.1} req/s \
-         | speedup {speedup:.2}x"
+         | speedup {speedup:.2}x (pool width {})",
+        rayon::current_num_threads()
     );
 
     let records = vec![
@@ -398,7 +416,13 @@ fn run_inproc(opts: &Opts) -> Result<(), String> {
         .map(String::as_str)
         .unwrap_or("results/BENCH_serve.json");
     let wall = wall_1 + wall_b;
-    ft_obs::bench::write_bench_json(bench, "experiment", "serve-bench-batching", wall, &records)
+    ft_obs::bench::write_bench_json(
+        bench,
+        "experiment",
+        "serve-bench-batching",
+        wall,
+        &with_manifest(records),
+    )
         .map_err(|e| format!("{bench}: {e}"))?;
     eprintln!("wrote {bench}");
     Ok(())

@@ -41,3 +41,17 @@ pub use fno_core as fno;
 
 /// Workspace version, mirrored from the crate metadata.
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");
+
+/// Sizes the process's worker pool from a binary's `--threads` value. Call
+/// it before anything runs on the pool: the width can be fixed only once,
+/// so a second sizing is an error, as is a value that does not parse.
+pub fn size_pool(threads: Option<&str>) -> Result<(), String> {
+    let Some(threads) = threads else { return Ok(()) };
+    let n: usize = threads
+        .parse()
+        .map_err(|_| format!("--threads: cannot parse `{threads}`"))?;
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(n)
+        .build_global()
+        .map_err(|e| format!("--threads {n}: {e}"))
+}
