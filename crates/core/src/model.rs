@@ -1,4 +1,5 @@
-//! The FNO model: lifting MLP → L Fourier layers → projection MLP.
+//! The FNO model: lifting MLP → L Fourier layers → projection MLP. Both
+//! MLPs are fused, tiled [`PointwiseMlp`] layers.
 //!
 //! One struct covers both paper variants: the input rank decides whether
 //! the spectral convolutions transform 2 axes (`[B, C, H, W]`, temporal
@@ -6,7 +7,7 @@
 
 use std::path::Path;
 
-use ft_nn::{Gelu, InstanceNorm, Layer, Linear, ParamMut, SpectralConv};
+use ft_nn::{Gelu, InstanceNorm, Layer, Linear, ParamMut, PointwiseMlp, SpectralConv};
 use ft_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -51,16 +52,12 @@ pub trait ForecastModel: Layer {
 #[derive(Clone)]
 pub struct Fno {
     config: FnoConfig,
-    lift1: Linear,
-    lift_act: Gelu,
-    lift2: Linear,
+    lift: PointwiseMlp,
     spectral: Vec<SpectralConv>,
     local: Vec<Linear>,
     norms: Vec<InstanceNorm>,
     acts: Vec<Gelu>,
-    proj1: Linear,
-    proj_act: Gelu,
-    proj2: Linear,
+    proj: PointwiseMlp,
 }
 
 impl Fno {
@@ -69,8 +66,7 @@ impl Fno {
     pub fn new(config: FnoConfig, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let w = config.width;
-        let lift1 = Linear::new(config.in_channels, config.lifting_channels, &mut rng);
-        let lift2 = Linear::new(config.lifting_channels, w, &mut rng);
+        let lift = PointwiseMlp::new(config.in_channels, config.lifting_channels, w, &mut rng);
         let mut spectral = Vec::with_capacity(config.layers);
         let mut local = Vec::with_capacity(config.layers);
         let mut norms = Vec::new();
@@ -86,21 +82,9 @@ impl Fno {
             }
             acts.push(Gelu::new());
         }
-        let proj1 = Linear::new(w, config.projection_channels, &mut rng);
-        let proj2 = Linear::new(config.projection_channels, config.out_channels, &mut rng);
-        Fno {
-            config,
-            lift1,
-            lift_act: Gelu::new(),
-            lift2,
-            spectral,
-            local,
-            norms,
-            acts,
-            proj1,
-            proj_act: Gelu::new(),
-            proj2,
-        }
+        let proj =
+            PointwiseMlp::new(w, config.projection_channels, config.out_channels, &mut rng);
+        Fno { config, lift, spectral, local, norms, acts, proj }
     }
 
     /// The model configuration.
@@ -135,7 +119,7 @@ impl Fno {
     /// Inference without gradient caching.
     pub fn infer(&self, x: &Tensor) -> Tensor {
         self.check_input(x);
-        let mut h = self.lift2.infer(&self.lift_act.infer(&self.lift1.infer(x)));
+        let mut h = self.lift.infer(x);
         let last = self.spectral.len() - 1;
         for (i, (s, c)) in self.spectral.iter().zip(&self.local).enumerate() {
             let mut y = s.infer(&h);
@@ -145,7 +129,7 @@ impl Fno {
             }
             h = if i < last { self.acts[i].infer(&y) } else { y };
         }
-        self.proj2.infer(&self.proj_act.infer(&self.proj1.infer(&h)))
+        self.proj.infer(&h)
     }
 
     fn check_input(&self, x: &Tensor) {
@@ -183,9 +167,7 @@ impl ForecastModel for Fno {
 impl Layer for Fno {
     fn forward(&mut self, x: &Tensor) -> Tensor {
         self.check_input(x);
-        let mut h = self
-            .lift2
-            .forward(&self.lift_act.forward(&self.lift1.forward(x)));
+        let mut h = self.lift.forward(x);
         let last = self.spectral.len() - 1;
         for i in 0..self.spectral.len() {
             // Both branches consume h; backward will need nothing beyond
@@ -197,13 +179,11 @@ impl Layer for Fno {
             }
             h = if i < last { self.acts[i].forward(&y) } else { y };
         }
-        self.proj2
-            .forward(&self.proj_act.forward(&self.proj1.forward(&h)))
+        self.proj.forward(&h)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let g = self.proj1.backward(&self.proj_act.backward(&self.proj2.backward(grad_out)));
-        let mut g = g;
+        let mut g = self.proj.backward(grad_out);
         let last = self.spectral.len() - 1;
         for i in (0..self.spectral.len()).rev() {
             let mut gy = if i < last { self.acts[i].backward(&g) } else { g };
@@ -214,12 +194,11 @@ impl Layer for Fno {
             gh.add_assign(&self.local[i].backward(&gy));
             g = gh;
         }
-        self.lift1.backward(&self.lift_act.backward(&self.lift2.backward(&g)))
+        self.lift.backward(&g)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamMut<'_>)) {
-        self.lift1.visit_params(f);
-        self.lift2.visit_params(f);
+        self.lift.visit_params(f);
         for (i, (s, c)) in self.spectral.iter_mut().zip(&mut self.local).enumerate() {
             s.visit_params(f);
             c.visit_params(f);
@@ -227,19 +206,18 @@ impl Layer for Fno {
                 norm.visit_params(f);
             }
         }
-        self.proj1.visit_params(f);
-        self.proj2.visit_params(f);
+        self.proj.visit_params(f);
     }
 
     fn param_count(&self) -> usize {
-        let mut n = self.lift1.param_count() + self.lift2.param_count();
+        let mut n = self.lift.param_count();
         for (s, c) in self.spectral.iter().zip(&self.local) {
             n += s.param_count() + c.param_count();
         }
         for norm in &self.norms {
             n += norm.param_count();
         }
-        n + self.proj1.param_count() + self.proj2.param_count()
+        n + self.proj.param_count()
     }
 }
 
@@ -301,6 +279,42 @@ mod tests {
         let m3 = Fno::new(cfg3, 2);
         let y3 = m3.infer(&rand_input(&[1, 1, 6, 6, 4], 1));
         assert_eq!(y3.dims(), &[1, 1, 6, 6, 4]);
+    }
+
+    /// Every model file and checkpoint is a flat parameter list in
+    /// `visit_params` order; these are the kinds and shapes files written
+    /// before the lifting and projection MLPs were fused carry, so such
+    /// files keep loading.
+    #[test]
+    fn param_list_matches_the_pre_fusion_layout() {
+        let cfg = FnoConfig {
+            lifting_channels: 5,
+            projection_channels: 6,
+            out_channels: 1,
+            norm: true,
+            ..tiny2d()
+        };
+        let got: Vec<(bool, Vec<usize>)> = ft_nn::snapshot_params(&mut Fno::new(cfg, 0))
+            .iter()
+            .map(|p| match p {
+                ft_nn::ParamValue::Real(t) => (false, t.dims().to_vec()),
+                ft_nn::ParamValue::Complex(t) => (true, t.dims().to_vec()),
+            })
+            .collect();
+        let real = |d: &[usize]| (false, d.to_vec());
+        let layer = [
+            (true, vec![3, 3, 2, 2]),
+            (true, vec![3, 3, 2, 2]),
+            real(&[3, 3]),
+            real(&[3]),
+            real(&[3]),
+            real(&[3]),
+        ];
+        let mut want = vec![real(&[5, 2]), real(&[5]), real(&[3, 5]), real(&[3])];
+        want.extend(layer.iter().cloned());
+        want.extend(layer.iter().cloned());
+        want.extend([real(&[6, 3]), real(&[6]), real(&[1, 6]), real(&[1])]);
+        assert_eq!(got, want);
     }
 
     #[test]

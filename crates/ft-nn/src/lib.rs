@@ -6,10 +6,13 @@
 //! (see [`gradcheck`]). The layer set is exactly what the paper's FNO models
 //! need:
 //!
-//! * [`Linear`] — pointwise channel-mixing linear map (the lifting and
-//!   projection MLPs and the per-layer local term `W x`),
+//! * [`Linear`] — pointwise channel-mixing linear map (the per-layer local
+//!   term `W x`, and the two maps of a [`PointwiseMlp`]),
 //! * [`Gelu`] — the GELU activation (tanh form, as in PyTorch / the
 //!   `neuraloperator` reference),
+//! * [`PointwiseMlp`] — `Linear → Gelu → Linear` fused over fixed spatial
+//!   tiles (the FNO's 256-wide lifting and projection MLPs), never
+//!   materializing the hidden tensor,
 //! * [`SpectralConv`] — the Fourier-space convolution: `rfftn`, a truncated
 //!   per-mode complex channel mix, `irfftn`; generic over 2 or 3 transform
 //!   dimensions so the same code backs the 2D-with-channels and 3D models.
@@ -34,6 +37,7 @@ pub mod clip;
 pub mod gradcheck;
 pub mod linear;
 pub mod loss;
+pub mod mlp;
 pub mod norm;
 pub mod param;
 pub mod scheduler;
@@ -45,6 +49,7 @@ pub use adam::{Adam, AdamState};
 pub use clip::{clip_grad_norm, global_grad_norm};
 pub use linear::Linear;
 pub use loss::RelativeL2;
+pub use mlp::PointwiseMlp;
 pub use param::{CParam, Param, ParamMut};
 pub use loss::Mse;
 pub use norm::{InstanceNorm, Sequential};

@@ -2,8 +2,9 @@
 //!
 //! Acts independently at every grid point of an input `[B, C_in, *spatial]`:
 //! `y[b, o, p] = Σ_i W[o, i] x[b, i, p] + bias[o]`. This is simultaneously
-//! the `nn.Linear` of the lifting/projection MLPs and the `Conv(1×1)` local
-//! term of each Fourier layer — they are the same map on channel vectors.
+//! the `nn.Linear` of the lifting/projection MLPs (which run fused, see
+//! [`crate::mlp`]) and the `Conv(1×1)` local term of each Fourier layer —
+//! they are the same map on channel vectors.
 
 use ft_tensor::Tensor;
 use rand::distributions::Uniform;

@@ -1,0 +1,469 @@
+//! Fused pointwise MLP `C_in → hidden → C_out` (`Linear → Gelu → Linear`).
+//!
+//! The FNO's lifting and projection MLPs are 256 wide at the paper's
+//! shapes. Composed from separate layers, each writes a `[B, 256, *spatial]`
+//! hidden tensor (134 MB at 256²), runs GELU over it, and reads it back
+//! once per output channel. [`PointwiseMlp`] walks the grid in fixed tiles
+//! of [`TILE`] points instead, tiles in parallel on the pool, and streams
+//! the hidden channels through a few tile-sized rows: for each block of
+//! hidden channels it forms the pre-activation rows, applies GELU in place,
+//! and adds the rows' contribution to every output channel straight away.
+//! No hidden tensor exists in the forward or in the backward, which caches
+//! only the narrow input and recomputes each tile's pre-activation. A call
+//! with fewer than `rayon::MIN_PARALLEL_ITEMS` tiles (a 32² batch of under
+//! 16 samples) runs inline: spreading so few tiles over the pool made
+//! served predicts slower.
+//!
+//! Every output point sees the operations of `Linear → Gelu → Linear` in
+//! the same order — bias first, then input channels in index order,
+//! skipping zero weights — so the forward output and the input gradient
+//! are bit-identical to the unfused composition. Weight and bias gradients
+//! are summed per tile and the tile partials are folded in (sample, tile)
+//! index order: bit-identical for any pool width (DESIGN.md §13), within
+//! rounding of `Linear`'s whole-plane sums.
+
+use ft_tensor::Tensor;
+use rand::Rng;
+use rayon::prelude::*;
+
+use crate::activation::Gelu;
+use crate::linear::Linear;
+use crate::param::ParamMut;
+use crate::Layer;
+
+/// Grid points per tile. A constant, so tile boundaries — and with them
+/// the gradient partials — never depend on the pool width.
+pub const TILE: usize = 256;
+
+/// Pointwise two-layer MLP with a GELU between the layers, fused and tiled
+/// (see the module docs). Parameters are visited as `fc1.w, fc1.b, fc2.w,
+/// fc2.b`, the order of the unfused `Linear`, `Gelu`, `Linear` sequence.
+#[derive(Clone)]
+pub struct PointwiseMlp {
+    /// Input → hidden map.
+    pub fc1: Linear,
+    /// Hidden → output map.
+    pub fc2: Linear,
+    cache_input: Option<Tensor>,
+}
+
+/// Sample, first point and length of tile `item` on a `p`-point grid.
+fn tile_span(p: usize, item: usize) -> (usize, usize, usize) {
+    let n_tiles = p.div_ceil(TILE);
+    let (s, p0) = (item / n_tiles, (item % n_tiles) * TILE);
+    (s, p0, TILE.min(p - p0))
+}
+
+/// Copies tile `item` of a `[B, channels, p]` buffer into one contiguous
+/// `[channels, len]` block, the layout [`accumulate`] reads.
+fn gather(data: &[f64], channels: usize, p: usize, item: usize) -> Vec<f64> {
+    let (s, p0, len) = tile_span(p, item);
+    let mut block = Vec::with_capacity(channels * len);
+    for c in 0..channels {
+        block.extend_from_slice(&data[(s * channels + c) * p + p0..][..len]);
+    }
+    block
+}
+
+/// Writes tile `item`'s `[channels, len]` block into a `[B, channels, p]`
+/// buffer (the inverse of [`gather`]).
+fn scatter(data: &mut [f64], channels: usize, p: usize, item: usize, block: &[f64]) {
+    let (s, p0, len) = tile_span(p, item);
+    for (c, row) in block.chunks(len).enumerate() {
+        data[(s * channels + c) * p + p0..][..len].copy_from_slice(row);
+    }
+}
+
+/// Hidden channels handled together: the output (forward) and input
+/// gradient (backward) rows are updated once per block, not once per
+/// channel.
+const BLOCK: usize = 8;
+
+/// Points per register-resident stretch in [`accumulate`].
+const LANES: usize = 8;
+
+/// `dst[t] += w·rows[r][t]` for each `(w, r)` of `terms` in order, where
+/// `rows` is a `[n, dst.len()]` block. Every point gets the additions a
+/// run of `Linear`-style row updates gives it, in the same order, with the
+/// running sum held in registers across the terms.
+fn accumulate(dst: &mut [f64], rows: &[f64], terms: &[(f64, usize)]) {
+    let len = dst.len();
+    let mut chunks = dst.chunks_exact_mut(LANES);
+    for (c, d) in (&mut chunks).enumerate() {
+        let mut acc = [0.0; LANES];
+        acc.copy_from_slice(d);
+        for &(w, r) in terms {
+            let src = &rows[r * len + c * LANES..][..LANES];
+            for j in 0..LANES {
+                acc[j] += w * src[j];
+            }
+        }
+        d.copy_from_slice(&acc);
+    }
+    let t0 = len - len % LANES;
+    for (t, d) in (t0..).zip(chunks.into_remainder()) {
+        for &(w, r) in terms {
+            *d += w * rows[r * len + t];
+        }
+    }
+}
+
+/// Refills `terms` with the `(w, index)` pairs of the nonzero weights in
+/// `weights` — `Linear` skips a zero weight, so this does too.
+fn nonzero(terms: &mut Vec<(f64, usize)>, weights: impl Iterator<Item = f64>) {
+    terms.clear();
+    terms.extend(
+        weights
+            .enumerate()
+            .filter(|&(_, w)| w != 0.0)
+            .map(|(r, w)| (w, r)),
+    );
+}
+
+/// `Σ a·b` over four interleaved accumulators — a fixed association, so
+/// the result depends on the inputs alone, and the loop vectorizes.
+#[inline]
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    let (ca, cb) = (a.chunks_exact(4), b.chunks_exact(4));
+    let tail: f64 = ca
+        .remainder()
+        .iter()
+        .zip(cb.remainder())
+        .map(|(x, y)| x * y)
+        .sum();
+    let mut acc = [0.0; 4];
+    for (x, y) in ca.zip(cb) {
+        for j in 0..4 {
+            acc[j] += x[j] * y[j];
+        }
+    }
+    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
+}
+
+impl PointwiseMlp {
+    /// `Linear(c_in, hidden)` then `Linear(hidden, c_out)`, initialized in
+    /// that order from `rng` (as the unfused pair would be).
+    pub fn new(c_in: usize, hidden: usize, c_out: usize, rng: &mut impl Rng) -> Self {
+        let fc1 = Linear::new(c_in, hidden, rng);
+        let fc2 = Linear::new(hidden, c_out, rng);
+        PointwiseMlp {
+            fc1,
+            fc2,
+            cache_input: None,
+        }
+    }
+
+    /// Forward pass without caching (inference).
+    pub fn infer(&self, x: &Tensor) -> Tensor {
+        let dims = x.dims();
+        assert!(dims.len() >= 2, "PointwiseMlp expects [B, C, *spatial]");
+        assert_eq!(
+            dims[1],
+            self.fc1.c_in(),
+            "input channels {} != c_in {}",
+            dims[1],
+            self.fc1.c_in()
+        );
+        let (c_in, c_out) = (self.fc1.c_in(), self.fc2.c_out());
+        let p: usize = dims[2..].iter().product();
+        let blocks: Vec<Vec<f64>> = (0..dims[0] * p.div_ceil(TILE))
+            .into_par_iter()
+            .map(|item| {
+                let xs = gather(x.data(), c_in, p, item);
+                let mut y = vec![0.0; c_out * (xs.len() / c_in)];
+                self.forward_tile(&xs, &mut y);
+                y
+            })
+            .collect();
+        let mut out_dims = dims.to_vec();
+        out_dims[1] = c_out;
+        let mut out = Tensor::zeros(&out_dims);
+        for (item, y) in blocks.iter().enumerate() {
+            scatter(out.data_mut(), c_out, p, item, y);
+        }
+        out
+    }
+
+    /// Hidden channel `k`'s pre-activation over one tile, summed as
+    /// `Linear::infer` sums it: bias, then input channels in order. `x` is
+    /// the tile's `[C_in, len]` block, `h` one `len`-point row.
+    fn pre_activation(&self, k: usize, x: &[f64], h: &mut [f64], terms: &mut Vec<(f64, usize)>) {
+        let c_in = self.fc1.c_in();
+        h.fill(self.fc1.bias.value.data()[k]);
+        nonzero(
+            terms,
+            self.fc1.weight.value.data()[k * c_in..(k + 1) * c_in]
+                .iter()
+                .copied(),
+        );
+        accumulate(h, x, terms);
+    }
+
+    /// One tile's output `y` (`[C_out, len]`) from its input `x` (`[C_in, len]`).
+    fn forward_tile(&self, x: &[f64], y: &mut [f64]) {
+        let (hidden, c_out) = (self.fc2.c_in(), self.fc2.c_out());
+        let w2 = self.fc2.weight.value.data();
+        let len = y.len() / c_out;
+        for (row, &b) in y.chunks_mut(len).zip(self.fc2.bias.value.data()) {
+            row.fill(b);
+        }
+        let mut h = [0.0; BLOCK * TILE];
+        let mut terms = Vec::new();
+        for k0 in (0..hidden).step_by(BLOCK) {
+            let kn = BLOCK.min(hidden - k0);
+            let h = &mut h[..kn * len];
+            for (j, row) in h.chunks_mut(len).enumerate() {
+                self.pre_activation(k0 + j, x, row, &mut terms);
+                row.iter_mut().for_each(|v| *v = Gelu::value(*v));
+            }
+            for (o, row) in y.chunks_mut(len).enumerate() {
+                nonzero(&mut terms, w2[o * hidden + k0..][..kn].iter().copied());
+                accumulate(row, h, &terms);
+            }
+        }
+    }
+
+    /// One tile's backward from its input `x` (`[C_in, len]`) and output
+    /// gradient `g` (`[C_out, len]`): accumulates the input gradient into
+    /// `gx` (`[C_in, len]`, zeroed) and returns the tile's parameter-gradient
+    /// partial, laid out as `[fc1.w | fc1.b | fc2.w | fc2.b]`.
+    fn backward_tile(&self, x: &[f64], g: &[f64], gx: &mut [f64]) -> Vec<f64> {
+        let (c_in, hidden, c_out) = (self.fc1.c_in(), self.fc2.c_in(), self.fc2.c_out());
+        let (w1, w2) = (self.fc1.weight.value.data(), self.fc2.weight.value.data());
+        let mut part = vec![0.0; self.param_count()];
+        let (gw1, rest) = part.split_at_mut(hidden * c_in);
+        let (gb1, rest) = rest.split_at_mut(hidden);
+        let (gw2, gb2) = rest.split_at_mut(c_out * hidden);
+        let len = x.len() / c_in;
+        for (b, go) in gb2.iter_mut().zip(g.chunks(len)) {
+            *b = go.iter().sum();
+        }
+        let (mut a, mut d, mut gz) = ([0.0; TILE], [0.0; TILE], [0.0; BLOCK * TILE]);
+        let (a, d) = (&mut a[..len], &mut d[..len]);
+        let mut terms = Vec::new();
+        for k0 in (0..hidden).step_by(BLOCK) {
+            let kn = BLOCK.min(hidden - k0);
+            let gz = &mut gz[..kn * len];
+            for (j, gzk) in gz.chunks_mut(len).enumerate() {
+                let k = k0 + j;
+                self.pre_activation(k, x, a, &mut terms);
+                for (av, dv) in a.iter_mut().zip(d.iter_mut()) {
+                    (*av, *dv) = Gelu::value_and_derivative(*av);
+                }
+                // ∂L/∂a as `Linear::backward` forms it (zero, then output
+                // channels in order), then through the GELU.
+                gzk.fill(0.0);
+                nonzero(&mut terms, (0..c_out).map(|o| w2[o * hidden + k]));
+                accumulate(gzk, g, &terms);
+                for (gv, &dv) in gzk.iter_mut().zip(d.iter()) {
+                    *gv *= dv;
+                }
+                for (o, go) in g.chunks(len).enumerate() {
+                    gw2[o * hidden + k] = dot(go, a);
+                }
+                for (i, xi) in x.chunks(len).enumerate() {
+                    gw1[k * c_in + i] = dot(gzk, xi);
+                }
+                gb1[k] = gzk.iter().sum();
+            }
+            for (i, row) in gx.chunks_mut(len).enumerate() {
+                nonzero(&mut terms, (k0..k0 + kn).map(|k| w1[k * c_in + i]));
+                accumulate(row, gz, &terms);
+            }
+        }
+        part
+    }
+}
+
+impl Layer for PointwiseMlp {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let _span = ft_obs::span("pointwise_mlp.forward");
+        let y = self.infer(x);
+        self.cache_input = Some(x.clone());
+        y
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let _span = ft_obs::span("pointwise_mlp.backward");
+        let x = self
+            .cache_input
+            .take()
+            .expect("backward called without a cached forward");
+        let dims = x.dims();
+        let p: usize = dims[2..].iter().product();
+        assert_eq!(grad_out.dims()[0], dims[0], "batch mismatch");
+        assert_eq!(
+            grad_out.dims()[1],
+            self.fc2.c_out(),
+            "output-channel mismatch"
+        );
+
+        let (c_in, c_out) = (self.fc1.c_in(), self.fc2.c_out());
+        let tiles: Vec<(Vec<f64>, Vec<f64>)> = (0..dims[0] * p.div_ceil(TILE))
+            .into_par_iter()
+            .map(|item| {
+                let xs = gather(x.data(), c_in, p, item);
+                let gs = gather(grad_out.data(), c_out, p, item);
+                let mut gx = vec![0.0; xs.len()];
+                let part = self.backward_tile(&xs, &gs, &mut gx);
+                (gx, part)
+            })
+            .collect();
+
+        // Tile partials fold into the accumulators in index order.
+        let mut gx = Tensor::zeros(dims);
+        for (item, (block, part)) in tiles.iter().enumerate() {
+            scatter(gx.data_mut(), c_in, p, item, block);
+            let mut rest = part.as_slice();
+            self.visit_params(&mut |pm| {
+                let ParamMut::Real { grad, .. } = pm else {
+                    unreachable!("PointwiseMlp has real parameters only")
+                };
+                let (head, tail) = rest.split_at(grad.len());
+                grad.data_mut()
+                    .iter_mut()
+                    .zip(head)
+                    .for_each(|(g, &v)| *g += v);
+                rest = tail;
+            });
+        }
+        gx
+    }
+
+    fn visit_params(&mut self, f: &mut dyn FnMut(ParamMut<'_>)) {
+        self.fc1.visit_params(f);
+        self.fc2.visit_params(f);
+    }
+
+    fn param_count(&self) -> usize {
+        self.fc1.param_count() + self.fc2.param_count()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::gradcheck::{check_input_gradient, check_param_gradients};
+    use crate::serialize::{snapshot_grads, ParamValue};
+    use rand::distributions::Uniform;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The unfused `Linear → Gelu → Linear` composition with `mlp`'s weights.
+    struct Unfused {
+        fc1: Linear,
+        act: Gelu,
+        fc2: Linear,
+    }
+
+    impl Unfused {
+        fn of(mlp: &PointwiseMlp) -> Self {
+            Unfused {
+                fc1: mlp.fc1.clone(),
+                act: Gelu::new(),
+                fc2: mlp.fc2.clone(),
+            }
+        }
+    }
+
+    impl Layer for Unfused {
+        fn forward(&mut self, x: &Tensor) -> Tensor {
+            let h = self.fc1.forward(x);
+            self.fc2.forward(&self.act.forward(&h))
+        }
+        fn backward(&mut self, g: &Tensor) -> Tensor {
+            let g = self.fc2.backward(g);
+            self.fc1.backward(&self.act.backward(&g))
+        }
+        fn visit_params(&mut self, f: &mut dyn FnMut(ParamMut<'_>)) {
+            self.fc1.visit_params(f);
+            self.fc2.visit_params(f);
+        }
+        fn param_count(&self) -> usize {
+            self.fc1.param_count() + self.fc2.param_count()
+        }
+    }
+
+    fn rand_tensor(dims: &[usize], seed: u64) -> Tensor {
+        let mut rng = StdRng::seed_from_u64(seed);
+        Tensor::random(dims, &Uniform::new(-2.0, 2.0), &mut rng)
+    }
+
+    /// An MLP with some weights zeroed, so the zero-weight skip is exercised.
+    fn mlp(c_in: usize, hidden: usize, c_out: usize, seed: u64) -> PointwiseMlp {
+        let mut m = PointwiseMlp::new(c_in, hidden, c_out, &mut StdRng::seed_from_u64(seed));
+        m.fc1.weight.value.data_mut()[1] = 0.0;
+        m.fc2.weight.value.data_mut()[2] = 0.0;
+        m
+    }
+
+    /// Shapes covering one partial tile, a ragged last tile, a batch of
+    /// three, a 3D `[B, 1, X, Y, T]` input, and enough tiles (65) to fan
+    /// out on the pool.
+    fn cases() -> Vec<(PointwiseMlp, Tensor)> {
+        vec![
+            (mlp(3, 16, 2, 1), rand_tensor(&[1, 3, 5, 7], 11)),
+            (mlp(2, 8, 3, 2), rand_tensor(&[1, 2, 23, 29], 12)),
+            (mlp(4, 12, 4, 3), rand_tensor(&[3, 4, 20, 16], 13)),
+            (mlp(1, 10, 1, 4), rand_tensor(&[2, 1, 9, 8, 6], 14)),
+            (mlp(2, 6, 2, 7), rand_tensor(&[1, 2, 128, 130], 16)),
+        ]
+    }
+
+    #[test]
+    fn forward_and_infer_are_bit_identical_to_the_unfused_composition() {
+        for (mut m, x) in cases() {
+            let want = Unfused::of(&m).forward(&x);
+            assert_eq!(m.infer(&x).data(), want.data(), "infer {:?}", x.dims());
+            let got = m.forward(&x);
+            assert_eq!(got.dims(), want.dims());
+            assert_eq!(got.data(), want.data(), "forward {:?}", x.dims());
+        }
+    }
+
+    #[test]
+    fn backward_matches_the_unfused_composition() {
+        for (mut m, x) in cases() {
+            let mut reference = Unfused::of(&m);
+            let y = reference.forward(&x);
+            let g = rand_tensor(y.dims(), 99);
+            let want_gx = reference.backward(&g);
+            m.forward(&x);
+            let gx = m.backward(&g);
+            assert_eq!(gx.data(), want_gx.data(), "input gradient {:?}", x.dims());
+            let (got, want) = (snapshot_grads(&mut m), snapshot_grads(&mut reference));
+            for (a, b) in got.iter().zip(&want) {
+                let (ParamValue::Real(a), ParamValue::Real(b)) = (a, b) else {
+                    panic!("real parameters only")
+                };
+                let rel = a.sub(b).norm_l2() / b.norm_l2();
+                assert!(
+                    rel <= 1e-12,
+                    "parameter gradient {:?}: rel {rel:e}",
+                    a.dims()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gradcheck_params_and_input() {
+        let mut m = mlp(2, 5, 3, 5);
+        let x = rand_tensor(&[2, 2, 3, 4], 15);
+        check_param_gradients(&mut m, &x, 1e-5, 2e-6);
+        check_input_gradient(&mut m, &x, 1e-5, 2e-6);
+    }
+
+    #[test]
+    fn param_order_and_count_match_the_unfused_pair() {
+        let mut m = mlp(3, 7, 2, 6);
+        let mut shapes = Vec::new();
+        m.visit_params(&mut |p| {
+            if let ParamMut::Real { value, .. } = p {
+                shapes.push(value.dims().to_vec());
+            }
+        });
+        assert_eq!(shapes, vec![vec![7, 3], vec![7], vec![2, 7], vec![2]]);
+        assert_eq!(m.param_count(), 7 * 3 + 7 + 2 * 7 + 2);
+    }
+}

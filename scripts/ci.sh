@@ -27,12 +27,14 @@ echo "==> parallel-parity proptest (release)"
 cargo test -q --release --offline -p fno-core --test parallel_parity
 
 # Pinned to one core, `available_parallelism` (which honours the affinity
-# mask) sizes a width-1 pool: the plan-cache diagnostics and the parity
-# proptest must hold there as well as at the host's width.
-echo "==> diagnostics + parallel-parity proptest on one core (taskset -c 0)"
+# mask) sizes a width-1 pool: the plan-cache diagnostics, the parity
+# proptest and the fused pointwise-MLP tests must hold there as well as at
+# the host's width.
+echo "==> diagnostics + parallel-parity proptest + pointwise MLP on one core (taskset -c 0)"
 if command -v taskset >/dev/null 2>&1; then
     taskset -c 0 cargo test -q --offline --test diagnostics
     taskset -c 0 cargo test -q --release --offline -p fno-core --test parallel_parity
+    taskset -c 0 cargo test -q --offline -p ft-nn --lib mlp::
 else
     echo "taskset not found: one-core step skipped"
 fi
