@@ -697,4 +697,23 @@ mod tests {
             ServeError::UnknownSession(_)
         ));
     }
+
+    #[test]
+    fn oversized_session_step_is_rejected_and_the_session_continues() {
+        let engine = ServeEngine::new(
+            tiny_registry(),
+            ServeConfig { auto_dispatch: false, ..Default::default() },
+        );
+        let h = engine.handle();
+        let hist = input(8);
+        let id = h.open_session("m", &hist).unwrap();
+        // Buffering 1e11 frames would ask for ~5e13 bytes; the allocation
+        // failure would abort the process.
+        for steps in [100_000_000_000, crate::session::MAX_SESSION_STEPS + 1] {
+            assert!(matches!(h.session_step(id, steps).unwrap_err(), ServeError::BadInput(_)));
+        }
+        let served = h.session_step(id, 1).unwrap();
+        let direct = fno_core::rollout::rollout(&tiny_registry().get("m").unwrap().model, &hist, 1);
+        assert_eq!(served.data(), direct.data());
+    }
 }

@@ -29,7 +29,7 @@
 //! [`parse_header`], consistent with the workspace's no-serde rule.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 use ft_tensor::Tensor;
 
@@ -352,13 +352,20 @@ fn dims_json(dims: &[usize]) -> String {
 /// header from triggering an enormous allocation): 256 Mi f32 elements.
 pub const MAX_PAYLOAD_ELEMS: usize = 256 << 20;
 
+/// Longest header line a frame may send, newline excluded: a peer that
+/// never sends `\n` is cut off here instead of growing the line buffer.
+pub const MAX_HEADER_BYTES: usize = 64 << 10;
+
 /// Reads one frame: the header line plus, when the header declares
 /// `dims`, the payload tensor. Returns `None` on clean EOF before a
 /// header.
 pub fn read_frame(r: &mut impl BufRead) -> Result<Option<(Header, Option<Tensor>)>, ServeError> {
     let mut line = String::new();
-    match r.read_line(&mut line) {
+    match r.by_ref().take(MAX_HEADER_BYTES as u64 + 1).read_line(&mut line) {
         Ok(0) => return Ok(None),
+        Ok(n) if n > MAX_HEADER_BYTES && !line.ends_with('\n') => {
+            return Err(bad(&format!("header line longer than {MAX_HEADER_BYTES} bytes")));
+        }
         Ok(_) => {}
         Err(e) => return Err(ServeError::Protocol(format!("header read: {e}"))),
     }
@@ -444,6 +451,21 @@ mod tests {
             h.get("detail").and_then(Value::as_str).unwrap_or(""),
         );
         assert_eq!(e, ServeError::Overloaded);
+    }
+
+    #[test]
+    fn header_line_is_bounded() {
+        // A peer streaming a line with no newline is cut off at the bound,
+        // without reading (and buffering) the rest of the line.
+        let mut r = io::BufReader::new(io::repeat(b' ').take(1 << 20));
+        let err = read_frame(&mut r).unwrap_err();
+        assert!(matches!(&err, ServeError::Protocol(m) if m.contains("longer than")), "{err:?}");
+        let unread = r.get_ref().limit() as usize + r.buffer().len();
+        assert_eq!(unread, (1 << 20) - MAX_HEADER_BYTES - 1);
+        // A header of exactly the bound still parses.
+        let line = format!("{{\"type\":\"ping\"}}{}\n", " ".repeat(MAX_HEADER_BYTES - 15));
+        let (h, _) = read_frame(&mut io::BufReader::new(line.as_bytes())).unwrap().unwrap();
+        assert_eq!(h["type"].as_str(), Some("ping"));
     }
 
     #[test]

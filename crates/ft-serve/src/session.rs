@@ -47,6 +47,12 @@ impl Default for SessionConfig {
     }
 }
 
+/// Most frames one [`SessionStore::step`] call may ask for. The frames are
+/// buffered before the reply, so this bounds that buffer: 512 MiB at 256²,
+/// and the reply stays within [`crate::proto::MAX_PAYLOAD_ELEMS`] up to
+/// 512² grids.
+pub const MAX_SESSION_STEPS: usize = 1024;
+
 /// One live rollout: the model it runs and its autoregressive state.
 struct Session {
     entry: Arc<ModelEntry>,
@@ -122,10 +128,14 @@ impl SessionStore {
 
     /// Advances session `id` by `steps` predicted frames, returning them
     /// as `[steps, H, W]` (oldest first). The window slides server-side,
-    /// so consecutive calls continue the same trajectory.
+    /// so consecutive calls continue the same trajectory. `steps` must be
+    /// in `1..=MAX_SESSION_STEPS`; the check comes before the store lock
+    /// is taken, and a rejected call leaves the session as it was.
     pub fn step(&self, id: u64, steps: usize) -> Result<Tensor, ServeError> {
-        if steps == 0 {
-            return Err(ServeError::BadInput("steps must be positive".into()));
+        if steps == 0 || steps > MAX_SESSION_STEPS {
+            return Err(ServeError::BadInput(format!(
+                "steps must be in 1..={MAX_SESSION_STEPS}, got {steps}"
+            )));
         }
         let now = Instant::now();
         let mut map = self.sessions.lock().unwrap();

@@ -90,6 +90,9 @@ fn full_lifecycle_over_loopback() {
     let (h, _) = c.roundtrip(|w| proto::write_session_open(w, "default", &x));
     assert_eq!(h["ok"], Value::Bool(true));
     let sid = h["session"].as_int().unwrap();
+    // An absurd step count is a typed error that leaves the session as it was.
+    let (h, _) = c.roundtrip(|w| proto::write_session_step(w, sid, 100_000_000_000));
+    assert_eq!(h["error"].as_str(), Some("bad_input"));
     let (h1, p1) = c.roundtrip(|w| proto::write_session_step(w, sid, 2));
     assert_eq!(h1["ok"], Value::Bool(true));
     let first = p1.unwrap();

@@ -26,6 +26,11 @@ cargo test -q --offline
 echo "==> parallel-parity proptest (release)"
 cargo test -q --release --offline -p fno-core --test parallel_parity
 
+# The GELU kernel's bits are pinned (activation::tests): check them on the
+# optimized build too, where its slice loops are vectorized.
+echo "==> GELU accuracy and pinned bits (release)"
+cargo test -q --release --offline -p ft-nn --lib activation::
+
 # Pinned to one core, `available_parallelism` (which honours the affinity
 # mask) sizes a width-1 pool: the plan-cache diagnostics, the parity
 # proptest and the fused pointwise-MLP tests must hold there as well as at
