@@ -257,7 +257,9 @@ impl Checkpoint {
         }
     }
 
-    /// Serializes and atomically writes the checkpoint to `path`.
+    /// Serializes and atomically writes the checkpoint to `path`
+    /// ([`ft_obs::bench::write_atomic`]), creating missing parent
+    /// directories.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let mut payload = Vec::new();
         self.write_payload(&mut payload)?;
@@ -266,7 +268,7 @@ impl Checkpoint {
         bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         bytes.extend_from_slice(&payload);
-        write_atomic(path.as_ref(), &bytes)
+        ft_obs::bench::write_atomic(path.as_ref(), &bytes)
     }
 
     /// Loads and validates a checkpoint. Magic, length, and CRC are checked
@@ -622,7 +624,6 @@ fn param_numel(p: &ParamValue) -> usize {
 /// per `keep_last`. Used by the trainer; exposed for tools that manage
 /// checkpoint directories directly.
 pub fn save_periodic(ck: &Checkpoint, cfg: &CheckpointConfig) -> io::Result<PathBuf> {
-    fs::create_dir_all(&cfg.dir)?;
     let name = format!("epoch-{:05}.ftc", ck.epochs_done);
     let path = cfg.dir.join(&name);
     ck.save(&path)?;
@@ -650,21 +651,6 @@ pub fn save_periodic(ck: &Checkpoint, cfg: &CheckpointConfig) -> io::Result<Path
             .u64("epoch", ck.epochs_done)
     });
     Ok(path)
-}
-
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = match path.file_name().and_then(|n| n.to_str()) {
-        Some(name) => path.with_file_name(format!(".{name}.tmp")),
-        None => return Err(io::Error::new(io::ErrorKind::InvalidInput, "invalid path")),
-    };
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path).inspect_err(|_| {
-        fs::remove_file(&tmp).ok();
-    })
 }
 
 fn read_u32(r: &mut impl Read) -> io::Result<u32> {

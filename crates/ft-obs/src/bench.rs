@@ -44,8 +44,9 @@ use std::io::{self, Write};
 use std::path::Path;
 
 use crate::hist::histogram_snapshot;
+use crate::json::{write_str, Json};
 use crate::metrics::{counter_snapshot, gauge_snapshot};
-use crate::sink::{encode_str, Record};
+use crate::sink::Record;
 use crate::span;
 
 /// Current schema identifier written to every bench file.
@@ -65,115 +66,87 @@ pub fn write_bench_json(
     write_atomic(path.as_ref(), json.as_bytes())
 }
 
+/// Pretty layout: one top-level field per line, one record, counter,
+/// gauge, span or histogram per line; every scalar goes through the
+/// [`crate::json`] writer.
 fn render(kind: &str, name: &str, wall_seconds: f64, records: &[Record]) -> String {
     let mut out = String::with_capacity(1024);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{BENCH_SCHEMA}\",\n"));
-    out.push_str("  \"kind\": ");
-    encode_str(kind, &mut out);
-    out.push_str(",\n  \"name\": ");
-    encode_str(name, &mut out);
-    out.push_str(",\n");
-    if wall_seconds.is_finite() {
-        out.push_str(&format!("  \"wall_seconds\": {wall_seconds},\n"));
-    } else {
-        out.push_str("  \"wall_seconds\": null,\n");
-    }
-
-    out.push_str("  \"records\": [");
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        out.push_str(&r.to_json());
-    }
-    if !records.is_empty() {
+    out.push('{');
+    for (key, v) in [
+        ("schema", BENCH_SCHEMA.into()),
+        ("kind", kind.into()),
+        ("name", name.into()),
+        ("wall_seconds", Json::Num(wall_seconds)),
+    ] {
         out.push_str("\n  ");
+        field(&mut out, key, &v);
+        out.push(',');
     }
-    out.push_str("],\n");
-
-    out.push_str("  \"counters\": {");
-    let counters = counter_snapshot();
-    for (i, (n, v)) in counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        encode_str(n, &mut out);
-        out.push_str(&format!(": {v}"));
-    }
-    if !counters.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("},\n");
-
-    out.push_str("  \"gauges\": {");
-    let gauges = gauge_snapshot();
-    for (i, (n, v)) in gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        encode_str(n, &mut out);
-        if v.is_finite() {
-            out.push_str(&format!(": {v}"));
-        } else {
-            out.push_str(": null");
-        }
-    }
-    if !gauges.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("},\n");
-
-    out.push_str("  \"spans\": [");
-    let spans = span::stats();
-    for (i, (path, stat)) in spans.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    { \"path\": ");
-        encode_str(path, &mut out);
+    out.push_str("\n  \"records\": ");
+    section(&mut out, '[', records, |out, r| out.push_str(&r.to_json()));
+    out.push_str(",\n  \"counters\": ");
+    section(&mut out, '{', &counter_snapshot(), |out, (n, v)| field(out, n, &Json::Int(*v)));
+    out.push_str(",\n  \"gauges\": ");
+    section(&mut out, '{', &gauge_snapshot(), |out, (n, v)| field(out, n, &Json::Num(*v)));
+    out.push_str(",\n  \"spans\": ");
+    section(&mut out, '[', &span::stats(), |out, (path, stat)| {
         let total_ms = stat.total_ns as f64 / 1e6;
         let mean_ms = total_ms / stat.count.max(1) as f64;
-        out.push_str(&format!(
-            ", \"count\": {}, \"total_ms\": {total_ms}, \"mean_ms\": {mean_ms} }}",
-            stat.count
-        ));
-    }
-    if !spans.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n");
-
-    out.push_str("  \"histograms\": {");
-    let hists = histogram_snapshot();
-    let fin = |v: f64| if v.is_finite() { v.to_string() } else { "null".to_string() };
-    for (i, (n, s)) in hists.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        encode_str(n, &mut out);
-        out.push_str(&format!(
-            ": {{ \"count\": {}, \"mean\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {} }}",
-            s.count,
-            fin(s.mean),
-            fin(s.p50),
-            fin(s.p90),
-            fin(s.p99),
-            fin(s.max)
-        ));
-    }
-    if !hists.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("}\n}\n");
+        let (path, n) = (path.as_str().into(), Json::Int(stat.count));
+        let (total, mean) = (Json::Num(total_ms), Json::Num(mean_ms));
+        inline_obj(out, &[("path", path), ("count", n), ("total_ms", total), ("mean_ms", mean)]);
+    });
+    out.push_str(",\n  \"histograms\": ");
+    section(&mut out, '{', &histogram_snapshot(), |out, (n, s)| {
+        write_str(n, out);
+        out.push_str(": ");
+        let names = ["mean", "p50", "p90", "p99", "max"];
+        let mut fields = vec![("count", Json::Int(s.count))];
+        fields.extend(names.into_iter().zip([s.mean, s.p50, s.p90, s.p99, s.max].map(Json::Num)));
+        inline_obj(out, &fields);
+    });
+    out.push_str("\n}\n");
     out
 }
 
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+/// `"key": value`.
+fn field(out: &mut String, key: &str, v: &Json) {
+    write_str(key, out);
+    out.push_str(": ");
+    v.write(out);
+}
+
+/// `{ "key": value, ... }` on one line.
+fn inline_obj(out: &mut String, fields: &[(&str, Json)]) {
+    out.push_str("{ ");
+    for (i, (k, v)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        field(out, k, v);
+    }
+    out.push_str(" }");
+}
+
+/// A `[`- or `{`-opened section with one item per line, indented four
+/// spaces; an empty section stays on one line (`[]`, `{}`).
+fn section<T>(out: &mut String, open: char, items: &[T], mut item: impl FnMut(&mut String, &T)) {
+    out.push(open);
+    for (i, it) in items.iter().enumerate() {
+        out.push_str(if i == 0 { "\n    " } else { ",\n    " });
+        item(out, it);
+    }
+    if !items.is_empty() {
+        out.push_str("\n  ");
+    }
+    out.push(if open == '[' { ']' } else { '}' });
+}
+
+/// Writes `bytes` to `path` crash-consistently: into a hidden
+/// `.<name>.tmp` sibling, synced, then renamed over `path` (the temp file
+/// is removed if the rename fails). Missing parent directories are
+/// created. A reader sees the old file or the new one, never a torn one.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             fs::create_dir_all(parent)?;

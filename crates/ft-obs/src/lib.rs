@@ -13,12 +13,16 @@
 //! * [`metrics`] — monotonic [`Counter`]s and last-value [`Gauge`]s backed
 //!   by lock-free atomics, declared as `static`s at the instrumentation
 //!   site and registered lazily on first use;
+//! * [`json`] — the workspace's one JSON codec: a [`Json`] value type, a
+//!   depth-bounded RFC 8259 reader and a writer, shared by the bench files,
+//!   the JSONL records and the `fno-serve` wire headers;
 //! * [`sink`] — a structured [`Record`] type (insertion-ordered fields,
-//!   hand-rolled JSON encoding) and a process-global JSONL sink opened
+//!   written through [`json`]) and a process-global JSONL sink opened
 //!   with [`open_jsonl()`]; the training loop emits one record per epoch;
 //! * [`mod@bench`] — the stable-schema `BENCH_*.json` emitter
 //!   ([`bench::write_bench_json`]) that snapshots all counters, gauges and
-//!   span aggregates alongside caller-provided records.
+//!   span aggregates alongside caller-provided records, and the atomic
+//!   file write ([`bench::write_atomic`]) the workspace's writers share.
 //!
 //! # Zero overhead when disabled
 //!
@@ -53,15 +57,15 @@ pub mod bench;
 pub mod compare;
 pub mod flight;
 pub mod hist;
+pub mod json;
 pub mod metrics;
 pub mod sink;
 pub mod span;
 
 pub use hist::{Histogram, HistogramSnapshot};
 pub use metrics::{Counter, Gauge};
-pub use sink::{
-    close_jsonl, emit, emit_with, open_jsonl, sink_open, JsonValue, Record,
-};
+pub use json::Json;
+pub use sink::{close_jsonl, emit, emit_with, open_jsonl, sink_open, Record};
 pub use span::{span, SpanGuard, SpanStat};
 
 use std::sync::atomic::{AtomicBool, Ordering};

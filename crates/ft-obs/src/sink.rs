@@ -1,10 +1,10 @@
 //! Structured records and the process-global JSONL sink.
 //!
 //! A [`Record`] is an insertion-ordered list of `key → value` pairs that
-//! serializes to one JSON object per line (JSONL). The encoder is
-//! hand-rolled (no serde in this offline workspace): strings are escaped
-//! per RFC 8259, floats use Rust's shortest-roundtrip formatting, and
-//! non-finite floats encode as `null` so the output is always valid JSON.
+//! serializes to one JSON object per line (JSONL) through the crate's one
+//! writer ([`crate::json`]): strings are escaped per RFC 8259, floats use
+//! Rust's shortest-roundtrip formatting, and non-finite floats encode as
+//! `null` so the output is always valid JSON.
 //!
 //! The sink is process-global: [`open_jsonl`] points it at a file,
 //! [`emit`] appends one record per line (flushing each line, so a killed
@@ -25,120 +25,53 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-/// A JSON scalar value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum JsonValue {
-    /// Unsigned integer.
-    U64(u64),
-    /// Signed integer.
-    I64(i64),
-    /// Float; non-finite values serialize as `null`.
-    F64(f64),
-    /// Boolean.
-    Bool(bool),
-    /// String (escaped on encode).
-    Str(String),
-}
-
-impl JsonValue {
-    fn encode(&self, out: &mut String) {
-        match self {
-            JsonValue::U64(v) => out.push_str(&v.to_string()),
-            JsonValue::I64(v) => out.push_str(&v.to_string()),
-            JsonValue::F64(v) => {
-                if v.is_finite() {
-                    out.push_str(&v.to_string());
-                } else {
-                    out.push_str("null");
-                }
-            }
-            JsonValue::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
-            JsonValue::Str(s) => encode_str(s, out),
-        }
-    }
-}
-
-/// Escapes and appends `s` as a JSON string literal.
-pub(crate) fn encode_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
+use crate::json::{self, Json};
 
 /// One structured metrics record: an ordered list of fields serializing
 /// to a single JSON object. The first field is always `"record"` (the
 /// record type), set by [`Record::new`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct Record {
-    fields: Vec<(String, JsonValue)>,
+    fields: Vec<(String, Json)>,
 }
 
 impl Record {
     /// A record of type `kind` (becomes the leading `"record"` field).
     pub fn new(kind: &str) -> Self {
-        Record { fields: vec![("record".to_string(), JsonValue::Str(kind.to_string()))] }
+        Record { fields: vec![("record".to_string(), Json::Str(kind.to_string()))] }
+    }
+
+    fn with(mut self, key: &str, v: Json) -> Self {
+        self.fields.push((key.to_string(), v));
+        self
     }
 
     /// Appends an unsigned-integer field.
-    pub fn u64(mut self, key: &str, v: u64) -> Self {
-        self.fields.push((key.to_string(), JsonValue::U64(v)));
-        self
-    }
-
-    /// Appends a signed-integer field.
-    pub fn i64(mut self, key: &str, v: i64) -> Self {
-        self.fields.push((key.to_string(), JsonValue::I64(v)));
-        self
+    pub fn u64(self, key: &str, v: u64) -> Self {
+        self.with(key, Json::Int(v))
     }
 
     /// Appends a float field (`null` if non-finite).
-    pub fn f64(mut self, key: &str, v: f64) -> Self {
-        self.fields.push((key.to_string(), JsonValue::F64(v)));
-        self
+    pub fn f64(self, key: &str, v: f64) -> Self {
+        self.with(key, Json::Num(v))
     }
 
     /// Appends a boolean field.
-    pub fn bool(mut self, key: &str, v: bool) -> Self {
-        self.fields.push((key.to_string(), JsonValue::Bool(v)));
-        self
+    pub fn bool(self, key: &str, v: bool) -> Self {
+        self.with(key, Json::Bool(v))
     }
 
     /// Appends a string field.
-    pub fn str(mut self, key: &str, v: &str) -> Self {
-        self.fields.push((key.to_string(), JsonValue::Str(v.to_string())));
-        self
+    pub fn str(self, key: &str, v: &str) -> Self {
+        self.with(key, Json::Str(v.to_string()))
     }
 
     /// Serializes to a single-line JSON object with fields in insertion
     /// order.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(64);
-        out.push('{');
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            encode_str(k, &mut out);
-            out.push(':');
-            v.encode(&mut out);
-        }
-        out.push('}');
+        json::write_obj(&self.fields, &mut out);
         out
-    }
-
-    /// The fields in insertion order (used by the bench emitter).
-    pub fn fields(&self) -> &[(String, JsonValue)] {
-        &self.fields
     }
 }
 

@@ -20,6 +20,8 @@ pub static SESSIONS_EVICTED: Counter = Counter::new("serve.sessions.evicted");
 pub static QUEUE_DEPTH: Gauge = Gauge::new("serve.queue_depth");
 /// Live session count, sampled on open/close/evict.
 pub static LIVE_SESSIONS: Gauge = Gauge::new("serve.sessions.live");
+/// Live connection threads, sampled on every accept-loop turn.
+pub static CONNECTIONS: Gauge = Gauge::new("serve.connections");
 
 /// Distribution of executed batch sizes (the micro-batching win is this
 /// distribution's mean moving above 1.0 under load).

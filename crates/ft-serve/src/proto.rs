@@ -23,250 +23,67 @@
 //!
 //! Responses: `{"ok":true, ...}` with optional `dims` (+payload) and
 //! `session`; failures are `{"ok":false,"error":CODE,"detail":MSG}` with
-//! the stable codes of [`ServeError::code`]. The JSON subset is flat
-//! objects whose values are strings, non-negative integers, booleans or
-//! arrays of non-negative integers — parsed by the hand-rolled
-//! [`parse_header`], consistent with the workspace's no-serde rule.
+//! the stable codes of [`ServeError::code`].
+//!
+//! Headers are read and written by the workspace's one JSON codec,
+//! [`ft_obs::json`]. [`parse_header`] is its reader — RFC 8259 whitespace
+//! and escapes, no raw control bytes in strings, nesting at most
+//! [`ft_obs::json::MAX_DEPTH`] deep — followed by the wire check: a flat
+//! object whose values are strings, non-negative integers, booleans or
+//! arrays of non-negative integers. Anything else, `-1` or `1.5` included,
+//! is a [`ServeError::Protocol`].
 
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, Read, Write};
 
+use ft_obs::json::{self, Json};
 use ft_tensor::Tensor;
 
 use crate::ServeError;
 
-/// A decoded header value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Value {
-    /// String field.
-    Str(String),
-    /// Non-negative integer field.
-    Int(u64),
-    /// Boolean field.
-    Bool(bool),
-    /// Array of non-negative integers (tensor dims).
-    IntArray(Vec<u64>),
-}
-
-impl Value {
-    /// The string content, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The integer content, if this is an integer.
-    pub fn as_int(&self) -> Option<u64> {
-        match self {
-            Value::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The array content, if this is an integer array.
-    pub fn as_dims(&self) -> Option<Vec<usize>> {
-        match self {
-            Value::IntArray(v) => Some(v.iter().map(|&x| x as usize).collect()),
-            _ => None,
-        }
-    }
-}
+/// A decoded header value: the shared [`Json`] type. A wire header only
+/// carries `Str`, `Int`, `Bool` and `Arr` of `Int` (tensor dims).
+pub use ft_obs::json::Json as Value;
 
 /// A decoded flat-JSON header: field name → value, insertion order not
-/// preserved (lookup by key only).
+/// preserved (lookup by key only); a repeated key keeps its last value.
 pub type Header = BTreeMap<String, Value>;
 
 /// Parses one header line. Accepts exactly the flat subset this protocol
 /// emits; anything else is a [`ServeError::Protocol`].
 pub fn parse_header(line: &str) -> Result<Header, ServeError> {
-    let mut p = Parser { s: line.as_bytes(), i: 0 };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut out = Header::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        let _ = p.next();
-        return Ok(out);
-    }
-    loop {
-        p.skip_ws();
-        let key = p.string()?;
-        p.skip_ws();
-        p.expect(b':')?;
-        p.skip_ws();
-        let val = p.value()?;
-        out.insert(key, val);
-        p.skip_ws();
-        match p.next() {
-            Some(b',') => continue,
-            Some(b'}') => break,
-            _ => return Err(bad("expected `,` or `}`")),
-        }
-    }
-    p.skip_ws();
-    if p.i != p.s.len() {
-        return Err(bad("trailing bytes after header object"));
-    }
-    Ok(out)
+    let Json::Obj(fields) = json::parse(line).map_err(ServeError::Protocol)? else {
+        return Err(bad("header must be a JSON object"));
+    };
+    fields
+        .into_iter()
+        .map(|(k, v)| match v {
+            Json::Str(_) | Json::Int(_) | Json::Bool(_) => Ok((k, v)),
+            Json::Arr(ref items) if items.iter().all(|d| matches!(d, Json::Int(_))) => Ok((k, v)),
+            _ => Err(bad(&format!("field `{k}` is not a string, integer, bool or dims"))),
+        })
+        .collect()
 }
 
 fn bad(msg: &str) -> ServeError {
     ServeError::Protocol(msg.to_string())
 }
 
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
+fn dims(t: &Tensor) -> Json {
+    Json::Arr(t.dims().iter().map(|&d| Json::Int(d as u64)).collect())
 }
 
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.i).copied()
-    }
-    fn next(&mut self) -> Option<u8> {
-        let c = self.peek();
-        if c.is_some() {
-            self.i += 1;
-        }
-        c
-    }
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r')) {
-            self.i += 1;
-        }
-    }
-    fn expect(&mut self, c: u8) -> Result<(), ServeError> {
-        if self.next() == Some(c) {
-            Ok(())
-        } else {
-            Err(bad(&format!("expected `{}`", c as char)))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ServeError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next().ok_or_else(|| bad("unterminated string"))? {
-                b'"' => return Ok(out),
-                b'\\' => match self.next().ok_or_else(|| bad("dangling escape"))? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.next().ok_or_else(|| bad("short \\u escape"))?;
-                            code = code * 16
-                                + (d as char).to_digit(16).ok_or_else(|| bad("bad hex digit"))?;
-                        }
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    other => return Err(bad(&format!("bad escape `\\{}`", other as char))),
-                },
-                c if c < 0x20 => return Err(bad("control byte in string")),
-                c => {
-                    // Re-assemble multi-byte UTF-8 straight from the input.
-                    let start = self.i - 1;
-                    let len = utf8_len(c);
-                    self.i = (start + len).min(self.s.len());
-                    out.push_str(
-                        std::str::from_utf8(&self.s[start..self.i])
-                            .map_err(|_| bad("invalid utf-8"))?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn integer(&mut self) -> Result<u64, ServeError> {
-        let start = self.i;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.i += 1;
-        }
-        if self.i == start {
-            return Err(bad("expected digit"));
-        }
-        std::str::from_utf8(&self.s[start..self.i])
-            .unwrap()
-            .parse()
-            .map_err(|_| bad("integer out of range"))
-    }
-
-    fn value(&mut self) -> Result<Value, ServeError> {
-        match self.peek().ok_or_else(|| bad("missing value"))? {
-            b'"' => Ok(Value::Str(self.string()?)),
-            b'0'..=b'9' => Ok(Value::Int(self.integer()?)),
-            b't' => self.literal("true").map(|_| Value::Bool(true)),
-            b'f' => self.literal("false").map(|_| Value::Bool(false)),
-            b'[' => {
-                self.i += 1;
-                let mut v = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.i += 1;
-                    return Ok(Value::IntArray(v));
-                }
-                loop {
-                    self.skip_ws();
-                    v.push(self.integer()?);
-                    self.skip_ws();
-                    match self.next() {
-                        Some(b',') => continue,
-                        Some(b']') => return Ok(Value::IntArray(v)),
-                        _ => return Err(bad("expected `,` or `]`")),
-                    }
-                }
-            }
-            c => Err(bad(&format!("unexpected value start `{}`", c as char))),
-        }
-    }
-
-    fn literal(&mut self, word: &str) -> Result<(), ServeError> {
-        if self.s[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(())
-        } else {
-            Err(bad(&format!("expected `{word}`")))
-        }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
-}
-
-/// Appends `s` as an escaped JSON string literal.
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Writes one frame: the header fields (already JSON-fragment encoded by
-/// the typed helpers below) plus an optional payload tensor.
-fn write_frame(w: &mut impl Write, header: &str, payload: Option<&Tensor>) -> io::Result<()> {
-    w.write_all(header.as_bytes())?;
-    w.write_all(b"\n")?;
+/// Writes one frame: the header fields as one JSON line, plus an optional
+/// payload tensor.
+fn write_frame(
+    w: &mut impl Write,
+    header: &[(&str, Json)],
+    payload: Option<&Tensor>,
+) -> io::Result<()> {
+    let mut line = String::with_capacity(64);
+    json::write_obj(header, &mut line);
+    line.push('\n');
+    w.write_all(line.as_bytes())?;
     if let Some(t) = payload {
         let mut buf = Vec::with_capacity(t.len() * 4);
         for &v in t.data() {
@@ -279,40 +96,37 @@ fn write_frame(w: &mut impl Write, header: &str, payload: Option<&Tensor>) -> io
 
 /// Sends a `predict` request.
 pub fn write_predict(w: &mut impl Write, model: &str, input: &Tensor) -> io::Result<()> {
-    let mut h = String::from("{\"type\":\"predict\",\"model\":");
-    push_json_str(&mut h, model);
-    h.push_str(&format!(",\"dims\":{}}}", dims_json(input.dims())));
-    write_frame(w, &h, Some(input))
+    write_model_request(w, "predict", model, input)
 }
 
 /// Sends a `session_open` request.
 pub fn write_session_open(w: &mut impl Write, model: &str, history: &Tensor) -> io::Result<()> {
-    let mut h = String::from("{\"type\":\"session_open\",\"model\":");
-    push_json_str(&mut h, model);
-    h.push_str(&format!(",\"dims\":{}}}", dims_json(history.dims())));
-    write_frame(w, &h, Some(history))
+    write_model_request(w, "session_open", model, history)
+}
+
+/// Sends a request that names a model and carries a tensor.
+fn write_model_request(w: &mut impl Write, kind: &str, model: &str, t: &Tensor) -> io::Result<()> {
+    write_frame(w, &[("type", kind.into()), ("model", model.into()), ("dims", dims(t))], Some(t))
 }
 
 /// Sends a `session_step` request.
 pub fn write_session_step(w: &mut impl Write, session: u64, steps: usize) -> io::Result<()> {
-    write_frame(
-        w,
-        &format!("{{\"type\":\"session_step\",\"session\":{session},\"steps\":{steps}}}"),
-        None,
-    )
+    let header = [
+        ("type", "session_step".into()),
+        ("session", Json::Int(session)),
+        ("steps", Json::Int(steps as u64)),
+    ];
+    write_frame(w, &header, None)
 }
 
 /// Sends a `session_close` request.
 pub fn write_session_close(w: &mut impl Write, session: u64) -> io::Result<()> {
-    write_frame(w, &format!("{{\"type\":\"session_close\",\"session\":{session}}}"), None)
+    write_frame(w, &[("type", "session_close".into()), ("session", Json::Int(session))], None)
 }
 
 /// Sends a bare request carrying only a `type` field (`ping`, `shutdown`).
 pub fn write_bare(w: &mut impl Write, kind: &str) -> io::Result<()> {
-    let mut h = String::from("{\"type\":");
-    push_json_str(&mut h, kind);
-    h.push('}');
-    write_frame(w, &h, None)
+    write_frame(w, &[("type", kind.into())], None)
 }
 
 /// Sends a success response, with an optional tensor payload and session
@@ -322,30 +136,17 @@ pub fn write_ok(
     payload: Option<&Tensor>,
     session: Option<u64>,
 ) -> io::Result<()> {
-    let mut h = String::from("{\"ok\":true");
-    if let Some(id) = session {
-        h.push_str(&format!(",\"session\":{id}"));
-    }
-    if let Some(t) = payload {
-        h.push_str(&format!(",\"dims\":{}", dims_json(t.dims())));
-    }
-    h.push('}');
-    write_frame(w, &h, payload)
+    let mut header = vec![("ok", Json::Bool(true))];
+    header.extend(session.map(|id| ("session", Json::Int(id))));
+    header.extend(payload.map(|t| ("dims", dims(t))));
+    write_frame(w, &header, payload)
 }
 
 /// Sends a failure response carrying the error's wire code and detail.
 pub fn write_err(w: &mut impl Write, e: &ServeError) -> io::Result<()> {
-    let mut h = String::from("{\"ok\":false,\"error\":");
-    push_json_str(&mut h, e.code());
-    h.push_str(",\"detail\":");
-    push_json_str(&mut h, &e.to_string());
-    h.push('}');
-    write_frame(w, &h, None)
-}
-
-fn dims_json(dims: &[usize]) -> String {
-    let inner: Vec<String> = dims.iter().map(|d| d.to_string()).collect();
-    format!("[{}]", inner.join(","))
+    let detail = Json::Str(e.to_string());
+    let header = [("ok", Json::Bool(false)), ("error", e.code().into()), ("detail", detail)];
+    write_frame(w, &header, None)
 }
 
 /// Largest payload a frame may declare (guards a malformed or hostile

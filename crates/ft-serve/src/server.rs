@@ -19,13 +19,17 @@ use crate::proto::{self, Header, Value};
 use crate::{metrics, ServeError};
 
 /// Runs the accept loop until a client sends a `shutdown` frame. Each
-/// connection is served on its own thread. Returns once the loop has
-/// stopped accepting; in-flight connection threads finish independently.
+/// connection is served on its own thread; finished threads are reaped
+/// on every loop turn, and the live count is the `serve.connections`
+/// gauge. Returns once the loop has stopped accepting and the live
+/// connection threads have finished.
 pub fn serve_tcp(handle: ServeHandle, listener: TcpListener) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     let stop = Arc::new(AtomicBool::new(false));
-    let mut workers = Vec::new();
+    let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     while !stop.load(Ordering::Acquire) {
+        workers.retain(|w| !w.is_finished());
+        metrics::CONNECTIONS.set(workers.len() as f64);
         match listener.accept() {
             Ok((stream, _addr)) => {
                 let h = handle.clone();
@@ -129,7 +133,10 @@ fn handle_request(
         }
         "session_step" => {
             let id = session_id()?;
-            let steps = header.get("steps").and_then(Value::as_int).unwrap_or(1) as usize;
+            // Absent means one step; present, it must be an integer.
+            let steps = header.get("steps").map_or(Some(1), Value::as_int).ok_or_else(|| {
+                ServeError::Protocol("`steps` must be a non-negative integer".into())
+            })? as usize;
             let out = handle.session_step(id, steps)?;
             Ok((Some(out), Some(id)))
         }

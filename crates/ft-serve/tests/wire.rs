@@ -1,7 +1,7 @@
 //! TCP loopback integration: a real `serve_tcp` server, a real client
 //! speaking [`ft_serve::proto`], full request/response/session lifecycle.
 
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 
 use ft_serve::proto::{self, Value};
@@ -122,6 +122,43 @@ fn full_lifecycle_over_loopback() {
     assert_eq!(h["ok"], Value::Bool(true));
 
     // shutdown stops the accept loop
+    let (h, _) = c.roundtrip(|w| proto::write_bare(w, "shutdown"));
+    assert_eq!(h["ok"], Value::Bool(true));
+    server.join().unwrap().unwrap();
+}
+
+#[test]
+fn session_step_steps_must_be_an_integer() {
+    let mut reg = ModelRegistry::new();
+    reg.insert("default", tiny_model()).unwrap();
+    let engine = ServeEngine::new(reg, ServeConfig::default());
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let handle = engine.handle();
+    let server = std::thread::spawn(move || proto_server(handle, listener));
+    let mut c = Client::connect(addr);
+
+    let x = Tensor::from_fn(&[4, 8, 8], |i| (i[0] + i[1] * i[2]) as f64 * 0.01);
+    let (h, _) = c.roundtrip(|w| proto::write_session_open(w, "default", &x));
+    let sid = h["session"].as_int().unwrap();
+    // A `steps` that is present but not an integer is a protocol error,
+    // not a silent single step; the connection stays usable.
+    for steps in [r#""5""#, "true", "[1]"] {
+        let (h, p) = c.roundtrip(|w| {
+            writeln!(w, r#"{{"type":"session_step","session":{sid},"steps":{steps}}}"#)?;
+            w.flush()
+        });
+        assert_eq!(h["error"].as_str(), Some("protocol"), "steps {steps}: {h:?}");
+        assert!(p.is_none());
+    }
+    // An absent `steps` still means one step.
+    let (h, p) = c.roundtrip(|w| {
+        writeln!(w, r#"{{"type":"session_step","session":{sid}}}"#)?;
+        w.flush()
+    });
+    assert_eq!(h["ok"], Value::Bool(true), "{h:?}");
+    assert_eq!(p.unwrap().dims(), &[1, 8, 8]);
+
     let (h, _) = c.roundtrip(|w| proto::write_bare(w, "shutdown"));
     assert_eq!(h["ok"], Value::Bool(true));
     server.join().unwrap().unwrap();

@@ -97,6 +97,38 @@ if [ -z "$ADDR" ]; then
     cat "$SMOKE_DIR/serve.log" >&2
     exit 1
 fi
+
+# Malformed clients, before the good ones: a non-JSON header line and a
+# 64 KiB line of `[` (a nesting bomb the depth-bounded reader must refuse)
+# must each get a `protocol` error reply, and the server must keep
+# accepting. These never touch serve-bench's counters, so its gate below
+# is unchanged.
+echo "==> serve smoke: malformed clients get protocol errors"
+# Sends stdin on a fresh connection and prints the first reply line.
+wire_reply() {
+    local reply=""
+    exec 3<>"/dev/tcp/${ADDR%:*}/${ADDR##*:}"
+    cat >&3
+    IFS= read -r -t 10 reply <&3 || true
+    exec 3<&-
+    printf '%s\n' "$reply"
+}
+for probe in not-json bracket-bomb; do
+    case "$probe" in
+        not-json) REPLY_LINE=$(printf 'this is not json\n' | wire_reply) ;;
+        bracket-bomb) REPLY_LINE=$({ head -c 65536 /dev/zero | tr '\0' '['; echo; } | wire_reply) ;;
+    esac
+    case "$REPLY_LINE" in
+        *'"error":"protocol"'*) echo "$probe: $REPLY_LINE" ;;
+        *) echo "fno-serve answered $probe with: '$REPLY_LINE'" >&2; exit 1 ;;
+    esac
+done
+REPLY_LINE=$(printf '{"type":"ping"}\n' | wire_reply)
+if [ "$REPLY_LINE" != '{"ok":true}' ]; then
+    echo "fno-serve stopped accepting after malformed clients: '$REPLY_LINE'" >&2
+    exit 1
+fi
+
 ./target/release/serve-bench --addr "$ADDR" --requests 50 --clients 4 \
     --channels 10 --grid 16 --shutdown --bench-out "$SMOKE_DIR/BENCH_serve.json"
 wait "$SERVE_PID"
