@@ -13,9 +13,11 @@
 //! * [`PointwiseMlp`] — `Linear → Gelu → Linear` fused over fixed spatial
 //!   tiles (the FNO's 256-wide lifting and projection MLPs), never
 //!   materializing the hidden tensor,
-//! * [`SpectralConv`] — the Fourier-space convolution: `rfftn`, a truncated
-//!   per-mode complex channel mix, `irfftn`; generic over 2 or 3 transform
-//!   dimensions so the same code backs the 2D-with-channels and 3D models.
+//! * [`SpectralConv`] — the Fourier-space convolution: a mode-truncated
+//!   `rfftn`, a per-mode complex channel mix on the kept modes, and the
+//!   matching inverse, never forming the full spectrum; generic over 2 or 3
+//!   transform dimensions so the same code backs the 2D-with-channels and
+//!   3D models.
 //!   Gradients flow through the FFTs via the adjoint identities derived in
 //!   [`spectral`],
 //! * [`loss::RelativeL2`] — the per-sample relative L2 training loss,

@@ -7,22 +7,58 @@
 //! `fourier_2d.py`); this is exactly the parameter layout that reproduces
 //! the paper's Table I counts.
 //!
+//! # The compact kept-mode spectrum
+//!
+//! Truncation keeps a small block (at 256² with modes 32: 17 of 129
+//! half-spectrum columns and 64 of 256 rows), so the layer never forms the
+//! full spectrum. For an input `[B, C, n1, (n2,) w]` with effective modes
+//! `e1, (e2,) kc` it works on a `[B, C, 2·e1, (e2,) kc]` tensor laid out
+//! like the weight blocks: the first `kc` half-spectrum columns; along the
+//! first transformed axis the non-negative rows `0..e1` followed by the
+//! negative rows `n1−e1..n1`; along a 3D middle axis the non-negative rows
+//! `0..e2`. The mode mix, the training cache and the backward all run on it.
+//!
+//! * Forward transform: rfft the rows and keep `kc` columns; then, axis by
+//!   axis in the order `rfftn` uses, FFT the kept lines at full length and
+//!   crop to the kept rows.
+//! * Inverse transform: axis by axis in the order `irfftn` uses, zero-embed
+//!   to full length and inverse-FFT only the lines that hold kept modes;
+//!   zero-fill the columns past `kc` and run the row irfft.
+//!
 //! # FFT adjoints
 //!
 //! With the real-pair gradient convention (`g = ∂L/∂Re + i·∂L/∂Im`) and the
-//! unnormalized-forward / `1/N`-inverse FFT convention, the two identities
-//! used by the backward pass are (derived in closed form from the transform
-//! sums; validated by finite differences in this module's tests):
+//! unnormalized-forward / `1/N`-inverse FFT convention (`N` = product of the
+//! transformed extents), the backward pass uses two identities on the
+//! compact spectrum, both through real transforms (derived in closed form
+//! from the transform sums; checked by dot-product tests and finite
+//! differences in this module's tests):
 //!
-//! * adjoint of `irfftn`: `grad_Ŷ = (1/N_total) · s_k ⊙ rfftn(G)`, where
-//!   `s_k = 2` on bins of the halved axis with a distinct conjugate partner
-//!   and `s_k = 1` (with the imaginary part projected out) on the
-//!   self-conjugate DC/Nyquist bins;
-//! * adjoint of `rfftn`: `grad_X = N_total · Re(ifftn(zero-pad(ĝ)))`, where
-//!   the zero-pad embeds the half spectrum into the full last axis.
+//! * adjoint of the inverse: `grad_Ŷ = F(s_k/N ⊙ rfft_rows(G))`, where `F`
+//!   is the forward transform of the kept columns (FFT and crop, as above),
+//!   `s_k = 2` on columns with a distinct conjugate partner and `s_k = 1`,
+//!   with the imaginary part projected out, on the self-conjugate DC/Nyquist
+//!   columns. The projection is not complex-linear, so it comes before `F`;
+//! * adjoint of the forward: `grad_X = irfft_rows(N·h_k ⊙ F⁻¹(ĝ))`, where
+//!   `F⁻¹` is the inverse transform above without the row step, `h_k = ½` on
+//!   columns with a conjugate partner and `h_k = 1` on self-conjugate ones.
+//!   This is `N·Re(ifftn(zero-pad(ĝ)))`: a c2r row transform of the
+//!   half-weighted bins sums each partner bin twice and drops the imaginary
+//!   parts of the self-conjugate ones.
+//!
+//! # Bit identity
+//!
+//! Every 1D line transform the compact path runs sees exactly the values it
+//! would see in a full-spectrum `rfftn`/`irfftn`, in the same axis order;
+//! the path only skips all-zero input lines and lines whose output is
+//! cropped away. So `infer`/`forward` outputs and the weight gradients are
+//! bit-identical to the full-spectrum computation, which this module's
+//! tests keep as their oracle. Only the input gradient differs (within
+//! 1e-13 relative), because a c2r row transform replaces a complex inverse
+//! FFT of the full last axis.
 
-use ft_fft::nd::{fftn, rfftn};
-use ft_fft::Direction;
+use ft_fft::nd::fft_axis;
+use ft_fft::{shared_real_plan, Direction};
 use ft_tensor::{CTensor, Complex64, Tensor};
 use rand::distributions::Uniform;
 use rand::Rng;
@@ -52,8 +88,9 @@ pub struct SpectralConv {
 
 #[derive(Clone)]
 struct Cache {
+    /// Compact kept-mode spectrum of the input.
     x_hat: CTensor,
-    input_dims: Vec<usize>,
+    trunc: Truncation,
 }
 
 impl SpectralConv {
@@ -111,272 +148,352 @@ impl SpectralConv {
         &self.modes
     }
 
-    /// Effective (grid-clamped) mode extents for spectral dims `spec`
-    /// (`spec` = physical dims with the last axis halved).
-    fn effective_modes(&self, spec: &[usize]) -> Vec<usize> {
-        let mut eff = Vec::with_capacity(self.ndim);
-        // First axis carries two sign blocks: each at most half the axis.
-        eff.push(self.modes[0].min(spec[0] / 2));
-        // Middle axes (3D only) keep the non-negative block.
-        for a in 1..self.ndim - 1 {
-            eff.push(self.modes[a].min(spec[a] / 2));
-        }
-        // Last axis is already halved.
-        eff.push(self.modes[self.ndim - 1].min(spec[self.ndim - 1]));
-        eff
+    /// The kept-mode geometry for an input `[B, c_in, spatial...]`, with
+    /// the mode extents clamped to what the grid supports.
+    fn truncation(&self, x_dims: &[usize]) -> Truncation {
+        assert_eq!(x_dims.len(), 2 + self.ndim, "expected [B, C, {} spatial dims]", self.ndim);
+        assert_eq!(x_dims[1], self.c_in, "input channels");
+        let dims = x_dims[2..].to_vec();
+        let last = self.ndim - 1;
+        // The first axis carries two sign blocks and a middle axis (3D) the
+        // non-negative one: each at most half the axis. The last axis is
+        // in half-spectrum units.
+        let eff = (0..self.ndim)
+            .map(|a| self.modes[a].min(if a == last { dims[a] / 2 + 1 } else { dims[a] / 2 }))
+            .collect();
+        Truncation { dims, eff }
     }
 
     /// Forward pass without caching (inference).
     pub fn infer(&self, x: &Tensor) -> Tensor {
-        let (y, _) = self.forward_impl(x);
+        let trunc = self.truncation(x.dims());
+        let (y, _) = self.forward_impl(x, &trunc);
         y
     }
 
-    fn forward_impl(&self, x: &Tensor) -> (Tensor, CTensor) {
-        let dims = x.dims().to_vec();
-        assert_eq!(dims.len(), 2 + self.ndim, "expected [B, C, {} spatial dims]", self.ndim);
-        assert_eq!(dims[1], self.c_in, "input channels");
-        let b = dims[0];
-        let spatial = &dims[2..];
-        let last = spatial[self.ndim - 1];
+    fn forward_impl(&self, x: &Tensor, trunc: &Truncation) -> (Tensor, CTensor) {
+        let x_hat = trunc.rfft(x);
+        let plane = trunc.plane_len();
 
-        let x_hat = rfftn(x, self.ndim);
-        let spec: Vec<usize> = x_hat.dims()[2..].to_vec();
-        let spec_len: usize = spec.iter().product();
-        let eff = self.effective_modes(&spec);
-
-        let mut y_dims = vec![b, self.c_out];
-        y_dims.extend_from_slice(&spec);
+        let mut y_dims = x_hat.dims().to_vec();
+        y_dims[1] = self.c_out;
         let mut y_hat = CTensor::zeros(&y_dims);
 
         let w1 = self.weights1.value.data();
         let w2 = self.weights2.value.data();
+        let wlen: usize = self.modes.iter().product();
+        let kept = trunc.weight_indices(&self.modes);
         let xd = x_hat.data();
         let (c_in, c_out) = (self.c_in, self.c_out);
-        let modes = self.modes.clone();
-        let ndim = self.ndim;
-        let spec2 = spec.clone();
-        let eff2 = eff.clone();
 
-        y_hat
-            .data_mut()
-            .par_chunks_mut(c_out * spec_len)
-            .enumerate()
-            .for_each(|(bi, yb)| {
-                let xb = &xd[bi * c_in * spec_len..(bi + 1) * c_in * spec_len];
-                for_each_kept_mode(&spec2, &eff2, &modes, ndim, |spec_idx, w_idx, neg_block| {
-                    let w = if neg_block { w2 } else { w1 };
-                    let wlen: usize = modes.iter().product();
-                    for o in 0..c_out {
-                        let mut acc = Complex64::ZERO;
-                        for i in 0..c_in {
-                            let wv = w[(i * c_out + o) * wlen + w_idx];
-                            acc = xb[i * spec_len + spec_idx].mul_add(wv, acc);
-                        }
-                        yb[o * spec_len + spec_idx] = acc;
+        // Ŷ = Σ_i X̂·W per (sample, output channel) plane, summed over
+        // input channels in order.
+        if plane > 0 {
+            y_hat.data_mut().par_chunks_mut(plane).enumerate().for_each(|(bo, yp)| {
+                let (bi, o) = (bo / c_out, bo % c_out);
+                for i in 0..c_in {
+                    let xp = &xd[(bi * c_in + i) * plane..][..plane];
+                    let wi = (i * c_out + o) * wlen;
+                    for ((y, x), &(w_idx, neg)) in yp.iter_mut().zip(xp).zip(&kept) {
+                        let w = if neg { w2 } else { w1 };
+                        *y = x.mul_add(w[wi + w_idx], *y);
                     }
-                });
+                }
             });
-
-        let y = ft_fft::nd::irfftn(&y_hat, last, self.ndim);
-        let _ = spatial;
-        (y, x_hat)
+        }
+        (trunc.irfft(y_hat), x_hat)
     }
 }
 
-/// Iterates over every kept spectral mode. Calls `f(spec_idx, w_idx, neg)`
-/// with the flattened index into a per-channel spectrum plane, the
-/// flattened index into a weight block, and whether the negative-frequency
-/// block (weights2) applies.
-fn for_each_kept_mode(
-    spec: &[usize],
-    eff: &[usize],
-    modes: &[usize],
-    ndim: usize,
-    mut f: impl FnMut(usize, usize, bool),
-) {
-    match ndim {
-        2 => {
-            let (d1, d2) = (spec[0], spec[1]);
-            let (m1, m2) = (modes[0], modes[1]);
-            let (e1, e2) = (eff[0], eff[1]);
-            for k1 in 0..e1 {
-                for k2 in 0..e2 {
-                    f(k1 * d2 + k2, k1 * m2 + k2, false);
-                    f((d1 - e1 + k1) * d2 + k2, (m1 - e1 + k1) * m2 + k2, true);
-                }
-            }
-        }
-        3 => {
-            let (d1, d2, d3) = (spec[0], spec[1], spec[2]);
-            let (m1, m2, m3) = (modes[0], modes[1], modes[2]);
-            let (e1, e2, e3) = (eff[0], eff[1], eff[2]);
-            let _ = d1;
-            for k1 in 0..e1 {
-                for k2 in 0..e2 {
-                    for k3 in 0..e3 {
-                        f(
-                            (k1 * d2 + k2) * d3 + k3,
-                            (k1 * m2 + k2) * m3 + k3,
-                            false,
-                        );
-                        f(
-                            ((spec[0] - e1 + k1) * d2 + k2) * d3 + k3,
-                            ((m1 - e1 + k1) * m2 + k2) * m3 + k3,
-                            true,
-                        );
-                    }
-                }
-            }
-        }
-        _ => unreachable!(),
-    }
+/// The compact kept-mode spectrum of one input shape (see the module doc).
+#[derive(Clone)]
+struct Truncation {
+    /// Physical extents of the transformed axes.
+    dims: Vec<usize>,
+    /// Effective modes per transformed axis: rows per sign block on the
+    /// first axis, non-negative rows on a middle axis, half-spectrum
+    /// columns (`kc`) on the last.
+    eff: Vec<usize>,
 }
 
-/// Adjoint of `irfftn` under the real-pair gradient convention:
-/// `grad_Ŷ = (1/N) · s ⊙ rfftn(G)` with the self-conjugate bins of the
-/// halved axis projected to their real parts.
-pub fn irfftn_adjoint(g: &Tensor, ndim: usize) -> CTensor {
-    let dims = g.dims();
-    let rank = dims.len();
-    let last = dims[rank - 1];
-    let n_total: usize = dims[rank - ndim..].iter().product();
+impl Truncation {
+    /// Physical length of the last transformed axis (the rows).
+    fn w(&self) -> usize {
+        self.dims[self.dims.len() - 1]
+    }
 
-    // Step 1: adjoint of the per-row irfft — forward rfft of the rows with
-    // the doubling factor on bins that have a distinct conjugate partner
-    // and a real projection on the self-conjugate DC/Nyquist bins. The
-    // projection is not complex-linear, so it must happen *before* the
-    // full-axis transforms below.
-    let mut out = rfftn(g, 1);
-    let half = out.dims()[rank - 1];
-    let inv = 1.0 / n_total as f64;
-    for (idx, z) in out.data_mut().iter_mut().enumerate() {
-        let kl = idx % half;
-        let self_conj = kl == 0 || (last % 2 == 0 && kl == last / 2);
-        if self_conj {
-            *z = Complex64::from_re(z.re * inv);
+    /// Kept half-spectrum columns.
+    fn kc(&self) -> usize {
+        self.eff[self.eff.len() - 1]
+    }
+
+    /// Entries per `[B, C]` plane of the compact spectrum.
+    fn plane_len(&self) -> usize {
+        2 * self.eff.iter().product::<usize>()
+    }
+
+    /// For every entry of a `[B, C]` plane of the compact spectrum, in
+    /// order: its flattened index into a weight block of extents `modes`,
+    /// and whether the negative-frequency block (weights2) applies.
+    fn weight_indices(&self, modes: &[usize]) -> Vec<(usize, bool)> {
+        let ndim = self.eff.len();
+        let e1 = self.eff[0];
+        // Extents of the trailing axes in the compact plane and in a weight
+        // block; a 2D layer has a unit middle axis.
+        let (e_mid, m_mid) = if ndim == 3 { (self.eff[1], modes[1]) } else { (1, 1) };
+        let (kc, m_last) = (self.kc(), modes[ndim - 1]);
+        let mut out = Vec::with_capacity(self.plane_len());
+        for r in 0..2 * e1 {
+            // Compact rows `e1..2·e1` are the negative block; the last `e1`
+            // rows of its weight block apply.
+            let (wr, neg) = if r < e1 { (r, false) } else { (modes[0] + r - 2 * e1, true) };
+            for k2 in 0..e_mid {
+                for k3 in 0..kc {
+                    out.push(((wr * m_mid + k2) * m_last + k3, neg));
+                }
+            }
+        }
+        out
+    }
+
+    /// The indices of transformed axis `a` that the compact spectrum keeps.
+    fn kept(&self, a: usize) -> Vec<usize> {
+        let (n, e) = (self.dims[a], self.eff[a]);
+        if a == 0 {
+            (0..e).chain(n - e..n).collect()
         } else {
-            *z *= 2.0 * inv;
+            (0..e).collect()
         }
     }
 
-    // Step 2: adjoint of each inverse full-axis transform is the forward
-    // transform divided by the axis length — the 1/axis factors are already
-    // folded into `inv` above.
-    for a in (rank - ndim)..(rank - 1) {
-        ft_fft::nd::fft_axis(&mut out, a, Direction::Forward);
+    /// `true` for the half-spectrum columns without a distinct conjugate
+    /// partner (DC and, for an even last axis, Nyquist).
+    fn self_conjugate(&self, col: usize) -> bool {
+        let w = self.w();
+        col == 0 || (w % 2 == 0 && col == w / 2)
+    }
+
+    /// Row rfft of `x [.., w]`, keeping the first `kc` columns.
+    fn rfft_rows(&self, x: &Tensor) -> CTensor {
+        let (w, kc) = (self.w(), self.kc());
+        let mut dims = x.dims().to_vec();
+        *dims.last_mut().expect("rank ≥ 3") = kc;
+        let mut out = CTensor::zeros(&dims);
+        let rp = shared_real_plan(w);
+        let (block, mut lines) = row_tasks(x.len() / w, w);
+        out.data_mut()
+            .par_chunks_mut(block * kc)
+            .zip(x.data().par_chunks(block * w))
+            .zip(lines.chunks_exact_mut(w / 2 + 1))
+            .for_each(|((dst, src), line)| {
+                for (d, s) in dst.chunks_exact_mut(kc).zip(src.chunks_exact(w)) {
+                    rp.rfft_into(s, line);
+                    d.copy_from_slice(&line[..kc]);
+                }
+            });
+        out
+    }
+
+    /// Row irfft of `t [.., kc]`, the half-spectrum columns past `kc` zero.
+    fn irfft_rows(&self, t: &CTensor) -> Tensor {
+        let (w, kc) = (self.w(), self.kc());
+        let mut dims = t.dims().to_vec();
+        *dims.last_mut().expect("rank ≥ 3") = w;
+        let mut out = Tensor::zeros(&dims);
+        let rp = shared_real_plan(w);
+        let (block, mut lines) = row_tasks(t.len() / kc, w);
+        out.data_mut()
+            .par_chunks_mut(block * w)
+            .zip(t.data().par_chunks(block * kc))
+            .zip(lines.chunks_exact_mut(w / 2 + 1))
+            .for_each(|((dst, src), line)| {
+                for (d, s) in dst.chunks_exact_mut(w).zip(src.chunks_exact(kc)) {
+                    line[..kc].copy_from_slice(s);
+                    rp.irfft_into(line, d);
+                }
+            });
+        out
+    }
+
+    /// Forward transform of the kept columns: FFT each remaining axis in
+    /// turn and crop it to its kept rows.
+    fn fft_kept(&self, mut t: CTensor) -> CTensor {
+        for a in 0..self.dims.len() - 1 {
+            fft_lines(&mut t, 2 + a, Direction::Forward);
+            t = gather_axis(t, 2 + a, &self.kept(a));
+        }
+        t
+    }
+
+    /// `x [B, C, spatial...]` → its compact spectrum.
+    fn rfft(&self, x: &Tensor) -> CTensor {
+        self.fft_kept(self.rfft_rows(x))
+    }
+
+    /// Compact spectrum → `[B, C, spatial...]`, as `irfftn` of the spectrum
+    /// zero outside the kept modes.
+    fn irfft(&self, mut t: CTensor) -> Tensor {
+        let last = self.dims.len() - 1;
+        for a in 0..last {
+            t = scatter_axis(t, 2 + a, &self.kept(a), self.dims[a]);
+            fft_lines(&mut t, 2 + a, Direction::Inverse);
+        }
+        self.irfft_rows(&t)
+    }
+
+    /// Adjoint of [`Truncation::irfft`]: `F(s_k/N ⊙ rfft_rows(G))`.
+    fn irfft_adjoint(&self, g: &Tensor) -> CTensor {
+        let mut t = self.rfft_rows(g);
+        let kc = self.kc();
+        let inv = 1.0 / self.dims.iter().product::<usize>() as f64;
+        for (idx, z) in t.data_mut().iter_mut().enumerate() {
+            if self.self_conjugate(idx % kc) {
+                *z = Complex64::from_re(z.re * inv);
+            } else {
+                *z *= 2.0 * inv;
+            }
+        }
+        self.fft_kept(t)
+    }
+
+    /// Adjoint of [`Truncation::rfft`]: `irfft_rows(N·h_k ⊙ F⁻¹(ĝ))`.
+    fn rfft_adjoint(&self, mut g_hat: CTensor) -> Tensor {
+        let kc = self.kc();
+        let n_total = self.dims.iter().product::<usize>() as f64;
+        for (idx, z) in g_hat.data_mut().iter_mut().enumerate() {
+            *z *= if self.self_conjugate(idx % kc) { n_total } else { 0.5 * n_total };
+        }
+        self.irfft(g_hat)
+    }
+}
+
+/// Splits a row transform over `rows` rows of length `w` into parallel
+/// tasks: returns the rows per task, enough tasks
+/// (`rayon::MIN_PARALLEL_ITEMS`) for the pool to share them out, and one
+/// zeroed half-spectrum line per task, in a single allocation.
+fn row_tasks(rows: usize, w: usize) -> (usize, Vec<Complex64>) {
+    let block = (rows / rayon::MIN_PARALLEL_ITEMS).max(1);
+    (block, vec![Complex64::ZERO; rows.div_ceil(block) * (w / 2 + 1)])
+}
+
+/// In-place FFT along `axis`, skipping a tensor that holds no lines (a grid
+/// too small to keep any mode on some axis).
+fn fft_lines(t: &mut CTensor, axis: usize, dir: Direction) {
+    if !t.is_empty() {
+        fft_axis(t, axis, dir);
+    }
+}
+
+/// The entries of `t` at indices `keep` (ascending) along `axis`.
+fn gather_axis(t: CTensor, axis: usize, keep: &[usize]) -> CTensor {
+    let dims = t.dims();
+    let (n, inner) = (dims[axis], dims[axis + 1..].iter().product::<usize>());
+    if keep.len() == n {
+        return t;
+    }
+    let mut out_dims = dims.to_vec();
+    out_dims[axis] = keep.len();
+    let mut out = Vec::with_capacity(out_dims.iter().product());
+    if inner > 0 {
+        for src in t.data().chunks_exact(n * inner) {
+            for &k in keep {
+                out.extend_from_slice(&src[k * inner..(k + 1) * inner]);
+            }
+        }
+    }
+    CTensor::from_vec(&out_dims, out)
+}
+
+/// Embeds `t` at indices `keep` (ascending) along `axis` of a zero tensor
+/// whose `axis` extent is `n`: the adjoint of [`gather_axis`].
+fn scatter_axis(t: CTensor, axis: usize, keep: &[usize], n: usize) -> CTensor {
+    let dims = t.dims();
+    let inner: usize = dims[axis + 1..].iter().product();
+    if keep.len() == n {
+        return t;
+    }
+    let mut out_dims = dims.to_vec();
+    out_dims[axis] = n;
+    let mut out = CTensor::zeros(&out_dims);
+    if !t.is_empty() {
+        for (dst, src) in out
+            .data_mut()
+            .chunks_exact_mut(n * inner)
+            .zip(t.data().chunks_exact(keep.len() * inner))
+        {
+            for (s, &k) in src.chunks_exact(inner).zip(keep) {
+                dst[k * inner..(k + 1) * inner].copy_from_slice(s);
+            }
+        }
     }
     out
-}
-
-/// Adjoint of `rfftn` under the real-pair gradient convention:
-/// `grad_X = N · Re(ifftn(zero-pad(ĝ)))`.
-pub fn rfftn_adjoint(g_hat: &CTensor, last_dim: usize, ndim: usize) -> Tensor {
-    let dims = g_hat.dims().to_vec();
-    let rank = dims.len();
-    let half = dims[rank - 1];
-    assert_eq!(half, last_dim / 2 + 1, "half-spectrum extent mismatch");
-
-    // Zero-pad the last axis to the full length.
-    let mut full_dims = dims.clone();
-    full_dims[rank - 1] = last_dim;
-    let mut full = CTensor::zeros(&full_dims);
-    {
-        let src = g_hat.data();
-        let dst = full.data_mut();
-        let rows = src.len() / half;
-        for r in 0..rows {
-            dst[r * last_dim..r * last_dim + half].copy_from_slice(&src[r * half..(r + 1) * half]);
-        }
-    }
-    let n_total: usize = full_dims[rank - ndim..].iter().product();
-    let inv = fftn(&full, ndim, Direction::Inverse);
-    inv.re().scale(n_total as f64)
 }
 
 impl Layer for SpectralConv {
     fn forward(&mut self, x: &Tensor) -> Tensor {
         let _span = ft_obs::span("spectral_conv.forward");
-        let input_dims = x.dims().to_vec();
-        let (y, x_hat) = self.forward_impl(x);
-        self.cache = Some(Cache { x_hat, input_dims });
+        let trunc = self.truncation(x.dims());
+        let (y, x_hat) = self.forward_impl(x, &trunc);
+        self.cache = Some(Cache { x_hat, trunc });
         y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let _span = ft_obs::span("spectral_conv.backward");
-        let Cache { x_hat, input_dims } =
+        let Cache { x_hat, trunc } =
             self.cache.take().expect("backward called without a cached forward");
-        let b = input_dims[0];
-        let last = input_dims[input_dims.len() - 1];
 
         // Gradient into Ŷ.
-        let gy_hat = irfftn_adjoint(grad_out, self.ndim);
-        let spec: Vec<usize> = gy_hat.dims()[2..].to_vec();
-        let spec_len: usize = spec.iter().product();
-        let eff = self.effective_modes(&spec);
+        let gy_hat = trunc.irfft_adjoint(grad_out);
+        let plane = trunc.plane_len();
         let wlen: usize = self.modes.iter().product();
 
-        // Gradient into X̂ and into the weights. Parallel over batches with
-        // a per-batch weight-gradient accumulator, reduced at the end.
         let w1 = self.weights1.value.data();
         let w2 = self.weights2.value.data();
+        let kept = trunc.weight_indices(&self.modes);
         let xd = x_hat.data();
         let gyd = gy_hat.data();
-        let (c_in, c_out) = (self.c_in, self.c_out);
-        let modes = self.modes.clone();
-        let ndim = self.ndim;
+        let (b, c_in, c_out) = (x_hat.dims()[0], self.c_in, self.c_out);
 
+        // grad_X̂ = Σ_o conj(W)·grad_Ŷ per (sample, input channel) plane,
+        // and grad_W = Σ_b conj(X̂)·grad_Ŷ per (input, output channel)
+        // plane, each summed in index order.
         let mut gx_hat = CTensor::zeros(x_hat.dims());
-        let per_w = c_in * c_out * wlen;
-
-        let (wgrads1, wgrads2): (Vec<Complex64>, Vec<Complex64>) = {
-            let gx_chunks: Vec<&mut [Complex64]> =
-                gx_hat.data_mut().chunks_mut(c_in * spec_len).collect();
-            gx_chunks
-                .into_par_iter()
-                .enumerate()
-                .map(|(bi, gxb)| {
-                    let xb = &xd[bi * c_in * spec_len..(bi + 1) * c_in * spec_len];
-                    let gyb = &gyd[bi * c_out * spec_len..(bi + 1) * c_out * spec_len];
-                    let mut gw1 = vec![Complex64::ZERO; per_w];
-                    let mut gw2 = vec![Complex64::ZERO; per_w];
-                    for_each_kept_mode(&spec, &eff, &modes, ndim, |spec_idx, w_idx, neg| {
-                        let (w, gw) = if neg { (w2, &mut gw2) } else { (w1, &mut gw1) };
-                        for o in 0..c_out {
-                            let gyv = gyb[o * spec_len + spec_idx];
-                            for i in 0..c_in {
-                                let flat = (i * c_out + o) * wlen + w_idx;
-                                // grad_W = conj(X̂)·grad_Ŷ; grad_X̂ += conj(W)·grad_Ŷ.
-                                gw[flat] += xb[i * spec_len + spec_idx].conj() * gyv;
-                                gxb[i * spec_len + spec_idx] += w[flat].conj() * gyv;
-                            }
-                        }
-                    });
-                    (gw1, gw2)
-                })
-                .reduce(
-                    || (vec![Complex64::ZERO; per_w], vec![Complex64::ZERO; per_w]),
-                    |(mut a1, mut a2), (b1, b2)| {
-                        for (x, y) in a1.iter_mut().zip(&b1) {
-                            *x += *y;
-                        }
-                        for (x, y) in a2.iter_mut().zip(&b2) {
-                            *x += *y;
-                        }
-                        (a1, a2)
-                    },
-                )
-        };
-        let _ = b;
-        for (g, v) in self.weights1.grad.data_mut().iter_mut().zip(&wgrads1) {
-            *g += *v;
-        }
-        for (g, v) in self.weights2.grad.data_mut().iter_mut().zip(&wgrads2) {
-            *g += *v;
+        if plane > 0 {
+            gx_hat.data_mut().par_chunks_mut(plane).enumerate().for_each(|(bi_i, gxp)| {
+                let (bi, i) = (bi_i / c_in, bi_i % c_in);
+                for o in 0..c_out {
+                    let gyp = &gyd[(bi * c_out + o) * plane..][..plane];
+                    let wi = (i * c_out + o) * wlen;
+                    for ((g, gy), &(w_idx, neg)) in gxp.iter_mut().zip(gyp).zip(&kept) {
+                        let w = if neg { w2 } else { w1 };
+                        *g += w[wi + w_idx].conj() * *gy;
+                    }
+                }
+            });
+            let mut gw = vec![Complex64::ZERO; c_in * c_out * plane];
+            gw.par_chunks_mut(plane).enumerate().for_each(|(io, gwp)| {
+                let (i, o) = (io / c_out, io % c_out);
+                for bi in 0..b {
+                    let xp = &xd[(bi * c_in + i) * plane..][..plane];
+                    let gyp = &gyd[(bi * c_out + o) * plane..][..plane];
+                    for ((g, x), gy) in gwp.iter_mut().zip(xp).zip(gyp) {
+                        *g += x.conj() * *gy;
+                    }
+                }
+            });
+            // Entries of the weight blocks past the kept modes get no gradient.
+            let (g1, g2) = (self.weights1.grad.data_mut(), self.weights2.grad.data_mut());
+            for (io, gwp) in gw.chunks_exact(plane).enumerate() {
+                for (g, &(w_idx, neg)) in gwp.iter().zip(&kept) {
+                    let dst =
+                        if neg { &mut g2[io * wlen + w_idx] } else { &mut g1[io * wlen + w_idx] };
+                    *dst += *g;
+                }
+            }
         }
 
-        rfftn_adjoint(&gx_hat, last, self.ndim)
+        trunc.rfft_adjoint(gx_hat)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamMut<'_>)) {
@@ -401,50 +518,80 @@ mod tests {
         Tensor::random(dims, &Uniform::new(-1.0, 1.0), &mut rng)
     }
 
-    #[test]
-    fn irfftn_adjoint_identity_dot_test() {
-        // ⟨G, irfftn(Z)⟩_R must equal ⟨adj(G), Z⟩_R for arbitrary G, Z.
-        let (h, w) = (6usize, 8usize);
-        let wh = w / 2 + 1;
-        let mut rng = StdRng::seed_from_u64(11);
-        let g = Tensor::random(&[1, 1, h, w], &Uniform::new(-1.0, 1.0), &mut rng);
-        let z = CTensor::from_fn(&[1, 1, h, wh], |_| {
-            Complex64::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5)
-        });
-        let y = ft_fft::nd::irfftn(&z, w, 2);
-        let lhs = g.dot(&y);
-        let adj = irfftn_adjoint(&g, 2);
-        // Real inner product ⟨a, z⟩_R = Σ Re(a)Re(z) + Im(a)Im(z).
-        let rhs: f64 = adj
-            .data()
-            .iter()
-            .zip(z.data())
-            .map(|(a, b)| a.re * b.re + a.im * b.im)
-            .sum();
-        // The self-conjugate bins' imaginary parts are ignored by irfftn, so
-        // the identity holds exactly because adj projects them to zero.
-        assert!((lhs - rhs).abs() < 1e-9 * lhs.abs().max(1.0), "{lhs} vs {rhs}");
+    /// Random compact spectra and real fields for the dot-product tests.
+    fn rand_complex(dims: &[usize], rng: &mut StdRng) -> CTensor {
+        CTensor::from_fn(dims, |_| Complex64::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
+    }
+
+    /// Real inner product `⟨a, z⟩_R = Σ Re(a)Re(z) + Im(a)Im(z)`.
+    fn dot_r(a: &CTensor, z: &CTensor) -> f64 {
+        a.data().iter().zip(z.data()).map(|(a, b)| a.re * b.re + a.im * b.im).sum()
+    }
+
+    /// Truncations for the dot-product tests: cropped on every axis, and
+    /// keeping the full first axis with the Nyquist column (even `w`).
+    fn dot_test_truncations() -> Vec<Truncation> {
+        vec![
+            Truncation { dims: vec![6, 8], eff: vec![2, 3] },
+            Truncation { dims: vec![6, 8], eff: vec![3, 5] },
+            Truncation { dims: vec![4, 5], eff: vec![1, 2] },
+            Truncation { dims: vec![4, 6, 5], eff: vec![2, 2, 2] },
+            Truncation { dims: vec![4, 6, 6], eff: vec![2, 3, 4] },
+        ]
+    }
+
+    fn with_lead(lead: &[usize], t: &[usize]) -> Vec<usize> {
+        lead.iter().chain(t).copied().collect()
     }
 
     #[test]
-    fn rfftn_adjoint_identity_dot_test() {
-        let (h, w) = (4usize, 6usize);
-        let wh = w / 2 + 1;
+    fn irfft_adjoint_identity_dot_test() {
+        // ⟨G, irfft(Z)⟩_R must equal ⟨adj(G), Z⟩_R for arbitrary G and
+        // compact Z.
+        let mut rng = StdRng::seed_from_u64(11);
+        for trunc in dot_test_truncations() {
+            let g = Tensor::random(
+                &with_lead(&[1, 1], &trunc.dims),
+                &Uniform::new(-1.0, 1.0),
+                &mut rng,
+            );
+            let mut zdims = with_lead(&[1, 1], &trunc.eff);
+            zdims[2] *= 2;
+            let z = rand_complex(&zdims, &mut rng);
+            let lhs = g.dot(&trunc.irfft(z.clone()));
+            let rhs = dot_r(&trunc.irfft_adjoint(&g), &z);
+            // The self-conjugate columns' imaginary parts are ignored by the
+            // row irfft, so the identity holds exactly because the adjoint
+            // projects them to zero.
+            assert!(
+                (lhs - rhs).abs() < 1e-9 * lhs.abs().max(1.0),
+                "{:?}: {lhs} vs {rhs}",
+                trunc.eff
+            );
+        }
+    }
+
+    #[test]
+    fn rfft_adjoint_identity_dot_test() {
+        // ⟨ĝ, rfft(X)⟩_R must equal ⟨adj(ĝ), X⟩ for arbitrary X and compact ĝ.
         let mut rng = StdRng::seed_from_u64(12);
-        let x = Tensor::random(&[1, 1, h, w], &Uniform::new(-1.0, 1.0), &mut rng);
-        let ghat = CTensor::from_fn(&[1, 1, h, wh], |_| {
-            Complex64::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5)
-        });
-        let xhat = rfftn(&x, 2);
-        let lhs: f64 = ghat
-            .data()
-            .iter()
-            .zip(xhat.data())
-            .map(|(a, b)| a.re * b.re + a.im * b.im)
-            .sum();
-        let gx = rfftn_adjoint(&ghat, w, 2);
-        let rhs = gx.dot(&x);
-        assert!((lhs - rhs).abs() < 1e-9 * lhs.abs().max(1.0), "{lhs} vs {rhs}");
+        for trunc in dot_test_truncations() {
+            let x = Tensor::random(
+                &with_lead(&[1, 1], &trunc.dims),
+                &Uniform::new(-1.0, 1.0),
+                &mut rng,
+            );
+            let mut gdims = with_lead(&[1, 1], &trunc.eff);
+            gdims[2] *= 2;
+            let ghat = rand_complex(&gdims, &mut rng);
+            let lhs = dot_r(&ghat, &trunc.rfft(&x));
+            let rhs = trunc.rfft_adjoint(ghat).dot(&x);
+            assert!(
+                (lhs - rhs).abs() < 1e-9 * lhs.abs().max(1.0),
+                "{:?}: {lhs} vs {rhs}",
+                trunc.eff
+            );
+        }
     }
 
     #[test]
@@ -592,5 +739,276 @@ mod tests {
         let y = conv.infer(&x);
         assert_eq!(y.dims(), &[1, 1, 8, 8, 5]);
         assert!(y.all_finite());
+    }
+
+    /// The full-spectrum computation the compact path replaced: a full
+    /// `rfftn`, the mode mix on the full half spectrum, a full `irfftn`, and
+    /// the generic full-spectrum adjoints (a complex inverse FFT over the
+    /// zero-padded full last axis). The oracle of the parity tests.
+    mod full_spectrum {
+        use super::*;
+        use ft_fft::nd::{irfftn, rfftn};
+
+        fn effective_modes(conv: &SpectralConv, spec: &[usize]) -> Vec<usize> {
+            let nd = conv.ndim;
+            let mut eff = vec![conv.modes[0].min(spec[0] / 2)];
+            for a in 1..nd - 1 {
+                eff.push(conv.modes[a].min(spec[a] / 2));
+            }
+            eff.push(conv.modes[nd - 1].min(spec[nd - 1]));
+            eff
+        }
+
+        /// Calls `f(spec_idx, w_idx, neg)` for every kept mode of a full
+        /// half-spectrum plane.
+        fn for_each_mode(
+            spec: &[usize],
+            eff: &[usize],
+            modes: &[usize],
+            mut f: impl FnMut(usize, usize, bool),
+        ) {
+            let (e1, m1) = (eff[0], modes[0]);
+            let (e_mid, d_mid, m_mid) =
+                if spec.len() == 3 { (eff[1], spec[1], modes[1]) } else { (1, 1, 1) };
+            let (e_last, d_last, m_last) =
+                (eff[eff.len() - 1], spec[spec.len() - 1], modes[modes.len() - 1]);
+            for k1 in 0..e1 {
+                for k2 in 0..e_mid {
+                    for k3 in 0..e_last {
+                        f((k1 * d_mid + k2) * d_last + k3, (k1 * m_mid + k2) * m_last + k3, false);
+                        f(
+                            ((spec[0] - e1 + k1) * d_mid + k2) * d_last + k3,
+                            ((m1 - e1 + k1) * m_mid + k2) * m_last + k3,
+                            true,
+                        );
+                    }
+                }
+            }
+        }
+
+        /// Full-spectrum forward: the output and the full `rfftn` of `x`.
+        pub fn forward(conv: &SpectralConv, x: &Tensor) -> (Tensor, CTensor) {
+            let (b, nd) = (x.dims()[0], conv.ndim);
+            let last = x.dims()[x.dims().len() - 1];
+            let x_hat = rfftn(x, nd);
+            let spec: Vec<usize> = x_hat.dims()[2..].to_vec();
+            let spec_len: usize = spec.iter().product();
+            let eff = effective_modes(conv, &spec);
+            let wlen: usize = conv.modes.iter().product();
+            let (c_in, c_out) = (conv.c_in, conv.c_out);
+            let mut y_dims = vec![b, c_out];
+            y_dims.extend_from_slice(&spec);
+            let mut y_hat = CTensor::zeros(&y_dims);
+            let (w1, w2) = (conv.weights1.value.data(), conv.weights2.value.data());
+            let xd = x_hat.data();
+            for (bi, yb) in y_hat.data_mut().chunks_mut(c_out * spec_len).enumerate() {
+                let xb = &xd[bi * c_in * spec_len..(bi + 1) * c_in * spec_len];
+                for_each_mode(&spec, &eff, &conv.modes, |s, w_idx, neg| {
+                    let w = if neg { w2 } else { w1 };
+                    for o in 0..c_out {
+                        let mut acc = Complex64::ZERO;
+                        for i in 0..c_in {
+                            acc = xb[i * spec_len + s]
+                                .mul_add(w[(i * c_out + o) * wlen + w_idx], acc);
+                        }
+                        yb[o * spec_len + s] = acc;
+                    }
+                });
+            }
+            (irfftn(&y_hat, last, nd), x_hat)
+        }
+
+        /// Adjoint of `irfftn`: `(1/N) · s ⊙ rfftn(G)`.
+        fn irfftn_adjoint(g: &Tensor, ndim: usize) -> CTensor {
+            let dims = g.dims();
+            let rank = dims.len();
+            let last = dims[rank - 1];
+            let n_total: usize = dims[rank - ndim..].iter().product();
+            let mut out = rfftn(g, 1);
+            let half = out.dims()[rank - 1];
+            let inv = 1.0 / n_total as f64;
+            for (idx, z) in out.data_mut().iter_mut().enumerate() {
+                let kl = idx % half;
+                if kl == 0 || (last % 2 == 0 && kl == last / 2) {
+                    *z = Complex64::from_re(z.re * inv);
+                } else {
+                    *z *= 2.0 * inv;
+                }
+            }
+            for a in (rank - ndim)..(rank - 1) {
+                fft_axis(&mut out, a, Direction::Forward);
+            }
+            out
+        }
+
+        /// Adjoint of `rfftn`: `N · Re(ifftn(zero-pad(ĝ)))`.
+        fn rfftn_adjoint(g_hat: &CTensor, last_dim: usize, ndim: usize) -> Tensor {
+            let dims = g_hat.dims();
+            let rank = dims.len();
+            let half = dims[rank - 1];
+            let mut full_dims = dims.to_vec();
+            full_dims[rank - 1] = last_dim;
+            let mut full = CTensor::zeros(&full_dims);
+            for (dst, src) in full.data_mut().chunks_mut(last_dim).zip(g_hat.data().chunks(half)) {
+                dst[..half].copy_from_slice(src);
+            }
+            for a in (rank - ndim)..rank {
+                fft_axis(&mut full, a, Direction::Inverse);
+            }
+            let n_total: usize = full_dims[rank - ndim..].iter().product();
+            full.re().scale(n_total as f64)
+        }
+
+        /// Full-spectrum backward: accumulates the weight gradients into
+        /// `conv` and returns the input gradient.
+        pub fn backward(conv: &mut SpectralConv, x_hat: &CTensor, grad_out: &Tensor) -> Tensor {
+            let last = grad_out.dims()[grad_out.dims().len() - 1];
+            let gy_hat = irfftn_adjoint(grad_out, conv.ndim);
+            let spec: Vec<usize> = gy_hat.dims()[2..].to_vec();
+            let spec_len: usize = spec.iter().product();
+            let eff = effective_modes(conv, &spec);
+            let wlen: usize = conv.modes.iter().product();
+            let (c_in, c_out) = (conv.c_in, conv.c_out);
+            let (w1, w2) = (conv.weights1.value.data(), conv.weights2.value.data());
+            let (xd, gyd) = (x_hat.data(), gy_hat.data());
+            let modes = &conv.modes;
+            let per_w = c_in * c_out * wlen;
+            let mut gx_hat = CTensor::zeros(x_hat.dims());
+            // The same per-sample accumulators and reduction tree as the layer.
+            let gx_chunks: Vec<&mut [Complex64]> =
+                gx_hat.data_mut().chunks_mut(c_in * spec_len).collect();
+            let (gw1, gw2) = gx_chunks
+                .into_par_iter()
+                .enumerate()
+                .map(|(bi, gxb)| {
+                    let xb = &xd[bi * c_in * spec_len..(bi + 1) * c_in * spec_len];
+                    let gyb = &gyd[bi * c_out * spec_len..(bi + 1) * c_out * spec_len];
+                    let mut gw1 = vec![Complex64::ZERO; per_w];
+                    let mut gw2 = vec![Complex64::ZERO; per_w];
+                    for_each_mode(&spec, &eff, modes, |s, w_idx, neg| {
+                        let (w, gw) = if neg { (w2, &mut gw2) } else { (w1, &mut gw1) };
+                        for o in 0..c_out {
+                            let gyv = gyb[o * spec_len + s];
+                            for i in 0..c_in {
+                                let flat = (i * c_out + o) * wlen + w_idx;
+                                gw[flat] += xb[i * spec_len + s].conj() * gyv;
+                                gxb[i * spec_len + s] += w[flat].conj() * gyv;
+                            }
+                        }
+                    });
+                    (gw1, gw2)
+                })
+                .reduce(
+                    || (vec![Complex64::ZERO; per_w], vec![Complex64::ZERO; per_w]),
+                    |(mut a1, mut a2), (b1, b2)| {
+                        a1.iter_mut().zip(&b1).for_each(|(x, y)| *x += *y);
+                        a2.iter_mut().zip(&b2).for_each(|(x, y)| *x += *y);
+                        (a1, a2)
+                    },
+                );
+            conv.weights1.grad.data_mut().iter_mut().zip(&gw1).for_each(|(g, v)| *g += *v);
+            conv.weights2.grad.data_mut().iter_mut().zip(&gw2).for_each(|(g, v)| *g += *v);
+            rfftn_adjoint(&gx_hat, last, conv.ndim)
+        }
+    }
+
+    fn assert_same_bits(a: &[f64], b: &[f64], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: length");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}[{i}]: {x} vs {y}");
+        }
+    }
+
+    fn assert_same_cbits(a: &CTensor, b: &CTensor, what: &str) {
+        let re = |t: &CTensor| t.data().iter().flat_map(|z| [z.re, z.im]).collect::<Vec<f64>>();
+        assert_same_bits(&re(a), &re(b), what);
+    }
+
+    /// `infer`/`forward` outputs and the weight gradients equal the
+    /// full-spectrum computation bit for bit; the input gradient matches it
+    /// within 1e-13 relative (max-norm).
+    fn assert_matches_full_spectrum(mut conv: SpectralConv, dims: &[usize], seed: u64) {
+        let x = rand_input(dims, seed);
+        let (y_ref, x_hat_full) = full_spectrum::forward(&conv, &x);
+        assert_same_bits(conv.infer(&x).data(), y_ref.data(), "infer");
+
+        let mut reference = conv.clone();
+        conv.zero_grad();
+        reference.zero_grad();
+        let y = conv.forward(&x);
+        assert_same_bits(y.data(), y_ref.data(), "forward");
+        let g = rand_input(y.dims(), seed + 1);
+        let gx = conv.backward(&g);
+        let gx_ref = full_spectrum::backward(&mut reference, &x_hat_full, &g);
+        assert_same_cbits(&conv.weights1.grad, &reference.weights1.grad, "weights1 grad");
+        assert_same_cbits(&conv.weights2.grad, &reference.weights2.grad, "weights2 grad");
+
+        let scale = gx_ref.data().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        let err =
+            gx.data().iter().zip(gx_ref.data()).fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+        assert!(
+            scale > 0.0 && err <= 1e-13 * scale,
+            "input gradient: max err {err} vs scale {scale}"
+        );
+    }
+
+    #[test]
+    fn matches_full_spectrum_2d_even() {
+        let mut rng = StdRng::seed_from_u64(31);
+        assert_matches_full_spectrum(SpectralConv::new_2d(2, 3, 4, &mut rng), &[1, 2, 16, 16], 32);
+        // Every mode kept: the Nyquist column and all rows.
+        assert_matches_full_spectrum(SpectralConv::new_2d(2, 2, 16, &mut rng), &[1, 2, 16, 16], 33);
+    }
+
+    #[test]
+    fn matches_full_spectrum_2d_odd_last_axis() {
+        let mut rng = StdRng::seed_from_u64(34);
+        assert_matches_full_spectrum(SpectralConv::new_2d(1, 2, 2, &mut rng), &[1, 1, 4, 5], 35);
+        // A prime width runs the rows through Bluestein, whose DC bin is
+        // real only up to rounding: the adjoint's projection must act.
+        assert_matches_full_spectrum(SpectralConv::new_2d(2, 2, 4, &mut rng), &[1, 2, 6, 11], 36);
+    }
+
+    #[test]
+    fn matches_full_spectrum_2d_non_square() {
+        let mut rng = StdRng::seed_from_u64(36);
+        assert_matches_full_spectrum(SpectralConv::new_2d(2, 2, 3, &mut rng), &[1, 2, 8, 12], 37);
+    }
+
+    #[test]
+    fn matches_full_spectrum_batch_3() {
+        let mut rng = StdRng::seed_from_u64(38);
+        assert_matches_full_spectrum(SpectralConv::new_2d(2, 3, 3, &mut rng), &[3, 2, 8, 8], 39);
+    }
+
+    #[test]
+    fn matches_full_spectrum_3d() {
+        let mut rng = StdRng::seed_from_u64(40);
+        assert_matches_full_spectrum(SpectralConv::new_3d(2, 3, 2, &mut rng), &[1, 2, 8, 6, 5], 41);
+    }
+
+    #[test]
+    fn matches_full_spectrum_clamped_modes() {
+        // The `modes_clamp_to_small_grids` shape.
+        let mut rng = StdRng::seed_from_u64(2);
+        assert_matches_full_spectrum(SpectralConv::new_3d(1, 1, 8, &mut rng), &[1, 1, 8, 8, 5], 3);
+    }
+
+    #[test]
+    fn grid_keeping_no_mode_gives_zero_output_and_gradient() {
+        // A unit first axis (2D) or middle axis (3D) keeps no mode at all:
+        // the layer is zero, without panicking on the empty spectrum.
+        let mut rng = StdRng::seed_from_u64(42);
+        for (mut conv, dims) in [
+            (SpectralConv::new_2d(1, 2, 2, &mut rng), vec![2, 1, 1, 4]),
+            (SpectralConv::new_3d(1, 2, 2, &mut rng), vec![1, 1, 4, 1, 4]),
+        ] {
+            let x = rand_input(&dims, 43);
+            let y = conv.forward(&x);
+            assert!(y.data().iter().all(|&v| v == 0.0), "{dims:?}: nonzero output");
+            let gx = conv.backward(&y.map(|_| 1.0));
+            assert_eq!(gx.dims(), &dims[..]);
+            assert!(gx.data().iter().all(|&v| v == 0.0), "{dims:?}: nonzero input gradient");
+        }
     }
 }

@@ -31,15 +31,21 @@ cargo test -q --release --offline -p fno-core --test parallel_parity
 echo "==> GELU accuracy and pinned bits (release)"
 cargo test -q --release --offline -p ft-nn --lib activation::
 
+# The compact-spectrum SpectralConv must match its full-spectrum oracle bit
+# for bit (outputs and weight gradients) on the optimized build as well.
+echo "==> spectral layer: full-spectrum parity and adjoints (release)"
+cargo test -q --release --offline -p ft-nn --lib spectral::
+
 # Pinned to one core, `available_parallelism` (which honours the affinity
 # mask) sizes a width-1 pool: the plan-cache diagnostics, the parity
-# proptest and the fused pointwise-MLP tests must hold there as well as at
-# the host's width.
-echo "==> diagnostics + parallel-parity proptest + pointwise MLP on one core (taskset -c 0)"
+# proptest, the fused pointwise-MLP tests and the spectral-layer parity
+# tests must hold there as well as at the host's width.
+echo "==> diagnostics + parallel-parity proptest + pointwise MLP + spectral layer on one core (taskset -c 0)"
 if command -v taskset >/dev/null 2>&1; then
     taskset -c 0 cargo test -q --offline --test diagnostics
     taskset -c 0 cargo test -q --release --offline -p fno-core --test parallel_parity
     taskset -c 0 cargo test -q --offline -p ft-nn --lib mlp::
+    taskset -c 0 cargo test -q --release --offline -p ft-nn --lib spectral::
 else
     echo "taskset not found: one-core step skipped"
 fi
