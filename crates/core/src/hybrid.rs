@@ -12,7 +12,7 @@ use ft_ns::{PdeSolver, SolverError};
 use ft_tensor::Tensor;
 
 use crate::model::{Fno, ForecastModel};
-use crate::rollout::rollout_paired;
+use crate::rollout::Window;
 
 /// Which time-marching scheme to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -144,18 +144,19 @@ impl<'a, S: PdeSolver, M: ForecastModel> HybridScheme<'a, S, M> {
         let mut log = TrajectoryLog::default();
         let dt_frame = self.cfg.dt_frame_tc * self.cfg.t_c;
 
-        // Window buffers (newest c_in frames per component).
-        let mut win_x: Vec<Tensor> = history.iter().map(|(a, _)| a.clone()).collect();
-        let mut win_y: Vec<Tensor> = history.iter().map(|(_, b)| b.clone()).collect();
+        // One autoregressive window per velocity component; FNO windows
+        // advance it, PDE frames are pushed into it.
+        let (xs, ys): (Vec<Tensor>, Vec<Tensor>) = history.iter().cloned().unzip();
+        let mut win_x = Window::new(self.model.layout(), &Tensor::stack(&xs));
+        let mut win_y = Window::new(self.model.layout(), &Tensor::stack(&ys));
 
         let mut produced = 0usize;
         let mut use_fno = scheme != Scheme::PurePde;
         while produced < frames {
             let take = self.cfg.window_frames.min(frames - produced);
             if use_fno {
-                let hx = Tensor::stack(&win_x);
-                let hy = Tensor::stack(&win_y);
-                let (px, py) = rollout_paired(self.model, &hx, &hy, take);
+                let px = win_x.advance(self.model, take);
+                let py = win_y.advance(self.model, take);
                 for t in 0..take {
                     let (ux, uy) = (px.index_axis0(t), py.index_axis0(t));
                     if check_every.is_some() && !(frame_finite(&ux) && frame_finite(&uy)) {
@@ -166,14 +167,12 @@ impl<'a, S: PdeSolver, M: ForecastModel> HybridScheme<'a, S, M> {
                         });
                     }
                     produced += 1;
-                    log.push(produced as f64 * self.cfg.dt_frame_tc, ux.clone(), uy.clone());
-                    push_window(&mut win_x, ux);
-                    push_window(&mut win_y, uy);
+                    log.push(produced as f64 * self.cfg.dt_frame_tc, ux, uy);
                 }
             } else {
                 // PDE window: seed from the newest frame, then sample every
                 // dt_frame with a CFL-bounded substep.
-                let (ux0, uy0) = (win_x.last().unwrap(), win_y.last().unwrap());
+                let (ux0, uy0) = log.frames.last().or(history.last()).expect("non-empty history");
                 self.solver.set_velocity(ux0, uy0);
                 let substeps = self.pde_substeps(dt_frame);
                 let dt = dt_frame / substeps as f64;
@@ -184,9 +183,9 @@ impl<'a, S: PdeSolver, M: ForecastModel> HybridScheme<'a, S, M> {
                     }
                     let (ux, uy) = self.solver.velocity();
                     produced += 1;
-                    log.push(produced as f64 * self.cfg.dt_frame_tc, ux.clone(), uy.clone());
-                    push_window(&mut win_x, ux);
-                    push_window(&mut win_y, uy);
+                    win_x.push(&ux);
+                    win_y.push(&uy);
+                    log.push(produced as f64 * self.cfg.dt_frame_tc, ux, uy);
                 }
             }
             match scheme {
@@ -206,11 +205,6 @@ impl<'a, S: PdeSolver, M: ForecastModel> HybridScheme<'a, S, M> {
         let cfl_dt = 2.0;
         (dt_frame / cfl_dt).ceil().max(1.0) as usize
     }
-}
-
-fn push_window(win: &mut Vec<Tensor>, frame: Tensor) {
-    win.remove(0);
-    win.push(frame);
 }
 
 /// Strided finiteness probe of one emitted frame (~64 samples).

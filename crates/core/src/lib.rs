@@ -8,9 +8,10 @@
 //!   convolution + pointwise linear + GELU), and a two-layer projection MLP;
 //! * [`train`] — the Sec. VI training loop: relative-L2 loss, Adam, StepLR,
 //!   mini-batching, held-out evaluation;
-//! * [`mod@rollout`] — autoregressive prediction: a model with `k < 10` output
-//!   channels is applied iteratively, feeding predictions back, until ten
-//!   frames exist (Sec. VI-A) or an arbitrary horizon is reached;
+//! * [`mod@rollout`] — the one mapping between `[F, H, W]` frame blocks and
+//!   model tensors, and autoregressive prediction: a model with `k < 10`
+//!   output channels is applied iteratively, feeding predictions back,
+//!   until ten frames exist (Sec. VI-A) or an arbitrary horizon is reached;
 //! * [`hybrid`] — the hybrid FNO–PDE time marching of Sec. VI-C: windows
 //!   alternate between the ML surrogate and a classical solver, with the
 //!   PDE phase pulling the fields back toward the divergence-free manifold.
@@ -37,7 +38,7 @@ pub use ensemble::{ensemble_rollout, EnsembleForecast};
 pub use hybrid::{HybridConfig, HybridScheme, Scheme, TrajectoryLog};
 pub use model::{Fno, ForecastModel};
 pub use physics::{divergence_penalty, paired_windows};
-pub use rollout::{frame_errors, predict_block_3d, rollout, rollout_paired};
+pub use rollout::{frame_errors, predict_block_3d, rollout};
 pub use train::{
     batch_of, evaluate, sharded_batch_grads, tree_reduce_grads, LossKind, RecoveryCause,
     RecoveryEvent, SampleGrad, TrainConfig, TrainReport, Trainer,

@@ -31,6 +31,7 @@ use rand::SeedableRng;
 use crate::checkpoint::{save_periodic, Checkpoint, CheckpointConfig};
 use crate::config::FnoKind;
 use crate::model::ForecastModel;
+use crate::rollout::stack;
 
 /// Epochs completed by any [`Trainer`] in the process; ticks only while
 /// `ft-obs` instrumentation is enabled.
@@ -754,51 +755,12 @@ pub fn tree_reduce_grads(mut grads: Vec<Vec<ft_nn::ParamValue>>) -> Option<Vec<f
     grads.pop()
 }
 
-/// Stacks selected pairs into model-shaped input/target batches.
-///
-/// 2D-with-channels: `[B, T, H, W]` directly. 3D: `[B, 1, H, W, T]`
-/// (snapshots moved to the trailing temporal axis).
+/// Stacks selected pairs into model-shaped input/target batches
+/// (see [`crate::rollout::stack`] for the two layouts).
 pub fn batch_of(pairs: &[Pair], indices: &[usize], kind: FnoKind) -> (Tensor, Tensor) {
-    let to_model = |t: &Tensor| -> Tensor {
-        match kind {
-            FnoKind::TwoDChannels => {
-                let mut dims = vec![1];
-                dims.extend_from_slice(t.dims());
-                t.clone().reshape(&dims)
-            }
-            FnoKind::ThreeD => {
-                let d = t.dims().to_vec();
-                let (tt, h, w) = (d[0], d[1], d[2]);
-                let mut out = Tensor::zeros(&[1, 1, h, w, tt]);
-                let src = t.data();
-                let dst = out.data_mut();
-                for ti in 0..tt {
-                    for yy in 0..h {
-                        for xx in 0..w {
-                            dst[(yy * w + xx) * tt + ti] = src[(ti * h + yy) * w + xx];
-                        }
-                    }
-                }
-                out
-            }
-        }
-    };
-    let xs: Vec<Tensor> = indices.iter().map(|&i| to_model(&pairs[i].input)).collect();
-    let ys: Vec<Tensor> = indices.iter().map(|&i| to_model(&pairs[i].target)).collect();
-    (concat0(&xs), concat0(&ys))
-}
-
-fn concat0(parts: &[Tensor]) -> Tensor {
-    assert!(!parts.is_empty());
-    let inner = parts[0].dims()[1..].to_vec();
-    let mut dims = vec![parts.len() * parts[0].dims()[0]];
-    dims.extend_from_slice(&inner);
-    let mut data = Vec::with_capacity(parts.iter().map(Tensor::len).sum());
-    for p in parts {
-        assert_eq!(&p.dims()[1..], &inner[..], "inner shape mismatch");
-        data.extend_from_slice(p.data());
-    }
-    Tensor::from_vec(&dims, data)
+    let inputs: Vec<&Tensor> = indices.iter().map(|&i| &pairs[i].input).collect();
+    let targets: Vec<&Tensor> = indices.iter().map(|&i| &pairs[i].target).collect();
+    (stack(kind, &inputs), stack(kind, &targets))
 }
 
 #[cfg(test)]

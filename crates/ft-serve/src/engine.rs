@@ -3,8 +3,9 @@
 //!
 //! # Life of a request
 //!
-//! 1. **Admission** — [`ServeHandle::submit`] validates the input shape
-//!    against the target model and tries to enqueue. A full queue is an
+//! 1. **Admission** — [`ServeHandle::submit`] checks the input shape
+//!    against the target model ([`ModelEntry::check_input`], the check
+//!    sessions use too) and tries to enqueue. A full queue is an
 //!    immediate [`ServeError::Overloaded`] (no silent blocking): the
 //!    caller sees backpressure, `serve.rejected` counts it, and a
 //!    `serve_overload` flight event marks the episode.
@@ -13,7 +14,8 @@
 //!    *batch key* (model name + input shape), holding the open batch for
 //!    at most `batch_window` to let compatible requests arrive. Requests
 //!    with a different key are left queued in order.
-//! 3. **Execution** — the batch is stacked along a new leading axis and
+//! 3. **Execution** — the batch is stacked into one model tensor
+//!    ([`fno_core::rollout::stack`], which owns the 2D and 3D layouts) and
 //!    run through one [`ForecastModel::forward_inference`] call (no
 //!    gradient tape), which parallelizes internally via rayon. A panic in
 //!    the model is caught and converted into per-request errors — the
@@ -35,13 +37,13 @@
 //! already admitted, and joins it. No admitted request is dropped.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ft_tensor::Tensor;
-use fno_core::{FnoKind, ForecastModel};
+use fno_core::rollout::{stack, unstack};
+use fno_core::ForecastModel;
 
 use crate::metrics;
 use crate::registry::{ModelEntry, ModelRegistry};
@@ -239,7 +241,7 @@ impl ServeHandle {
             .registry
             .get(model)
             .ok_or_else(|| ServeError::UnknownModel(model.to_string()))?;
-        validate_input(&entry, &input)?;
+        entry.check_input(&input)?;
         let slot = ResponseSlot::new();
         {
             let mut st = self.shared.state.lock().unwrap();
@@ -320,33 +322,6 @@ impl ServeHandle {
             shutting_down: st.shutting_down,
         }
     }
-}
-
-/// Shape check at admission so a bad request is a typed error instead of
-/// a panic inside the batched forward.
-fn validate_input(entry: &ModelEntry, input: &Tensor) -> Result<(), ServeError> {
-    let cfg = entry.config();
-    let dims = input.dims();
-    if dims.len() != 3 {
-        return Err(ServeError::BadInput(format!(
-            "expected rank-3 input {}, got {dims:?}",
-            entry.input_rank_hint()
-        )));
-    }
-    if cfg.kind == FnoKind::TwoDChannels && dims[0] != cfg.in_channels {
-        return Err(ServeError::BadInput(format!(
-            "model `{}` takes {} input channels, got {}",
-            entry.name, cfg.in_channels, dims[0]
-        )));
-    }
-    let (h, w) = (dims[1], dims[2]);
-    if h < 2 * cfg.modes || w < 2 * cfg.modes {
-        return Err(ServeError::BadInput(format!(
-            "grid {h}×{w} too small for {} retained modes",
-            cfg.modes
-        )));
-    }
-    Ok(())
 }
 
 fn dispatcher_loop(sh: &Arc<Shared>) {
@@ -441,74 +416,14 @@ fn dispatch_batch(sh: &Arc<Shared>, wait: bool) -> usize {
 
 /// Stacks the batch, runs one tape-free forward, splits the outputs.
 /// Every request in the batch shares a model and input shape (the batch
-/// key), so stacking is a straight concatenation.
+/// key), so the requests stack into one model tensor.
 fn run_batch(batch: &[Request]) -> Result<Vec<Tensor>, ServeError> {
     let entry = &batch[0].entry;
-    let dims = batch[0].input.dims();
-    let (frames, h, w) = (dims[0], dims[1], dims[2]);
-    let b = batch.len();
-    let result = catch_unwind(AssertUnwindSafe(|| match entry.config().kind {
-        FnoKind::TwoDChannels => {
-            let mut data = Vec::with_capacity(b * frames * h * w);
-            for r in batch {
-                data.extend_from_slice(r.input.data());
-            }
-            let x = Tensor::from_vec(&[b, frames, h, w], data);
-            let y = entry.model.forward_inference(&x); // [b, c_out, h, w]
-            let per = y.len() / b;
-            (0..b)
-                .map(|i| {
-                    let mut out_dims = y.dims().to_vec();
-                    out_dims.remove(0);
-                    Tensor::from_vec(&out_dims, y.data()[i * per..(i + 1) * per].to_vec())
-                })
-                .collect::<Vec<Tensor>>()
-        }
-        FnoKind::ThreeD => {
-            // [T, H, W] per request → [b, 1, H, W, T] batched space-time
-            // block, then back. (Axis order is the 3D model's contract;
-            // see `fno_core::rollout::predict_block_3d`.)
-            let mut x = Tensor::zeros(&[b, 1, h, w, frames]);
-            {
-                let dst = x.data_mut();
-                for (i, r) in batch.iter().enumerate() {
-                    let src = r.input.data();
-                    let base = i * h * w * frames;
-                    for t in 0..frames {
-                        for yy in 0..h {
-                            for xx in 0..w {
-                                dst[base + (yy * w + xx) * frames + t] =
-                                    src[(t * h + yy) * w + xx];
-                            }
-                        }
-                    }
-                }
-            }
-            let y = entry.model.forward_inference(&x); // [b, 1, h, w, frames]
-            let src = y.data();
-            (0..b)
-                .map(|i| {
-                    let mut out = Tensor::zeros(&[frames, h, w]);
-                    let dst = out.data_mut();
-                    let base = i * h * w * frames;
-                    for t in 0..frames {
-                        for yy in 0..h {
-                            for xx in 0..w {
-                                dst[(t * h + yy) * w + xx] =
-                                    src[base + (yy * w + xx) * frames + t];
-                            }
-                        }
-                    }
-                    out
-                })
-                .collect::<Vec<Tensor>>()
-        }
-    }));
-    result.map_err(|_| {
-        ServeError::BadInput(format!(
-            "model `{}` panicked on a [{b}, {frames}, {h}, {w}] batch",
-            entry.name
-        ))
+    let kind = entry.config().kind;
+    let on = format_args!("a batch of {} {:?} inputs", batch.len(), batch[0].input.dims());
+    entry.guarded(on, |m| {
+        let inputs: Vec<&Tensor> = batch.iter().map(|r| &r.input).collect();
+        unstack(kind, &m.forward_inference(&stack(kind, &inputs)))
     })
 }
 
@@ -611,7 +526,16 @@ mod tests {
         let bad = Tensor::zeros(&[3, 8, 8]); // wrong channel count
         assert!(matches!(h.predict("m", bad).unwrap_err(), ServeError::BadInput(_)));
         let tiny = Tensor::zeros(&[4, 2, 2]); // grid below 2×modes
-        assert!(matches!(h.predict("m", tiny).unwrap_err(), ServeError::BadInput(_)));
+        assert!(matches!(h.predict("m", tiny.clone()).unwrap_err(), ServeError::BadInput(_)));
+        // Sessions pass the same admission check.
+        for history in [Tensor::zeros(&[3, 8, 8]), tiny, Tensor::zeros(&[4, 8])] {
+            assert!(matches!(h.open_session("m", &history).unwrap_err(), ServeError::BadInput(_)));
+        }
+        assert!(matches!(
+            h.open_session("nope", &input(8)).unwrap_err(),
+            ServeError::UnknownModel(_)
+        ));
+        assert_eq!(h.stats().sessions, 0);
     }
 
     #[test]
@@ -645,11 +569,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn panicking_forward_is_a_typed_error_and_the_engine_keeps_serving() {
-        // The lifting layer's bias is emptied, so every one of its 64
-        // output planes, which the pool splits across its threads, indexes
-        // past the end and panics inside the parallel call.
+    /// [`tiny_registry`] plus `broken`, a model whose every forward
+    /// panics: the lifting layer's bias is emptied, so every one of its 64
+    /// output planes, which the pool splits across its threads, indexes
+    /// past the end and panics inside the parallel call.
+    fn registry_with_broken_model() -> ModelRegistry {
         let mut broken = Fno::new(FnoConfig { lifting_channels: 64, ..tiny_cfg() }, 7);
         let mut k = 0;
         ft_nn::Layer::visit_params(&mut broken, &mut |p| {
@@ -662,6 +586,12 @@ mod tests {
         });
         let mut reg = tiny_registry();
         reg.insert("broken", broken).unwrap();
+        reg
+    }
+
+    #[test]
+    fn panicking_forward_is_a_typed_error_and_the_engine_keeps_serving() {
+        let reg = registry_with_broken_model();
         let engine =
             ServeEngine::new(reg, ServeConfig { auto_dispatch: false, ..Default::default() });
         let h = engine.handle();
@@ -696,6 +626,132 @@ mod tests {
             h.session_step(id, 1).unwrap_err(),
             ServeError::UnknownSession(_)
         ));
+    }
+
+    #[test]
+    fn panicking_session_step_is_a_typed_error_and_the_store_keeps_serving() {
+        ft_obs::set_enabled(true);
+        let engine = ServeEngine::new(
+            registry_with_broken_model(),
+            ServeConfig { auto_dispatch: false, ..Default::default() },
+        );
+        let h = engine.handle();
+        let hist = input(8);
+        let good = h.open_session("m", &hist).unwrap();
+        let bad = h.open_session("broken", &hist).unwrap();
+        match h.session_step(bad, 2) {
+            Err(ServeError::BadInput(msg)) => assert!(msg.contains("panicked"), "{msg}"),
+            other => panic!("expected the typed panic error, got {other:?}"),
+        }
+        // The half-advanced session is gone, and its removal is recorded.
+        assert!(matches!(h.session_step(bad, 1).unwrap_err(), ServeError::UnknownSession(_)));
+        assert!(ft_obs::flight::events().iter().any(|e| {
+            let j = e.to_json();
+            j.contains("\"kind\":\"session_evicted\"")
+                && j.contains(&format!("\"session\":{bad}"))
+                && j.contains("\"reason\":\"model_panic\"")
+        }));
+        // The store lock is not poisoned: the healthy session, the stats
+        // and new sessions all keep working.
+        let served = h.session_step(good, 3).unwrap();
+        let direct = fno_core::rollout::rollout(&tiny_registry().get("m").unwrap().model, &hist, 3);
+        assert_eq!(served.data(), direct.data());
+        assert_eq!(h.stats().sessions, 1);
+        let again = h.open_session("m", &hist).unwrap();
+        assert_eq!(h.session_step(again, 3).unwrap().data(), direct.data());
+    }
+
+    fn tiny_3d_registry() -> ModelRegistry {
+        let cfg = FnoConfig { kind: FnoKind::ThreeD, in_channels: 1, out_channels: 1, ..tiny_cfg() };
+        let mut reg = ModelRegistry::new();
+        reg.insert("m3", Fno::new(cfg, 5)).unwrap();
+        reg
+    }
+
+    /// A `[T, H, W]` block whose values differ per `seed`.
+    fn block_3d(seed: usize) -> Tensor {
+        Tensor::from_fn(&[4, 6, 6], |i| {
+            (seed as f64 + i[0] as f64 * 0.7 + i[1] as f64 * 0.3 - i[2] as f64 * 0.5).sin()
+        })
+    }
+
+    #[test]
+    fn batched_3d_predicts_equal_single_blocks_bit_for_bit() {
+        let engine = ServeEngine::new(
+            tiny_3d_registry(),
+            ServeConfig { auto_dispatch: false, max_batch: 8, ..Default::default() },
+        );
+        let h = engine.handle();
+        let pending: Vec<_> = (0..3).map(|s| h.submit("m3", block_3d(s)).unwrap()).collect();
+        assert_eq!(h.dispatch_once(), 3);
+        let model = &tiny_3d_registry().get("m3").unwrap().model;
+        for (s, p) in pending.into_iter().enumerate() {
+            let served = p.wait().unwrap();
+            let direct = fno_core::rollout::predict_block_3d(model, &block_3d(s));
+            assert_eq!(served.dims(), direct.dims());
+            assert_eq!(served.data(), direct.data(), "request {s}");
+        }
+    }
+
+    #[test]
+    fn zero_frame_3d_blocks_are_rejected_at_admission() {
+        let engine = ServeEngine::new(
+            tiny_3d_registry(),
+            ServeConfig { auto_dispatch: false, ..Default::default() },
+        );
+        let h = engine.handle();
+        let empty = Tensor::zeros(&[0, 6, 6]);
+        assert!(matches!(h.submit("m3", empty.clone()).unwrap_err(), ServeError::BadInput(_)));
+        assert!(matches!(h.open_session("m3", &empty).unwrap_err(), ServeError::BadInput(_)));
+    }
+
+    #[test]
+    fn session_3d_steps_continue_the_block_trajectory() {
+        let engine = ServeEngine::new(
+            tiny_3d_registry(),
+            ServeConfig { auto_dispatch: false, ..Default::default() },
+        );
+        let h = engine.handle();
+        let hist = block_3d(0);
+        let id = h.open_session("m3", &hist).unwrap();
+        let mut served = Vec::new();
+        for steps in [1, 4, 2, 9] {
+            let out = h.session_step(id, steps).unwrap();
+            assert_eq!(out.dims(), &[steps, 6, 6]);
+            served.extend_from_slice(out.data());
+        }
+        // 16 frames = four consecutive 4-frame blocks, each predicted from
+        // the one before it.
+        let model = &tiny_3d_registry().get("m3").unwrap().model;
+        let mut block = hist;
+        let mut direct = Vec::new();
+        for _ in 0..4 {
+            block = fno_core::rollout::predict_block_3d(model, &block);
+            direct.extend_from_slice(block.data());
+        }
+        assert_eq!(served, direct);
+    }
+
+    #[test]
+    fn session_2d_discards_the_surplus_of_a_short_step() {
+        let engine = ServeEngine::new(
+            tiny_registry(),
+            ServeConfig { auto_dispatch: false, ..Default::default() },
+        );
+        let h = engine.handle();
+        let hist = input(8);
+        let id = h.open_session("m", &hist).unwrap();
+        let first = h.session_step(id, 1).unwrap();
+        let second = h.session_step(id, 4).unwrap();
+        let model = &tiny_registry().get("m").unwrap().model;
+        let direct_first = fno_core::rollout::rollout(model, &hist, 1);
+        assert_eq!(first.data(), direct_first.data());
+        // The window slid by the one frame taken; the model's second
+        // output frame was not kept.
+        let mut slid = hist.data()[64..].to_vec();
+        slid.extend_from_slice(direct_first.data());
+        let direct_second = fno_core::rollout::rollout(model, &Tensor::from_vec(&[4, 8, 8], slid), 4);
+        assert_eq!(second.data(), direct_second.data());
     }
 
     #[test]

@@ -13,11 +13,15 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Arc;
 
 use fno_core::checkpoint::CheckpointError;
 use fno_core::{Fno, FnoConfig, FnoKind};
+use ft_tensor::Tensor;
+
+use crate::ServeError;
 
 /// Why a model failed to register.
 #[derive(Debug)]
@@ -68,14 +72,38 @@ impl ModelEntry {
         self.model.config()
     }
 
-    /// The input shape (excluding the batch axis) this model accepts from
-    /// the serving layer: `[C_in, H, W]` for the 2D temporal-channel
-    /// variant, `[T, H, W]` for the 3D variant (`T = C_in` frames).
-    pub fn input_rank_hint(&self) -> &'static str {
-        match self.config().kind {
-            FnoKind::TwoDChannels => "[C_in, H, W]",
-            FnoKind::ThreeD => "[T, H, W]",
-        }
+    /// The one admission check, for predicts and sessions alike: a rank-3
+    /// `[F, H, W]` block with `F = C_in` frames for the 2D temporal-channel
+    /// variant (`F ≥ 1` for 3D) on a grid of at least `2·modes` points per
+    /// side, so a bad request is a typed error instead of a panic in the
+    /// model.
+    pub fn check_input(&self, input: &Tensor) -> Result<(), ServeError> {
+        let (cfg, name) = (self.config(), &self.name);
+        let problem = match input.dims() {
+            &[f, _, _] if cfg.kind == FnoKind::TwoDChannels && f != cfg.in_channels => {
+                format!("model `{name}` takes {} input frames, got {f}", cfg.in_channels)
+            }
+            &[0, _, _] => format!("model `{name}` takes blocks of at least one frame"),
+            &[_, h, w] if h < 2 * cfg.modes || w < 2 * cfg.modes => {
+                format!("grid {h}×{w} too small for {} retained modes", cfg.modes)
+            }
+            &[_, _, _] => return Ok(()),
+            dims => format!("expected a rank-3 [F, H, W] input, got {dims:?}"),
+        };
+        Err(ServeError::BadInput(problem))
+    }
+
+    /// Runs `f` on the model and turns a panic into a typed
+    /// [`ServeError::BadInput`] that names the model and what it panicked
+    /// on, so one bad call leaves the dispatcher and the session store
+    /// serving.
+    pub(crate) fn guarded<T>(
+        &self,
+        on: fmt::Arguments<'_>,
+        f: impl FnOnce(&Fno) -> T,
+    ) -> Result<T, ServeError> {
+        catch_unwind(AssertUnwindSafe(|| f(&self.model)))
+            .map_err(|_| ServeError::BadInput(format!("model `{}` panicked on {on}", self.name)))
     }
 }
 

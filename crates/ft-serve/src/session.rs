@@ -2,22 +2,26 @@
 //!
 //! A client that wants a long forecast should not re-send the growing
 //! history every step. Instead it opens a session with the initial
-//! history once; the server keeps the autoregressive state — the sliding
-//! `C_in`-frame temporal-channel window for the 2D variant, the
-//! `[T, H, W]` space-time block for the 3D variant — and streams
-//! successive predicted frames on demand. Stepping a session advances
-//! exactly like [`fno_core::rollout::rollout`]: each forward yields up to
-//! `C_out` frames, the window slides by the frames actually consumed, so
-//! one `step(n)` call returns the same frames a fresh `rollout(n)` from
-//! the current window would.
+//! history once; the server keeps the autoregressive state, a
+//! [`Window`], and streams successive predicted frames on demand. A step
+//! is [`Window::advance`], the code [`fno_core::rollout::rollout`] runs,
+//! so one `step(n)` call returns the frames a fresh `rollout(n)` from the
+//! current window would, under the same 2D and 3D window rules. A history
+//! must pass [`ModelEntry::check_input`], the admission check of a
+//! predict.
 //!
-//! Sessions are bounded two ways, both surfaced as flight-recorder
-//! `session_evicted` events and the `serve.sessions.evicted` counter:
+//! Sessions are bounded two ways:
 //!
 //! * **TTL** — a session idle longer than [`SessionConfig::ttl`] is
 //!   dropped at the next store access;
 //! * **LRU capacity** — opening a session beyond
 //!   [`SessionConfig::max_sessions`] evicts the least-recently-used one.
+//!
+//! A session whose model panics during a step is removed too, because its
+//! window may be half-advanced; the step is a typed `BadInput` error and
+//! the store keeps serving. Each of these removals is a flight-recorder
+//! `session_evicted` event with its reason (`ttl`, `lru_capacity` or
+//! `model_panic`) and ticks the `serve.sessions.evicted` counter.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,8 +29,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ft_tensor::Tensor;
-use fno_core::rollout::predict_block_3d;
-use fno_core::{FnoKind, ForecastModel};
+use fno_core::rollout::Window;
 
 use crate::metrics;
 use crate::registry::ModelEntry;
@@ -56,16 +59,7 @@ pub const MAX_SESSION_STEPS: usize = 1024;
 /// One live rollout: the model it runs and its autoregressive state.
 struct Session {
     entry: Arc<ModelEntry>,
-    /// Newest `C_in` frames (2D) or the current `[T, H, W]` block (3D),
-    /// flattened row-major, oldest frame first.
-    window: Vec<f64>,
-    /// 3D only: predicted frames not yet handed to the client (the model
-    /// produces whole blocks; clients may consume fewer per step).
-    pending: Vec<f64>,
-    h: usize,
-    w: usize,
-    /// Frames held in `window` (= `C_in` for 2D, the block length for 3D).
-    frames: usize,
+    window: Window,
     last_used: Instant,
 }
 
@@ -85,20 +79,7 @@ impl SessionStore {
     /// Opens a session for `entry` from `history` (`[C_in, H, W]` for 2D
     /// models, `[T, H, W]` for 3D). Returns the new session id.
     pub fn open(&self, entry: Arc<ModelEntry>, history: &Tensor) -> Result<u64, ServeError> {
-        let dims = history.dims();
-        if dims.len() != 3 {
-            return Err(ServeError::BadInput(format!(
-                "session history must be rank 3 {}, got {dims:?}",
-                entry.input_rank_hint()
-            )));
-        }
-        let frames = dims[0];
-        if entry.config().kind == FnoKind::TwoDChannels && frames != entry.config().in_channels {
-            return Err(ServeError::BadInput(format!(
-                "2D session history needs C_in = {} frames, got {frames}",
-                entry.config().in_channels
-            )));
-        }
+        entry.check_input(history)?;
         let now = Instant::now();
         let mut map = self.sessions.lock().unwrap();
         self.evict_expired(&mut map, now);
@@ -112,12 +93,8 @@ impl SessionStore {
         map.insert(
             id,
             Session {
+                window: Window::new(entry.config().kind, history),
                 entry,
-                window: history.data().to_vec(),
-                pending: Vec::new(),
-                h: dims[1],
-                w: dims[2],
-                frames,
                 last_used: now,
             },
         );
@@ -142,36 +119,15 @@ impl SessionStore {
         self.evict_expired(&mut map, now);
         let s = map.get_mut(&id).ok_or(ServeError::UnknownSession(id))?;
         s.last_used = now;
-        let frame = s.h * s.w;
-        let mut produced: Vec<f64> = Vec::with_capacity(steps * frame);
-        match s.entry.config().kind {
-            FnoKind::TwoDChannels => {
-                let c_out = s.entry.config().out_channels;
-                while produced.len() < steps * frame {
-                    let input =
-                        Tensor::from_vec(&[1, s.frames, s.h, s.w], s.window.clone());
-                    let pred = s.entry.model.forward_inference(&input); // [1, c_out, h, w]
-                    let take = (steps - produced.len() / frame).min(c_out);
-                    produced.extend_from_slice(&pred.data()[..take * frame]);
-                    s.window.drain(..take * frame);
-                    s.window.extend_from_slice(&pred.data()[..take * frame]);
-                }
-            }
-            FnoKind::ThreeD => {
-                // The 3D model maps whole blocks; buffer surplus frames so a
-                // client consuming one frame at a time still sees the block
-                // trajectory in order.
-                while s.pending.len() < steps * frame {
-                    let block =
-                        Tensor::from_vec(&[s.frames, s.h, s.w], s.window.clone());
-                    let next = predict_block_3d(&s.entry.model, &block);
-                    s.pending.extend_from_slice(next.data());
-                    s.window.copy_from_slice(next.data());
-                }
-                produced.extend(s.pending.drain(..steps * frame));
-            }
+        let out = s
+            .entry
+            .guarded(format_args!("step {steps} of session {id}"), |m| s.window.advance(m, steps));
+        if out.is_err() {
+            map.remove(&id);
+            note_eviction(id, "model_panic");
+            metrics::LIVE_SESSIONS.set(map.len() as f64);
         }
-        Ok(Tensor::from_vec(&[steps, s.h, s.w], produced))
+        out
     }
 
     /// Closes session `id`; returns whether it existed.

@@ -20,6 +20,14 @@ cargo build --release --offline
 echo "==> cargo test"
 cargo test -q --offline
 
+# `cargo test` above builds only the root package's tests. The serving
+# crate's suite and the fno-core unit and rollout tests run here. Not the
+# whole fno-core package: its `infer_no_tape_alloc` test compares
+# process-wide allocation counts and fails under CPU load (ROADMAP item 6).
+echo "==> ft-serve suite, fno-core unit tests and rollout properties"
+cargo test -q --offline -p ft-serve
+cargo test -q --offline -p fno-core --lib --test rollout_props
+
 # The data-parallel determinism contract (DESIGN.md §13) is timing-
 # sensitive by nature, so the bitwise parity proptest also runs under
 # release optimizations, where reordering bugs are likeliest to surface.

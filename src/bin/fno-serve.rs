@@ -130,8 +130,9 @@ fn run(opts: &Opts) -> Result<(), String> {
     registry.load(name, path).map_err(|e| format!("--model {path}: {e}"))?;
     let entry = registry.get(name).expect("model just registered");
     eprintln!(
-        "fno-serve: model `{name}` expects {} inputs ({} parameters)",
-        entry.input_rank_hint(),
+        "fno-serve: model `{name}` ({:?}, C_in = {}, {} parameters)",
+        entry.config().kind,
+        entry.config().in_channels,
         entry.config().param_count()
     );
 
