@@ -6,7 +6,8 @@
 //!
 //! * `par_chunks_mut` / `par_chunks` / `par_iter_mut` / `into_par_iter`
 //!   entry points returning a [`ParIter`];
-//! * `enumerate`, `zip`, `map`, `for_each`, `collect`, `reduce` adapters;
+//! * `enumerate`, `zip`, `map`, `for_each`, `for_each_init`, `collect`,
+//!   `reduce` adapters;
 //! * terminal operations (`for_each`, `collect`, `reduce`) split the work
 //!   into contiguous batches and run them on a process-lifetime pool of
 //!   worker threads, through the same fork-join entry point as [`scope`]
@@ -122,14 +123,23 @@ fn split_batches<T>(mut items: Vec<T>, parts: usize) -> Vec<Vec<T>> {
     out
 }
 
-/// Runs `f` over every item, one batch per pool thread.
-fn parallel_for_each<T: Send, F: Fn(T) + Sync>(items: Vec<T>, min_len: usize, f: F) {
+/// Runs `op` over every item, one batch per pool thread, with one `init`
+/// value per batch.
+fn parallel_for_each<T: Send, S, INIT, F>(items: Vec<T>, min_len: usize, init: INIT, op: F)
+where
+    INIT: Fn() -> S + Sync,
+    F: Fn(&mut S, T) + Sync,
+{
+    let run = |batch: Vec<T>| {
+        let mut state = init();
+        batch.into_iter().for_each(|x| op(&mut state, x));
+    };
     let parts = fanout(items.len(), min_len);
     if parts <= 1 {
-        items.into_iter().for_each(f);
+        run(items);
         return;
     }
-    pool::fork_join(split_batches(items, parts), |batch| batch.into_iter().for_each(&f));
+    pool::fork_join(split_batches(items, parts), run);
 }
 
 /// Maps every item, preserving order, one batch per pool thread.
@@ -198,11 +208,27 @@ impl<I: Iterator> ParIter<I> {
         I::Item: Send,
         F: Fn(I::Item) + Sync,
     {
+        self.for_each_init(|| (), |_, x| f(x));
+    }
+
+    /// [`for_each`](Self::for_each) with per-batch state, as in rayon:
+    /// `init` makes one value per batch (one in all on a width-1 pool or
+    /// for an inline workload) and `op` gets it mutably with each item.
+    /// Batches depend only on the item count and the pool width, so the
+    /// number of `init` calls does too: a scratch buffer made here costs
+    /// the same allocations at every call, whichever threads run it.
+    pub fn for_each_init<S, INIT, F>(self, init: INIT, op: F)
+    where
+        I::Item: Send,
+        INIT: Fn() -> S + Sync,
+        F: Fn(&mut S, I::Item) + Sync,
+    {
         if num_threads() == 1 {
-            self.inner.for_each(f);
+            let mut state = init();
+            self.inner.for_each(|x| op(&mut state, x));
             return;
         }
-        parallel_for_each(self.inner.collect(), self.min_len, f);
+        parallel_for_each(self.inner.collect(), self.min_len, init, op);
     }
 }
 
@@ -247,7 +273,7 @@ impl<I: Iterator, R, F: Fn(I::Item) -> R> ParMap<I, F> {
             self.inner.for_each(move |x| g(map(x)));
             return;
         }
-        parallel_for_each(self.inner.collect(), self.min_len, move |x| g(map(x)));
+        parallel_for_each(self.inner.collect(), self.min_len, || (), move |_, x| g(map(x)));
     }
 
     /// Parallel fold-then-combine, rayon-style: `identity` seeds each
@@ -414,6 +440,29 @@ mod tests {
                 let flat: Vec<usize> = batches.into_iter().flatten().collect();
                 assert_eq!(flat, (0..n).collect::<Vec<_>>(), "n={n} parts={parts}");
             }
+        }
+    }
+
+    #[test]
+    fn for_each_init_makes_one_state_per_batch() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for n in [8usize, 1000] {
+            let inits = AtomicUsize::new(0);
+            let mut data = vec![0usize; n];
+            data.par_iter_mut().enumerate().for_each_init(
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    Vec::<usize>::new()
+                },
+                |seen, (i, v)| {
+                    seen.push(i);
+                    *v = seen.len();
+                },
+            );
+            // Each batch's state counts the items of that batch, in order.
+            let expected = super::fanout(n, 1);
+            assert_eq!(inits.load(Ordering::Relaxed), expected, "n={n}");
+            assert_eq!(data.iter().filter(|&&v| v == 1).count(), expected, "n={n}");
         }
     }
 }

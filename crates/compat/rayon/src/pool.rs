@@ -1,11 +1,11 @@
 //! The process-lifetime worker pool behind every parallel call.
 //!
 //! `width − 1` workers start on the first call that queues a task (or at
-//! [`crate::ThreadPoolBuilder::build_global`]) and live as long as the
-//! process. There is one fork-join entry point, [`scope`]: the calling
-//! thread runs the scope body itself and every task spawned from it is
-//! queued for the pool. Idle workers block on a condition variable; they
-//! never spin.
+//! [`crate::ThreadPoolBuilder::build_global`]), which returns only once
+//! all of them run, and live as long as the process. There is one
+//! fork-join entry point, [`scope`]: the calling thread runs the scope body
+//! itself and every task spawned from it is queued for the pool. Idle
+//! workers block on a condition variable; they never spin.
 //!
 //! A thread waiting for its scope does not sleep while work is queued: it
 //! runs queued tasks (its own scope's first, then anyone's) until its own
@@ -23,7 +23,7 @@ use std::marker::PhantomData;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Pool width, fixed by `build_global` or by the first read; 0 until then.
 static WIDTH: AtomicUsize = AtomicUsize::new(0);
@@ -152,12 +152,22 @@ fn pool() -> &'static Pool {
     POOL.get_or_init(|| {
         // The workers live as long as the process and are never joined:
         // they own no data, and `Job::run` catches every task's panic.
+        // The pool is handed out only once every worker runs: a thread's
+        // start-up allocates on the new thread (its name, its signal
+        // stack), and left to the scheduler that would land inside some
+        // later, unrelated call.
+        let started = Arc::new(Barrier::new(width()));
         for i in 1..width() {
+            let started = Arc::clone(&started);
             std::thread::Builder::new()
                 .name(format!("rayon-compat-{i}"))
-                .spawn(|| pool().work())
+                .spawn(move || {
+                    started.wait();
+                    pool().work()
+                })
                 .expect("failed to spawn a pool worker");
         }
+        started.wait();
         Pool {
             queue: Mutex::new(Queue {
                 jobs: VecDeque::new(),

@@ -4,21 +4,12 @@
 //! them with rayon. Real-input variants (`rfft*`) use the half-spectrum
 //! layout along the **last** axis, matching `torch.fft.rfftn` / `irfftn`.
 
-use std::cell::RefCell;
-
 use ft_tensor::{CTensor, Complex64, Tensor};
 use rayon::prelude::*;
 
 use crate::plan::shared_plan;
 use crate::real::{rfft_len, shared_real_plan};
 use crate::Direction;
-
-thread_local! {
-    /// Reusable line buffer for the strided (non-last-axis) transform path,
-    /// so a batched `fft_axis` performs no per-line heap allocation. Pool
-    /// threads persist, so each keeps its buffer across calls.
-    static AXIS_SCRATCH: RefCell<Vec<Complex64>> = const { RefCell::new(Vec::new()) };
-}
 
 /// In-place 1D transform along `axis` of a complex tensor, batched over all
 /// other axes. Parallelizes over the contiguous outer blocks.
@@ -34,25 +25,23 @@ pub fn fft_axis(ct: &mut CTensor, axis: usize, dir: Direction) {
     let inner: usize = dims[axis + 1..].iter().product();
 
     // One cache lookup covers the whole batch; workers share the handle
-    // instead of paying a plan-cache probe per line.
+    // instead of paying a plan-cache probe per line. The strided path
+    // gathers each line into one buffer per parallel batch.
     let plan = shared_plan(n);
-    ct.data_mut().par_chunks_mut(block).for_each(|chunk| {
+    ct.data_mut().par_chunks_mut(block).for_each_init(Vec::new, |scratch, chunk| {
         if inner == 1 {
             plan.process(chunk, dir);
         } else {
-            AXIS_SCRATCH.with(|s| {
-                let mut scratch = s.borrow_mut();
-                scratch.resize(n, Complex64::ZERO);
-                for i in 0..inner {
-                    for t in 0..n {
-                        scratch[t] = chunk[i + t * inner];
-                    }
-                    plan.process(&mut scratch, dir);
-                    for t in 0..n {
-                        chunk[i + t * inner] = scratch[t];
-                    }
+            scratch.resize(n, Complex64::ZERO);
+            for i in 0..inner {
+                for t in 0..n {
+                    scratch[t] = chunk[i + t * inner];
                 }
-            });
+                plan.process(scratch, dir);
+                for t in 0..n {
+                    chunk[i + t * inner] = scratch[t];
+                }
+            }
         }
     });
 }
@@ -102,8 +91,8 @@ pub fn rfftn(x: &Tensor, ndim: usize) -> CTensor {
     out_data
         .par_chunks_mut(wh)
         .zip(x.data().par_chunks(w))
-        .for_each(|(dst, src)| {
-            rp.rfft_into(src, dst);
+        .for_each_init(Vec::new, |scratch, (dst, src)| {
+            rp.rfft_into(src, dst, scratch);
         });
 
     let mut out = CTensor::from_vec(&out_dims, out_data);
@@ -139,8 +128,8 @@ pub fn irfftn(c: &CTensor, last_dim: usize, ndim: usize) -> Tensor {
     out_data
         .par_chunks_mut(last_dim)
         .zip(work.data().par_chunks(wh))
-        .for_each(|(dst, src)| {
-            rp.irfft_into(src, dst);
+        .for_each_init(Vec::new, |scratch, (dst, src)| {
+            rp.irfft_into(src, dst, scratch);
         });
     Tensor::from_vec(&out_dims, out_data)
 }

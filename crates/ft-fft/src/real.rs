@@ -5,7 +5,6 @@
 //! pack-into-half-size-complex trick (one complex FFT of size `n/2`); odd
 //! sizes fall back to a full complex transform.
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
 use ft_tensor::Complex64;
@@ -24,29 +23,20 @@ pub fn rfft_len(n: usize) -> usize {
 /// call would dominate small transforms.
 static REAL_PLANS: PlanCache<RealPlan> = PlanCache::new();
 
-thread_local! {
-    /// Reusable complex scratch for the `*_into` row transforms, so a batched
-    /// n-d transform performs zero heap allocations per row. Pool threads
-    /// persist, so each keeps its buffer across calls.
-    static SCRATCH: RefCell<Vec<Complex64>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Runs `f` with a zeroed-length scratch buffer of capacity ≥ `n`,
-/// reusing one thread-local allocation across calls.
-fn with_scratch<R>(n: usize, f: impl FnOnce(&mut Vec<Complex64>) -> R) -> R {
-    SCRATCH.with(|s| {
-        let mut buf = s.borrow_mut();
-        buf.clear();
-        buf.reserve(n);
-        f(&mut buf)
-    })
+/// Empties the caller's scratch buffer and makes room for `n` values.
+fn cleared(scratch: &mut Vec<Complex64>, n: usize) -> &mut Vec<Complex64> {
+    scratch.clear();
+    scratch.reserve(n);
+    scratch
 }
 
 /// A planned real transform of a fixed length: the complex plan plus the
 /// pack/unpack twiddle table, bundled so a batched n-d transform resolves
 /// them **once** and shares the handle across worker threads (everything
-/// inside is immutable). Per-row scratch still comes from the thread-local
-/// buffer, so rows allocate nothing after warm-up.
+/// inside is immutable). Row scratch is the caller's: a batched transform
+/// keeps one buffer per parallel batch (`for_each_init`), so its rows
+/// allocate nothing once that buffer has grown, and how much it allocates
+/// does not depend on which thread runs which batch.
 pub struct RealPlan {
     n: usize,
     /// Even `n`: the half-size complex plan; odd `n`: the full-size plan.
@@ -80,8 +70,9 @@ impl RealPlan {
         self.n == 0
     }
 
-    /// [`rfft`] of one row, writing into a buffer of length `n/2 + 1`.
-    pub fn rfft_into(&self, input: &[f64], out: &mut [Complex64]) {
+    /// [`rfft`] of one row, writing into a buffer of length `n/2 + 1`;
+    /// `scratch` is working space, reused across rows.
+    pub fn rfft_into(&self, input: &[f64], out: &mut [Complex64], scratch: &mut Vec<Complex64>) {
         let n = self.n;
         assert_eq!(input.len(), n, "rfft input length");
         assert_eq!(out.len(), rfft_len(n), "rfft output buffer length");
@@ -90,19 +81,24 @@ impl RealPlan {
             return;
         }
         if n % 2 == 0 {
-            self.rfft_even(input, out);
+            self.rfft_even(input, out, cleared(scratch, n / 2));
         } else {
             // Odd length: embed into a complex transform and keep half.
-            with_scratch(n, |buf| {
-                buf.extend(input.iter().map(|&x| Complex64::from_re(x)));
-                self.plan.process(buf, Direction::Forward);
-                out.copy_from_slice(&buf[..rfft_len(n)]);
-            });
+            let buf = cleared(scratch, n);
+            buf.extend(input.iter().map(|&x| Complex64::from_re(x)));
+            self.plan.process(buf, Direction::Forward);
+            out.copy_from_slice(&buf[..rfft_len(n)]);
         }
     }
 
-    /// [`irfft`] of one row, writing the `n` reals into `out`.
-    pub fn irfft_into(&self, spectrum: &[Complex64], out: &mut [f64]) {
+    /// [`irfft`] of one row, writing the `n` reals into `out`; `scratch` is
+    /// working space, reused across rows.
+    pub fn irfft_into(
+        &self,
+        spectrum: &[Complex64],
+        out: &mut [f64],
+        scratch: &mut Vec<Complex64>,
+    ) {
         let n = self.n;
         assert_eq!(
             spectrum.len(),
@@ -117,72 +113,67 @@ impl RealPlan {
             return;
         }
         if n % 2 == 0 {
-            self.irfft_even(spectrum, out);
+            self.irfft_even(spectrum, out, cleared(scratch, n / 2));
         } else {
             // Reconstruct the full Hermitian spectrum, then complex inverse.
-            with_scratch(n, |full| {
-                full.resize(n, Complex64::ZERO);
-                full[0] = Complex64::from_re(spectrum[0].re);
-                for k in 1..spectrum.len() {
-                    full[k] = spectrum[k];
-                    full[n - k] = spectrum[k].conj();
-                }
-                self.plan.process(full, Direction::Inverse);
-                for (o, z) in out.iter_mut().zip(full.iter()) {
-                    *o = z.re;
-                }
-            });
+            let full = cleared(scratch, n);
+            full.resize(n, Complex64::ZERO);
+            full[0] = Complex64::from_re(spectrum[0].re);
+            for k in 1..spectrum.len() {
+                full[k] = spectrum[k];
+                full[n - k] = spectrum[k].conj();
+            }
+            self.plan.process(full, Direction::Inverse);
+            for (o, z) in out.iter_mut().zip(full.iter()) {
+                *o = z.re;
+            }
         }
     }
 
-    fn rfft_even(&self, input: &[f64], out: &mut [Complex64]) {
+    fn rfft_even(&self, input: &[f64], out: &mut [Complex64], z: &mut Vec<Complex64>) {
         let n = self.n;
         let h = n / 2;
         let tw = &self.twiddles;
         // Pack even samples into the real part, odd into the imaginary part.
-        with_scratch(h, |z| {
-            z.extend((0..h).map(|j| Complex64::new(input[2 * j], input[2 * j + 1])));
-            self.plan.process(z, Direction::Forward);
+        z.extend((0..h).map(|j| Complex64::new(input[2 * j], input[2 * j + 1])));
+        self.plan.process(z, Direction::Forward);
 
-            for (k, (o, &w)) in out[..h].iter_mut().zip(tw.iter()).enumerate() {
-                let zk = z[k];
-                let zc = z[(h - k) % h].conj();
-                let e = (zk + zc) * 0.5;
-                let od = (zk - zc).mul_neg_i() * 0.5;
-                *o = e + w * od;
-            }
-            // Nyquist bin: X[n/2] = E[0] − O[0].
-            let z0 = z[0];
-            out[h] = Complex64::from_re(z0.re - z0.im);
-        });
+        for (k, (o, &w)) in out[..h].iter_mut().zip(tw.iter()).enumerate() {
+            let zk = z[k];
+            let zc = z[(h - k) % h].conj();
+            let e = (zk + zc) * 0.5;
+            let od = (zk - zc).mul_neg_i() * 0.5;
+            *o = e + w * od;
+        }
+        // Nyquist bin: X[n/2] = E[0] − O[0].
+        let z0 = z[0];
+        out[h] = Complex64::from_re(z0.re - z0.im);
     }
 
-    fn irfft_even(&self, spectrum: &[Complex64], out: &mut [f64]) {
+    fn irfft_even(&self, spectrum: &[Complex64], out: &mut [f64], z: &mut Vec<Complex64>) {
         let n = self.n;
         let h = n / 2;
         let tw = &self.twiddles;
         // Recover the packed half-size spectrum Z[k] = E[k] + i·W^{-k}·O-part.
-        with_scratch(h, |z| {
-            for (k, &w) in tw.iter().enumerate() {
-                // Force the Hermitian-redundant components to their consistent
-                // values so stray imaginary parts in bins 0 and n/2 cannot leak.
-                let xk = if k == 0 { Complex64::from_re(spectrum[0].re) } else { spectrum[k] };
-                let xc = if k == 0 {
-                    Complex64::from_re(spectrum[h].re)
-                } else {
-                    spectrum[h - k].conj()
-                };
-                let e = (xk + xc) * 0.5;
-                let o = (xk - xc) * 0.5 * w.conj();
-                z.push(e + o.mul_i());
-            }
-            self.plan.process(z, Direction::Inverse);
+        for (k, &w) in tw.iter().enumerate() {
+            // Force the Hermitian-redundant components to their consistent
+            // values so stray imaginary parts in bins 0 and n/2 cannot leak.
+            let xk = if k == 0 { Complex64::from_re(spectrum[0].re) } else { spectrum[k] };
+            let xc = if k == 0 {
+                Complex64::from_re(spectrum[h].re)
+            } else {
+                spectrum[h - k].conj()
+            };
+            let e = (xk + xc) * 0.5;
+            let o = (xk - xc) * 0.5 * w.conj();
+            z.push(e + o.mul_i());
+        }
+        self.plan.process(z, Direction::Inverse);
 
-            for (j, zj) in z.iter().enumerate() {
-                out[2 * j] = zj.re;
-                out[2 * j + 1] = zj.im;
-            }
-        });
+        for (j, zj) in z.iter().enumerate() {
+            out[2 * j] = zj.re;
+            out[2 * j + 1] = zj.im;
+        }
     }
 }
 
@@ -202,13 +193,13 @@ pub fn rfft(input: &[f64]) -> Vec<Complex64> {
 }
 
 /// [`rfft`] writing into a caller-provided buffer of length `n/2 + 1`;
-/// performs no heap allocation beyond thread-local scratch reuse.
+/// allocates only its working space.
 ///
 /// Batched call sites should hoist [`shared_real_plan`] instead so the
 /// plan-cache lookup happens once per batch, not once per row.
 pub fn rfft_into(input: &[f64], out: &mut [Complex64]) {
     assert!(!input.is_empty(), "rfft of empty signal");
-    shared_real_plan(input.len()).rfft_into(input, out);
+    shared_real_plan(input.len()).rfft_into(input, out, &mut Vec::new());
 }
 
 /// Inverse real transform: half spectrum (length `n/2 + 1`) → `n` reals,
@@ -223,13 +214,13 @@ pub fn irfft(spectrum: &[Complex64], n: usize) -> Vec<f64> {
 }
 
 /// [`irfft`] writing into a caller-provided buffer of length `n`;
-/// performs no heap allocation beyond thread-local scratch reuse.
+/// allocates only its working space.
 ///
 /// Batched call sites should hoist [`shared_real_plan`] instead so the
 /// plan-cache lookup happens once per batch, not once per row.
 pub fn irfft_into(spectrum: &[Complex64], n: usize, out: &mut [f64]) {
     assert!(n > 0, "irfft target length must be positive");
-    shared_real_plan(n).irfft_into(spectrum, out);
+    shared_real_plan(n).irfft_into(spectrum, out, &mut Vec::new());
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 //! Allocation-churn guarantees for the batched transform hot path: after a
-//! warm-up call, the in-place `fft_axis` performs **zero** heap allocations
-//! (the strided path reuses the thread-local line scratch, the plan cache
-//! hands out `Arc` clones of cached plans), and `rfftn`/`irfftn` settle to an
-//! exact, stable per-call allocation count (output buffers only — no hidden
-//! cache accretion or per-row planning).
+//! warm-up call, the in-place `fft_axis` allocates a small constant per
+//! call (one line buffer per parallel batch for the strided path; the plan
+//! cache hands out `Arc` clones of cached plans), and `rfftn`/`irfftn`
+//! settle to an exact, stable per-call allocation count (output buffers and
+//! per-batch row scratch only — no hidden cache accretion or per-row
+//! planning).
 //!
 //! Own test binary (same convention as `crates/core/tests/infer_no_tape_alloc.rs`):
 //! a counting global allocator sees every allocation in the process, so the
@@ -59,17 +60,17 @@ fn warm_transforms_have_stable_allocation_counts() {
         Complex64::new((i[2] as f64 * 0.5).cos(), (i[3] as f64 * 0.9).sin())
     });
 
-    // Warm-up: populates the process-wide plan caches and this thread's
-    // line scratch for every size these shapes touch.
+    // Warm-up: populates the process-wide plan caches for every size these
+    // shapes touch.
     let spec = rfftn(&x, 2);
     let _ = irfftn(&spec, 8, 2);
     fft_axis(&mut ct, 2, Direction::Forward);
 
     // In-place strided transform: plan lookup is an Arc clone and the line
-    // buffer is the warm thread-local scratch, so the per-call allocation
-    // count is a small shape-bookkeeping constant — independent of how many
-    // lines are transformed. A regression to per-line buffers would scale
-    // the count with the line count (32 lines here vs 128 below).
+    // buffer is one per parallel batch, so the per-call allocation count is
+    // a small constant — independent of how many lines are transformed. A
+    // regression to per-line buffers would scale the count with the line
+    // count (32 lines here vs 128 below).
     let axis_small = allocations_during(|| fft_axis(&mut ct, 2, Direction::Forward));
     let mut big = CTensor::from_fn(&[4, 4, 4, 8], |i| {
         Complex64::new((i[1] as f64 * 0.5).cos(), (i[3] as f64 * 0.9).sin())

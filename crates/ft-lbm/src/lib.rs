@@ -8,10 +8,13 @@
 //! * the **D2Q9 lattice** with the exact product-form entropic equilibrium,
 //! * the **entropic stabilizer**: the over-relaxation parameter α is the
 //!   nontrivial root of the discrete H-theorem equality
-//!   `H(f + αΔ) = H(f)`, found by a guarded Newton iteration (α = 2
-//!   recovers BGK; the solver departs from 2 only under strong
+//!   `H(f + αΔ) = H(f)`. The root is bracketed from α = 2 upwards, capped
+//!   by the positivity barrier, and then found by Newton's method from the
+//!   bracket's right end, stopping once `|H(f + αΔ) − H(f)|` is at the
+//!   `1e-13·max(|H(f)|, 1)` noise floor ([`solver::entropic_alpha`]).
+//!   α = 2 recovers BGK; the solver departs from 2 only under strong
 //!   nonequilibrium, which is exactly what keeps underresolved turbulence
-//!   stable),
+//!   stable,
 //! * periodic streaming, macroscopic moment extraction, and finite
 //!   difference curl/divergence for the sampled fields,
 //! * the paper's random solenoidal initial conditions (a random band-limited

@@ -317,23 +317,11 @@ impl Lbm {
         let collision = self.cfg.collision;
         let mrt_rates = MrtRates::stabilized(self.cfg.omega());
 
-        // Split the nine planes into row bands processed in parallel. Each
-        // band owns the same row range in every plane; to satisfy the borrow
-        // checker we work through raw row indices on the flat buffer with a
-        // per-row gather/scatter.
+        // Each cell gathers its nine populations from the planes, relaxes
+        // them and writes them to its own slot of the cell-major scratch
+        // (disjoint writes, so cells run in parallel); a serial pass then
+        // scatters the scratch back plane-major.
         let f = &mut self.f;
-        // SAFETY-free approach: process rows in parallel using split_at_mut
-        // is awkward across planes; instead, parallelize with chunks over a
-        // row-index range and use interior pointers via `par_iter` on an
-        // index range plus unsafe-free copy in/out through a locals buffer.
-        // We copy each cell's 9 populations into a stack array, relax, and
-        // write back. The write targets are disjoint per cell, so we use
-        // `par_chunks_mut` on a transposed view instead: build is avoided by
-        // processing rows serially inside a parallel pass over bands of the
-        // *cell* index space via pointer arithmetic hidden behind chunks.
-        //
-        // Simpler and safe: reorder the loop so parallelism is over the
-        // scratch buffer (cell-major), then scatter back plane-major.
         let force = self.force.as_ref();
         let scratch = &mut self.scratch;
         scratch
@@ -463,35 +451,111 @@ fn self_omega(r: MrtRates) -> f64 {
     r.s_nu
 }
 
-/// Solves the entropy-equality `H(f + αΔ) = H(f)` for the nontrivial root α.
+/// Solves the entropy equality `H(f + αΔ) = H(f)` for the nontrivial root α.
 ///
-/// Newton iteration on `G(α) = H(f + αΔ) − H(f)` starting from the BGK value
-/// α = 2, guarded by the positivity barrier (any step that would make a
-/// population non-positive is halved). Returns 2 when the nonequilibrium is
-/// tiny (the entropic correction is then below floating-point noise).
+/// `G(α) = H(f + αΔ) − H(f)` is convex with `G(0) = 0` and `G(1) ≤ 0`, so
+/// the root lies above 1. The solve first brackets it: α = 2 (BGK) is
+/// tried, then grown by ×1.25 while `G < 0`; a population reaching zero
+/// first (the positivity barrier, `G = ∞`) caps α at the largest feasible
+/// value instead. Newton's method then runs from the bracket's right end,
+/// where `G > 0`, so convexity makes its iterates fall monotonically onto
+/// the root; a step that rounding throws outside the bracket is replaced by
+/// a bisection step. Iteration stops once `|G| ≤ 1e-13·max(|H(f)|, 1)` and
+/// takes one last Newton step from the `G`, `G′` already in hand.
+///
+/// Returns 2 when the nonequilibrium is tiny or `G(2)` is already within
+/// that noise floor (the entropic correction is then meaningless), and for a
+/// degenerate bracket with `G(1) > 0`, which only a `Δ` that does not point
+/// at the equilibrium can produce.
 pub fn entropic_alpha(f: &[f64; 9], delta: &[f64; 9]) -> f64 {
+    match bracket_alpha(f, delta) {
+        Alpha::Done(alpha) => alpha,
+        Alpha::Root(gap, bracket) => newton_root(&gap, bracket),
+    }
+}
+
+/// `G(α) = H(f + αΔ) − H(f)` for one cell.
+struct EntropyGap<'a> {
+    f: &'a [f64; 9],
+    delta: &'a [f64; 9],
+    h0: f64,
+}
+
+impl EntropyGap<'_> {
+    /// `G(α)` and `G′(α) = Σ Δᵢ ln((fᵢ + αΔᵢ)/wᵢ)` from one `ln` per
+    /// population (the `ΣΔᵢ` term of the derivative is zero: collision
+    /// conserves mass). Both are `+∞` past the positivity barrier, and `G`
+    /// has the bits of [`h_function`]`(f + αΔ) − H(f)`.
+    #[inline]
+    fn eval(&self, alpha: f64) -> (f64, f64) {
+        let mut h = 0.0;
+        let mut slope = 0.0;
+        for i in 0..9 {
+            let fa = self.f[i] + alpha * self.delta[i];
+            if fa <= 0.0 {
+                return (f64::INFINITY, f64::INFINITY);
+            }
+            let log = (fa / D2Q9::W[i]).ln();
+            h += fa * log;
+            slope += self.delta[i] * log;
+        }
+        (h - self.h0, slope)
+    }
+
+    fn g(&self, alpha: f64) -> f64 {
+        self.eval(alpha).0
+    }
+
+    /// The largest feasible α in `[lo, hi]`, `lo` feasible and `hi` not, by
+    /// 60 bisections against feasibility.
+    fn barrier(&self, mut lo: f64, mut hi: f64) -> f64 {
+        for _ in 0..60 {
+            let mid = 0.5 * (lo + hi);
+            if self.g(mid).is_finite() {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+}
+
+/// A sign-change bracket `G(lo) ≤ 0 < G(hi)` of the entropy root, with `G`
+/// and `G′` at `hi` (finite: every α in the bracket is feasible).
+struct Bracket {
+    lo: f64,
+    hi: f64,
+    g_hi: f64,
+    slope_hi: f64,
+    /// `|G|` below this is rounding noise: `1e-13·max(|H(f)|, 1)`.
+    noise: f64,
+}
+
+/// Outcome of the bracketing phase: an α decided by a guard, or a root
+/// left for the solve.
+enum Alpha<'a> {
+    Done(f64),
+    Root(EntropyGap<'a>, Bracket),
+}
+
+/// The guards and the bracket search of [`entropic_alpha`].
+fn bracket_alpha<'a>(f: &'a [f64; 9], delta: &'a [f64; 9]) -> Alpha<'a> {
     let dnorm: f64 = delta.iter().map(|d| d * d).sum::<f64>().sqrt();
     let fnorm: f64 = f.iter().map(|v| v * v).sum::<f64>().sqrt();
     // Tiny nonequilibrium: G(2) is below floating-point noise; the entropic
     // correction is meaningless and BGK is exact to machine precision.
     if dnorm < 1e-7 * fnorm.max(1e-300) {
-        return 2.0;
+        return Alpha::Done(2.0);
     }
 
     let h0 = h_function(f);
     if !h0.is_finite() {
         // Already infeasible populations (shouldn't happen in a stable run);
         // fall back to BGK rather than propagate infinities.
-        return 2.0;
+        return Alpha::Done(2.0);
     }
-
-    let g = |alpha: f64| -> f64 {
-        let mut fa = [0.0f64; 9];
-        for i in 0..9 {
-            fa[i] = f[i] + alpha * delta[i];
-        }
-        h_function(&fa) - h0
-    };
+    let gap = EntropyGap { f, delta, h0 };
 
     // G is convex with G(0) = 0 and G(1) = H(f^eq) − H(f) ≤ 0, so the
     // nontrivial root lies in (1, ∞). Bracket it: grow `hi` until G(hi) > 0
@@ -499,9 +563,9 @@ pub fn entropic_alpha(f: &[f64; 9], delta: &[f64; 9]) -> f64 {
     let noise = 1e-13 * h0.abs().max(1.0);
     let lo0 = 1.0;
     let mut hi = 2.0;
-    let mut g_hi = g(hi);
+    let (mut g_hi, mut slope_hi) = gap.eval(hi);
     if g_hi.abs() <= noise {
-        return 2.0; // entropy equality already holds at BGK within noise
+        return Alpha::Done(2.0); // entropy equality already holds at BGK within noise
     }
     let mut lo = lo0;
     if g_hi < 0.0 {
@@ -509,63 +573,61 @@ pub fn entropic_alpha(f: &[f64; 9], delta: &[f64; 9]) -> f64 {
         for _ in 0..20 {
             lo = hi;
             hi *= 1.25;
-            g_hi = g(hi);
+            (g_hi, slope_hi) = gap.eval(hi);
             if g_hi > 0.0 {
                 break;
             }
         }
         if !g_hi.is_finite() {
-            // Positivity barrier before the entropy root: shrink hi to the
-            // largest feasible α by bisection against feasibility.
-            let mut flo = lo;
-            let mut fhi = hi;
-            for _ in 0..60 {
-                let mid = 0.5 * (flo + fhi);
-                if g(mid).is_finite() {
-                    flo = mid;
-                } else {
-                    fhi = mid;
-                }
-            }
-            return flo.max(1.0);
+            // Positivity barrier before the entropy root: the largest
+            // feasible α.
+            return Alpha::Done(gap.barrier(lo, hi).max(1.0));
         }
         if g_hi < 0.0 {
-            return hi; // never found a sign change; cap at the expanded value
+            return Alpha::Done(hi); // never found a sign change; cap at the expanded value
         }
     } else if !g_hi.is_finite() {
         // α = 2 already infeasible: largest feasible α in (1, 2).
-        let mut flo = lo0;
-        let mut fhi = 2.0;
-        for _ in 0..60 {
-            let mid = 0.5 * (flo + fhi);
-            if g(mid).is_finite() {
-                flo = mid;
-            } else {
-                fhi = mid;
-            }
-        }
-        return flo;
+        return Alpha::Done(gap.barrier(lo0, 2.0));
     }
 
-    // Bisection on [lo, hi] with G(lo) ≤ 0 < G(hi); 50 iterations give
-    // double-precision accuracy and unconditional convergence.
-    let mut g_lo = g(lo);
-    if g_lo > 0.0 {
+    if gap.g(lo) > 0.0 {
         // Degenerate bracket (can only arise from noise); BGK is safe.
-        return 2.0;
+        return Alpha::Done(2.0);
     }
-    for _ in 0..50 {
-        let mid = 0.5 * (lo + hi);
-        let gm = g(mid);
-        if !gm.is_finite() || gm > 0.0 {
-            hi = mid;
+    Alpha::Root(gap, Bracket { lo, hi, g_hi, slope_hi, noise })
+}
+
+/// Root iterates [`newton_root`] may take. Newton needs about three; the
+/// bisection fallback reaches one ulp of a bracket no wider than the
+/// ×1.25²⁰ expansion within 64 halvings.
+const MAX_ROOT_STEPS: usize = 64;
+
+/// Newton's method on `G` from the bracket's right end (see
+/// [`entropic_alpha`]).
+fn newton_root(gap: &EntropyGap<'_>, bracket: Bracket) -> f64 {
+    let Bracket { mut lo, mut hi, g_hi, slope_hi, noise } = bracket;
+    let (mut alpha, mut g, mut slope) = (hi, g_hi, slope_hi);
+    for _ in 0..MAX_ROOT_STEPS {
+        if g.abs() <= noise {
+            break;
+        }
+        let step = alpha - g / slope;
+        alpha = if step > lo && step < hi { step } else { 0.5 * (lo + hi) };
+        (g, slope) = gap.eval(alpha);
+        if !g.is_finite() || g > 0.0 {
+            hi = alpha;
         } else {
-            lo = mid;
-            g_lo = gm;
+            lo = alpha;
         }
     }
-    let _ = g_lo;
-    0.5 * (lo + hi)
+    // Polish: one more Newton step from the G and G′ in hand.
+    let polished = alpha - g / slope;
+    if polished >= lo && polished <= hi {
+        polished
+    } else {
+        alpha
+    }
 }
 
 #[cfg(test)]
@@ -680,6 +742,188 @@ mod tests {
         assert!(alpha > 0.0 && alpha <= 2.5);
         for i in 0..9 {
             assert!(f[i] + alpha * 0.5 * delta[i] > 0.0, "population {i} went negative");
+        }
+    }
+
+    /// The root solve `entropic_alpha` replaced: 50 bisections of the
+    /// bracket, kept as the oracle for the Newton solve.
+    fn bisection_root(gap: &EntropyGap<'_>, bracket: Bracket) -> f64 {
+        let Bracket { mut lo, mut hi, .. } = bracket;
+        for _ in 0..50 {
+            let mid = 0.5 * (lo + hi);
+            let gm = gap.g(mid);
+            if !gm.is_finite() || gm > 0.0 {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    /// [`entropic_alpha`] with the bisection oracle as its root solve.
+    fn bisection_alpha(f: &[f64; 9], delta: &[f64; 9]) -> f64 {
+        match bracket_alpha(f, delta) {
+            Alpha::Done(alpha) => alpha,
+            Alpha::Root(gap, bracket) => bisection_root(&gap, bracket),
+        }
+    }
+
+    /// `Δ = f^eq(ρ, u) − f` for the moments of `f`.
+    fn to_equilibrium(f: &[f64; 9]) -> [f64; 9] {
+        let (rho, jx, jy) = moments(f);
+        let eq = equilibrium(rho, jx / rho, jy / rho);
+        std::array::from_fn(|i| eq[i] - f[i])
+    }
+
+    fn gap<'a>(f: &'a [f64; 9], delta: &'a [f64; 9]) -> EntropyGap<'a> {
+        EntropyGap { f, delta, h0: h_function(f) }
+    }
+
+    /// The largest feasible α, `min fᵢ/(−Δᵢ)` over `Δᵢ < 0`.
+    fn analytic_barrier(f: &[f64; 9], delta: &[f64; 9]) -> f64 {
+        (0..9)
+            .filter(|&i| delta[i] < 0.0)
+            .map(|i| f[i] / -delta[i])
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    #[test]
+    fn entropic_alpha_finds_a_root_above_two() {
+        // Diagonals depleted by half into the rest population: H(f + 2Δ)
+        // is still below H(f), so the bracket grows past 2.
+        let mut f = equilibrium(1.0, 0.05, -0.02);
+        for i in 5..9 {
+            let m = 0.5 * f[i];
+            f[i] -= m;
+            f[0] += m;
+        }
+        let delta = to_equilibrium(&f);
+        let g = gap(&f, &delta);
+        assert!(g.g(2.0) < 0.0, "G(2) = {}", g.g(2.0));
+        let alpha = entropic_alpha(&f, &delta);
+        let noise = 1e-13 * g.h0.abs().max(1.0);
+        assert!(alpha > 2.0 && alpha < analytic_barrier(&f, &delta), "alpha = {alpha}");
+        assert!(g.g(alpha).abs() <= noise, "G(α) = {:e}", g.g(alpha));
+        let oracle = bisection_alpha(&f, &delta);
+        assert!((alpha - oracle).abs() <= noise / g.eval(alpha).1, "{alpha} vs {oracle}");
+    }
+
+    #[test]
+    fn entropic_alpha_stops_at_the_barrier_before_two() {
+        // 90 % of the rest population moved to the axis directions: at
+        // α = 2 the overfull axis populations would go negative.
+        let mut f = equilibrium(1.0, 0.05, -0.02);
+        let m = 0.9 * f[0];
+        f[0] -= m;
+        for i in 1..5 {
+            f[i] += m / 4.0;
+        }
+        let delta = to_equilibrium(&f);
+        assert!(gap(&f, &delta).g(2.0).is_infinite());
+        let alpha = entropic_alpha(&f, &delta);
+        let barrier = analytic_barrier(&f, &delta);
+        assert!(alpha > 1.0 && alpha < 2.0, "alpha = {alpha}");
+        assert!((alpha - barrier).abs() <= 1e-12 * barrier, "{alpha} vs barrier {barrier}");
+        assert!((0..9).all(|i| f[i] + alpha * delta[i] > 0.0));
+        assert_eq!(alpha, bisection_alpha(&f, &delta));
+    }
+
+    #[test]
+    fn entropic_alpha_stops_at_the_barrier_above_two() {
+        // The populations of `entropic_alpha_respects_positivity`: the
+        // expansion past 2 meets the barrier before the entropy root.
+        let feq = equilibrium(1.0, 0.0, 0.0);
+        let mut f = feq;
+        f[1] = 0.02;
+        f[3] += feq[1] - 0.02;
+        let delta = to_equilibrium(&f);
+        assert!(gap(&f, &delta).g(2.0) < 0.0);
+        let alpha = entropic_alpha(&f, &delta);
+        let barrier = analytic_barrier(&f, &delta);
+        assert!(alpha > 2.0, "alpha = {alpha}");
+        assert!((alpha - barrier).abs() <= 1e-12 * barrier, "{alpha} vs barrier {barrier}");
+        assert_eq!(alpha, bisection_alpha(&f, &delta));
+    }
+
+    #[test]
+    fn entropic_alpha_degenerate_bracket_gives_two() {
+        // A Δ that overshoots the equilibrium 2.5-fold puts the root below
+        // 1: G(1) > 0, so the bracket [1, 2] holds no sign change.
+        let f = equilibrium(1.0, 0.1, 0.05);
+        let mut g = f;
+        g[1] *= 0.9;
+        g[3] *= 1.1;
+        let delta = to_equilibrium(&g).map(|d| -2.5 * d);
+        let gp = gap(&f, &delta);
+        assert!(gp.g(1.0) > 0.0, "G(1) = {:e}", gp.g(1.0));
+        assert!(gp.g(2.0) > 1e-13 && gp.g(2.0).is_finite());
+        assert_eq!(entropic_alpha(&f, &delta), 2.0);
+    }
+
+    #[test]
+    fn newton_step_outside_the_bracket_bisects_instead() {
+        // A slope far too flat at `hi` throws the first Newton step below
+        // `lo`, as rounding can near the barrier: the solve must bisect
+        // and still land on the root.
+        let mut f = equilibrium(1.0, 0.05, -0.02);
+        f[1] *= 0.7;
+        f[3] *= 1.3;
+        let delta = to_equilibrium(&f);
+        let Alpha::Root(gap, bracket) = bracket_alpha(&f, &delta) else {
+            panic!("expected a root bracket");
+        };
+        let noise = bracket.noise;
+        let oracle = bisection_root(&gap, Bracket { ..bracket });
+        let flat = Bracket { slope_hi: bracket.slope_hi * 1e-9, ..bracket };
+        assert!(flat.hi - flat.g_hi / flat.slope_hi < flat.lo);
+        let alpha = newton_root(&gap, flat);
+        let (g_alpha, slope) = gap.eval(alpha);
+        assert!(g_alpha.abs() <= noise, "G(α) = {g_alpha:e}");
+        assert!((alpha - oracle).abs() <= noise / slope, "{alpha} vs {oracle}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2000))]
+
+        /// Random `ρ`, `u` and populations perturbed by a relative
+        /// `ε ∈ [1e-7, 0.95]`, log-uniform, so near- and far-from-
+        /// equilibrium cells both occur (the far ones reach the barrier).
+        #[test]
+        fn newton_alpha_matches_the_bisection_oracle(
+            rho in 0.5f64..2.0,
+            ux in -0.3f64..0.3,
+            uy in -0.3f64..0.3,
+            log_eps in -7.0f64..0.0,
+            r in proptest::collection::vec(-1.0f64..1.0, 9usize),
+        ) {
+            let eps = 0.95 * 10f64.powf(log_eps);
+            let feq = equilibrium(rho, ux, uy);
+            let f: [f64; 9] = std::array::from_fn(|i| feq[i] * (1.0 + eps * r[i]));
+            let delta = to_equilibrium(&f);
+            let alpha = entropic_alpha(&f, &delta);
+            let oracle = bisection_alpha(&f, &delta);
+            proptest::prop_assert!((0..9).all(|i| f[i] + alpha * delta[i] > 0.0), "alpha {alpha}");
+            match bracket_alpha(&f, &delta) {
+                Alpha::Done(a) => {
+                    // Guards are shared with the oracle: same bits. Apart
+                    // from BGK, a guard only returns the barrier.
+                    proptest::prop_assert_eq!(alpha.to_bits(), a.to_bits());
+                    proptest::prop_assert_eq!(alpha.to_bits(), oracle.to_bits());
+                    let past = alpha * (1.0 + 1e-9);
+                    proptest::prop_assert!(alpha == 2.0 || gap(&f, &delta).g(past).is_infinite());
+                }
+                Alpha::Root(g, bracket) => {
+                    let (g_alpha, slope) = g.eval(alpha);
+                    proptest::prop_assert!(alpha >= bracket.lo && alpha <= bracket.hi);
+                    proptest::prop_assert!(g_alpha.abs() <= bracket.noise, "G(α) = {g_alpha:e}");
+                    proptest::prop_assert!(
+                        (alpha - oracle).abs() <= bracket.noise / slope,
+                        "newton {alpha} vs bisection {oracle}, bound {:e}",
+                        bracket.noise / slope
+                    );
+                }
+            }
         }
     }
 

@@ -285,9 +285,9 @@ impl Truncation {
             .par_chunks_mut(block * kc)
             .zip(x.data().par_chunks(block * w))
             .zip(lines.chunks_exact_mut(w / 2 + 1))
-            .for_each(|((dst, src), line)| {
+            .for_each_init(Vec::new, |scratch, ((dst, src), line)| {
                 for (d, s) in dst.chunks_exact_mut(kc).zip(src.chunks_exact(w)) {
-                    rp.rfft_into(s, line);
+                    rp.rfft_into(s, line, scratch);
                     d.copy_from_slice(&line[..kc]);
                 }
             });
@@ -306,10 +306,10 @@ impl Truncation {
             .par_chunks_mut(block * w)
             .zip(t.data().par_chunks(block * kc))
             .zip(lines.chunks_exact_mut(w / 2 + 1))
-            .for_each(|((dst, src), line)| {
+            .for_each_init(Vec::new, |scratch, ((dst, src), line)| {
                 for (d, s) in dst.chunks_exact_mut(w).zip(src.chunks_exact(kc)) {
                     line[..kc].copy_from_slice(s);
-                    rp.irfft_into(line, d);
+                    rp.irfft_into(line, d, scratch);
                 }
             });
         out

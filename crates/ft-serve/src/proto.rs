@@ -149,13 +149,46 @@ pub fn write_err(w: &mut impl Write, e: &ServeError) -> io::Result<()> {
     write_frame(w, &header, None)
 }
 
-/// Largest payload a frame may declare (guards a malformed or hostile
-/// header from triggering an enormous allocation): 256 Mi f32 elements.
+/// Largest payload a frame may declare: 256 Mi f32 elements (1 GiB on the
+/// wire). [`read_frame`] allocates only as payload bytes arrive, so this
+/// caps what a peer that sends them all can make the server hold.
 pub const MAX_PAYLOAD_ELEMS: usize = 256 << 20;
 
 /// Longest header line a frame may send, newline excluded: a peer that
 /// never sends `\n` is cut off here instead of growing the line buffer.
 pub const MAX_HEADER_BYTES: usize = 64 << 10;
+
+/// Payload bytes read from the stream at a time. The payload buffer grows
+/// with the bytes that actually arrive, so a header declaring up to
+/// [`MAX_PAYLOAD_ELEMS`] and then stalling or hanging up costs one chunk,
+/// not the declared size.
+const PAYLOAD_CHUNK_BYTES: usize = 16 << 10;
+
+/// Reads `n` little-endian `f32`s, widening them to `f64`, one
+/// [`PAYLOAD_CHUNK_BYTES`] chunk at a time.
+fn read_payload(r: &mut impl Read, n: usize) -> Result<Vec<f64>, ServeError> {
+    let mut chunk = [0u8; PAYLOAD_CHUNK_BYTES];
+    let mut data = Vec::new();
+    let mut left = n * 4;
+    while left > 0 {
+        let bytes = &mut chunk[..left.min(PAYLOAD_CHUNK_BYTES)];
+        r.read_exact(bytes)
+            .map_err(|e| ServeError::Protocol(format!("payload read: {e}")))?;
+        let count = bytes.len() / 4;
+        if data.capacity() - data.len() < count {
+            // Double as the payload arrives, but never past the declared
+            // size, so a complete payload ends at its exact capacity.
+            data.reserve_exact(data.len().max(count).min(n - data.len()));
+        }
+        data.extend(
+            bytes
+                .chunks_exact(4)
+                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]) as f64),
+        );
+        left -= bytes.len();
+    }
+    Ok(data)
+}
 
 /// Reads one frame: the header line plus, when the header declares
 /// `dims`, the payload tensor. Returns `None` on clean EOF before a
@@ -180,14 +213,7 @@ pub fn read_frame(r: &mut impl BufRead) -> Result<Option<(Header, Option<Tensor>
             if dims.is_empty() || n == 0 || n > MAX_PAYLOAD_ELEMS {
                 return Err(bad(&format!("unreasonable payload dims {dims:?}")));
             }
-            let mut bytes = vec![0u8; n * 4];
-            r.read_exact(&mut bytes)
-                .map_err(|e| ServeError::Protocol(format!("payload read: {e}")))?;
-            let data: Vec<f64> = bytes
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]) as f64)
-                .collect();
-            Some(Tensor::from_vec(&dims, data))
+            Some(Tensor::from_vec(&dims, read_payload(r, n)?))
         }
         Some(None) => return Err(bad("`dims` must be an integer array")),
         None => None,

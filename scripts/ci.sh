@@ -21,12 +21,16 @@ echo "==> cargo test"
 cargo test -q --offline
 
 # `cargo test` above builds only the root package's tests. The serving
-# crate's suite and the fno-core unit and rollout tests run here. Not the
-# whole fno-core package: its `infer_no_tape_alloc` test compares
-# process-wide allocation counts and fails under CPU load (ROADMAP item 6).
-echo "==> ft-serve suite, fno-core unit tests and rollout properties"
+# crate's suite and the whole fno-core package run here.
+echo "==> ft-serve and fno-core suites"
 cargo test -q --offline -p ft-serve
-cargo test -q --offline -p fno-core --lib --test rollout_props
+cargo test -q --offline -p fno-core
+
+# The LBM solver's unit tests: the entropic α solve against its bisection
+# oracle (a proptest over near- and far-from-equilibrium cells) and the
+# physics checks, optimized, as the solver runs in data generation.
+echo "==> ft-lbm unit tests (release)"
+cargo test -q --release --offline -p ft-lbm
 
 # The data-parallel determinism contract (DESIGN.md §13) is timing-
 # sensitive by nature, so the bitwise parity proptest also runs under
