@@ -32,10 +32,11 @@
 //! empty, and `Fno::load` reads either that or a trainer's `latest.ftc`.
 
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 use ft_nn::{load_param_values_from, save_param_values_to, AdamState, Layer, ParamMut, ParamValue};
+use ft_tensor::codec::{invalid, Reader, Writer};
 
 use crate::config::{FnoConfig, FnoKind};
 use crate::train::{RecoveryCause, RecoveryEvent};
@@ -263,11 +264,10 @@ impl Checkpoint {
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let mut payload = Vec::new();
         self.write_payload(&mut payload)?;
-        let mut bytes = Vec::with_capacity(16 + payload.len());
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&payload);
+        let mut bytes = MAGIC.to_vec();
+        bytes.put_u32(crc32(&payload));
+        bytes.put_u64(payload.len() as u64);
+        bytes.put_bytes(&payload);
         ft_obs::bench::write_atomic(path.as_ref(), &bytes)
     }
 
@@ -287,26 +287,27 @@ impl Checkpoint {
         let path = path.as_ref();
         let bad = |msg: &str| CheckpointError::Corrupt(msg.to_string());
         let bytes = fs::read(path)?;
-        if bytes.len() < 16 {
+        let mut r = &bytes[..];
+        let (Ok(magic), Ok(stored_crc), Ok(payload_len)) = (r.array::<4>(), r.u32(), r.u64())
+        else {
             return Err(bad("checkpoint too short for FTC1 header"));
-        }
-        if &bytes[..4] != MAGIC {
+        };
+        if &magic != MAGIC {
             return Err(bad("not an FTC1 checkpoint"));
         }
-        let stored_crc = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        let payload_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-        let payload = &bytes[16..];
-        if payload_len != payload.len() as u64 {
+        if payload_len != r.len() as u64 {
             return Err(bad("checkpoint length does not match header"));
         }
-        if crc32(payload) != stored_crc {
+        if crc32(r) != stored_crc {
             return Err(bad("checkpoint checksum mismatch"));
         }
-        let mut r = payload;
-        let ck = Self::read_payload(&mut r)?;
-        if !r.is_empty() {
-            return Err(bad("trailing bytes after checkpoint payload"));
+        let version = r.u32().map_err(|e| bad(&e.to_string()))?;
+        if version != VERSION {
+            return Err(CheckpointError::UnsupportedVersion(version));
         }
+        let ck = Self::read_payload(&mut r)
+            .and_then(|ck| r.finish().map(|()| ck))
+            .map_err(|e| bad(&e.to_string()))?;
         ft_obs::flight::event_with(|| {
             ft_obs::Record::new("event")
                 .str("kind", "checkpoint_restore")
@@ -396,14 +397,14 @@ impl Checkpoint {
         Ok(())
     }
 
-    fn write_payload(&self, w: &mut impl Write) -> io::Result<()> {
-        w.write_all(&VERSION.to_le_bytes())?;
+    fn write_payload(&self, out: &mut Vec<u8>) -> io::Result<()> {
+        out.put_u32(VERSION);
         match &self.meta {
-            None => w.write_all(&[0u8])?,
+            None => out.put_u8(0),
             Some(m) => {
-                w.write_all(&[1u8])?;
-                w.write_all(&[ModelMeta::kind_code(m.kind)])?;
-                w.write_all(&[u8::from(m.norm)])?;
+                out.put_u8(1);
+                out.put_u8(ModelMeta::kind_code(m.kind));
+                out.put_u8(u8::from(m.norm));
                 for v in [
                     m.width,
                     m.layers,
@@ -414,88 +415,75 @@ impl Checkpoint {
                     m.projection_channels,
                     m.grid,
                 ] {
-                    w.write_all(&v.to_le_bytes())?;
+                    out.put_u64(v);
                 }
             }
         }
-        w.write_all(&self.epochs_done.to_le_bytes())?;
-        w.write_all(&self.rng_state.to_le_bytes())?;
-        w.write_all(&self.lr_scale.to_le_bytes())?;
-        w.write_all(&self.stale.to_le_bytes())?;
-        w.write_all(&self.sched_epoch.to_le_bytes())?;
+        out.put_u64(self.epochs_done);
+        out.put_u64(self.rng_state);
+        out.put_f64(self.lr_scale);
+        out.put_u64(self.stale);
+        out.put_u64(self.sched_epoch);
 
-        w.write_all(&self.adam.t.to_le_bytes())?;
-        w.write_all(&(self.adam.m.len() as u32).to_le_bytes())?;
+        out.put_u64(self.adam.t);
+        out.put_u32(self.adam.m.len() as u32);
         for (m, v) in self.adam.m.iter().zip(&self.adam.v) {
-            w.write_all(&(m.len() as u64).to_le_bytes())?;
-            for &x in m {
-                w.write_all(&x.to_le_bytes())?;
-            }
-            for &x in v {
-                w.write_all(&x.to_le_bytes())?;
-            }
+            out.put_u64(m.len() as u64);
+            out.put_f64s(m);
+            out.put_f64s(v);
         }
 
-        w.write_all(&(self.train_loss.len() as u64).to_le_bytes())?;
-        for &x in &self.train_loss {
-            w.write_all(&x.to_le_bytes())?;
-        }
-        w.write_all(&(self.eval_history.len() as u64).to_le_bytes())?;
+        out.put_u64(self.train_loss.len() as u64);
+        out.put_f64s(&self.train_loss);
+        out.put_u64(self.eval_history.len() as u64);
         for &(e, err) in &self.eval_history {
-            w.write_all(&e.to_le_bytes())?;
-            w.write_all(&err.to_le_bytes())?;
+            out.put_u64(e);
+            out.put_f64(err);
         }
-        w.write_all(&(self.recoveries.len() as u32).to_le_bytes())?;
+        out.put_u32(self.recoveries.len() as u32);
         for r in &self.recoveries {
-            w.write_all(&(r.epoch as u64).to_le_bytes())?;
-            w.write_all(&(r.batch as u64).to_le_bytes())?;
-            w.write_all(&[r.cause as u8])?;
-            w.write_all(&r.lr.to_le_bytes())?;
+            out.put_u64(r.epoch as u64);
+            out.put_u64(r.batch as u64);
+            out.put_u8(r.cause as u8);
+            out.put_f64(r.lr);
         }
 
         match &self.best {
-            None => w.write_all(&[0u8])?,
+            None => out.put_u8(0),
             Some((epoch, err, snap)) => {
-                w.write_all(&[1u8])?;
-                w.write_all(&epoch.to_le_bytes())?;
-                w.write_all(&err.to_le_bytes())?;
-                save_param_values_to(snap, w)?;
+                out.put_u8(1);
+                out.put_u64(*epoch);
+                out.put_f64(*err);
+                save_param_values_to(snap, out)?;
             }
         }
-        save_param_values_to(&self.params, w)
+        save_param_values_to(&self.params, out)
     }
 
-    fn read_payload(r: &mut impl Read) -> Result<Checkpoint, CheckpointError> {
-        let bad = |msg: &str| CheckpointError::Corrupt(msg.to_string());
-        let version = read_u32(r)?;
-        if version != VERSION {
-            return Err(CheckpointError::UnsupportedVersion(version));
-        }
-        let mut flag = [0u8; 1];
-        r.read_exact(&mut flag)?;
-        let meta = match flag[0] {
+    /// Decodes the payload after its version field. Every count is
+    /// bounded by the bytes that remain ([`ft_tensor::codec`]).
+    fn read_payload(r: &mut &[u8]) -> io::Result<Checkpoint> {
+        let meta = match r.u8()? {
             0 => None,
             1 => {
-                let mut kb = [0u8; 2];
-                r.read_exact(&mut kb)?;
-                let kind = match kb[0] {
+                let kind = match r.u8()? {
                     0 => FnoKind::TwoDChannels,
                     1 => FnoKind::ThreeD,
-                    _ => return Err(bad("unknown model kind in metadata")),
+                    _ => return Err(invalid("unknown model kind in metadata")),
                 };
-                let norm = match kb[1] {
+                let norm = match r.u8()? {
                     0 => false,
                     1 => true,
-                    _ => return Err(bad("corrupt norm flag in metadata")),
+                    _ => return Err(invalid("corrupt norm flag in metadata")),
                 };
                 let mut f = [0u64; 8];
                 for v in &mut f {
-                    *v = read_u64(r)?;
+                    *v = r.u64()?;
                 }
                 // Grid (f[7]) is informational; the architecture dims
                 // must at least be plausible.
                 if f[..7].iter().any(|&v| v == 0 || v > 1 << 20) {
-                    return Err(bad("implausible architecture dimension in metadata"));
+                    return Err(invalid("implausible architecture dimension in metadata"));
                 }
                 Some(ModelMeta {
                     kind,
@@ -510,87 +498,49 @@ impl Checkpoint {
                     grid: f[7],
                 })
             }
-            _ => return Err(bad("corrupt model-metadata flag")),
+            _ => return Err(invalid("corrupt model-metadata flag")),
         };
-        let epochs_done = read_u64(r)?;
-        let rng_state = read_u64(r)?;
-        let lr_scale = read_f64(r)?;
-        let stale = read_u64(r)?;
-        let sched_epoch = read_u64(r)?;
+        let epochs_done = r.u64()?;
+        let rng_state = r.u64()?;
+        let lr_scale = r.f64()?;
+        let stale = r.u64()?;
+        let sched_epoch = r.u64()?;
 
-        let t = read_u64(r)?;
-        let n_params = read_u32(r)? as usize;
-        if n_params > 1 << 20 {
-            return Err(bad("implausible optimizer state size"));
-        }
-        let mut m = Vec::with_capacity(n_params);
-        let mut v = Vec::with_capacity(n_params);
+        let t = r.u64()?;
+        // Each moment pair takes at least its `u64` length.
+        let n_params = r.count_u32(8)?;
+        let (mut m, mut v) = (Vec::new(), Vec::new());
         for _ in 0..n_params {
-            let len = read_u64(r)? as usize;
-            if len > 1 << 32 {
-                return Err(bad("implausible moment vector length"));
-            }
-            let mut mv = Vec::new();
-            for _ in 0..len {
-                mv.push(read_f64(r)?);
-            }
-            let mut vv = Vec::new();
-            for _ in 0..len {
-                vv.push(read_f64(r)?);
-            }
-            m.push(mv);
-            v.push(vv);
+            let len = r.count_u64(16)?;
+            m.push(r.f64s(len)?);
+            v.push(r.f64s(len)?);
         }
         let adam = AdamState { m, v, t };
 
-        let n_loss = read_u64(r)? as usize;
-        if n_loss > 1 << 32 {
-            return Err(bad("implausible loss-history length"));
-        }
-        let mut train_loss = Vec::new();
-        for _ in 0..n_loss {
-            train_loss.push(read_f64(r)?);
-        }
-        let n_eval = read_u64(r)? as usize;
-        if n_eval > 1 << 32 {
-            return Err(bad("implausible eval-history length"));
-        }
-        let mut eval_history = Vec::new();
-        for _ in 0..n_eval {
-            let e = read_u64(r)?;
-            let err = read_f64(r)?;
-            eval_history.push((e, err));
-        }
-        let n_rec = read_u32(r)? as usize;
-        if n_rec > 1 << 20 {
-            return Err(bad("implausible recovery count"));
-        }
-        let mut recoveries = Vec::new();
-        for _ in 0..n_rec {
-            let epoch = read_u64(r)? as usize;
-            let batch = read_u64(r)? as usize;
-            let mut c = [0u8; 1];
-            r.read_exact(&mut c)?;
-            let cause = match c[0] {
-                0 => RecoveryCause::NonFiniteLoss,
-                1 => RecoveryCause::NonFiniteGrad,
-                _ => return Err(bad("unknown recovery cause")),
-            };
-            let lr = read_f64(r)?;
-            recoveries.push(RecoveryEvent { epoch, batch, cause, lr });
-        }
+        let n_loss = r.count_u64(8)?;
+        let train_loss = r.f64s(n_loss)?;
+        let n_eval = r.count_u64(16)?;
+        let eval_history = (0..n_eval)
+            .map(|_| Ok((r.u64()?, r.f64()?)))
+            .collect::<io::Result<_>>()?;
+        let n_rec = r.count_u32(25)?;
+        let recoveries = (0..n_rec)
+            .map(|_| {
+                let epoch = r.u64()? as usize;
+                let batch = r.u64()? as usize;
+                let cause = match r.u8()? {
+                    0 => RecoveryCause::NonFiniteLoss,
+                    1 => RecoveryCause::NonFiniteGrad,
+                    _ => return Err(invalid("unknown recovery cause")),
+                };
+                Ok(RecoveryEvent { epoch, batch, cause, lr: r.f64()? })
+            })
+            .collect::<io::Result<_>>()?;
 
-        let mut flag = [0u8; 1];
-        r.read_exact(&mut flag)?;
-        let best = match flag[0] {
+        let best = match r.u8()? {
             0 => None,
-            1 => {
-                let epoch = read_u64(r)?;
-                let err = read_f64(r)?;
-                let snap = load_param_values_from(r)?;
-                Some((epoch, err, snap))
-            }
-            _ => return Err(bad("corrupt best-snapshot flag")),
+            1 => Some((r.u64()?, r.f64()?, load_param_values_from(r)?)),
+            _ => return Err(invalid("corrupt best-snapshot flag")),
         };
         let params = load_param_values_from(r)?;
 
@@ -651,24 +601,6 @@ pub fn save_periodic(ck: &Checkpoint, cfg: &CheckpointConfig) -> io::Result<Path
             .u64("epoch", ck.epochs_done)
     });
     Ok(path)
-}
-
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn read_f64(r: &mut impl Read) -> io::Result<f64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(f64::from_bits(u64::from_le_bytes(b)))
 }
 
 /// CRC-32 (IEEE 802.3), bitwise implementation; checkpoints are written

@@ -2,162 +2,103 @@
 //! CSV writer for the experiment harness.
 //!
 //! Format (little-endian): magic `FTT1`, rank `u32`, dims `u64 × rank`,
-//! then the row-major `f64` payload. No external serialization crate is
-//! needed for a flat numeric container.
+//! then the row-major `f64` payload. Both directions go through the
+//! workspace's one binary codec, [`ft_tensor::codec`].
 
-use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
+use ft_tensor::codec::{invalid, Reader, Writer};
 use ft_tensor::Tensor;
 
 const MAGIC: &[u8; 4] = b"FTT1";
 
-/// Writes a tensor to `path` in the `FTT1` format.
+/// Writes a tensor to `path` in the `FTT1` format, atomically
+/// ([`ft_obs::bench::write_atomic`]): an interrupted write leaves any
+/// previous file at `path` as it was.
 pub fn save_tensor(path: impl AsRef<Path>, t: &Tensor) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(MAGIC)?;
-    w.write_all(&(t.shape().rank() as u32).to_le_bytes())?;
-    for &d in t.dims() {
-        w.write_all(&(d as u64).to_le_bytes())?;
-    }
-    for &v in t.data() {
-        w.write_all(&v.to_le_bytes())?;
-    }
-    w.flush()
+    let mut out = MAGIC.to_vec();
+    out.put_dims(t.dims());
+    out.put_f64s(t.data());
+    ft_obs::bench::write_atomic(path.as_ref(), &out)
 }
 
 /// Reads a tensor from `path`, validating the header.
 ///
-/// Every structural claim of the header is checked against the actual file
-/// size *before* any payload-sized allocation, so a corrupt or truncated
-/// file fails with [`io::ErrorKind::InvalidData`] instead of attempting a
-/// multi-gigabyte `Vec` or panicking on an overflowing size product.
+/// The codec's bounding rule checks every size the header claims against
+/// the bytes actually present before allocating for it, so a corrupt or
+/// truncated file fails with [`io::ErrorKind::InvalidData`] instead of
+/// attempting a multi-gigabyte `Vec` or panicking on an overflowing size
+/// product. Extents may be zero; the file must end with the payload.
 pub fn load_tensor(path: impl AsRef<Path>) -> io::Result<Tensor> {
-    fn invalid(msg: &str) -> io::Error {
-        io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-    }
-
-    let file = File::open(path)?;
-    let file_len = file.metadata()?.len();
-    let mut r = BufReader::new(file);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
+    let bytes = std::fs::read(path)?;
+    let mut r = &bytes[..];
+    if &r.array::<4>()? != MAGIC {
         return Err(invalid("not an FTT1 tensor file"));
     }
-    let mut b4 = [0u8; 4];
-    r.read_exact(&mut b4)?;
-    let rank = u32::from_le_bytes(b4) as usize;
-    if rank > 16 {
-        return Err(invalid("implausible rank"));
-    }
-    let mut dims = Vec::with_capacity(rank);
-    let mut b8 = [0u8; 8];
-    for _ in 0..rank {
-        r.read_exact(&mut b8)?;
-        let d = u64::from_le_bytes(b8);
-        if d > u64::from(u32::MAX) {
-            return Err(invalid("implausible dimension"));
-        }
-        dims.push(d as usize);
-    }
-    // The element count and byte size must be representable and must match
-    // the file exactly; only then is the claimed allocation trustworthy.
-    let len: usize = dims
-        .iter()
-        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-        .ok_or_else(|| invalid("dimension product overflows"))?;
-    let payload_bytes = len
-        .checked_mul(8)
-        .map(|b| b as u64)
-        .ok_or_else(|| invalid("payload size overflows"))?;
-    let header_bytes = 8 + 8 * rank as u64;
-    if file_len != header_bytes + payload_bytes {
-        return Err(invalid("file size does not match header"));
-    }
-    let mut raw = vec![0u8; payload_bytes as usize];
-    r.read_exact(&mut raw)?;
-    let data: Vec<f64> = raw
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
+    let dims = r.dims()?;
+    let data = r.f64s(dims.iter().product())?;
+    r.finish()?;
     Ok(Tensor::from_vec(&dims, data))
 }
 
 /// A small CSV emitter used by the figure/table harness binaries.
 ///
-/// Crash-consistent: rows are written to a hidden temp sibling
-/// (`.name.csv.tmp`) and the file only appears at its final path when the
-/// writer is finished (explicitly via [`CsvWriter::finish`] or implicitly
-/// on drop). An interrupted run therefore never leaves a half-written
+/// Crash-consistent: rows accumulate in memory and reach disk in one
+/// atomic write ([`ft_obs::bench::write_atomic`]) when the writer is
+/// finished (explicitly via [`CsvWriter::finish`] or implicitly on drop).
+/// An interrupted run therefore never leaves a half-written
 /// `results/*.csv` — the previous complete file, if any, stays in place.
 pub struct CsvWriter {
-    out: Option<BufWriter<File>>,
+    /// The header and rows so far.
+    text: String,
     columns: usize,
-    tmp: PathBuf,
-    dst: PathBuf,
+    /// The final path; taken when the file is written.
+    dst: Option<PathBuf>,
 }
 
 impl CsvWriter {
-    /// Creates the temp file and writes the header row.
+    /// Starts a table for `path` with its header row.
     pub fn create(path: impl AsRef<Path>, header: &[&str]) -> io::Result<Self> {
         let dst = path.as_ref().to_path_buf();
-        let name = dst
-            .file_name()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
-        let tmp = dst.with_file_name(format!(".{}.tmp", name.to_string_lossy()));
-        let mut out = BufWriter::new(File::create(&tmp)?);
-        writeln!(out, "{}", header.join(","))?;
-        Ok(CsvWriter { out: Some(out), columns: header.len(), tmp, dst })
+        if dst.file_name().is_none() {
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"));
+        }
+        Ok(CsvWriter { text: header.join(",") + "\n", columns: header.len(), dst: Some(dst) })
     }
 
-    fn out(&mut self) -> &mut BufWriter<File> {
-        self.out.as_mut().expect("writer already finished")
-    }
-
-    /// Writes one numeric row (must match the header width).
+    /// Appends one numeric row (must match the header width); cannot fail.
     pub fn row(&mut self, values: &[f64]) -> io::Result<()> {
         assert_eq!(values.len(), self.columns, "row width does not match header");
         let line: Vec<String> = values.iter().map(|v| format!("{v:.10e}")).collect();
-        let out = self.out();
-        writeln!(out, "{}", line.join(","))
+        self.text += &(line.join(",") + "\n");
+        Ok(())
     }
 
-    /// Writes a row with a leading string label followed by numeric columns.
+    /// Appends a row with a leading label, then numeric columns; cannot fail.
     pub fn labeled_row(&mut self, label: &str, values: &[f64]) -> io::Result<()> {
         assert_eq!(values.len() + 1, self.columns, "row width does not match header");
-        let nums: Vec<String> = values.iter().map(|v| format!("{v:.10e}")).collect();
-        let out = self.out();
-        if nums.is_empty() {
-            writeln!(out, "{label}")
-        } else {
-            writeln!(out, "{label},{}", nums.join(","))
-        }
+        let mut line = vec![label.to_string()];
+        line.extend(values.iter().map(|v| format!("{v:.10e}")));
+        self.text += &(line.join(",") + "\n");
+        Ok(())
     }
 
-    /// Flushes buffered rows to the temp file (the final path still only
-    /// appears once the writer is finished).
+    /// Does nothing: rows stay in memory until the writer is finished, and
+    /// the final path only appears then.
     pub fn flush(&mut self) -> io::Result<()> {
-        self.out().flush()
+        Ok(())
     }
 
-    /// Flushes, syncs, and atomically renames the temp file into place,
-    /// surfacing any I/O error. Dropping the writer does the same but can
-    /// only ignore failures.
+    /// Writes the file atomically, surfacing any I/O error. Dropping the
+    /// writer does the same but can only ignore failures.
     pub fn finish(mut self) -> io::Result<()> {
         self.commit()
     }
 
     fn commit(&mut self) -> io::Result<()> {
-        let Some(mut out) = self.out.take() else { return Ok(()) };
-        out.flush()?;
-        out.get_ref().sync_all()?;
-        drop(out);
-        std::fs::rename(&self.tmp, &self.dst)
-            .inspect_err(|_| {
-                std::fs::remove_file(&self.tmp).ok();
-            })
+        let Some(dst) = self.dst.take() else { return Ok(()) };
+        ft_obs::bench::write_atomic(&dst, self.text.as_bytes())
     }
 }
 
@@ -248,6 +189,21 @@ mod tests {
         std::fs::write(&p, &bytes).unwrap();
         let err = load_tensor(&p).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn failed_tensor_save_keeps_the_previous_file() {
+        let p = tmpfile("keep.ftt");
+        let old = Tensor::from_fn(&[2, 2], |i| i[1] as f64);
+        save_tensor(&p, &old).unwrap();
+        // A directory squatting on the temp sibling makes the next write
+        // fail before the rename: the complete old file must survive.
+        let tmp = p.with_file_name(format!(".{}.tmp", p.file_name().unwrap().to_string_lossy()));
+        std::fs::create_dir(&tmp).unwrap();
+        assert!(save_tensor(&p, &Tensor::zeros(&[3])).is_err());
+        std::fs::remove_dir(&tmp).unwrap();
+        assert!(load_tensor(&p).unwrap().allclose(&old, 0.0));
         std::fs::remove_file(&p).ok();
     }
 

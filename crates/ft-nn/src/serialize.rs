@@ -4,117 +4,77 @@
 //! through [`crate::Layer::visit_params`] out of and back into a model;
 //! the gradient-side helpers do the same for the accumulators.
 //!
-//! Blob format (`FTW1`, little-endian): magic, parameter-tensor count
-//! `u32`, then per tensor: kind byte (0 real, 1 complex), rank `u32`, dims
-//! `u64 × rank`, payload `f64` (complex stored re, im interleaved). The
-//! blob is not a file format of its own: training checkpoints and model
-//! files (`FTC1`, in `fno-core`) embed it.
+//! Blob format (`FTW1`, little-endian, through [`ft_tensor::codec`]):
+//! magic, parameter-tensor count `u32`, then per tensor: kind byte (0
+//! real, 1 complex), rank `u32`, dims `u64 × rank` (each non-zero),
+//! payload `f64` (complex stored re, im interleaved). The blob is not a
+//! file format of its own: training checkpoints and model files (`FTC1`,
+//! in `fno-core`) embed it.
 
-use std::io::{self, Read, Write};
+use std::io;
+
+use ft_tensor::codec::{invalid, Reader, Writer};
+use ft_tensor::{CTensor, Complex64, Tensor};
 
 use crate::param::ParamMut;
 use crate::Layer;
 
 const MAGIC: &[u8; 4] = b"FTW1";
 
-/// Writes a parameter-value snapshot as a self-delimiting FTW1 blob.
-/// Training checkpoints embed these for both the current weights and the
-/// best-seen snapshot.
-pub fn save_param_values_to(values: &[ParamValue], w: &mut impl Write) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    w.write_all(&(values.len() as u32).to_le_bytes())?;
+/// Appends a parameter-value snapshot to `out` as a self-delimiting FTW1
+/// blob; appending cannot fail. Training checkpoints embed these for both
+/// the current weights and the best-seen snapshot.
+pub fn save_param_values_to(values: &[ParamValue], out: &mut Vec<u8>) -> io::Result<()> {
+    out.put_bytes(MAGIC);
+    out.put_u32(values.len() as u32);
     for v in values {
         match v {
             ParamValue::Real(t) => {
-                w.write_all(&[0u8])?;
-                w.write_all(&(t.shape().rank() as u32).to_le_bytes())?;
-                for &d in t.dims() {
-                    w.write_all(&(d as u64).to_le_bytes())?;
-                }
-                for &x in t.data() {
-                    w.write_all(&x.to_le_bytes())?;
-                }
+                out.put_u8(0);
+                out.put_dims(t.dims());
+                out.put_f64s(t.data());
             }
             ParamValue::Complex(t) => {
-                w.write_all(&[1u8])?;
-                w.write_all(&(t.shape().rank() as u32).to_le_bytes())?;
-                for &d in t.dims() {
-                    w.write_all(&(d as u64).to_le_bytes())?;
-                }
-                for z in t.data() {
-                    w.write_all(&z.re.to_le_bytes())?;
-                    w.write_all(&z.im.to_le_bytes())?;
-                }
+                out.put_u8(1);
+                out.put_dims(t.dims());
+                t.data().iter().for_each(|z| out.put_f64s(&[z.re, z.im]));
             }
         }
     }
     Ok(())
 }
 
-/// Reads a blob written by [`save_param_values_to`] without needing a model
-/// to validate against. Every size field is bounds-checked before any
-/// allocation, so corrupt input yields `InvalidData` rather than an OOM or
+/// Reads a blob written by [`save_param_values_to`] from the front of `r`,
+/// advancing it past the blob, without needing a model to validate
+/// against. The codec bounds every count and size by the bytes that
+/// remain, so corrupt input yields `InvalidData` rather than an OOM or
 /// panic.
-pub fn load_param_values_from(r: &mut impl Read) -> io::Result<Vec<ParamValue>> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(bad("not an FTW1 parameter blob"));
+pub fn load_param_values_from(r: &mut &[u8]) -> io::Result<Vec<ParamValue>> {
+    if &r.array::<4>()? != MAGIC {
+        return Err(invalid("not an FTW1 parameter blob"));
     }
-    let mut b4 = [0u8; 4];
-    r.read_exact(&mut b4)?;
-    let count = u32::from_le_bytes(b4);
-    if count > 1 << 20 {
-        return Err(bad("implausible parameter-tensor count"));
-    }
-    let mut out = Vec::with_capacity(count as usize);
-    let mut b8 = [0u8; 8];
-    for _ in 0..count {
-        let mut kind = [0u8; 1];
-        r.read_exact(&mut kind)?;
-        if kind[0] > 1 {
-            return Err(bad("unknown parameter kind"));
-        }
-        r.read_exact(&mut b4)?;
-        let rank = u32::from_le_bytes(b4) as usize;
-        if rank > 16 {
-            return Err(bad("implausible rank"));
-        }
-        let mut dims = Vec::with_capacity(rank);
-        let mut len = 1usize;
-        for _ in 0..rank {
-            r.read_exact(&mut b8)?;
-            let d = u64::from_le_bytes(b8);
-            if d == 0 || d > 1 << 32 {
-                return Err(bad("implausible dimension"));
+    // A tensor takes at least its kind byte and rank.
+    let count = r.count_u32(5)?;
+    (0..count)
+        .map(|_| {
+            let kind = r.u8()?;
+            if kind > 1 {
+                return Err(invalid("unknown parameter kind"));
             }
-            dims.push(d as usize);
-            len = len
-                .checked_mul(d as usize)
-                .filter(|&l| l <= 1 << 32)
-                .ok_or_else(|| bad("tensor size overflows"))?;
-        }
-        if kind[0] == 0 {
-            let mut data = Vec::new();
-            for _ in 0..len {
-                r.read_exact(&mut b8)?;
-                data.push(f64::from_le_bytes(b8));
+            let dims = r.dims()?;
+            if dims.contains(&0) {
+                return Err(invalid("implausible dimension"));
             }
-            out.push(ParamValue::Real(ft_tensor::Tensor::from_vec(&dims, data)));
-        } else {
-            let mut data = Vec::new();
-            for _ in 0..len {
-                r.read_exact(&mut b8)?;
-                let re = f64::from_le_bytes(b8);
-                r.read_exact(&mut b8)?;
-                let im = f64::from_le_bytes(b8);
-                data.push(ft_tensor::Complex64::new(re, im));
-            }
-            out.push(ParamValue::Complex(ft_tensor::CTensor::from_vec(&dims, data)));
-        }
-    }
-    Ok(out)
+            let len: usize = dims.iter().product();
+            Ok(if kind == 0 {
+                ParamValue::Real(Tensor::from_vec(&dims, r.f64s(len)?))
+            } else {
+                let flat = r.f64s(len.saturating_mul(2))?;
+                let data = flat.chunks_exact(2).map(|z| Complex64::new(z[0], z[1])).collect();
+                ParamValue::Complex(CTensor::from_vec(&dims, data))
+            })
+        })
+        .collect()
 }
 
 /// An in-memory snapshot of every parameter value (not gradients), used by
@@ -122,9 +82,9 @@ pub fn load_param_values_from(r: &mut impl Read) -> io::Result<Vec<ParamValue>> 
 #[derive(Clone, Debug)]
 pub enum ParamValue {
     /// Real tensor value.
-    Real(ft_tensor::Tensor),
+    Real(Tensor),
     /// Complex tensor value.
-    Complex(ft_tensor::CTensor),
+    Complex(CTensor),
 }
 
 /// Captures all parameter values of a model.

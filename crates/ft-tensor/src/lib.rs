@@ -3,7 +3,9 @@
 //! This crate provides the small linear-algebra substrate everything else is
 //! built on: a [`Complex64`] scalar type, row-major dense [`Tensor`] (real,
 //! `f64`) and [`CTensor`] (complex) containers with shape/stride index math,
-//! elementwise and reduction operations, and rayon-parallel helpers.
+//! elementwise and reduction operations, and rayon-parallel helpers. Its
+//! [`codec`] module is the workspace's one bounded little-endian binary
+//! reader and writer, shared by every on-disk format.
 //!
 //! The containers are deliberately simple — owned, contiguous, row-major —
 //! because every consumer in this workspace (FFT, lattice Boltzmann,
@@ -17,6 +19,7 @@
 // iterator rewrites obscure the stencil/butterfly structure.
 #![allow(clippy::needless_range_loop, clippy::manual_is_multiple_of)]
 
+pub mod codec;
 pub mod complex;
 pub mod ctensor;
 pub mod ops;

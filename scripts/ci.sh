@@ -21,10 +21,17 @@ echo "==> cargo test"
 cargo test -q --offline
 
 # `cargo test` above builds only the root package's tests. The serving
-# crate's suite and the whole fno-core package run here.
+# crate's suite and the whole fno-core package run here; fno-core's
+# `loader_alloc` holds the FTT1, FTW1 and FTC1 loaders to a typed error and
+# bounded heap on hostile bytes.
 echo "==> ft-serve and fno-core suites"
 cargo test -q --offline -p ft-serve
 cargo test -q --offline -p fno-core
+
+# The substrate suites: the binary codec (`ft-tensor`), FTT1 tensor files
+# and the CSV writer (`ft-data`), and the FTW1 blob and the layers (`ft-nn`).
+echo "==> ft-tensor, ft-data and ft-nn suites"
+cargo test -q --offline -p ft-tensor -p ft-data -p ft-nn
 
 # The LBM solver's unit tests: the entropic α solve against its bisection
 # oracle (a proptest over near- and far-from-equilibrium cells) and the

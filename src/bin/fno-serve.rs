@@ -26,12 +26,12 @@
 //! is the run manifest), `--profile` prints the span/counter/histogram
 //! report to stderr on exit.
 
-use std::collections::HashMap;
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::time::Duration;
 
 use fno2d_turbulence::serve::{server, ModelRegistry, ServeConfig, ServeEngine, SessionConfig};
+use fno2d_turbulence::{parse_opts, Opts};
 
 const USAGE: &str = "usage:
   fno-serve --model model.ftc [--name default]
@@ -42,26 +42,14 @@ const USAGE: &str = "usage:
 Serves predict/session requests over TCP (newline-delimited JSON headers,
 little-endian f32 payloads) until a client sends a `shutdown` frame.";
 
-type Opts = HashMap<String, String>;
+/// Options `fno-serve` takes a value for.
+const OPTIONS: &[&str] = &[
+    "model", "name", "addr", "max-batch", "batch-window-us", "queue-capacity", "max-sessions",
+    "session-ttl-secs", "threads", "metrics-out",
+];
 
+/// Options that are boolean flags (present/absent, no value argument).
 const FLAGS: &[&str] = &["profile"];
-
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
-    let mut out = HashMap::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let key = a
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected --option, got `{a}`"))?;
-        if FLAGS.contains(&key) {
-            out.insert(key.to_string(), "true".to_string());
-            continue;
-        }
-        let val = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-        out.insert(key.to_string(), val.clone());
-    }
-    Ok(out)
-}
 
 fn get<T: std::str::FromStr>(opts: &Opts, key: &str, default: T) -> Result<T, String> {
     match opts.get(key) {
@@ -76,7 +64,7 @@ fn main() -> ExitCode {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let opts = match parse_opts(&args) {
+    let opts = match parse_opts(&args, OPTIONS, FLAGS) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");

@@ -10,8 +10,10 @@
 //!                    [--resume checkpoints/latest.ftc]
 //! fno2dturb rollout  --data data.ftt --model model.ftc [--sample 0] [--frames 10]
 //!                    [--out pred.ftt]
-//! fno2dturb hybrid   --data data.ftt --model model.ftc [--frames 60]
+//! fno2dturb hybrid   --data data.ftt --model model.ftc [--sample 0] [--frames 60]
 //!                    [--scheme hybrid|fno|pde] [--window 5] [--reynolds 1000]
+//! fno2dturb ensemble --data data.ftt --model model.ftc [--sample 0] [--frames 10]
+//!                    [--members 8] [--delta D]
 //! ```
 //!
 //! `generate` writes a `[S, T, 2, H, W]` velocity tensor in the FTT1 format;
@@ -38,8 +40,10 @@
 //! and `--probe-every N` streams `physics` diagnostics records — every N
 //! solver steps during `generate`, every N epochs (measuring the first
 //! held-out prediction) during `train`.
+//!
+//! An option the command does not take is refused with the usage text, so
+//! a mistyped name never runs silently with the default in its place.
 
-use std::collections::HashMap;
 use std::process::ExitCode;
 
 use fno2d_turbulence::data::{
@@ -53,6 +57,7 @@ use fno2d_turbulence::fno::{
 use fno2d_turbulence::lbm::IcSpec;
 use fno2d_turbulence::ns::SpectralNs;
 use fno2d_turbulence::tensor::Tensor;
+use fno2d_turbulence::{parse_opts, Opts};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -60,7 +65,15 @@ fn main() -> ExitCode {
         eprintln!("{}", USAGE);
         return ExitCode::FAILURE;
     };
-    let opts = match parse_opts(&args[1..]) {
+    if matches!(command.as_str(), "--help" | "-h" | "help") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let Some(&(_, run, options)) = COMMANDS.iter().find(|(name, ..)| name == command) else {
+        eprintln!("error: unknown command `{command}`\n\n{USAGE}");
+        return ExitCode::FAILURE;
+    };
+    let opts = match parse_opts(&args[1..], &[options, GLOBAL_OPTIONS].concat(), FLAGS) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -93,18 +106,7 @@ fn main() -> ExitCode {
         }
         ft_obs::flight::set_manifest(manifest);
     }
-    let result = match command.as_str() {
-        "generate" => cmd_generate(&opts),
-        "train" => cmd_train(&opts),
-        "rollout" => cmd_rollout(&opts),
-        "hybrid" => cmd_hybrid(&opts),
-        "ensemble" => cmd_ensemble(&opts),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        other => Err(format!("unknown command `{other}`")),
-    };
+    let result = run(&opts);
     ft_obs::close_jsonl();
     if profile {
         eprint!("{}", ft_obs::profile_report());
@@ -128,7 +130,7 @@ const USAGE: &str = "usage:
                      [--resume DIR/latest.ftc]
   fno2dturb rollout  --data data.ftt --model model.ftc [--sample I] [--frames N]
                      [--out pred.ftt]
-  fno2dturb hybrid   --data data.ftt --model model.ftc [--frames N]
+  fno2dturb hybrid   --data data.ftt --model model.ftc [--sample I] [--frames N]
                      [--scheme hybrid|fno|pde] [--window K] [--reynolds RE]
   fno2dturb ensemble --data data.ftt --model model.ftc [--sample I] [--frames N]
                      [--members M] [--delta D]
@@ -142,31 +144,36 @@ observability (any command):
                        run_manifest record)
   --profile            print span/counter/gauge/histogram profile to stderr
                        on exit
-  --bench-out FILE     override the BENCH_train.json / BENCH_solver.json path
-  --probe-every N      generate/train: emit a `physics` record every N solver
-                       steps (generate) or epochs (train); 0 disables";
 
-type Opts = HashMap<String, String>;
+observability (generate and train):
+  --bench-out FILE     override the BENCH_train.json / BENCH_solver.json path
+  --probe-every N      emit a `physics` record every N solver steps
+                       (generate) or epochs (train); 0 disables";
+
+/// Each command, its handler, and the options it takes a value for beyond
+/// [`GLOBAL_OPTIONS`].
+type Command = (&'static str, fn(&Opts) -> Result<(), String>, &'static [&'static str]);
+
+const COMMANDS: &[Command] = &[
+    ("generate", cmd_generate, &[
+        "out", "grid", "samples", "snapshots", "reynolds", "solver", "seed", "bench-out",
+        "probe-every",
+    ]),
+    ("train", cmd_train, &[
+        "data", "model", "width", "layers", "modes", "out-channels", "epochs", "lr", "batch",
+        "div-weight", "train-frac", "checkpoint-dir", "checkpoint-every", "resume", "bench-out",
+        "probe-every",
+    ]),
+    ("rollout", cmd_rollout, &["data", "model", "sample", "frames", "out"]),
+    ("hybrid", cmd_hybrid, &["data", "model", "sample", "frames", "scheme", "window", "reynolds"]),
+    ("ensemble", cmd_ensemble, &["data", "model", "sample", "frames", "members", "delta"]),
+];
+
+/// Options every command takes a value for.
+const GLOBAL_OPTIONS: &[&str] = &["threads", "metrics-out"];
 
 /// Options that are boolean flags (present/absent, no value argument).
 const FLAGS: &[&str] = &["profile"];
-
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
-    let mut out = HashMap::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let key = a
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected --option, got `{a}`"))?;
-        if FLAGS.contains(&key) {
-            out.insert(key.to_string(), "true".to_string());
-            continue;
-        }
-        let val = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-        out.insert(key.to_string(), val.clone());
-    }
-    Ok(out)
-}
 
 fn get<T: std::str::FromStr>(opts: &Opts, key: &str, default: T) -> Result<T, String> {
     match opts.get(key) {

@@ -36,7 +36,6 @@
 //! record, which carries `nproc` and `pool_width`, so a speedup is always
 //! read next to the width it was measured at.
 
-use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
@@ -47,6 +46,7 @@ use std::time::{Duration, Instant};
 use fno2d_turbulence::fno::Fno;
 use fno2d_turbulence::serve::{proto, ModelRegistry, ServeConfig, ServeEngine};
 use fno2d_turbulence::tensor::Tensor;
+use fno2d_turbulence::{parse_opts, Opts};
 use ft_obs::{Counter, Histogram, Record};
 
 /// Requests that completed with an `ok` response.
@@ -71,26 +71,14 @@ TCP mode load-tests a running fno-serve (closed-loop by default, Poisson
 open-loop with --rate). In-process mode measures the micro-batching
 speedup (max_batch 1 vs --max-batch) on the same model and workload.";
 
-type Opts = HashMap<String, String>;
+/// Options `serve-bench` takes a value for, in either mode.
+const OPTIONS: &[&str] = &[
+    "addr", "requests", "clients", "channels", "grid", "model-name", "rate", "bench-out",
+    "metrics-out", "threads", "model", "max-batch",
+];
 
+/// Options that are boolean flags (present/absent, no value argument).
 const FLAGS: &[&str] = &["profile", "shutdown", "inproc", "compare-batching"];
-
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
-    let mut out = HashMap::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let key = a
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected --option, got `{a}`"))?;
-        if FLAGS.contains(&key) {
-            out.insert(key.to_string(), "true".to_string());
-            continue;
-        }
-        let val = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-        out.insert(key.to_string(), val.clone());
-    }
-    Ok(out)
-}
 
 fn get<T: std::str::FromStr>(opts: &Opts, key: &str, default: T) -> Result<T, String> {
     match opts.get(key) {
@@ -105,7 +93,7 @@ fn main() -> ExitCode {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let opts = match parse_opts(&args) {
+    let opts = match parse_opts(&args, OPTIONS, FLAGS) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");

@@ -39,6 +39,8 @@ pub use ft_serve as serve;
 pub use ft_tensor as tensor;
 pub use fno_core as fno;
 
+use std::collections::HashMap;
+
 /// Workspace version, mirrored from the crate metadata.
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 
@@ -54,4 +56,58 @@ pub fn size_pool(threads: Option<&str>) -> Result<(), String> {
         .num_threads(n)
         .build_global()
         .map_err(|e| format!("--threads {n}: {e}"))
+}
+
+/// A binary's parsed options: `--key value` as `key → value`, a flag
+/// `--key` as `key → "true"`.
+pub type Opts = HashMap<String, String>;
+
+/// Parses a binary's command line. `options` names every option the
+/// command takes a value for and `flags` every option it takes bare; any
+/// other `--option` is an error, so a mistyped name is refused instead of
+/// silently ignored. The caller prints its usage text with the error.
+pub fn parse_opts(args: &[String], options: &[&str], flags: &[&str]) -> Result<Opts, String> {
+    let mut out = Opts::new();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let key = a
+            .strip_prefix("--")
+            .ok_or_else(|| format!("expected --option, got `{a}`"))?;
+        if flags.contains(&key) {
+            out.insert(key.to_string(), "true".to_string());
+        } else if options.contains(&key) {
+            let val = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
+            out.insert(key.to_string(), val.clone());
+        } else {
+            return Err(format!("unknown option `--{key}`"));
+        }
+    }
+    Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn parse_opts_reads_options_and_flags() {
+        let line = args("--epochs 5 --profile --lr 0.1");
+        let opts = parse_opts(&line, &["epochs", "lr"], &["profile"]).unwrap();
+        assert_eq!(opts["epochs"], "5");
+        assert_eq!(opts["lr"], "0.1");
+        assert_eq!(opts["profile"], "true");
+    }
+
+    #[test]
+    fn parse_opts_refuses_what_the_command_does_not_take() {
+        let err = parse_opts(&args("--epoch 5"), &["epochs"], &[]).unwrap_err();
+        assert_eq!(err, "unknown option `--epoch`");
+        assert!(parse_opts(&args("--profile"), &["epochs"], &[]).is_err());
+        assert!(parse_opts(&args("--epochs"), &["epochs"], &[]).is_err(), "missing value");
+        assert!(parse_opts(&args("epochs 5"), &["epochs"], &[]).is_err(), "missing dashes");
+    }
 }
