@@ -246,41 +246,6 @@ impl Drop for ObsScope {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn knobs_scale_progression() {
-        let fast = Knobs::new(Scale::Fast);
-        let small = Knobs::new(Scale::Small);
-        let paper = Knobs::new(Scale::Paper);
-        assert!(fast.grid < small.grid && small.grid < paper.grid);
-        assert_eq!(paper.grid, 256);
-        assert_eq!(paper.train_samples + paper.test_samples, 5000);
-        assert_eq!(paper.snapshots, 201);
-    }
-
-    #[test]
-    fn dataset_config_band_fits_grid() {
-        for scale in [Scale::Fast, Scale::Small, Scale::Paper] {
-            let k = Knobs::new(scale);
-            let cfg = k.dataset_config();
-            assert!(cfg.ic.k_max * 3 <= k.grid, "band must be resolvable at {scale:?}");
-        }
-    }
-
-    #[test]
-    fn fast_pairs_pipeline_works() {
-        let knobs = Knobs::new(Scale::Fast);
-        let (train, test, ds) = dataset_pairs(&knobs, 5);
-        assert!(!train.is_empty() && !test.is_empty());
-        assert_eq!(ds.n_grid(), knobs.grid);
-        assert_eq!(train[0].input.dims(), &[10, 16, 16]);
-        assert_eq!(train[0].target.dims(), &[5, 16, 16]);
-    }
-}
-
 /// Shared driver for Figs. 8 and 9: trains the paper's hybrid model
 /// (10 input channels, 5 output channels) and marches the three schemes —
 /// pure PDE, pure FNO, hybrid — from the same held-out history.
@@ -329,4 +294,39 @@ pub fn run_longterm_experiment(
         HybridScheme::new(&model, &mut solver, hcfg.clone()).run(&history, frames, scheme)
     };
     (run(Scheme::PurePde), run(Scheme::PureFno), run(Scheme::Hybrid))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn knobs_scale_progression() {
+        let fast = Knobs::new(Scale::Fast);
+        let small = Knobs::new(Scale::Small);
+        let paper = Knobs::new(Scale::Paper);
+        assert!(fast.grid < small.grid && small.grid < paper.grid);
+        assert_eq!(paper.grid, 256);
+        assert_eq!(paper.train_samples + paper.test_samples, 5000);
+        assert_eq!(paper.snapshots, 201);
+    }
+
+    #[test]
+    fn dataset_config_band_fits_grid() {
+        for scale in [Scale::Fast, Scale::Small, Scale::Paper] {
+            let k = Knobs::new(scale);
+            let cfg = k.dataset_config();
+            assert!(cfg.ic.k_max * 3 <= k.grid, "band must be resolvable at {scale:?}");
+        }
+    }
+
+    #[test]
+    fn fast_pairs_pipeline_works() {
+        let knobs = Knobs::new(Scale::Fast);
+        let (train, test, ds) = dataset_pairs(&knobs, 5);
+        assert!(!train.is_empty() && !test.is_empty());
+        assert_eq!(ds.n_grid(), knobs.grid);
+        assert_eq!(train[0].input.dims(), &[10, 16, 16]);
+        assert_eq!(train[0].target.dims(), &[5, 16, 16]);
+    }
 }

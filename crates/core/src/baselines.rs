@@ -165,7 +165,7 @@ mod tests {
     fn linear_model_is_exact_on_linear_dynamics() {
         let n = 16;
         let traj = linear_trajectory(n, 12, 0.93, 0.4);
-        let model = SpectralLinearModel::fit(&[traj.clone()], 4);
+        let model = SpectralLinearModel::fit(std::slice::from_ref(&traj), 4);
         let hist = traj.slice_axis0(0, 6);
         let pred = model.rollout(&hist, 6);
         for k in 0..6 {
@@ -179,7 +179,7 @@ mod tests {
     fn linear_model_beats_persistence_on_decaying_mode() {
         let n = 16;
         let traj = linear_trajectory(n, 12, 0.85, 0.0);
-        let model = SpectralLinearModel::fit(&[traj.clone()], 4);
+        let model = SpectralLinearModel::fit(std::slice::from_ref(&traj), 4);
         let hist = traj.slice_axis0(0, 6);
         let horizon = 5;
         let truth = traj.slice_axis0(6, horizon);
@@ -198,7 +198,7 @@ mod tests {
             let x = 2.0 * PI * i[2] as f64 / n as f64;
             (6.0 * x).sin()
         });
-        let model = SpectralLinearModel::fit(&[traj.clone()], 2);
+        let model = SpectralLinearModel::fit(std::slice::from_ref(&traj), 2);
         let pred = model.rollout(&traj, 2);
         assert!(pred.norm_l2() < 1e-9, "high modes must not leak through");
     }

@@ -84,8 +84,8 @@ fn arbitrary_checkpoint(
             )
         }),
         params,
-        meta: (seed % 2 == 0).then(|| fno_core::checkpoint::ModelMeta {
-            kind: if seed % 4 == 0 {
+        meta: (seed.is_multiple_of(2)).then(|| fno_core::checkpoint::ModelMeta {
+            kind: if seed.is_multiple_of(4) {
                 fno_core::config::FnoKind::TwoDChannels
             } else {
                 fno_core::config::FnoKind::ThreeD
@@ -97,7 +97,7 @@ fn arbitrary_checkpoint(
             out_channels: 1 + seed % 10,
             lifting_channels: 1 + seed % 256,
             projection_channels: 1 + seed % 256,
-            norm: seed % 3 == 0,
+            norm: seed.is_multiple_of(3),
             grid: seed % 512,
         }),
     }
@@ -167,7 +167,7 @@ proptest! {
                     let mut corrupt = bytes.clone();
                     corrupt[byte] ^= 1 << bit;
                     std::fs::write(&p, &corrupt).unwrap();
-                    let err = Checkpoint::load(&p).err().expect("corruption must be rejected");
+                    let err = Checkpoint::load(&p).expect_err("corruption must be rejected");
                     let kind = err.kind();
                     prop_assert_eq!(kind, ErrorKind::InvalidData, "byte {} bit {}", byte, bit);
                     prop_assert!(Fno::load(&p).is_err(), "byte {} bit {}", byte, bit);
@@ -177,7 +177,7 @@ proptest! {
             let cuts = (0..region).chain([bytes.len() / 2, bytes.len() - 1]);
             for cut in cuts {
                 std::fs::write(&p, &bytes[..cut]).unwrap();
-                let err = Checkpoint::load(&p).err().expect("truncation must be rejected");
+                let err = Checkpoint::load(&p).expect_err("truncation must be rejected");
                 prop_assert_eq!(err.kind(), ErrorKind::InvalidData, "cut at {}", cut);
                 prop_assert!(Fno::load(&p).is_err(), "cut at {}", cut);
             }
@@ -216,7 +216,7 @@ fn tmp(tag: &str) -> std::path::PathBuf {
 /// The bytes of a small 2D or 3D model file (`Fno::save`), written via `p`.
 fn model_file_bytes(seed: u64, p: &std::path::Path) -> Vec<u8> {
     let cfg = FnoConfig {
-        kind: if seed % 2 == 0 { FnoKind::TwoDChannels } else { FnoKind::ThreeD },
+        kind: if seed.is_multiple_of(2) { FnoKind::TwoDChannels } else { FnoKind::ThreeD },
         width: 2,
         layers: 1,
         modes: 2,
@@ -224,7 +224,7 @@ fn model_file_bytes(seed: u64, p: &std::path::Path) -> Vec<u8> {
         out_channels: 1,
         lifting_channels: 3,
         projection_channels: 3,
-        norm: seed % 3 == 0,
+        norm: seed.is_multiple_of(3),
     };
     Fno::new(cfg, seed).save(p).unwrap();
     std::fs::read(p).unwrap()

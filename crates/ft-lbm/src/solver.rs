@@ -731,7 +731,7 @@ mod tests {
         let feq = equilibrium(1.0, 0.0, 0.0);
         let mut f = feq;
         f[1] = 0.02;
-        f[3] = f[3] + (feq[1] - 0.02); // keep mass
+        f[3] += feq[1] - 0.02; // keep mass
         let mut delta = [0.0; 9];
         let (rho, jx, jy) = moments(&f);
         let eq = equilibrium(rho, jx / rho, jy / rho);

@@ -11,9 +11,10 @@
 //! slice loops over it vectorize. Rust neither contracts nor reassociates
 //! floating-point operations, so a vectorized loop gives the bits of the
 //! scalar code, and those bits depend on the input alone, never on the
-//! host's libm.
+//! host's libm. The slice loops run through [`Isa::run`], at the host's
+//! vector width, with the same bits at every level.
 
-use ft_tensor::Tensor;
+use ft_tensor::{Isa, Tensor};
 use rayon::prelude::*;
 
 use crate::param::ParamMut;
@@ -42,8 +43,9 @@ const EXP_MAX: f64 = 700.0;
 /// about 2 ulp. Cody–Waite reduction `y = n·ln2 + r`, `|r| ≤ ln2/2`, with
 /// `n` rounded to nearest by adding and subtracting `1.5·2⁵²`; a degree-13
 /// Taylor polynomial in `r` (truncation error below 1e-17) in Estrin form;
-/// and `2ⁿ` built from its bits. Selects, not branches, and no `mul_add`,
-/// which without the FMA target feature is a libm call.
+/// and `2ⁿ` built from its bits. Selects, not branches, and no `mul_add`:
+/// without the FMA target feature that is a libm call, and with it (the
+/// AVX-512 instantiation, see [`Isa`]) a fused op with other bits.
 #[inline(always)]
 fn exp(y: f64) -> f64 {
     // 1.5·2⁵², and ln 2 split so that `n·LN2_HI` is exact for |n| < 2²¹.
@@ -88,41 +90,43 @@ impl Gelu {
     }
 
     /// Scalar forward value.
-    #[inline]
+    #[inline(always)]
     pub fn value(x: f64) -> f64 {
         gelu(x).0
     }
 
     /// Scalar derivative.
-    #[inline]
+    #[inline(always)]
     pub fn derivative(x: f64) -> f64 {
         gelu(x).1
     }
 
     /// `(value(x), derivative(x))` from one `exp`, bit-identical to the
     /// two separate calls.
-    #[inline]
+    #[inline(always)]
     pub fn value_and_derivative(x: f64) -> (f64, f64) {
         gelu(x)
     }
 
     /// Forward pass without caching (inference).
     pub fn infer(&self, x: &Tensor) -> Tensor {
+        self.infer_with(Isa::host(), x)
+    }
+
+    /// [`Gelu::infer`] with its chunk loop compiled for `isa`.
+    pub(crate) fn infer_with(&self, isa: Isa, x: &Tensor) -> Tensor {
         let mut y = x.clone();
-        y.data_mut()
-            .par_chunks_mut(CHUNK)
-            .for_each(|c| c.iter_mut().for_each(|v| *v = Self::value(*v)));
+        y.data_mut().par_chunks_mut(CHUNK).for_each(|c| {
+            isa.run(
+                #[inline(always)]
+                || values(c),
+            )
+        });
         y
     }
-}
 
-impl Layer for Gelu {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.cache_input = Some(x.clone());
-        self.infer(x)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    /// [`Layer::backward`] with its chunk loop compiled for `isa`.
+    pub(crate) fn backward_with(&mut self, isa: Isa, grad_out: &Tensor) -> Tensor {
         // The cached input's buffer becomes the input gradient.
         let mut gx = self
             .cache_input
@@ -133,11 +137,40 @@ impl Layer for Gelu {
             .par_chunks_mut(CHUNK)
             .zip(grad_out.data().par_chunks(CHUNK))
             .for_each(|(xs, gs)| {
-                for (v, &g) in xs.iter_mut().zip(gs) {
-                    *v = Self::derivative(*v) * g;
-                }
+                isa.run(
+                    #[inline(always)]
+                    || input_grads(xs, gs),
+                )
             });
         gx
+    }
+}
+
+/// `xs[i] = gelu(xs[i])`: the dispatched slice loop of [`Gelu::infer`].
+#[inline(always)]
+pub(crate) fn values(xs: &mut [f64]) {
+    for v in xs {
+        *v = gelu(*v).0;
+    }
+}
+
+/// `xs[i] = gelu'(xs[i])·gs[i]`: the dispatched slice loop of
+/// [`Gelu::backward`](Layer::backward).
+#[inline(always)]
+fn input_grads(xs: &mut [f64], gs: &[f64]) {
+    for (v, &g) in xs.iter_mut().zip(gs) {
+        *v = gelu(*v).1 * g;
+    }
+}
+
+impl Layer for Gelu {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.cache_input = Some(x.clone());
+        self.infer(x)
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_with(Isa::host(), grad_out)
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(ParamMut<'_>)) {}
@@ -150,6 +183,7 @@ impl Layer for Gelu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assert_same_bits;
     use crate::gradcheck::check_input_gradient;
 
     #[test]
@@ -297,6 +331,37 @@ mod tests {
         for (k, (y, g)) in y.data().iter().zip(g.data()).enumerate() {
             let (_, v, d) = pinned[k % 9];
             assert_eq!((y.to_bits(), g.to_bits()), (v, d), "layer, element {k}");
+        }
+    }
+
+    #[test]
+    fn every_isa_gives_the_scalar_bits() {
+        // The inputs of `bits_are_pinned` (each copy a vector body or a
+        // scalar tail, depending on the lane width), then the dense and
+        // sparse accuracy grids, then several pool chunks with a ragged
+        // tail: at every level the layer's loops must give the bits of the
+        // scalar kernel, which `bits_are_pinned` pins.
+        let pinned_x = [-1000.0, -21.5, -21.0, -3.0, -0.5, 0.3, 1.7, 4.0, 21.5];
+        let inputs = [
+            Tensor::from_fn(&[4, 9], |i| pinned_x[i[1]]),
+            Tensor::from_vec(&[1, 1, grid().count()], grid().collect()),
+            Tensor::from_fn(&[1, 3, 97, 101], |i| {
+                (i[1] as f64 - 1.0) * 0.7 + (i[2] as f64 - 48.0) * 0.05 - i[3] as f64 * 0.011
+            }),
+        ];
+        for x in inputs {
+            let g = x.map(|v| 1.5 - v);
+            let want_y = x.map(Gelu::value);
+            let want_gx = x.zip_map(&g, |xv, gv| Gelu::derivative(xv) * gv);
+            for isa in Isa::supported() {
+                let mut layer = Gelu::new();
+                let y = layer.infer_with(isa, &x);
+                layer.forward(&x);
+                let gx = layer.backward_with(isa, &g);
+                let what = format!("{isa:?}, {:?}", x.dims());
+                assert_same_bits(y.data(), want_y.data(), &format!("values at {what}"));
+                assert_same_bits(gx.data(), want_gx.data(), &format!("gradients at {what}"));
+            }
         }
     }
 

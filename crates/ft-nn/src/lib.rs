@@ -92,3 +92,13 @@ pub trait Layer {
         });
     }
 }
+
+/// Asserts `got` and `want` hold the same `f64` bits, naming the first
+/// index that differs (the dispatched kernels' ISA parity tests).
+#[cfg(test)]
+pub(crate) fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    if let Some(i) = (0..got.len()).find(|&i| got[i].to_bits() != want[i].to_bits()) {
+        panic!("{what}: element {i} is {:e}, want {:e}", got[i], want[i]);
+    }
+}

@@ -21,12 +21,16 @@
 //! are summed per tile and the tile partials are folded in (sample, tile)
 //! index order: bit-identical for any pool width (DESIGN.md §13), within
 //! rounding of `Linear`'s whole-plane sums.
+//!
+//! The tile kernels and their helpers are `#[inline(always)]` and run
+//! through [`Isa::run`], so they vectorize at the host's width (AVX2,
+//! AVX-512) with the bits of the baseline build (see `ft_tensor::isa`).
 
-use ft_tensor::Tensor;
+use ft_tensor::{Isa, Tensor};
 use rand::Rng;
 use rayon::prelude::*;
 
-use crate::activation::Gelu;
+use crate::activation::{self, Gelu};
 use crate::linear::Linear;
 use crate::param::ParamMut;
 use crate::Layer;
@@ -86,6 +90,7 @@ const LANES: usize = 8;
 /// `rows` is a `[n, dst.len()]` block. Every point gets the additions a
 /// run of `Linear`-style row updates gives it, in the same order, with the
 /// running sum held in registers across the terms.
+#[inline(always)]
 fn accumulate(dst: &mut [f64], rows: &[f64], terms: &[(f64, usize)]) {
     let len = dst.len();
     let mut chunks = dst.chunks_exact_mut(LANES);
@@ -110,6 +115,7 @@ fn accumulate(dst: &mut [f64], rows: &[f64], terms: &[(f64, usize)]) {
 
 /// Refills `terms` with the `(w, index)` pairs of the nonzero weights in
 /// `weights` — `Linear` skips a zero weight, so this does too.
+#[inline(always)]
 fn nonzero(terms: &mut Vec<(f64, usize)>, weights: impl Iterator<Item = f64>) {
     terms.clear();
     terms.extend(
@@ -122,7 +128,7 @@ fn nonzero(terms: &mut Vec<(f64, usize)>, weights: impl Iterator<Item = f64>) {
 
 /// `Σ a·b` over four interleaved accumulators — a fixed association, so
 /// the result depends on the inputs alone, and the loop vectorizes.
-#[inline]
+#[inline(always)]
 fn dot(a: &[f64], b: &[f64]) -> f64 {
     let (ca, cb) = (a.chunks_exact(4), b.chunks_exact(4));
     let tail: f64 = ca
@@ -155,6 +161,11 @@ impl PointwiseMlp {
 
     /// Forward pass without caching (inference).
     pub fn infer(&self, x: &Tensor) -> Tensor {
+        self.infer_with(Isa::host(), x)
+    }
+
+    /// [`PointwiseMlp::infer`] with its tile kernel compiled for `isa`.
+    pub(crate) fn infer_with(&self, isa: Isa, x: &Tensor) -> Tensor {
         let dims = x.dims();
         assert!(dims.len() >= 2, "PointwiseMlp expects [B, C, *spatial]");
         assert_eq!(
@@ -171,7 +182,10 @@ impl PointwiseMlp {
             .map(|item| {
                 let xs = gather(x.data(), c_in, p, item);
                 let mut y = vec![0.0; c_out * (xs.len() / c_in)];
-                self.forward_tile(&xs, &mut y);
+                isa.run(
+                    #[inline(always)]
+                    || self.forward_tile(&xs, &mut y),
+                );
                 y
             })
             .collect();
@@ -187,6 +201,7 @@ impl PointwiseMlp {
     /// Hidden channel `k`'s pre-activation over one tile, summed as
     /// `Linear::infer` sums it: bias, then input channels in order. `x` is
     /// the tile's `[C_in, len]` block, `h` one `len`-point row.
+    #[inline(always)]
     fn pre_activation(&self, k: usize, x: &[f64], h: &mut [f64], terms: &mut Vec<(f64, usize)>) {
         let c_in = self.fc1.c_in();
         h.fill(self.fc1.bias.value.data()[k]);
@@ -200,6 +215,7 @@ impl PointwiseMlp {
     }
 
     /// One tile's output `y` (`[C_out, len]`) from its input `x` (`[C_in, len]`).
+    #[inline(always)]
     fn forward_tile(&self, x: &[f64], y: &mut [f64]) {
         let (hidden, c_out) = (self.fc2.c_in(), self.fc2.c_out());
         let w2 = self.fc2.weight.value.data();
@@ -214,7 +230,7 @@ impl PointwiseMlp {
             let h = &mut h[..kn * len];
             for (j, row) in h.chunks_mut(len).enumerate() {
                 self.pre_activation(k0 + j, x, row, &mut terms);
-                row.iter_mut().for_each(|v| *v = Gelu::value(*v));
+                activation::values(row);
             }
             for (o, row) in y.chunks_mut(len).enumerate() {
                 nonzero(&mut terms, w2[o * hidden + k0..][..kn].iter().copied());
@@ -227,6 +243,7 @@ impl PointwiseMlp {
     /// gradient `g` (`[C_out, len]`): accumulates the input gradient into
     /// `gx` (`[C_in, len]`, zeroed) and returns the tile's parameter-gradient
     /// partial, laid out as `[fc1.w | fc1.b | fc2.w | fc2.b]`.
+    #[inline(always)]
     fn backward_tile(&self, x: &[f64], g: &[f64], gx: &mut [f64]) -> Vec<f64> {
         let (c_in, hidden, c_out) = (self.fc1.c_in(), self.fc2.c_in(), self.fc2.c_out());
         let (w1, w2) = (self.fc1.weight.value.data(), self.fc2.weight.value.data());
@@ -273,17 +290,9 @@ impl PointwiseMlp {
         }
         part
     }
-}
 
-impl Layer for PointwiseMlp {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let _span = ft_obs::span("pointwise_mlp.forward");
-        let y = self.infer(x);
-        self.cache_input = Some(x.clone());
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    /// [`Layer::backward`] with its tile kernel compiled for `isa`.
+    pub(crate) fn backward_with(&mut self, isa: Isa, grad_out: &Tensor) -> Tensor {
         let _span = ft_obs::span("pointwise_mlp.backward");
         let x = self
             .cache_input
@@ -305,7 +314,10 @@ impl Layer for PointwiseMlp {
                 let xs = gather(x.data(), c_in, p, item);
                 let gs = gather(grad_out.data(), c_out, p, item);
                 let mut gx = vec![0.0; xs.len()];
-                let part = self.backward_tile(&xs, &gs, &mut gx);
+                let part = isa.run(
+                    #[inline(always)]
+                    || self.backward_tile(&xs, &gs, &mut gx),
+                );
                 (gx, part)
             })
             .collect();
@@ -329,6 +341,19 @@ impl Layer for PointwiseMlp {
         }
         gx
     }
+}
+
+impl Layer for PointwiseMlp {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let _span = ft_obs::span("pointwise_mlp.forward");
+        let y = self.infer(x);
+        self.cache_input = Some(x.clone());
+        y
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_with(Isa::host(), grad_out)
+    }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamMut<'_>)) {
         self.fc1.visit_params(f);
@@ -343,6 +368,7 @@ impl Layer for PointwiseMlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assert_same_bits;
     use crate::gradcheck::{check_input_gradient, check_param_gradients};
     use crate::serialize::{snapshot_grads, ParamValue};
     use rand::distributions::Uniform;
@@ -442,6 +468,61 @@ mod tests {
                     "parameter gradient {:?}: rel {rel:e}",
                     a.dims()
                 );
+            }
+        }
+    }
+
+    /// Every parameter gradient, flattened in visiting order.
+    fn grads(m: &mut impl Layer) -> Vec<f64> {
+        let mut all = Vec::new();
+        for p in snapshot_grads(m) {
+            let ParamValue::Real(t) = p else {
+                panic!("real parameters only")
+            };
+            all.extend_from_slice(t.data());
+        }
+        all
+    }
+
+    /// [`cases`] plus tiles whose length leaves a tail shorter than the
+    /// 8-point register stretch (1, 15, and a last tile of 33 points),
+    /// hidden widths that are not a multiple of [`BLOCK`], and a hidden
+    /// unit with every input and output weight zero.
+    fn isa_cases() -> Vec<(PointwiseMlp, Tensor)> {
+        let mut dead = mlp(3, 13, 2, 10);
+        for i in 0..3 {
+            dead.fc1.weight.value.data_mut()[4 * 3 + i] = 0.0;
+        }
+        for o in 0..2 {
+            dead.fc2.weight.value.data_mut()[o * 13 + 4] = 0.0;
+        }
+        let mut all = cases();
+        all.extend([
+            (mlp(3, 13, 2, 8), rand_tensor(&[1, 3, 1, 1], 21)),
+            (mlp(5, 9, 6, 9), rand_tensor(&[2, 5, 3, 5], 22)),
+            (dead, rand_tensor(&[1, 3, 17, 17], 23)),
+        ]);
+        all
+    }
+
+    #[test]
+    fn every_isa_gives_the_same_bits() {
+        for (m, x) in isa_cases() {
+            let g = rand_tensor(m.infer(&x).dims(), 98);
+            let run = |isa| {
+                let mut m = m.clone();
+                let y = m.infer_with(isa, &x);
+                m.forward(&x);
+                let gx = m.backward_with(isa, &g);
+                (y, gx, grads(&mut m))
+            };
+            let (want_y, want_gx, want_grads) = run(Isa::Base);
+            for isa in Isa::supported() {
+                let (y, gx, grads) = run(isa);
+                let what = format!("{isa:?}, {:?}", x.dims());
+                assert_same_bits(y.data(), want_y.data(), &format!("output at {what}"));
+                assert_same_bits(gx.data(), want_gx.data(), &format!("input gradient at {what}"));
+                assert_same_bits(&grads, &want_grads, &format!("parameter gradients at {what}"));
             }
         }
     }

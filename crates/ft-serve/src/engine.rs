@@ -272,6 +272,19 @@ impl ServeHandle {
         Ok(PendingResponse { slot })
     }
 
+    /// The admission check of [`ServeHandle::submit`] and
+    /// [`ServeHandle::open_session`] on an input's dims alone: `model` must
+    /// be registered ([`ServeError::UnknownModel`]) and take inputs of
+    /// `dims` ([`ModelEntry::check_dims`]). The TCP server runs it on a
+    /// request header before it reads the payload.
+    pub fn check_dims(&self, model: &str, dims: &[usize]) -> Result<(), ServeError> {
+        self.shared
+            .registry
+            .get(model)
+            .ok_or_else(|| ServeError::UnknownModel(model.to_string()))?
+            .check_dims(dims)
+    }
+
     /// Synchronous predict: [`ServeHandle::submit`] + wait.
     pub fn predict(&self, model: &str, input: Tensor) -> Result<Tensor, ServeError> {
         self.submit(model, input)?.wait()

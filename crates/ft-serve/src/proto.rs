@@ -164,16 +164,44 @@ pub const MAX_HEADER_BYTES: usize = 64 << 10;
 /// not the declared size.
 const PAYLOAD_CHUNK_BYTES: usize = 16 << 10;
 
-/// Reads `n` little-endian `f32`s, widening them to `f64`, one
-/// [`PAYLOAD_CHUNK_BYTES`] chunk at a time.
-fn read_payload(r: &mut impl Read, n: usize) -> Result<Vec<f64>, ServeError> {
+/// The element count of a payload of `dims`: non-empty dims with
+/// `1..=MAX_PAYLOAD_ELEMS` elements, or a protocol error.
+fn payload_elems(dims: &[usize]) -> Result<usize, ServeError> {
+    let n = dims
+        .iter()
+        .try_fold(1usize, |a, &b| a.checked_mul(b))
+        .unwrap_or(usize::MAX);
+    if dims.is_empty() || n == 0 || n > MAX_PAYLOAD_ELEMS {
+        return Err(bad(&format!("unreasonable payload dims {dims:?}")));
+    }
+    Ok(n)
+}
+
+/// Passes the `4 × elements` payload bytes of `dims` to `each`, one
+/// [`PAYLOAD_CHUNK_BYTES`] chunk at a time, through one stack buffer.
+fn payload_chunks(
+    r: &mut impl Read,
+    dims: &[usize],
+    mut each: impl FnMut(&[u8]),
+) -> Result<(), ServeError> {
     let mut chunk = [0u8; PAYLOAD_CHUNK_BYTES];
-    let mut data = Vec::new();
-    let mut left = n * 4;
+    let mut left = payload_elems(dims)? * 4;
     while left > 0 {
         let bytes = &mut chunk[..left.min(PAYLOAD_CHUNK_BYTES)];
         r.read_exact(bytes)
             .map_err(|e| ServeError::Protocol(format!("payload read: {e}")))?;
+        each(bytes);
+        left -= bytes.len();
+    }
+    Ok(())
+}
+
+/// Reads the payload a header declared `dims` for (see [`payload_dims`]):
+/// little-endian `f32`s, widened to `f64`.
+pub fn read_payload(r: &mut impl Read, dims: &[usize]) -> Result<Tensor, ServeError> {
+    let n = payload_elems(dims)?;
+    let mut data = Vec::new();
+    payload_chunks(r, dims, |bytes| {
         let count = bytes.len() / 4;
         if data.capacity() - data.len() < count {
             // Double as the payload arrives, but never past the declared
@@ -185,15 +213,21 @@ fn read_payload(r: &mut impl Read, n: usize) -> Result<Vec<f64>, ServeError> {
                 .chunks_exact(4)
                 .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]) as f64),
         );
-        left -= bytes.len();
-    }
-    Ok(data)
+    })?;
+    Ok(Tensor::from_vec(dims, data))
 }
 
-/// Reads one frame: the header line plus, when the header declares
-/// `dims`, the payload tensor. Returns `None` on clean EOF before a
-/// header.
-pub fn read_frame(r: &mut impl BufRead) -> Result<Option<(Header, Option<Tensor>)>, ServeError> {
+/// Reads and drops the payload a header declared `dims` for, through a
+/// fixed-size buffer: a request refused on its header costs no heap, and
+/// the stream stays at a frame boundary.
+pub fn skip_payload(r: &mut impl Read, dims: &[usize]) -> Result<(), ServeError> {
+    payload_chunks(r, dims, |_| {})
+}
+
+/// Reads one frame's header line, leaving any payload on the stream for
+/// [`read_payload`] or [`skip_payload`]. Returns `None` on clean EOF
+/// before a header.
+pub fn read_header(r: &mut impl BufRead) -> Result<Option<Header>, ServeError> {
     let mut line = String::new();
     match r.by_ref().take(MAX_HEADER_BYTES as u64 + 1).read_line(&mut line) {
         Ok(0) => return Ok(None),
@@ -203,21 +237,27 @@ pub fn read_frame(r: &mut impl BufRead) -> Result<Option<(Header, Option<Tensor>
         Ok(_) => {}
         Err(e) => return Err(ServeError::Protocol(format!("header read: {e}"))),
     }
-    let header = parse_header(line.trim_end_matches(['\n', '\r']))?;
-    let payload = match header.get("dims").map(|d| d.as_dims()) {
-        Some(Some(dims)) => {
-            let n = dims
-                .iter()
-                .try_fold(1usize, |a, &b| a.checked_mul(b))
-                .unwrap_or(usize::MAX);
-            if dims.is_empty() || n == 0 || n > MAX_PAYLOAD_ELEMS {
-                return Err(bad(&format!("unreasonable payload dims {dims:?}")));
-            }
-            Some(Tensor::from_vec(&dims, read_payload(r, n)?))
-        }
-        Some(None) => return Err(bad("`dims` must be an integer array")),
-        None => None,
+    parse_header(line.trim_end_matches(['\n', '\r'])).map(Some)
+}
+
+/// The payload dims `header` declares, if any: non-empty, with
+/// `1..=MAX_PAYLOAD_ELEMS` elements.
+pub fn payload_dims(header: &Header) -> Result<Option<Vec<usize>>, ServeError> {
+    match header.get("dims").map(|d| d.as_dims()) {
+        Some(Some(dims)) => payload_elems(&dims).map(|_| Some(dims)),
+        Some(None) => Err(bad("`dims` must be an integer array")),
+        None => Ok(None),
+    }
+}
+
+/// Reads one frame: the header line plus, when the header declares
+/// `dims`, the payload tensor. Returns `None` on clean EOF before a
+/// header.
+pub fn read_frame(r: &mut impl BufRead) -> Result<Option<(Header, Option<Tensor>)>, ServeError> {
+    let Some(header) = read_header(r)? else {
+        return Ok(None);
     };
+    let payload = payload_dims(&header)?.map(|dims| read_payload(r, &dims)).transpose()?;
     Ok(Some((header, payload)))
 }
 

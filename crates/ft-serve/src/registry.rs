@@ -78,8 +78,15 @@ impl ModelEntry {
     /// side, so a bad request is a typed error instead of a panic in the
     /// model.
     pub fn check_input(&self, input: &Tensor) -> Result<(), ServeError> {
+        self.check_dims(input.dims())
+    }
+
+    /// [`ModelEntry::check_input`]'s rule on an input's dims alone, so the
+    /// server can refuse a request from its header, before it reads the
+    /// payload.
+    pub fn check_dims(&self, dims: &[usize]) -> Result<(), ServeError> {
         let (cfg, name) = (self.config(), &self.name);
-        let problem = match input.dims() {
+        let problem = match dims {
             &[f, _, _] if cfg.kind == FnoKind::TwoDChannels && f != cfg.in_channels => {
                 format!("model `{name}` takes {} input frames, got {f}", cfg.in_channels)
             }

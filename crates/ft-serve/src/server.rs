@@ -8,11 +8,13 @@
 //! batching, so connection-handling sophistication buys little at these
 //! request sizes.
 
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufRead, BufReader, BufWriter};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use ft_tensor::Tensor;
 
 use crate::engine::ServeHandle;
 use crate::proto::{self, Header, Value};
@@ -65,7 +67,7 @@ fn serve_connection(
     );
     let mut writer = BufWriter::new(stream);
     loop {
-        let frame = match proto::read_frame(&mut reader) {
+        let frame = match read_request(handle, &mut reader) {
             Ok(Some(f)) => f,
             Ok(None) => return Ok(()), // clean EOF
             Err(e) => {
@@ -83,7 +85,7 @@ fn serve_connection(
             stop.store(true, Ordering::Release);
             return Ok(());
         }
-        match handle_request(handle, &kind, &header, payload) {
+        match payload.and_then(|payload| handle_request(handle, &kind, &header, payload)) {
             Ok((tensor, session)) => {
                 let t0 = Instant::now();
                 proto::write_ok(&mut writer, tensor.as_ref(), session).map_err(io_to_proto)?;
@@ -92,6 +94,39 @@ fn serve_connection(
             Err(e) => proto::write_err(&mut writer, &e).map_err(io_to_proto)?,
         }
     }
+}
+
+/// A request header and its payload, or the reason the payload was refused
+/// unread.
+type Request = (Header, Result<Option<Tensor>, ServeError>);
+
+/// Reads one request frame. A `predict` or `session_open` payload is read
+/// only once its header's dims pass the model's admission check
+/// ([`ServeHandle::check_dims`]); a refused payload is skipped through a
+/// fixed-size buffer and the refusal takes the tensor's place, so a header
+/// declaring a wrong-grid field never makes the server hold its payload,
+/// and the connection stays at a frame boundary.
+fn read_request(
+    handle: &ServeHandle,
+    reader: &mut impl BufRead,
+) -> Result<Option<Request>, ServeError> {
+    let Some(header) = proto::read_header(reader)? else {
+        return Ok(None);
+    };
+    let Some(dims) = proto::payload_dims(&header)? else {
+        return Ok(Some((header, Ok(None))));
+    };
+    let kind = header.get("type").and_then(Value::as_str);
+    if let (Some("predict" | "session_open"), Some(model)) =
+        (kind, header.get("model").and_then(Value::as_str))
+    {
+        if let Err(e) = handle.check_dims(model, &dims) {
+            proto::skip_payload(reader, &dims)?;
+            return Ok(Some((header, Err(e))));
+        }
+    }
+    let payload = proto::read_payload(reader, &dims)?;
+    Ok(Some((header, Ok(Some(payload)))))
 }
 
 fn io_to_proto(e: io::Error) -> ServeError {
@@ -104,8 +139,8 @@ fn handle_request(
     handle: &ServeHandle,
     kind: &str,
     header: &Header,
-    payload: Option<ft_tensor::Tensor>,
-) -> Result<(Option<ft_tensor::Tensor>, Option<u64>), ServeError> {
+    payload: Option<Tensor>,
+) -> Result<(Option<Tensor>, Option<u64>), ServeError> {
     let model = || -> Result<&str, ServeError> {
         header
             .get("model")

@@ -5,7 +5,9 @@
 //! `f64`) and [`CTensor`] (complex) containers with shape/stride index math,
 //! elementwise and reduction operations, and rayon-parallel helpers. Its
 //! [`codec`] module is the workspace's one bounded little-endian binary
-//! reader and writer, shared by every on-disk format.
+//! reader and writer, shared by every on-disk format. Its [`isa`] module
+//! is the one runtime dispatch point that compiles a hot kernel for the
+//! host's vector width (AVX2, AVX-512) from one source, with the same bits.
 //!
 //! The containers are deliberately simple — owned, contiguous, row-major —
 //! because every consumer in this workspace (FFT, lattice Boltzmann,
@@ -22,12 +24,14 @@
 pub mod codec;
 pub mod complex;
 pub mod ctensor;
+pub mod isa;
 pub mod ops;
 pub mod shape;
 pub mod tensor;
 
 pub use complex::Complex64;
 pub use ctensor::CTensor;
+pub use isa::Isa;
 pub use shape::Shape;
 pub use tensor::Tensor;
 

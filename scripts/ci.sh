@@ -50,6 +50,15 @@ cargo test -q --release --offline -p fno-core --test parallel_parity
 echo "==> GELU accuracy and pinned bits (release)"
 cargo test -q --release --offline -p ft-nn --lib activation::
 
+# The GELU and fused-MLP kernels run compiled for the host's vector width
+# (`ft_tensor::Isa`: AVX2, AVX-512 where the host reports them). Every level
+# the host supports must give the baseline build's bits: the `every_isa`
+# tests run each level on the same inputs, optimized, where the wide
+# instantiations are vectorized.
+echo "==> ISA dispatch: every supported level gives the same bits (release)"
+cargo test -q --release --offline -p ft-tensor --lib isa::
+cargo test -q --release --offline -p ft-nn --lib every_isa
+
 # The compact-spectrum SpectralConv must match its full-spectrum oracle bit
 # for bit (outputs and weight gradients) on the optimized build as well.
 echo "==> spectral layer: full-spectrum parity and adjoints (release)"
@@ -57,21 +66,24 @@ cargo test -q --release --offline -p ft-nn --lib spectral::
 
 # Pinned to one core, `available_parallelism` (which honours the affinity
 # mask) sizes a width-1 pool: the plan-cache diagnostics, the parity
-# proptest, the fused pointwise-MLP tests and the spectral-layer parity
-# tests must hold there as well as at the host's width.
-echo "==> diagnostics + parallel-parity proptest + pointwise MLP + spectral layer on one core (taskset -c 0)"
+# proptest, the fused pointwise-MLP tests, the spectral-layer parity tests
+# and the ISA parity tests must hold there as well as at the host's width.
+echo "==> diagnostics + parallel-parity proptest + pointwise MLP + spectral layer + ISA parity on one core (taskset -c 0)"
 if command -v taskset >/dev/null 2>&1; then
     taskset -c 0 cargo test -q --offline --test diagnostics
     taskset -c 0 cargo test -q --release --offline -p fno-core --test parallel_parity
     taskset -c 0 cargo test -q --offline -p ft-nn --lib mlp::
     taskset -c 0 cargo test -q --release --offline -p ft-nn --lib spectral::
+    taskset -c 0 cargo test -q --release --offline -p ft-nn --lib every_isa
 else
     echo "taskset not found: one-core step skipped"
 fi
 
+# Every target: libraries, binaries, tests, examples and benches, so lints
+# in test code fail here too.
 if [ "$LINT" = 1 ]; then
-    echo "==> cargo clippy (workspace, warnings are errors)"
-    cargo clippy --workspace --offline -- -D warnings
+    echo "==> cargo clippy (workspace, all targets, warnings are errors)"
+    cargo clippy --workspace --all-targets --offline -- -D warnings
 fi
 
 echo "==> cargo doc (no deps, warnings are errors)"

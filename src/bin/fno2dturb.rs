@@ -186,6 +186,16 @@ fn require<'a>(opts: &'a Opts, key: &str) -> Result<&'a str, String> {
     opts.get(key).map(|s| s.as_str()).ok_or_else(|| format!("--{key} is required"))
 }
 
+/// Loads the `--data` tensor file; an error names the option and the path.
+fn load_data(path: &str) -> Result<Tensor, String> {
+    load_tensor(path).map_err(|e| format!("--data {path}: {e}"))
+}
+
+/// Loads the `--model` file; an error names the option and the path.
+fn load_model(path: &str) -> Result<Fno, String> {
+    Fno::load(path).map_err(|e| format!("--model {path}: {e}"))
+}
+
 fn cmd_generate(opts: &Opts) -> Result<(), String> {
     let out = require(opts, "out")?;
     let grid: usize = get(opts, "grid", 32)?;
@@ -261,7 +271,7 @@ fn cmd_train(opts: &Opts) -> Result<(), String> {
         );
     }
 
-    let velocity = load_tensor(data).map_err(|e| e.to_string())?;
+    let velocity = load_data(data)?;
     if velocity.shape().rank() != 5 {
         return Err(format!("--data: expected [S,T,2,H,W], got {:?}", velocity.dims()));
     }
@@ -395,8 +405,8 @@ fn cmd_rollout(opts: &Opts) -> Result<(), String> {
     let sample: usize = get(opts, "sample", 0)?;
     let frames: usize = get(opts, "frames", 10)?;
 
-    let velocity = load_tensor(data).map_err(|e| e.to_string())?;
-    let model = Fno::load(model_path).map_err(|e| e.to_string())?;
+    let velocity = load_data(data)?;
+    let model = load_model(model_path)?;
     let flat = split_components(&velocity);
     let comp = flat.index_axis0(sample * 2); // u_x component of the sample
     let t_avail = comp.dims()[0];
@@ -438,8 +448,8 @@ fn cmd_hybrid(opts: &Opts) -> Result<(), String> {
     };
     let sample: usize = get(opts, "sample", 0)?;
 
-    let velocity = load_tensor(data).map_err(|e| e.to_string())?;
-    let model = Fno::load(model_path).map_err(|e| e.to_string())?;
+    let velocity = load_data(data)?;
+    let model = load_model(model_path)?;
     let (hist, n) = load_sample_history(&velocity, sample)?;
 
     let nu = 0.05 * n as f64 / reynolds;
@@ -465,8 +475,8 @@ fn cmd_ensemble(opts: &Opts) -> Result<(), String> {
     let frames: usize = get(opts, "frames", 10)?;
     let members: usize = get(opts, "members", 8)?;
 
-    let velocity = load_tensor(data).map_err(|e| e.to_string())?;
-    let model = Fno::load(model_path).map_err(|e| e.to_string())?;
+    let velocity = load_data(data)?;
+    let model = load_model(model_path)?;
     let flat = split_components(&velocity);
     if sample * 2 >= flat.dims()[0] {
         return Err(format!("--sample {sample} out of range"));

@@ -23,3 +23,37 @@ fn mistyped_options_are_refused_with_the_usage_text() {
         assert!(refused && stderr.contains("usage:"), "{bin} {args:?}: {stderr}");
     }
 }
+
+/// A loader error names the option and the file it came from: a cut
+/// `--data` file and a missing `--model` file each give an `error: --data
+/// <path>: …` / `error: --model <path>: …` line and a non-zero exit.
+#[test]
+fn loader_errors_name_their_option_and_path() {
+    use fno2d_turbulence::data::save_tensor;
+    use fno2d_turbulence::tensor::Tensor;
+
+    let dir = std::env::temp_dir().join(format!("ft_cli_loaders_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let (data, cut, model) = (dir.join("data.ftt"), dir.join("cut.ftt"), dir.join("missing.ftc"));
+    save_tensor(&data, &Tensor::from_fn(&[1, 12, 2, 8, 8], |i| i[1] as f64)).expect("write data");
+    let bytes = std::fs::read(&data).expect("read data");
+    std::fs::write(&cut, &bytes[..100]).expect("write cut data");
+
+    for (flag, data_file) in [("--data", &cut), ("--model", &data)] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fno2dturb"))
+            .arg("rollout")
+            .arg("--data")
+            .arg(data_file)
+            .arg("--model")
+            .arg(&model)
+            .output()
+            .expect("run fno2dturb");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let named = if flag == "--data" { &cut } else { &model };
+        let want = format!("error: {flag} {}: ", named.display());
+        assert!(!out.status.success(), "rollout succeeded with a bad {flag}");
+        assert!(stderr.lines().any(|l| l.starts_with(&want)), "{flag}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -30,7 +30,7 @@ proptest! {
     }
 
     #[test]
-    fn rfft_roundtrip_any_length(n in 1usize..80, phase in 0.0f64..6.28) {
+    fn rfft_roundtrip_any_length(n in 1usize..80, phase in 0.0..std::f64::consts::TAU) {
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.73 + phase).sin()).collect();
         let back = fft::irfft(&fft::rfft(&x), n);
         for (a, b) in x.iter().zip(&back) {
