@@ -685,8 +685,8 @@ mod tests {
     fn batched_forward_matches_per_sample_bitwise() {
         // The batched path (one planned transform over all samples and
         // channels) must be bit-identical to running each sample alone —
-        // the property that lets the trainer shard batches per sample and
-        // the server micro-batch requests without perturbing results.
+        // the property that lets the trainer shard batches per sample
+        // without perturbing results.
         let mut rng = StdRng::seed_from_u64(21);
         let conv = SpectralConv::new_2d(2, 3, 3, &mut rng);
         let x = rand_input(&[4, 2, 8, 8], 22);

@@ -2,8 +2,15 @@
 //! random bytes, truncations and single-bit flips of a rendered bench
 //! file — never panics the reader or `parse_bench_file` and fails with a
 //! typed `Err(String)`; and writer → reader round-trips every value.
+//! The random and flipped texts must also hold at most 16 heap bytes per
+//! input byte plus 64 KiB while they are read.
+//!
+//! Own test binary: the counting global allocator sees every allocation
+//! in the process, so each test holds one lock for its whole run.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use ft_obs::compare::parse_bench_file;
 use ft_obs::json::{self, Json};
@@ -14,6 +21,66 @@ static REQUESTS: ft_obs::Counter = ft_obs::Counter::new("jsonprop.requests");
 static RATE: ft_obs::Gauge = ft_obs::Gauge::new("jsonprop.rate_per_sec");
 static UNSET: ft_obs::Gauge = ft_obs::Gauge::new("jsonprop.unset");
 static LOSS: ft_obs::Histogram = ft_obs::Histogram::new("jsonprop.loss");
+
+/// Bytes currently allocated, and the most at any moment since the last
+/// [`peak_during`] started.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+struct PeakAllocator;
+
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::SeqCst) + bytes;
+    PEAK.fetch_max(live, Ordering::SeqCst);
+}
+
+// SAFETY: delegates every operation to `System`; only adds counter
+// updates around it.
+unsafe impl GlobalAlloc for PeakAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grow(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::SeqCst);
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        grow(new_size);
+        LIVE.fetch_sub(layout.size(), Ordering::SeqCst);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: PeakAllocator = PeakAllocator;
+
+/// Serializes the tests: a measurement must see no other test's heap.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The peak heap growth, in bytes, while `f` runs.
+fn peak_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let base = LIVE.load(Ordering::SeqCst);
+    PEAK.store(base, Ordering::SeqCst);
+    let r = f();
+    (r, PEAK.load(Ordering::SeqCst) - base)
+}
+
+/// Runs `f` on `input_len` hostile input bytes and checks it held at most
+/// 16 heap bytes per input byte plus 64 KiB, the bound of the binary
+/// loaders (`crates/core/tests/loader_alloc.rs`).
+fn within_heap_bound<R>(input_len: usize, f: impl FnOnce() -> R) -> R {
+    let (r, peak) = peak_during(f);
+    let bound = 16 * input_len + (64 << 10);
+    assert!(peak <= bound, "{input_len} input bytes held {peak} heap bytes (bound {bound})");
+    r
+}
 
 /// A bench file written by `write_bench_json`, with every section filled.
 fn rendered_bench_file() -> String {
@@ -50,6 +117,7 @@ fn read(text: &str) -> bool {
 
 #[test]
 fn rendered_bench_file_reads_back() {
+    let _serial = serial();
     let text = rendered_bench_file();
     let root = json::parse(&text).unwrap();
     assert_eq!(root.get("wall_seconds"), Some(&Json::Num(1.5)));
@@ -70,6 +138,7 @@ fn rendered_bench_file_reads_back() {
 
 #[test]
 fn truncated_bench_file_is_an_error() {
+    let _serial = serial();
     let text = rendered_bench_file();
     // Every cut before the closing brace leaves the root object open.
     let close = text.rfind('}').unwrap();
@@ -81,6 +150,7 @@ fn truncated_bench_file_is_an_error() {
 
 #[test]
 fn nesting_is_bounded() {
+    let _serial = serial();
     for bomb in ["[".repeat(1 << 16), "{\"a\":".repeat(1 << 14)] {
         let err = json::parse(&bomb).unwrap_err();
         assert!(err.contains("nesting deeper than"), "{err}");
@@ -161,6 +231,7 @@ proptest! {
 
     #[test]
     fn writer_output_reads_back(v in AnyJson) {
+        let _serial = serial();
         let mut text = String::new();
         v.write(&mut text);
         let back = json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
@@ -169,19 +240,25 @@ proptest! {
 
     #[test]
     fn random_bytes_never_panic(raw in proptest::collection::vec(0u64..256, 0..400)) {
+        let _serial = serial();
         let raw: Vec<u8> = raw.into_iter().map(|b| b as u8).collect();
-        read(&String::from_utf8_lossy(&raw));
+        let text = String::from_utf8_lossy(&raw);
         // The same bytes behind an opening bracket reach the containers.
-        read(&format!("[{}", String::from_utf8_lossy(&raw)));
+        let opened = format!("[{text}");
+        for input in [&*text, &opened] {
+            within_heap_bound(input.len(), || read(input));
+        }
     }
 
     #[test]
     fn flipped_bench_file_never_panics(picks in proptest::collection::vec(0usize..1 << 20, 64)) {
+        let _serial = serial();
         let bytes = rendered_bench_file().into_bytes();
         for pick in picks {
             let mut corrupt = bytes.clone();
             corrupt[pick % bytes.len()] ^= 1 << (pick % 8);
-            read(&String::from_utf8_lossy(&corrupt));
+            let text = String::from_utf8_lossy(&corrupt);
+            within_heap_bound(text.len(), || read(&text));
         }
     }
 }

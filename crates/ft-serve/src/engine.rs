@@ -1,4 +1,4 @@
-//! The serving core: bounded admission queue, micro-batching dispatcher,
+//! The serving core: bounded admission queue, one-request dispatcher,
 //! graceful drain.
 //!
 //! # Life of a request
@@ -9,24 +9,23 @@
 //!    immediate [`ServeError::Overloaded`] (no silent blocking): the
 //!    caller sees backpressure, `serve.rejected` counts it, and a
 //!    `serve_overload` flight event marks the episode.
-//! 2. **Batching** — the dispatcher pops the oldest request, then
-//!    coalesces up to `max_batch − 1` further requests with the same
-//!    *batch key* (model name + input shape), holding the open batch for
-//!    at most `batch_window` to let compatible requests arrive. Requests
-//!    with a different key are left queued in order.
-//! 3. **Execution** — the batch is stacked into one model tensor
+//! 2. **Execution** — the dispatcher pops the oldest request and runs it
+//!    alone: the input is stacked into a one-sample model tensor
 //!    ([`fno_core::rollout::stack`], which owns the 2D and 3D layouts) and
 //!    run through one [`ForecastModel::forward_inference`] call (no
 //!    gradient tape), which parallelizes internally via rayon. A panic in
-//!    the model is caught and converted into per-request errors — the
-//!    dispatcher and the server outlive bad inputs.
-//! 4. **Completion** — each caller's [`PendingResponse`] is filled and
+//!    the model is caught and converted into the request's error — the
+//!    dispatcher and the server outlive bad inputs. Requests are never
+//!    coalesced: a batched forward measured no cheaper per sample by more
+//!    than the run-to-run spread (DESIGN.md §12b), so a request never
+//!    waits for company.
+//! 3. **Completion** — the caller's [`PendingResponse`] is filled and
 //!    woken.
 //!
 //! # Dispatch modes
 //!
 //! With `auto_dispatch` (the default) a background dispatcher thread
-//! drives steps 2–4. With it off, **manual dispatch** mode, nothing runs
+//! drives steps 2–3. With it off, **manual dispatch** mode, nothing runs
 //! until [`ServeHandle::dispatch_once`] is called — queue states are then
 //! fully deterministic, which is what the overload and drain tests use.
 //!
@@ -39,7 +38,7 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ft_tensor::Tensor;
 use fno_core::rollout::{stack, unstack};
@@ -55,11 +54,6 @@ use crate::ServeError;
 pub struct ServeConfig {
     /// Bound on queued (admitted, not yet executing) requests.
     pub queue_capacity: usize,
-    /// Largest micro-batch a single forward call may carry.
-    pub max_batch: usize,
-    /// How long the dispatcher holds an open batch for more compatible
-    /// requests before executing it anyway.
-    pub batch_window: Duration,
     /// Spawn the background dispatcher (`true`), or require explicit
     /// [`ServeHandle::dispatch_once`] calls (`false`, for tests).
     pub auto_dispatch: bool,
@@ -71,8 +65,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             queue_capacity: crate::DEFAULT_QUEUE_CAPACITY,
-            max_batch: crate::DEFAULT_MAX_BATCH,
-            batch_window: crate::DEFAULT_BATCH_WINDOW,
             auto_dispatch: true,
             session: SessionConfig::default(),
         }
@@ -97,12 +89,6 @@ struct Request {
     input: Tensor,
     enqueued: Instant,
     slot: Arc<ResponseSlot>,
-}
-
-impl Request {
-    fn key_matches(&self, other: &Request) -> bool {
-        self.entry.name == other.entry.name && self.input.dims() == other.input.dims()
-    }
 }
 
 /// Rendezvous cell between a waiting client and the dispatcher.
@@ -220,7 +206,7 @@ impl ServeEngine {
             h.join().expect("serve dispatcher panicked");
         } else {
             // Manual mode: drain inline so admitted requests still complete.
-            while dispatch_batch(&self.shared, false) > 0 {}
+            while dispatch_one(&self.shared) > 0 {}
         }
     }
 }
@@ -290,12 +276,12 @@ impl ServeHandle {
         self.submit(model, input)?.wait()
     }
 
-    /// Manual-dispatch mode: assemble and execute one batch from the
-    /// current queue contents (no waiting). Returns the batch size, 0 if
-    /// the queue was empty. Also usable in auto mode for tests, though
-    /// the background dispatcher will race it.
+    /// Manual-dispatch mode: execute the oldest queued request (no
+    /// waiting). Returns the number of requests completed: 1, or 0 if the
+    /// queue was empty. Also usable in auto mode for tests, though the
+    /// background dispatcher will race it.
     pub fn dispatch_once(&self) -> usize {
-        dispatch_batch(&self.shared, false)
+        dispatch_one(&self.shared)
     }
 
     /// Opens a rollout session for `model` from `history`.
@@ -337,16 +323,12 @@ impl ServeHandle {
     }
 }
 
-fn dispatcher_loop(sh: &Arc<Shared>) {
+fn dispatcher_loop(sh: &Shared) {
     loop {
-        let n = dispatch_batch(sh, true);
-        if n == 0 {
+        if dispatch_one(sh) == 0 {
             // Queue empty: exit if draining, otherwise sleep until work.
             let mut st = sh.state.lock().unwrap();
-            loop {
-                if !st.queue.is_empty() {
-                    break;
-                }
+            while st.queue.is_empty() {
                 if st.shutting_down {
                     return;
                 }
@@ -356,87 +338,37 @@ fn dispatcher_loop(sh: &Arc<Shared>) {
     }
 }
 
-/// Assembles one batch from the queue and executes it. With `wait` set,
-/// holds an under-full batch open until the batching window closes; the
-/// manual-dispatch path passes `false` and takes only what is queued.
-/// Returns the number of requests completed.
-fn dispatch_batch(sh: &Arc<Shared>, wait: bool) -> usize {
-    let assembly_start = Instant::now();
-    let max_batch = sh.cfg.max_batch.max(1);
-    let mut batch: Vec<Request> = Vec::new();
-    {
+/// Pops the oldest request and executes it. Returns the number of
+/// requests completed: 1, or 0 if the queue was empty.
+fn dispatch_one(sh: &Shared) -> usize {
+    let req = {
         let mut st = sh.state.lock().unwrap();
-        let Some(head) = st.queue.pop_front() else {
+        let Some(req) = st.queue.pop_front() else {
             return 0;
         };
-        metrics::QUEUE_WAIT.observe(assembly_start.duration_since(head.enqueued).as_secs_f64());
-        batch.push(head);
-        let deadline = assembly_start + sh.cfg.batch_window;
-        loop {
-            // Pull every queued request compatible with the head, in order.
-            let mut i = 0;
-            while i < st.queue.len() && batch.len() < max_batch {
-                if st.queue[i].key_matches(&batch[0]) {
-                    let r = st.queue.remove(i).unwrap();
-                    metrics::QUEUE_WAIT
-                        .observe(Instant::now().duration_since(r.enqueued).as_secs_f64());
-                    batch.push(r);
-                } else {
-                    i += 1;
-                }
-            }
-            if batch.len() >= max_batch || !wait || st.shutting_down {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (next, timeout) = sh.cv.wait_timeout(st, deadline - now).unwrap();
-            st = next;
-            if timeout.timed_out() && st.queue.iter().all(|r| !r.key_matches(&batch[0])) {
-                break;
-            }
-        }
         metrics::QUEUE_DEPTH.set(st.queue.len() as f64);
-    }
-    metrics::BATCH_ASSEMBLY.observe(assembly_start.elapsed().as_secs_f64());
-    metrics::BATCHES.inc();
-    metrics::BATCH_SIZE.observe(batch.len() as f64);
-
-    let outputs = {
+        req
+    };
+    metrics::QUEUE_WAIT.observe(req.enqueued.elapsed().as_secs_f64());
+    let output = {
         let _sp = ft_obs::span("serve/forward");
         let t0 = Instant::now();
-        let r = run_batch(&batch);
+        let r = run(&req);
         metrics::FORWARD.observe(t0.elapsed().as_secs_f64());
         r
     };
-    let n = batch.len();
-    match outputs {
-        Ok(outs) => {
-            for (req, out) in batch.into_iter().zip(outs) {
-                req.slot.fill(Ok(out));
-            }
-        }
-        Err(e) => {
-            for req in batch {
-                req.slot.fill(Err(e.clone()));
-            }
-        }
-    }
-    n
+    req.slot.fill(output);
+    1
 }
 
-/// Stacks the batch, runs one tape-free forward, splits the outputs.
-/// Every request in the batch shares a model and input shape (the batch
-/// key), so the requests stack into one model tensor.
-fn run_batch(batch: &[Request]) -> Result<Vec<Tensor>, ServeError> {
-    let entry = &batch[0].entry;
-    let kind = entry.config().kind;
-    let on = format_args!("a batch of {} {:?} inputs", batch.len(), batch[0].input.dims());
-    entry.guarded(on, |m| {
-        let inputs: Vec<&Tensor> = batch.iter().map(|r| &r.input).collect();
-        unstack(kind, &m.forward_inference(&stack(kind, &inputs)))
+/// Stacks the request's input into a one-sample model tensor, runs one
+/// tape-free forward, and unstacks the predicted block.
+fn run(req: &Request) -> Result<Tensor, ServeError> {
+    let kind = req.entry.config().kind;
+    let on = format_args!("a {:?} input", req.input.dims());
+    req.entry.guarded(on, |m| {
+        let y = m.forward_inference(&stack(kind, &[&req.input]));
+        unstack(kind, &y).pop().expect("one block in, one block out")
     })
 }
 
@@ -470,58 +402,51 @@ mod tests {
         Tensor::from_fn(&[4, h, h], |i| (i[0] as f64 * 0.3 + i[1] as f64 + i[2] as f64).sin())
     }
 
+    /// A distinct `[4, h, h]` input per `seed`.
+    fn input_seeded(h: usize, seed: usize) -> Tensor {
+        Tensor::from_fn(&[4, h, h], |i| {
+            (seed as f64 + i[0] as f64 * 0.3 + i[1] as f64 - i[2] as f64 * 0.7).sin()
+        })
+    }
+
     #[test]
-    fn manual_dispatch_batches_compatible_requests() {
+    fn queued_predicts_equal_direct_forwards_bit_for_bit() {
         let engine = ServeEngine::new(
             tiny_registry(),
-            ServeConfig { auto_dispatch: false, max_batch: 8, ..Default::default() },
+            ServeConfig { auto_dispatch: false, ..Default::default() },
         );
         let h = engine.handle();
-        let pending: Vec<_> =
-            (0..3).map(|_| h.submit("m", input(8)).unwrap()).collect();
+        let pending: Vec<_> = (0..3).map(|s| h.submit("m", input_seeded(8, s)).unwrap()).collect();
         assert_eq!(h.stats().queued, 3);
-        assert_eq!(h.dispatch_once(), 3);
-        assert_eq!(h.stats().queued, 0);
-        for p in pending {
-            let out = p.wait().unwrap();
-            assert_eq!(out.dims(), &[2, 8, 8]);
-            assert!(out.all_finite());
+        for left in (0..3).rev() {
+            assert_eq!(h.dispatch_once(), 1, "one request per dispatch");
+            assert_eq!(h.stats().queued, left);
+        }
+        assert_eq!(h.dispatch_once(), 0);
+        let model = &tiny_registry().get("m").unwrap().model;
+        for (s, p) in pending.into_iter().enumerate() {
+            let served = p.wait().unwrap();
+            let direct = model.forward_inference(&input_seeded(8, s).reshape(&[1, 4, 8, 8]));
+            assert_eq!(served.dims(), &[2, 8, 8]);
+            assert_eq!(served.data(), direct.data(), "request {s}");
         }
     }
 
     #[test]
-    fn batched_results_match_single_requests() {
+    fn mixed_shapes_are_served_one_per_dispatch_in_admission_order() {
         let engine = ServeEngine::new(
             tiny_registry(),
-            ServeConfig { auto_dispatch: false, max_batch: 8, ..Default::default() },
+            ServeConfig { auto_dispatch: false, ..Default::default() },
         );
         let h = engine.handle();
-        let a = h.submit("m", input(8)).unwrap();
-        let b = h.submit("m", input(8)).unwrap();
-        assert_eq!(h.dispatch_once(), 2);
-        let ya = a.wait().unwrap();
-        let yb = b.wait().unwrap();
-
-        let solo = h.submit("m", input(8)).unwrap();
-        assert_eq!(h.dispatch_once(), 1);
-        let ys = solo.wait().unwrap();
-        assert!(ya.allclose(&ys, 1e-12), "batching must not change results");
-        assert!(yb.allclose(&ys, 1e-12));
-    }
-
-    #[test]
-    fn mixed_shapes_split_into_separate_batches() {
-        let engine = ServeEngine::new(
-            tiny_registry(),
-            ServeConfig { auto_dispatch: false, max_batch: 8, ..Default::default() },
-        );
-        let h = engine.handle();
-        let _a = h.submit("m", input(8)).unwrap();
-        let _b = h.submit("m", input(16)).unwrap();
-        let _c = h.submit("m", input(8)).unwrap();
-        // First batch takes the two 8×8 requests around the 16×16 one.
-        assert_eq!(h.dispatch_once(), 2);
-        assert_eq!(h.dispatch_once(), 1);
+        let grids = [8, 16, 8, 16];
+        let pending: Vec<_> = grids.iter().map(|&g| h.submit("m", input(g)).unwrap()).collect();
+        for (k, &g) in grids.iter().enumerate() {
+            assert_eq!(h.dispatch_once(), 1);
+            let out = pending[k].try_take().expect("the oldest request is served").unwrap();
+            assert_eq!(out.dims(), &[2, g, g]);
+            assert!(pending[k + 1..].iter().all(|p| p.try_take().is_none()), "after {k}");
+        }
         assert_eq!(h.dispatch_once(), 0);
     }
 
@@ -553,13 +478,7 @@ mod tests {
 
     #[test]
     fn auto_dispatch_round_trip() {
-        let mut engine = ServeEngine::new(
-            tiny_registry(),
-            ServeConfig {
-                batch_window: Duration::from_micros(50),
-                ..Default::default()
-            },
-        );
+        let mut engine = ServeEngine::new(tiny_registry(), ServeConfig::default());
         let h = engine.handle();
         let out = h.predict("m", input(8)).unwrap();
         assert_eq!(out.dims(), &[2, 8, 8]);
@@ -689,14 +608,16 @@ mod tests {
     }
 
     #[test]
-    fn batched_3d_predicts_equal_single_blocks_bit_for_bit() {
+    fn queued_3d_predicts_equal_single_blocks_bit_for_bit() {
         let engine = ServeEngine::new(
             tiny_3d_registry(),
-            ServeConfig { auto_dispatch: false, max_batch: 8, ..Default::default() },
+            ServeConfig { auto_dispatch: false, ..Default::default() },
         );
         let h = engine.handle();
         let pending: Vec<_> = (0..3).map(|s| h.submit("m3", block_3d(s)).unwrap()).collect();
-        assert_eq!(h.dispatch_once(), 3);
+        for _ in 0..3 {
+            assert_eq!(h.dispatch_once(), 1);
+        }
         let model = &tiny_3d_registry().get("m3").unwrap().model;
         for (s, p) in pending.into_iter().enumerate() {
             let served = p.wait().unwrap();

@@ -12,11 +12,10 @@
 //!   a typed error rather than a panic deep in `restore_params`;
 //! * [`engine`] — the serving core: a bounded request queue with admission
 //!   control (explicit [`ServeError::Overloaded`] when full), a dispatcher
-//!   that coalesces compatible requests (same model, same input shape)
-//!   into micro-batches executed as one batched
-//!   [`fno_core::ForecastModel::forward_inference`] call, and graceful
-//!   drain on shutdown. [`engine::ServeHandle`] is the cloneable
-//!   in-process API;
+//!   that runs one request per tape-free
+//!   [`fno_core::ForecastModel::forward_inference`] call (one request, one
+//!   forward), and graceful drain on shutdown. [`engine::ServeHandle`] is
+//!   the cloneable in-process API;
 //! * [`session`] — stateful autoregressive rollout sessions: the server
 //!   keeps the temporal-channel window (2D) or space-time block (3D)
 //!   server-side and streams successive predicted frames; idle sessions
@@ -24,13 +23,13 @@
 //! * [`proto`] — the wire protocol shared by the `fno-serve` TCP server
 //!   and the `serve-bench` load generator: one newline-delimited JSON
 //!   header per frame followed by a little-endian `f32` field payload;
-//! * [`server`] — the blocking TCP accept loop (thread per connection)
-//!   that exposes a [`engine::ServeHandle`] over [`proto`].
+//! * [`server`] — the blocking TCP accept loop (thread per connection, at
+//!   most [`server::MAX_CONNECTIONS`] live) that exposes a
+//!   [`engine::ServeHandle`] over [`proto`].
 //!
 //! Everything is instrumented with `ft-obs`: per-stage latency histograms
-//! (queue wait, batch assembly, forward, serialize), request/rejection
-//! counters, a batch-size distribution, and flight-recorder events for
-//! overload and session eviction. With instrumentation disabled the hot
+//! (queue wait, forward, serialize), request and rejection counters, and
+//! flight-recorder events for overload and session eviction. With instrumentation disabled the hot
 //! path pays one atomic load per probe, like the rest of the workspace.
 
 #![warn(missing_docs)]
@@ -47,7 +46,6 @@ pub use registry::{ModelEntry, ModelRegistry, RegistryError};
 pub use session::SessionConfig;
 
 use std::fmt;
-use std::time::Duration;
 
 /// A typed serving failure, returned to the caller of every request.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -111,8 +109,3 @@ impl ServeError {
 
 /// Default bound on the request queue (admission control).
 pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
-/// Default micro-batch size cap.
-pub const DEFAULT_MAX_BATCH: usize = 8;
-/// Default batching window: how long the dispatcher holds an open batch
-/// waiting for more compatible requests before executing it.
-pub const DEFAULT_BATCH_WINDOW: Duration = Duration::from_micros(200);

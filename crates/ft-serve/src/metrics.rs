@@ -9,8 +9,9 @@ use ft_obs::{Counter, Gauge, Histogram};
 pub static REQUESTS: Counter = Counter::new("serve.requests");
 /// Requests rejected at admission because the queue was full.
 pub static REJECTED: Counter = Counter::new("serve.rejected");
-/// Micro-batches executed.
-pub static BATCHES: Counter = Counter::new("serve.batches");
+/// Connections refused at accept because [`crate::server::MAX_CONNECTIONS`]
+/// were already live.
+pub static REJECTED_CONNECTIONS: Counter = Counter::new("serve.rejected.connections");
 /// Rollout sessions opened.
 pub static SESSIONS_OPENED: Counter = Counter::new("serve.sessions.opened");
 /// Rollout sessions evicted (TTL expiry or LRU capacity).
@@ -23,15 +24,9 @@ pub static LIVE_SESSIONS: Gauge = Gauge::new("serve.sessions.live");
 /// Live connection threads, sampled on every accept-loop turn.
 pub static CONNECTIONS: Gauge = Gauge::new("serve.connections");
 
-/// Distribution of executed batch sizes (the micro-batching win is this
-/// distribution's mean moving above 1.0 under load).
-pub static BATCH_SIZE: Histogram = Histogram::new("serve.batch_size");
 /// Time from admission to dequeue by the dispatcher.
 pub static QUEUE_WAIT: Histogram = Histogram::new("serve.queue_wait_seconds");
-/// Time the dispatcher spends holding an open batch waiting for
-/// compatible requests (bounded by the batch window).
-pub static BATCH_ASSEMBLY: Histogram = Histogram::new("serve.batch_assembly_seconds");
-/// Batched forward-pass time (whole batch, not per sample).
+/// Forward-pass time of one request.
 pub static FORWARD: Histogram = Histogram::new("serve.forward_seconds");
 /// Wire serialization time (header + payload encode) per response.
 pub static SERIALIZE: Histogram = Histogram::new("serve.serialize_seconds");

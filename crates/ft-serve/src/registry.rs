@@ -60,7 +60,7 @@ impl From<CheckpointError> for RegistryError {
 /// One registered model: the name clients address it by and the loaded
 /// network.
 pub struct ModelEntry {
-    /// Registry name, used as the micro-batching key.
+    /// Registry name, which clients address the model by.
     pub name: String,
     /// The loaded network. Immutable — inference only.
     pub model: Fno,

@@ -3,10 +3,12 @@
 //!
 //! The accept loop polls a non-blocking listener so a `shutdown` frame
 //! (or [`ServeHandle`]-side drain) can stop it promptly; connection
-//! threads exit on client EOF or protocol error. This is deliberately the
-//! simplest thing that serves correctly — the engine underneath does the
-//! batching, so connection-handling sophistication buys little at these
-//! request sizes.
+//! threads exit on client EOF or protocol error. At most
+//! [`MAX_CONNECTIONS`] connections are live at once; one past the cap is
+//! answered with the typed `overloaded` error frame and closed. This is
+//! deliberately the simplest thing that serves correctly: the engine
+//! underneath runs one request per forward in admission order, so
+//! connection-handling sophistication buys little at these request sizes.
 
 use std::io::{self, BufRead, BufReader, BufWriter};
 use std::net::{TcpListener, TcpStream};
@@ -20,11 +22,18 @@ use crate::engine::ServeHandle;
 use crate::proto::{self, Header, Value};
 use crate::{metrics, ServeError};
 
+/// Bound on live connections, the same as the queue and session defaults
+/// ([`crate::DEFAULT_QUEUE_CAPACITY`], [`crate::SessionConfig`]). Each
+/// live connection holds one thread.
+pub const MAX_CONNECTIONS: usize = 64;
+
 /// Runs the accept loop until a client sends a `shutdown` frame. Each
 /// connection is served on its own thread; finished threads are reaped
 /// on every loop turn, and the live count is the `serve.connections`
-/// gauge. Returns once the loop has stopped accepting and the live
-/// connection threads have finished.
+/// gauge. A connection accepted while [`MAX_CONNECTIONS`] are live gets
+/// the `overloaded` error frame and is closed, and
+/// `serve.rejected.connections` counts it. Returns once the loop has
+/// stopped accepting and the live connection threads have finished.
 pub fn serve_tcp(handle: ServeHandle, listener: TcpListener) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     let stop = Arc::new(AtomicBool::new(false));
@@ -33,6 +42,12 @@ pub fn serve_tcp(handle: ServeHandle, listener: TcpListener) -> io::Result<()> {
         workers.retain(|w| !w.is_finished());
         metrics::CONNECTIONS.set(workers.len() as f64);
         match listener.accept() {
+            Ok((mut stream, _addr)) if workers.len() >= MAX_CONNECTIONS => {
+                metrics::REJECTED_CONNECTIONS.inc();
+                // Best effort: a client that is already gone misses the reply.
+                let _ = stream.set_nonblocking(false);
+                let _ = proto::write_err(&mut stream, &ServeError::Overloaded);
+            }
             Ok((stream, _addr)) => {
                 let h = handle.clone();
                 let s = Arc::clone(&stop);

@@ -33,6 +33,18 @@ cargo test -q --offline -p fno-core
 echo "==> ft-tensor, ft-data and ft-nn suites"
 cargo test -q --offline -p ft-tensor -p ft-data -p ft-nn
 
+# The observability crate: the one JSON codec against hostile text with a
+# bounded heap (`json_proptests`), the disabled probes' allocation-free
+# fast path (`no_alloc`) and the metric, span and bench-file tests (`obs`).
+echo "==> ft-obs suite"
+cargo test -q --offline -p ft-obs
+
+# The FFT, spectral Navier-Stokes and analysis suites, optimized: the FFT
+# oracles and plan-cache counters, the solver checks and the flow
+# diagnostics. One of them takes minutes unoptimized.
+echo "==> ft-fft, ft-ns and ft-analysis suites (release)"
+cargo test -q --release --offline -p ft-fft -p ft-ns -p ft-analysis
+
 # The LBM solver's unit tests: the entropic α solve against its bisection
 # oracle (a proptest over near- and far-from-equilibrium cells) and the
 # physics checks, optimized, as the solver runs in data generation.

@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! fno-serve --model model.ftc [--name default]
-//!           [--addr 127.0.0.1:7878] [--max-batch 8] [--batch-window-us 200]
-//!           [--queue-capacity 64] [--max-sessions 64] [--session-ttl-secs 300]
-//!           [--threads N] [--metrics-out FILE] [--profile]
+//!           [--addr 127.0.0.1:7878] [--queue-capacity 64]
+//!           [--max-sessions 64] [--session-ttl-secs 300] [--threads N]
+//!           [--metrics-out FILE] [--profile]
 //! ```
 //!
 //! Loads one model per process (`--model`, registered under `--name`,
@@ -12,7 +12,9 @@
 //! protocol documented in `ft_serve::proto` until a client sends a
 //! `shutdown` frame. Shutdown is graceful: the accept loop stops, open
 //! connections are joined, and every request already admitted to the
-//! queue completes before the process exits.
+//! queue completes before the process exits. At most 64 connections are
+//! served at once (`ft_serve::server::MAX_CONNECTIONS`); one more is
+//! answered with the typed `overloaded` error and closed.
 //!
 //! `--model` takes any `FTC1` file with model metadata: the
 //! `fno2dturb train --model` output or a trainer's `latest.ftc`. The
@@ -20,8 +22,9 @@
 //! checked against it before any is restored; a file that does not fit is
 //! refused with an `error:` line and a non-zero exit.
 //!
-//! `--threads N` sizes the global rayon pool once at startup; batched
-//! forwards parallelise across that pool. The observability options
+//! `--threads N` sizes the global rayon pool once at startup; each
+//! request's forward parallelises across that pool. Requests run one per
+//! forward, oldest first. The observability options
 //! mirror `fno2dturb`: `--metrics-out` opens a JSONL stream (first record
 //! is the run manifest), `--profile` prints the span/counter/histogram
 //! report to stderr on exit.
@@ -35,17 +38,17 @@ use fno2d_turbulence::{parse_opts, Opts};
 
 const USAGE: &str = "usage:
   fno-serve --model model.ftc [--name default]
-            [--addr 127.0.0.1:7878] [--max-batch 8] [--batch-window-us 200]
-            [--queue-capacity 64] [--max-sessions 64] [--session-ttl-secs 300]
-            [--threads N] [--metrics-out FILE] [--profile]
+            [--addr 127.0.0.1:7878] [--queue-capacity 64]
+            [--max-sessions 64] [--session-ttl-secs 300] [--threads N]
+            [--metrics-out FILE] [--profile]
 
 Serves predict/session requests over TCP (newline-delimited JSON headers,
 little-endian f32 payloads) until a client sends a `shutdown` frame.";
 
 /// Options `fno-serve` takes a value for.
 const OPTIONS: &[&str] = &[
-    "model", "name", "addr", "max-batch", "batch-window-us", "queue-capacity", "max-sessions",
-    "session-ttl-secs", "threads", "metrics-out",
+    "model", "name", "addr", "queue-capacity", "max-sessions", "session-ttl-secs", "threads",
+    "metrics-out",
 ];
 
 /// Options that are boolean flags (present/absent, no value argument).
@@ -126,8 +129,6 @@ fn run(opts: &Opts) -> Result<(), String> {
 
     let cfg = ServeConfig {
         queue_capacity: get(opts, "queue-capacity", fno2d_turbulence::serve::DEFAULT_QUEUE_CAPACITY)?,
-        max_batch: get(opts, "max-batch", fno2d_turbulence::serve::DEFAULT_MAX_BATCH)?,
-        batch_window: Duration::from_micros(get(opts, "batch-window-us", 200u64)?),
         auto_dispatch: true,
         session: SessionConfig {
             max_sessions: get(opts, "max-sessions", 64)?,

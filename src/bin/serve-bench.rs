@@ -1,40 +1,25 @@
-//! `serve-bench` — load generator and batching benchmark for `fno-serve`.
+//! `serve-bench` — load generator for `fno-serve`.
 //!
 //! ```text
 //! serve-bench --addr 127.0.0.1:7878 [--requests 50] [--clients 4]
 //!             [--channels 10] [--grid 16] [--model-name default]
-//!             [--rate R] [--shutdown] [--bench-out FILE] [--threads N]
-//! serve-bench --inproc --model model.ftc --compare-batching
-//!             [--requests 512] [--clients 16] [--max-batch 16]
-//!             [--bench-out results/BENCH_serve.json] [--threads N]
+//!             [--rate R] [--shutdown] [--bench-out FILE]
+//!             [--metrics-out FILE] [--profile]
 //! ```
 //!
-//! **TCP mode** (`--addr`) drives a running `fno-serve` over loopback or
-//! the network. The default is closed-loop: `--clients` connections each
-//! send a predict request, wait for the response, and repeat until the
-//! shared budget of `--requests` is spent — concurrency across
-//! connections is what gives the server's dispatcher batching
-//! opportunities. `--rate R` switches to open-loop Poisson arrivals:
-//! exponential inter-send gaps at mean rate `R`/s per connection, with a
-//! reader thread draining responses. `--shutdown` sends a `shutdown`
-//! frame when done so scripted runs can stop the server. Client-side
-//! outcomes are counted (`serve_bench.requests` / `.errors` /
-//! `.rejected`) and end-to-end latency is recorded in
-//! `serve_bench.e2e_seconds`; everything lands in an `ft-obs/bench-v1`
-//! JSON (default `BENCH_serve.json`) for `bench_compare` gating.
-//!
-//! **In-process mode** (`--inproc --compare-batching`) loads the model
-//! into this process and runs the same closed-loop workload twice through
-//! a [`ServeEngine`] — once with `max_batch 1` (batching disabled), once
-//! with `--max-batch` — and reports the sustained-throughput ratio. This
-//! isolates the micro-batching win from network effects; the acceptance
-//! demo in `results/BENCH_serve.json` comes from this mode.
-//!
-//! `--threads N` sizes this process's worker pool once at startup, as in
-//! `fno2dturb` and `fno-serve`; it is what the in-process engine's
-//! forwards run on. Every bench file starts with the `run_manifest`
-//! record, which carries `nproc` and `pool_width`, so a speedup is always
-//! read next to the width it was measured at.
+//! Drives a running `fno-serve` over loopback or the network. The default
+//! is closed-loop: `--clients` connections each send a predict request,
+//! wait for the response, and repeat until the shared budget of
+//! `--requests` is spent. `--rate R` switches to open-loop Poisson
+//! arrivals: exponential inter-send gaps at mean rate `R`/s per
+//! connection. `--shutdown` sends a `shutdown` frame when done so scripted
+//! runs can stop the server. Client-side outcomes are counted
+//! (`serve_bench.requests` / `.errors` / `.rejected`) and end-to-end
+//! latency is recorded in `serve_bench.e2e_seconds`; everything lands in
+//! an `ft-obs/bench-v1` JSON (default `BENCH_serve.json`) for
+//! `bench_compare` gating. The file starts with the `run_manifest`
+//! record (`nproc`, options). The client runs no forward, so it takes no
+//! `--threads`: the server's `--threads` sets the width that matters.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -43,8 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fno2d_turbulence::fno::Fno;
-use fno2d_turbulence::serve::{proto, ModelRegistry, ServeConfig, ServeEngine};
+use fno2d_turbulence::serve::proto;
 use fno2d_turbulence::tensor::Tensor;
 use fno2d_turbulence::{parse_opts, Opts};
 use ft_obs::{Counter, Histogram, Record};
@@ -62,23 +46,18 @@ const USAGE: &str = "usage:
   serve-bench --addr HOST:PORT [--requests 50] [--clients 4] [--channels 10]
               [--grid 16] [--model-name default] [--rate R] [--shutdown]
               [--bench-out BENCH_serve.json] [--metrics-out FILE] [--profile]
-              [--threads N]
-  serve-bench --inproc --model model.ftc --compare-batching [--requests 512]
-              [--clients 16] [--max-batch 16] [--bench-out results/BENCH_serve.json]
-              [--threads N]
 
-TCP mode load-tests a running fno-serve (closed-loop by default, Poisson
-open-loop with --rate). In-process mode measures the micro-batching
-speedup (max_batch 1 vs --max-batch) on the same model and workload.";
+Load-tests a running fno-serve: closed-loop by default, Poisson open-loop
+with --rate.";
 
-/// Options `serve-bench` takes a value for, in either mode.
+/// Options `serve-bench` takes a value for.
 const OPTIONS: &[&str] = &[
     "addr", "requests", "clients", "channels", "grid", "model-name", "rate", "bench-out",
-    "metrics-out", "threads", "model", "max-batch",
+    "metrics-out",
 ];
 
 /// Options that are boolean flags (present/absent, no value argument).
-const FLAGS: &[&str] = &["profile", "shutdown", "inproc", "compare-batching"];
+const FLAGS: &[&str] = &["profile", "shutdown"];
 
 fn get<T: std::str::FromStr>(opts: &Opts, key: &str, default: T) -> Result<T, String> {
     match opts.get(key) {
@@ -100,10 +79,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Err(e) = fno2d_turbulence::size_pool(opts.get("threads").map(String::as_str)) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
     // The bench file needs live counters/histograms regardless of the
     // observability flags.
     ft_obs::set_enabled(true);
@@ -121,11 +96,7 @@ fn main() -> ExitCode {
     }
     ft_obs::flight::set_manifest(manifest);
 
-    let result = if opts.contains_key("inproc") {
-        run_inproc(&opts)
-    } else {
-        run_tcp(&opts)
-    };
+    let result = run(&opts);
     ft_obs::close_jsonl();
     if opts.contains_key("profile") {
         eprint!("{}", ft_obs::profile_report());
@@ -211,13 +182,13 @@ fn do_predict(
     Ok(())
 }
 
-fn run_tcp(opts: &Opts) -> Result<(), String> {
+fn run(opts: &Opts) -> Result<(), String> {
     // Register the outcome counters up front so a clean run still reports
     // explicit zeros — the CI baseline pins `errors`/`rejected` to 0.
     REQUESTS.add(0);
     ERRORS.add(0);
     REJECTED.add(0);
-    let addr = opts.get("addr").ok_or("--addr is required (or use --inproc)")?.clone();
+    let addr = opts.get("addr").ok_or("--addr is required")?.clone();
     let total: u64 = get(opts, "requests", 50u64)?;
     let clients: usize = get(opts, "clients", 4)?.max(1);
     let channels: usize = get(opts, "channels", 10)?;
@@ -293,124 +264,6 @@ fn run_tcp(opts: &Opts) -> Result<(), String> {
         .f64("throughput_per_sec", throughput);
     let bench = opts.get("bench-out").map(String::as_str).unwrap_or("BENCH_serve.json");
     ft_obs::bench::write_bench_json(bench, "experiment", "serve-bench", wall, &with_manifest(vec![load]))
-        .map_err(|e| format!("{bench}: {e}"))?;
-    eprintln!("wrote {bench}");
-    Ok(())
-}
-
-/// One closed-loop phase against an in-process engine: `clients` worker
-/// threads share a budget of `total` requests. Returns (wall, ok).
-fn inproc_phase(
-    model_path: &str,
-    max_batch: usize,
-    clients: usize,
-    total: u64,
-    channels: usize,
-    grid: usize,
-) -> Result<(f64, u64), String> {
-    let mut reg = ModelRegistry::new();
-    reg.load("bench", model_path).map_err(|e| format!("--model {model_path}: {e}"))?;
-    let engine = ServeEngine::new(
-        reg,
-        ServeConfig {
-            max_batch,
-            queue_capacity: (clients * 2).max(16),
-            ..Default::default()
-        },
-    );
-    let budget = Arc::new(AtomicU64::new(total));
-    let ok = Arc::new(AtomicU64::new(0));
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for c in 0..clients {
-            let h = engine.handle();
-            let budget = Arc::clone(&budget);
-            let ok = Arc::clone(&ok);
-            scope.spawn(move || loop {
-                if budget.fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
-                    .is_err()
-                {
-                    return;
-                }
-                let input = bench_input(channels, grid, c as u64);
-                match h.predict("bench", input) {
-                    Ok(_) => {
-                        ok.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(e) => eprintln!("serve-bench: inproc predict failed: {e}"),
-                }
-            });
-        }
-    });
-    let wall = start.elapsed().as_secs_f64();
-    Ok((wall, ok.load(Ordering::Acquire)))
-}
-
-fn run_inproc(opts: &Opts) -> Result<(), String> {
-    if !opts.contains_key("compare-batching") {
-        return Err("--inproc currently requires --compare-batching".into());
-    }
-    let model_path = opts.get("model").ok_or("--inproc needs --model model.ftc")?;
-    let total: u64 = get(opts, "requests", 512u64)?;
-    let clients: usize = get(opts, "clients", 16)?.max(2);
-    let max_batch: usize = get(opts, "max-batch", 16)?.max(2);
-
-    // Probe the model once for the input shape the phases should send.
-    let cfg = Fno::load(model_path)
-        .map_err(|e| format!("--model {model_path}: {e}"))?
-        .config()
-        .clone();
-    let channels = cfg.in_channels;
-    let grid = (2 * cfg.modes).max(8);
-
-    eprintln!(
-        "serve-bench: comparing max_batch 1 vs {max_batch} \
-         ({clients} closed-loop clients × {total} requests, [{channels}, {grid}, {grid}] inputs)"
-    );
-    // Warm-up phase so allocator and cache state are comparable.
-    inproc_phase(model_path, 1, clients, (total / 4).max(8), channels, grid)?;
-    let (wall_1, ok_1) = inproc_phase(model_path, 1, clients, total, channels, grid)?;
-    let (wall_b, ok_b) = inproc_phase(model_path, max_batch, clients, total, channels, grid)?;
-    if ok_1 != total || ok_b != total {
-        return Err(format!("phase dropped requests: {ok_1}/{total} and {ok_b}/{total} ok"));
-    }
-    let tput_1 = ok_1 as f64 / wall_1.max(1e-9);
-    let tput_b = ok_b as f64 / wall_b.max(1e-9);
-    let speedup = tput_b / tput_1.max(1e-9);
-    eprintln!(
-        "serve-bench: max_batch 1: {tput_1:.1} req/s | max_batch {max_batch}: {tput_b:.1} req/s \
-         | speedup {speedup:.2}x (pool width {})",
-        rayon::current_num_threads()
-    );
-
-    let records = vec![
-        Record::new("serve_phase")
-            .u64("max_batch", 1)
-            .u64("requests_ok", ok_1)
-            .f64("wall_seconds", wall_1)
-            .f64("throughput_per_sec", tput_1),
-        Record::new("serve_phase")
-            .u64("max_batch", max_batch as u64)
-            .u64("requests_ok", ok_b)
-            .f64("wall_seconds", wall_b)
-            .f64("throughput_per_sec", tput_b),
-        Record::new("batching_speedup")
-            .u64("clients", clients as u64)
-            .u64("requests_per_phase", total)
-            .f64("speedup", speedup),
-    ];
-    let bench = opts
-        .get("bench-out")
-        .map(String::as_str)
-        .unwrap_or("results/BENCH_serve.json");
-    let wall = wall_1 + wall_b;
-    ft_obs::bench::write_bench_json(
-        bench,
-        "experiment",
-        "serve-bench-batching",
-        wall,
-        &with_manifest(records),
-    )
         .map_err(|e| format!("{bench}: {e}"))?;
     eprintln!("wrote {bench}");
     Ok(())

@@ -18,9 +18,9 @@
 //! * [`obs`] — observability substrate: timing spans, counters/gauges,
 //!   JSONL metric streaming and `BENCH_*.json` emission (off by default,
 //!   zero overhead when disabled),
-//! * [`serve`] — inference serving: model registry, micro-batching
-//!   request engine with admission control, stateful rollout sessions,
-//!   and the `fno-serve` wire protocol.
+//! * [`serve`] — inference serving: model registry, a request engine
+//!   with admission control that runs one forward per request, stateful
+//!   rollout sessions, and the `fno-serve` wire protocol.
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-vs-measured record of every table and figure.

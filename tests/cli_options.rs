@@ -7,20 +7,28 @@ use std::process::Command;
 #[test]
 fn mistyped_options_are_refused_with_the_usage_text() {
     let fno2dturb = env!("CARGO_BIN_EXE_fno2dturb");
-    let runs: [(&str, &[&str]); 4] = [
-        (fno2dturb, &["train", "--data", "d.ftt", "--model", "m.ftc", "--epoch", "5"]),
+    let fno_serve = env!("CARGO_BIN_EXE_fno-serve");
+    let serve_bench = env!("CARGO_BIN_EXE_serve-bench");
+    // Each row: binary, arguments, and the option it must refuse.
+    let runs: [(&str, &[&str], &str); 9] = [
+        (fno2dturb, &["train", "--data", "d.ftt", "--model", "m.ftc", "--epoch", "5"], "--epoch"),
         // `--epochs` is a `train` option; `rollout` does not take it.
-        (fno2dturb, &["rollout", "--data", "d.ftt", "--model", "m.ftc", "--epochs", "5"]),
-        (env!("CARGO_BIN_EXE_fno-serve"), &["--modle", "m.ftc"]),
-        (env!("CARGO_BIN_EXE_serve-bench"), &["--addr", "127.0.0.1:1", "--request", "5"]),
+        (fno2dturb, &["rollout", "--data", "d.ftt", "--model", "m.ftc", "--epochs", "5"], "--epochs"),
+        (fno_serve, &["--modle", "m.ftc"], "--modle"),
+        (serve_bench, &["--addr", "127.0.0.1:1", "--request", "5"], "--request"),
+        // Options of the removed request batching and in-process bench.
+        (fno_serve, &["--model", "m.ftc", "--max-batch", "8"], "--max-batch"),
+        (fno_serve, &["--model", "m.ftc", "--batch-window-us", "200"], "--batch-window-us"),
+        (serve_bench, &["--addr", "127.0.0.1:1", "--inproc"], "--inproc"),
+        (serve_bench, &["--addr", "127.0.0.1:1", "--compare-batching"], "--compare-batching"),
+        (serve_bench, &["--addr", "127.0.0.1:1", "--threads", "1"], "--threads"),
     ];
-    for (bin, args) in runs {
+    for (bin, args, refused) in runs {
         let out = Command::new(bin).args(args).output().expect("run binary");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        let typo = args.iter().rev().nth(1).unwrap();
         assert!(!out.status.success(), "{bin} {args:?} succeeded");
-        let refused = stderr.starts_with(&format!("error: unknown option `{typo}`"));
-        assert!(refused && stderr.contains("usage:"), "{bin} {args:?}: {stderr}");
+        let named = stderr.starts_with(&format!("error: unknown option `{refused}`"));
+        assert!(named && stderr.contains("usage:"), "{bin} {args:?}: {stderr}");
     }
 }
 
