@@ -95,14 +95,13 @@ impl ThreadPoolBuilder {
 }
 
 /// Number of batches a workload of `n` items should split into: never
-/// more than the pool width, never so many that a batch drops below the
-/// caller's `with_min_len` hint, and 1 (inline) for workloads too small
-/// to amortize a fan-out.
-fn fanout(n: usize, min_len: usize) -> usize {
-    if n < MIN_PARALLEL_ITEMS.max(min_len) {
+/// more than the pool width or the item count, and 1 (inline) for
+/// workloads too small to amortize a fan-out.
+fn fanout(n: usize) -> usize {
+    if n < MIN_PARALLEL_ITEMS {
         return 1;
     }
-    num_threads().min(n / min_len.max(1)).max(1)
+    num_threads().min(n).max(1)
 }
 
 /// Splits `items` into at most `parts` contiguous batches, preserving order.
@@ -125,7 +124,7 @@ fn split_batches<T>(mut items: Vec<T>, parts: usize) -> Vec<Vec<T>> {
 
 /// Runs `op` over every item, one batch per pool thread, with one `init`
 /// value per batch.
-fn parallel_for_each<T: Send, S, INIT, F>(items: Vec<T>, min_len: usize, init: INIT, op: F)
+fn parallel_for_each<T: Send, S, INIT, F>(items: Vec<T>, init: INIT, op: F)
 where
     INIT: Fn() -> S + Sync,
     F: Fn(&mut S, T) + Sync,
@@ -134,7 +133,7 @@ where
         let mut state = init();
         batch.into_iter().for_each(|x| op(&mut state, x));
     };
-    let parts = fanout(items.len(), min_len);
+    let parts = fanout(items.len());
     if parts <= 1 {
         run(items);
         return;
@@ -143,12 +142,8 @@ where
 }
 
 /// Maps every item, preserving order, one batch per pool thread.
-fn parallel_map<T: Send, R: Send, F: Fn(T) -> R + Sync>(
-    items: Vec<T>,
-    min_len: usize,
-    f: F,
-) -> Vec<R> {
-    let parts = fanout(items.len(), min_len);
+fn parallel_map<T: Send, R: Send, F: Fn(T) -> R + Sync>(items: Vec<T>, f: F) -> Vec<R> {
+    let parts = fanout(items.len());
     if parts <= 1 {
         return items.into_iter().map(f).collect();
     }
@@ -163,7 +158,6 @@ fn parallel_map<T: Send, R: Send, F: Fn(T) -> R + Sync>(
 /// out over the worker pool.
 pub struct ParIter<I> {
     inner: I,
-    min_len: usize,
 }
 
 impl<I: Iterator> Iterator for ParIter<I> {
@@ -179,25 +173,18 @@ impl<I: Iterator> Iterator for ParIter<I> {
 impl<I: Iterator> ParIter<I> {
     /// Pairs every item with its index (parity with rayon's `enumerate`).
     pub fn enumerate(self) -> ParIter<std::iter::Enumerate<I>> {
-        ParIter { inner: self.inner.enumerate(), min_len: self.min_len }
+        ParIter { inner: self.inner.enumerate() }
     }
 
     /// Zips with another (parallel or plain) iterator.
     pub fn zip<J: IntoIterator>(self, other: J) -> ParIter<std::iter::Zip<I, J::IntoIter>> {
-        ParIter { inner: self.inner.zip(other), min_len: self.min_len }
+        ParIter { inner: self.inner.zip(other) }
     }
 
     /// Lazily maps items; the closure runs on worker threads at the
     /// terminal operation.
     pub fn map<R, F: Fn(I::Item) -> R>(self, f: F) -> ParMap<I, F> {
-        ParMap { inner: self.inner, f, min_len: self.min_len }
-    }
-
-    /// Requires at least `min` items per worker batch before splitting,
-    /// matching rayon: workloads too small to amortize a fan-out run inline.
-    pub fn with_min_len(mut self, min: usize) -> Self {
-        self.min_len = min.max(1);
-        self
+        ParMap { inner: self.inner, f }
     }
 
     /// Consumes the iterator, applying `f` to every item in parallel.
@@ -228,7 +215,7 @@ impl<I: Iterator> ParIter<I> {
             self.inner.for_each(|x| op(&mut state, x));
             return;
         }
-        parallel_for_each(self.inner.collect(), self.min_len, init, op);
+        parallel_for_each(self.inner.collect(), init, op);
     }
 }
 
@@ -236,7 +223,6 @@ impl<I: Iterator> ParIter<I> {
 pub struct ParMap<I, F> {
     inner: I,
     f: F,
-    min_len: usize,
 }
 
 impl<I: Iterator, R, F: Fn(I::Item) -> R> Iterator for ParMap<I, F> {
@@ -257,7 +243,7 @@ impl<I: Iterator, R, F: Fn(I::Item) -> R> ParMap<I, F> {
         if num_threads() == 1 {
             return self.inner.map(self.f).collect();
         }
-        parallel_map(self.inner.collect(), self.min_len, self.f).into_iter().collect()
+        parallel_map(self.inner.collect(), self.f).into_iter().collect()
     }
 
     /// Applies the map and `f` in parallel over every item.
@@ -273,7 +259,7 @@ impl<I: Iterator, R, F: Fn(I::Item) -> R> ParMap<I, F> {
             self.inner.for_each(move |x| g(map(x)));
             return;
         }
-        parallel_for_each(self.inner.collect(), self.min_len, || (), move |_, x| g(map(x)));
+        parallel_for_each(self.inner.collect(), || (), move |_, x| g(map(x)));
     }
 
     /// Parallel fold-then-combine, rayon-style: `identity` seeds each
@@ -289,7 +275,7 @@ impl<I: Iterator, R, F: Fn(I::Item) -> R> ParMap<I, F> {
         if num_threads() == 1 {
             return self.inner.map(self.f).fold(identity(), &op);
         }
-        let mapped = parallel_map(self.inner.collect(), self.min_len, self.f);
+        let mapped = parallel_map(self.inner.collect(), self.f);
         mapped.into_iter().fold(identity(), &op)
     }
 }
@@ -305,21 +291,21 @@ pub trait IntoParallelIterator {
 impl<T: Send> IntoParallelIterator for Vec<T> {
     type Iter = std::vec::IntoIter<T>;
     fn into_par_iter(self) -> ParIter<Self::Iter> {
-        ParIter { inner: self.into_iter(), min_len: 1 }
+        ParIter { inner: self.into_iter() }
     }
 }
 
 impl IntoParallelIterator for std::ops::Range<usize> {
     type Iter = std::ops::Range<usize>;
     fn into_par_iter(self) -> ParIter<Self::Iter> {
-        ParIter { inner: self, min_len: 1 }
+        ParIter { inner: self }
     }
 }
 
 impl IntoParallelIterator for std::ops::Range<u64> {
     type Iter = std::ops::Range<u64>;
     fn into_par_iter(self) -> ParIter<Self::Iter> {
-        ParIter { inner: self, min_len: 1 }
+        ParIter { inner: self }
     }
 }
 
@@ -333,10 +319,10 @@ pub trait ParallelSlice<T: Sync> {
 
 impl<T: Sync> ParallelSlice<T> for [T] {
     fn par_chunks(&self, size: usize) -> ParIter<std::slice::Chunks<'_, T>> {
-        ParIter { inner: self.chunks(size), min_len: 1 }
+        ParIter { inner: self.chunks(size) }
     }
     fn par_iter(&self) -> ParIter<std::slice::Iter<'_, T>> {
-        ParIter { inner: self.iter(), min_len: 1 }
+        ParIter { inner: self.iter() }
     }
 }
 
@@ -350,10 +336,10 @@ pub trait ParallelSliceMut<T: Send> {
 
 impl<T: Send> ParallelSliceMut<T> for [T] {
     fn par_chunks_mut(&mut self, size: usize) -> ParIter<std::slice::ChunksMut<'_, T>> {
-        ParIter { inner: self.chunks_mut(size), min_len: 1 }
+        ParIter { inner: self.chunks_mut(size) }
     }
     fn par_iter_mut(&mut self) -> ParIter<std::slice::IterMut<'_, T>> {
-        ParIter { inner: self.iter_mut(), min_len: 1 }
+        ParIter { inner: self.iter_mut() }
     }
 }
 
@@ -460,7 +446,7 @@ mod tests {
                 },
             );
             // Each batch's state counts the items of that batch, in order.
-            let expected = super::fanout(n, 1);
+            let expected = super::fanout(n);
             assert_eq!(inits.load(Ordering::Relaxed), expected, "n={n}");
             assert_eq!(data.iter().filter(|&&v| v == 1).count(), expected, "n={n}");
         }

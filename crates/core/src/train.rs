@@ -76,8 +76,6 @@ pub struct TrainConfig {
     pub seed: u64,
     /// Data-fit loss.
     pub loss: LossKind,
-    /// Global-norm gradient clipping threshold (`None` disables clipping).
-    pub grad_clip: Option<f64>,
     /// Evaluate on the held-out pairs every `eval_every` epochs (0 = only
     /// at the end). Enables validation tracking and early stopping.
     pub eval_every: usize,
@@ -112,7 +110,6 @@ impl Default for TrainConfig {
             scheduler_step: 100,
             seed: 0,
             loss: LossKind::RelativeL2,
-            grad_clip: None,
             eval_every: 0,
             early_stop_patience: 0,
             divergence_weight: 0.0,
@@ -349,9 +346,6 @@ impl<M: ForecastModel> Trainer<M> {
                         break;
                     }
                     last_grad_norm = grad_norm;
-                    if let Some(cap) = self.cfg.grad_clip {
-                        ft_nn::clip_grad_norm(&mut self.model, cap);
-                    }
                     opt.step(&mut self.model);
                     self.model.zero_grad();
                     // Weight by the chunk size so a short tail batch

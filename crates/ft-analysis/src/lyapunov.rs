@@ -59,32 +59,6 @@ pub fn lyapunov_exponent(times: &[f64], separations: &[f64], delta0: f64) -> Lya
     LyapunovEstimate { lambda_i, times: kept_times, lambda }
 }
 
-/// Drives a twin-trajectory experiment.
-///
-/// `propagate(state, steps)` advances a state in place by `steps` solver
-/// steps of duration `dt_per_step`; `measure(a, b)` returns the separation
-/// between the two states (the paper uses `‖u₁^A − u₁^B‖₂`). The twin `b`
-/// must already be perturbed by `delta0` relative to `a`.
-pub fn twin_experiment<S>(
-    mut a: S,
-    mut b: S,
-    mut propagate: impl FnMut(&mut S, usize),
-    measure: impl Fn(&S, &S) -> f64,
-    dt_per_step: f64,
-    steps_per_sample: usize,
-    samples: usize,
-) -> (Vec<f64>, Vec<f64>) {
-    let mut times = Vec::with_capacity(samples);
-    let mut seps = Vec::with_capacity(samples);
-    for s in 1..=samples {
-        propagate(&mut a, steps_per_sample);
-        propagate(&mut b, steps_per_sample);
-        times.push(s as f64 * steps_per_sample as f64 * dt_per_step);
-        seps.push(measure(&a, &b));
-    }
-    (times, seps)
-}
-
 /// Perturbs a field so that the L2 distance to the original is exactly
 /// `delta0`, using a deterministic smooth bump (seedless, reproducible).
 pub fn perturb_field(field: &Tensor, delta0: f64) -> Tensor {
@@ -159,35 +133,5 @@ mod tests {
         let g = perturb_field(&f, 1e-2);
         let d = g.sub(&f).norm_l2();
         assert!((d - 1e-2).abs() < 1e-14);
-    }
-
-    #[test]
-    fn twin_experiment_on_doubling_map() {
-        // A toy chaotic system with known Λ = ln 2: x ← 2x mod 1, run on a
-        // small state vector.
-        let a = vec![0.1234f64, 0.517, 0.9001];
-        let b: Vec<f64> = a.iter().map(|x| x + 1e-9).collect();
-        let step = |s: &mut Vec<f64>, k: usize| {
-            for _ in 0..k {
-                for x in s.iter_mut() {
-                    *x = (*x * 2.0).fract();
-                }
-            }
-        };
-        let measure = |a: &Vec<f64>, b: &Vec<f64>| {
-            a.iter()
-                .zip(b)
-                .map(|(x, y)| (x - y) * (x - y))
-                .sum::<f64>()
-                .sqrt()
-        };
-        let delta0 = measure(&a, &b);
-        let (times, seps) = twin_experiment(a, b, step, measure, 1.0, 1, 12);
-        let est = lyapunov_exponent(&times, &seps, delta0);
-        assert!(
-            (est.lambda - std::f64::consts::LN_2).abs() < 0.05,
-            "doubling-map exponent {} vs ln2",
-            est.lambda
-        );
     }
 }

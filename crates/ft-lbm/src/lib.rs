@@ -20,8 +20,10 @@
 //! * the paper's random solenoidal initial conditions (a random band-limited
 //!   streamfunction), and the burn-in / sampling protocol of Sec. III.
 //!
-//! The solver is deliberately allocation-free per step and rayon-parallel
-//! over grid rows.
+//! The solver has one relaxation, `f ← f + αβ(f^eq − f)` toward the
+//! product-form equilibrium, with α = 2 (BGK) or the entropic root. It is
+//! allocation-free per step; collision is rayon-parallel over cells and
+//! streaming over the nine population planes.
 
 #![warn(missing_docs)]
 // Indexed loops mirror the discrete math in numeric kernels; clippy's
@@ -32,12 +34,10 @@ pub mod fields;
 pub mod force;
 pub mod ic;
 pub mod lattice;
-pub mod mrt;
 pub mod solver;
 
 pub use fields::{divergence, kinetic_energy, vorticity};
 pub use force::BodyForce;
 pub use ic::IcSpec;
 pub use lattice::{equilibrium, D2Q9};
-pub use mrt::MrtRates;
 pub use solver::{Collision, Lbm, LbmConfig, SolverError};

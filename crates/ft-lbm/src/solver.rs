@@ -6,7 +6,6 @@ use rayon::prelude::*;
 
 use crate::force::{guo_source, BodyForce};
 use crate::lattice::{equilibrium, h_function, moments, D2Q9};
-use crate::mrt::{self, MrtRates};
 
 /// Total collide-stream site updates (`steps × n²`) across all [`Lbm`]
 /// instances; ticks only while `ft-obs` instrumentation is enabled.
@@ -52,8 +51,6 @@ pub enum Collision {
     /// Entropic stabilizer: α from the H-theorem equality (the paper's
     /// generator).
     Entropic,
-    /// Multiple-relaxation-time with TRT-magic ghost rates.
-    Mrt,
 }
 
 /// Solver configuration.
@@ -157,11 +154,6 @@ impl Lbm {
     /// Steps taken since construction.
     pub fn steps(&self) -> u64 {
         self.steps
-    }
-
-    /// Elapsed time in convective units `t/t_c`.
-    pub fn time_convective(&self) -> f64 {
-        self.steps as f64 / self.cfg.t_c()
     }
 
     /// Initializes populations to the entropic equilibrium of the given
@@ -309,13 +301,13 @@ impl Lbm {
         self.run(remaining);
     }
 
-    /// Collision: `f ← f + αβ (f^eq − f)` per cell, rayon-parallel over rows.
+    /// Collision: `f ← f + αβ (f^eq − f)` with α = 2 (BGK) or the entropic
+    /// root, rayon-parallel over cells.
     fn collide(&mut self) {
         let n = self.cfg.n;
         let plane = n * n;
         let beta = self.cfg.omega() / 2.0;
         let collision = self.cfg.collision;
-        let mrt_rates = MrtRates::stabilized(self.cfg.omega());
 
         // Each cell gathers its nine populations from the planes, relaxes
         // them and writes them to its own slot of the cell-major scratch
@@ -341,23 +333,6 @@ impl Lbm {
                 // force-corrected velocity.
                 let ux = (jx + 0.5 * fx) / rho;
                 let uy = (jy + 0.5 * fy) / rho;
-
-                if collision == Collision::Mrt {
-                    // MRT path: moment-space relaxation; the Guo source is
-                    // applied in population space with the shear-rate
-                    // prefactor (exact for the hydrodynamic moments).
-                    let post = mrt::collide(&fi, mrt_rates);
-                    if fx != 0.0 || fy != 0.0 {
-                        let src = guo_source(0.5 * self_omega(mrt_rates), ux, uy, fx, fy);
-                        for i in 0..D2Q9::Q {
-                            cell[i] = post[i] + src[i];
-                        }
-                    } else {
-                        cell.copy_from_slice(&post);
-                    }
-                    return;
-                }
-
                 let feq = equilibrium(rho, ux, uy);
                 let mut delta = [0.0f64; 9];
                 for i in 0..D2Q9::Q {
@@ -444,11 +419,6 @@ impl Lbm {
         }
         (jx, jy)
     }
-}
-
-#[inline]
-fn self_omega(r: MrtRates) -> f64 {
-    r.s_nu
 }
 
 /// Solves the entropy equality `H(f + αΔ) = H(f)` for the nontrivial root α.
@@ -710,6 +680,27 @@ mod tests {
         let diff = uxa.sub(&uxb).norm_l2() / uxb.norm_l2().max(1e-300);
         assert!(diff < 1e-4, "entropic deviates from BGK in resolved regime: {diff}");
         let _ = (uya, uyb);
+    }
+
+    #[test]
+    fn entropic_outlives_bgk_at_marginal_resolution() {
+        // `ablation_entropic`'s fast configuration: Re = 2·10⁴ on 32² at
+        // u0 = 0.1 underresolves the flow (τ → 1/2). Same initial state,
+        // same equilibrium; only α differs. BGK (α = 2) loses finiteness
+        // near step 736, the entropic α keeps the run finite to the end.
+        let (n, u0, reynolds) = (32, 0.1, 2e4);
+        let (ux, uy) = IcSpec { k_min: 2, k_max: 8 }.generate(n, u0, 3);
+        let run = |collision| {
+            let mut lbm = Lbm::new(LbmConfig { n, nu: u0 * n as f64 / reynolds, u0, collision });
+            lbm.set_velocity(&ux, &uy);
+            lbm.try_run(1920, 32).map(|()| lbm.velocity())
+        };
+        assert!(
+            matches!(run(Collision::Bgk), Err(SolverError::BlowUp { .. })),
+            "BGK was expected to blow up at this resolution"
+        );
+        let (vx, vy) = run(Collision::Entropic).expect("entropic run stays finite");
+        assert!(vx.all_finite() && vy.all_finite());
     }
 
     #[test]
@@ -1026,48 +1017,5 @@ mod tests {
         lbm.run(50);
         let (ux2, _) = lbm.velocity();
         assert!((ux2.mean() - ux1.mean()).abs() < 1e-15, "no further acceleration");
-    }
-
-    #[test]
-    fn mrt_taylor_green_viscosity_matches() {
-        // The MRT shear rate fixes the viscosity exactly as in BGK.
-        let n = 64;
-        let nu = 0.02;
-        let cfg = LbmConfig { n, nu, u0: 0.02, collision: Collision::Mrt };
-        let mut lbm = Lbm::new(cfg);
-        let (ux, uy) = taylor_green(n, 0.02);
-        lbm.set_velocity(&ux, &uy);
-        let e = |l: &Lbm| {
-            let (ux, uy) = l.velocity();
-            ux.data().iter().map(|v| v * v).sum::<f64>()
-                + uy.data().iter().map(|v| v * v).sum::<f64>()
-        };
-        let e0 = e(&lbm);
-        let steps = 200;
-        lbm.run(steps);
-        let e1 = e(&lbm);
-        let k = 2.0 * PI / n as f64;
-        let measured_nu = -(e1 / e0).ln() / (4.0 * k * k * steps as f64);
-        let rel = (measured_nu - nu).abs() / nu;
-        assert!(rel < 0.05, "MRT measured ν = {measured_nu} vs {nu} (rel {rel})");
-    }
-
-    #[test]
-    fn mrt_tracks_bgk_in_resolved_regime() {
-        let n = 32;
-        let mk = |collision| {
-            let cfg = LbmConfig { n, nu: 0.02, u0: 0.02, collision };
-            let mut l = Lbm::new(cfg);
-            let (ux, uy) = taylor_green(n, 0.02);
-            l.set_velocity(&ux, &uy);
-            l.run(100);
-            l.velocity()
-        };
-        let (uxa, _) = mk(Collision::Mrt);
-        let (uxb, _) = mk(Collision::Bgk);
-        // Same hydrodynamics; the ghost-mode rates differ only at the
-        // non-hydrodynamic level, plus the O(u³) equilibrium difference.
-        let diff = uxa.sub(&uxb).norm_l2() / uxb.norm_l2().max(1e-300);
-        assert!(diff < 1e-2, "MRT deviates from BGK in resolved regime: {diff}");
     }
 }

@@ -32,7 +32,6 @@ pub struct Adam {
     beta1: f64,
     beta2: f64,
     eps: f64,
-    weight_decay: f64,
     /// First/second moment per real degree of freedom, per parameter tensor.
     m: Vec<Vec<f64>>,
     v: Vec<Vec<f64>>,
@@ -42,13 +41,7 @@ pub struct Adam {
 impl Adam {
     /// Adam with the paper's defaults: β = (0.9, 0.999), ε = 1e-8, no decay.
     pub fn new(lr: f64) -> Self {
-        Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, weight_decay: 0.0, m: vec![], v: vec![], t: 0 }
-    }
-
-    /// Sets L2 weight decay (coupled, as in `torch.optim.Adam`).
-    pub fn with_weight_decay(mut self, wd: f64) -> Self {
-        self.weight_decay = wd;
-        self
+        Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, m: vec![], v: vec![], t: 0 }
     }
 
     /// Steps taken so far.
@@ -81,14 +74,13 @@ impl Adam {
     pub fn step(&mut self, model: &mut dyn Layer) {
         self.t += 1;
         let t = self.t as i32;
-        let (b1, b2, eps, lr, wd) = (self.beta1, self.beta2, self.eps, self.lr, self.weight_decay);
+        let (b1, b2, eps, lr) = (self.beta1, self.beta2, self.eps, self.lr);
         let bc1 = 1.0 - b1.powi(t);
         let bc2 = 1.0 - b2.powi(t);
 
         // Captures only scalars, so the per-block loops below can share it
         // across worker threads.
-        let update = move |value: &mut f64, m: &mut f64, v: &mut f64, grad: f64| {
-            let g = grad + wd * *value;
+        let update = move |value: &mut f64, m: &mut f64, v: &mut f64, g: f64| {
             *m = b1 * *m + (1.0 - b1) * g;
             *v = b2 * *v + (1.0 - b2) * g * g;
             let mhat = *m / bc1;
@@ -228,21 +220,5 @@ mod tests {
         opt.step(&mut model);
         let moved = (model.a.value.data()[0] - 2.0).abs();
         assert!((moved - 0.01).abs() < 1e-6, "first step {moved}");
-    }
-
-    #[test]
-    fn weight_decay_shrinks_parameters() {
-        let mut model = Quad {
-            a: Param::new(Tensor::from_vec(&[1], vec![3.0])),
-            z: crate::param::CParam::new(CTensor::from_vec(&[1], vec![Complex64::ZERO])),
-            target_a: 3.0, // zero data gradient: only decay acts
-            target_z: Complex64::ZERO,
-        };
-        let mut opt = Adam::new(0.01).with_weight_decay(0.1);
-        for _ in 0..50 {
-            model.compute_grads();
-            opt.step(&mut model);
-        }
-        assert!(model.a.value.data()[0] < 3.0);
     }
 }

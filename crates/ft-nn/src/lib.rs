@@ -54,7 +54,7 @@ pub use loss::RelativeL2;
 pub use mlp::PointwiseMlp;
 pub use param::{CParam, Param, ParamMut};
 pub use loss::Mse;
-pub use norm::{InstanceNorm, Sequential};
+pub use norm::InstanceNorm;
 pub use scheduler::StepLr;
 pub use serialize::{
     add_param_values, load_grads, load_param_values_from, restore_params, save_param_values_to,

@@ -168,73 +168,10 @@ impl Layer for InstanceNorm {
     }
 }
 
-/// A simple sequential container over boxed layers.
-///
-/// The FNO itself needs branch structure and implements [`Layer`] directly,
-/// but auxiliary heads (MLPs, normalized stacks in the ablations) compose
-/// naturally as sequences.
-#[derive(Default)]
-pub struct Sequential {
-    layers: Vec<Box<dyn Layer>>,
-}
-
-impl Sequential {
-    /// An empty container.
-    pub fn new() -> Self {
-        Sequential { layers: Vec::new() }
-    }
-
-    /// Appends a layer, builder-style.
-    pub fn push(mut self, layer: impl Layer + 'static) -> Self {
-        self.layers.push(Box::new(layer));
-        self
-    }
-
-    /// Number of layers.
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// `true` when the container holds no layers.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-}
-
-impl Layer for Sequential {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut h = x.clone();
-        for l in &mut self.layers {
-            h = l.forward(&h);
-        }
-        h
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for l in self.layers.iter_mut().rev() {
-            g = l.backward(&g);
-        }
-        g
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(ParamMut<'_>)) {
-        for l in &mut self.layers {
-            l.visit_params(f);
-        }
-    }
-
-    fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.param_count()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gradcheck::{check_input_gradient, check_param_gradients};
-    use crate::linear::Linear;
-    use crate::Gelu;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -281,30 +218,5 @@ mod tests {
         let x = input(2, 2, 3, 2);
         check_param_gradients(&mut norm, &x, 1e-5, 5e-5);
         check_input_gradient(&mut norm, &x, 1e-5, 5e-5);
-    }
-
-    #[test]
-    fn sequential_composes_and_gradchecks() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut seq = Sequential::new()
-            .push(Linear::new(2, 4, &mut rng))
-            .push(Gelu::new())
-            .push(InstanceNorm::new(4))
-            .push(Linear::new(4, 2, &mut rng));
-        assert_eq!(seq.len(), 4);
-        let x = input(1, 2, 3, 4);
-        let y = seq.forward(&x);
-        assert_eq!(y.dims(), &[1, 2, 3, 3]);
-        check_param_gradients(&mut seq, &x, 1e-5, 5e-5);
-        check_input_gradient(&mut seq, &x, 1e-5, 5e-5);
-    }
-
-    #[test]
-    fn sequential_param_count_sums() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let seq = Sequential::new()
-            .push(Linear::new(3, 5, &mut rng))
-            .push(InstanceNorm::new(5));
-        assert_eq!(seq.param_count(), (3 * 5 + 5) + 2 * 5);
     }
 }

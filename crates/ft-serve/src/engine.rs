@@ -307,11 +307,6 @@ impl ServeHandle {
         self.shared.sessions.close(id)
     }
 
-    /// Registered model names.
-    pub fn model_names(&self) -> Vec<String> {
-        self.shared.registry.names()
-    }
-
     /// Current engine state.
     pub fn stats(&self) -> ServeStats {
         let st = self.shared.state.lock().unwrap();

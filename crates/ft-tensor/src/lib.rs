@@ -35,9 +35,6 @@ pub use isa::Isa;
 pub use shape::Shape;
 pub use tensor::Tensor;
 
-/// Absolute tolerance used by the workspace's approximate comparisons in tests.
-pub const TEST_EPS: f64 = 1e-9;
-
 /// Returns `true` when `a` and `b` agree to within `tol` absolutely or
 /// relative to the larger magnitude, whichever is looser.
 #[inline]

@@ -39,6 +39,16 @@ cargo test -q --offline -p ft-tensor -p ft-data -p ft-nn
 echo "==> ft-obs suite"
 cargo test -q --offline -p ft-obs
 
+# The in-tree stand-ins for rayon, rand and proptest are excluded from the
+# workspace, so neither `cargo test` nor `-p` reaches their suites: among
+# them the pool's panic-propagation and nested-scope tests. They build into
+# the shared target directory. The bench crate's library tests run here too.
+echo "==> compat shims (rayon, rand, proptest) and ft-bench suites"
+for shim in rayon rand proptest; do
+    cargo test -q --offline --manifest-path "crates/compat/$shim/Cargo.toml" --target-dir target
+done
+cargo test -q --offline -p ft-bench
+
 # The FFT, spectral Navier-Stokes and analysis suites, optimized: the FFT
 # oracles and plan-cache counters, the solver checks and the flow
 # diagnostics. One of them takes minutes unoptimized.
