@@ -401,7 +401,7 @@ mod tests {
     #[test]
     fn small_workloads_run_inline() {
         // Below the threshold nothing is queued; just verify behavior.
-        let mut data = vec![1.0f64; 8];
+        let mut data = [1.0f64; 8];
         data.par_iter_mut().for_each(|x| *x *= 2.0);
         assert!(data.iter().all(|&x| x == 2.0));
     }

@@ -607,7 +607,7 @@ pub fn evaluate<M: ForecastModel>(model: &M, pairs: &[Pair]) -> f64 {
     for chunk in idx.chunks(16) {
         let (x, y) = batch_of(pairs, chunk, kind);
         // The serving-path entry point: shares the batched spectral kernels
-        // (and their planned FFTs) with `ft-serve`'s dispatcher.
+        // (and their planned FFTs) with `ft-serve`'s predicts.
         let pred = model.forward_inference(&x);
         total += RelativeL2::value(&pred, &y) * chunk.len() as f64;
     }

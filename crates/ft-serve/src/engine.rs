@@ -1,43 +1,38 @@
-//! The serving core: bounded admission queue, one-request dispatcher,
-//! graceful drain.
+//! The serving core: admission, one forward per predict on the calling
+//! thread, and a draining flag.
 //!
 //! # Life of a request
 //!
-//! 1. **Admission** — [`ServeHandle::submit`] checks the input shape
-//!    against the target model ([`ModelEntry::check_input`], the check
-//!    sessions use too) and tries to enqueue. A full queue is an
-//!    immediate [`ServeError::Overloaded`] (no silent blocking): the
-//!    caller sees backpressure, `serve.rejected` counts it, and a
-//!    `serve_overload` flight event marks the episode.
-//! 2. **Execution** — the dispatcher pops the oldest request and runs it
-//!    alone: the input is stacked into a one-sample model tensor
-//!    ([`fno_core::rollout::stack`], which owns the 2D and 3D layouts) and
-//!    run through one [`ForecastModel::forward_inference`] call (no
-//!    gradient tape), which parallelizes internally via rayon. A panic in
-//!    the model is caught and converted into the request's error — the
-//!    dispatcher and the server outlive bad inputs. Requests are never
-//!    coalesced: a batched forward measured no cheaper per sample by more
-//!    than the run-to-run spread (DESIGN.md §12b), so a request never
-//!    waits for company.
-//! 3. **Completion** — the caller's [`PendingResponse`] is filled and
-//!    woken.
+//! 1. **Admission** — [`ServeHandle::submit`] looks the model up, checks
+//!    the input shape against it ([`ModelEntry::check_input`], the check
+//!    sessions use too) and refuses new work once the engine is draining
+//!    ([`ServeError::ShuttingDown`]).
+//! 2. **Execution** — on the same thread, the input is stacked into a
+//!    one-sample model tensor ([`fno_core::rollout::stack`], which owns the
+//!    2D and 3D layouts) and run through one
+//!    [`ForecastModel::forward_inference`] call (no gradient tape), which
+//!    parallelizes internally via rayon. A panic in the model is caught and
+//!    converted into the request's error, so the caller and the server
+//!    outlive bad inputs. Requests are never coalesced: a batched forward
+//!    measured no cheaper per sample by more than the run-to-run spread
+//!    (DESIGN.md §12b), so a request never waits for company.
 //!
-//! # Dispatch modes
-//!
-//! With `auto_dispatch` (the default) a background dispatcher thread
-//! drives steps 2–3. With it off, **manual dispatch** mode, nothing runs
-//! until [`ServeHandle::dispatch_once`] is called — queue states are then
-//! fully deterministic, which is what the overload and drain tests use.
+//! There is no queue and no dispatcher thread: predicts from different
+//! threads run their forwards concurrently. (A session step also runs on
+//! its caller's thread, under the session-store lock.) Over TCP
+//! each connection has at most one request in flight, so
+//! [`crate::server::MAX_CONNECTIONS`] bounds the predicts running at once.
 //!
 //! # Shutdown
 //!
-//! [`ServeEngine::shutdown`] flips the draining flag (new submissions get
-//! [`ServeError::ShuttingDown`]), lets the dispatcher finish everything
-//! already admitted, and joins it. No admitted request is dropped.
+//! [`ServeEngine::shutdown`] sets the draining flag: new predicts and
+//! sessions get [`ServeError::ShuttingDown`]. A predict already past
+//! admission finishes on its own thread; `serve_tcp` joins its connection
+//! threads, so the TCP server completes every admitted request before it
+//! returns.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use ft_tensor::Tensor;
@@ -49,117 +44,55 @@ use crate::registry::{ModelEntry, ModelRegistry};
 use crate::session::{SessionConfig, SessionStore};
 use crate::ServeError;
 
-/// Engine tuning knobs.
-#[derive(Clone, Copy, Debug)]
+/// Engine settings.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ServeConfig {
-    /// Bound on queued (admitted, not yet executing) requests.
-    pub queue_capacity: usize,
-    /// Spawn the background dispatcher (`true`), or require explicit
-    /// [`ServeHandle::dispatch_once`] calls (`false`, for tests).
-    pub auto_dispatch: bool,
     /// Session-store limits.
     pub session: SessionConfig,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            queue_capacity: crate::DEFAULT_QUEUE_CAPACITY,
-            auto_dispatch: true,
-            session: SessionConfig::default(),
-        }
-    }
 }
 
 /// A point-in-time view of engine state, for health endpoints and tests.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeStats {
-    /// Requests currently queued (admitted, not executing).
-    pub queued: usize,
     /// Live rollout sessions.
     pub sessions: usize,
     /// Whether the engine is draining.
     pub shutting_down: bool,
 }
 
-/// One admitted request, parked in the queue until a dispatcher picks it
-/// up.
-struct Request {
-    entry: Arc<ModelEntry>,
-    input: Tensor,
-    enqueued: Instant,
-    slot: Arc<ResponseSlot>,
-}
-
-/// Rendezvous cell between a waiting client and the dispatcher.
-struct ResponseSlot {
-    result: Mutex<Option<Result<Tensor, ServeError>>>,
-    cv: Condvar,
-}
-
-impl ResponseSlot {
-    fn new() -> Arc<Self> {
-        Arc::new(ResponseSlot { result: Mutex::new(None), cv: Condvar::new() })
-    }
-
-    fn fill(&self, r: Result<Tensor, ServeError>) {
-        *self.result.lock().unwrap() = Some(r);
-        self.cv.notify_all();
-    }
-}
-
-/// The caller's side of an in-flight request. [`PendingResponse::wait`]
-/// blocks until the dispatcher fills it.
+/// The outcome of a submitted predict. [`ServeHandle::submit`] runs the
+/// forward before it returns, so this is always filled.
+#[derive(Debug)]
 pub struct PendingResponse {
-    slot: Arc<ResponseSlot>,
-}
-
-impl std::fmt::Debug for PendingResponse {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state =
-            if self.slot.result.lock().unwrap().is_some() { "ready" } else { "in-flight" };
-        write!(f, "PendingResponse({state})")
-    }
+    result: Result<Tensor, ServeError>,
 }
 
 impl PendingResponse {
-    /// Blocks until the prediction (or its error) is available.
+    /// The prediction, or the error its forward raised.
     pub fn wait(self) -> Result<Tensor, ServeError> {
-        let mut guard = self.slot.result.lock().unwrap();
-        loop {
-            if let Some(r) = guard.take() {
-                return r;
-            }
-            guard = self.slot.cv.wait(guard).unwrap();
-        }
+        self.result
     }
-
-    /// Non-blocking poll; `None` while still in flight.
-    pub fn try_take(&self) -> Option<Result<Tensor, ServeError>> {
-        self.slot.result.lock().unwrap().take()
-    }
-}
-
-struct QueueState {
-    queue: VecDeque<Request>,
-    shutting_down: bool,
 }
 
 struct Shared {
-    cfg: ServeConfig,
     registry: ModelRegistry,
     sessions: SessionStore,
-    state: Mutex<QueueState>,
-    /// Signaled on enqueue and on shutdown.
-    cv: Condvar,
+    /// Set once by [`ServeEngine::shutdown`]; it publishes no other data,
+    /// so loads and the store are `Relaxed`.
+    shutting_down: AtomicBool,
 }
 
-/// A running serving engine. Owns the dispatcher thread (in auto mode);
-/// hand out [`ServeHandle`]s via [`ServeEngine::handle`] and call
-/// [`ServeEngine::shutdown`] to drain.
+impl Shared {
+    /// The model registered as `model`.
+    fn entry(&self, model: &str) -> Result<Arc<ModelEntry>, ServeError> {
+        self.registry.get(model).ok_or_else(|| ServeError::UnknownModel(model.to_string()))
+    }
+}
+
+/// A serving engine. Hand out [`ServeHandle`]s via [`ServeEngine::handle`]
+/// and call [`ServeEngine::shutdown`] (or drop it) to stop admitting work.
 pub struct ServeEngine {
     shared: Arc<Shared>,
-    dispatcher: Option<JoinHandle<()>>,
 }
 
 /// Cloneable, thread-safe client handle to a [`ServeEngine`].
@@ -169,24 +102,14 @@ pub struct ServeHandle {
 }
 
 impl ServeEngine {
-    /// Starts an engine over `registry` with `cfg`. In auto-dispatch mode
-    /// this spawns the dispatcher thread immediately.
+    /// An engine over `registry` with `cfg`.
     pub fn new(registry: ModelRegistry, cfg: ServeConfig) -> Self {
         let shared = Arc::new(Shared {
-            cfg,
             registry,
             sessions: SessionStore::new(cfg.session),
-            state: Mutex::new(QueueState { queue: VecDeque::new(), shutting_down: false }),
-            cv: Condvar::new(),
+            shutting_down: AtomicBool::new(false),
         });
-        let dispatcher = cfg.auto_dispatch.then(|| {
-            let sh = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("serve-dispatcher".into())
-                .spawn(move || dispatcher_loop(&sh))
-                .expect("spawn serve dispatcher")
-        });
-        ServeEngine { shared, dispatcher }
+        ServeEngine { shared }
     }
 
     /// A new client handle.
@@ -194,20 +117,9 @@ impl ServeEngine {
         ServeHandle { shared: Arc::clone(&self.shared) }
     }
 
-    /// Graceful drain: stop admitting, finish everything already queued,
-    /// stop the dispatcher. Idempotent.
+    /// Stops admitting predicts and sessions. Idempotent.
     pub fn shutdown(&mut self) {
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            st.shutting_down = true;
-            self.shared.cv.notify_all();
-        }
-        if let Some(h) = self.dispatcher.take() {
-            h.join().expect("serve dispatcher panicked");
-        } else {
-            // Manual mode: drain inline so admitted requests still complete.
-            while dispatch_one(&self.shared) > 0 {}
-        }
+        self.shared.shutting_down.store(true, Ordering::Relaxed);
     }
 }
 
@@ -218,44 +130,25 @@ impl Drop for ServeEngine {
 }
 
 impl ServeHandle {
-    /// Validates and admits a request against model `model`; returns a
-    /// handle to await. Fails fast with [`ServeError::Overloaded`] when
-    /// the queue is full.
+    /// Validates a request against model `model` and runs its forward on
+    /// the calling thread. Admission failures are this call's error; a
+    /// model panic is the returned response's.
     pub fn submit(&self, model: &str, input: Tensor) -> Result<PendingResponse, ServeError> {
-        let entry = self
-            .shared
-            .registry
-            .get(model)
-            .ok_or_else(|| ServeError::UnknownModel(model.to_string()))?;
+        let entry = self.shared.entry(model)?;
         entry.check_input(&input)?;
-        let slot = ResponseSlot::new();
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            if st.shutting_down {
-                return Err(ServeError::ShuttingDown);
-            }
-            if st.queue.len() >= self.shared.cfg.queue_capacity {
-                metrics::REJECTED.inc();
-                ft_obs::flight::event_with(|| {
-                    ft_obs::Record::new("event")
-                        .str("kind", "serve_overload")
-                        .str("model", model)
-                        .u64("queue_depth", st.queue.len() as u64)
-                        .u64("capacity", self.shared.cfg.queue_capacity as u64)
-                });
-                return Err(ServeError::Overloaded);
-            }
-            st.queue.push_back(Request {
-                entry,
-                input,
-                enqueued: Instant::now(),
-                slot: Arc::clone(&slot),
-            });
-            metrics::REQUESTS.inc();
-            metrics::QUEUE_DEPTH.set(st.queue.len() as f64);
+        if self.shared.shutting_down.load(Ordering::Relaxed) {
+            return Err(ServeError::ShuttingDown);
         }
-        self.shared.cv.notify_all();
-        Ok(PendingResponse { slot })
+        metrics::REQUESTS.inc();
+        let _sp = ft_obs::span("serve/forward");
+        let t0 = Instant::now();
+        let kind = entry.config().kind;
+        let result = entry.guarded(format_args!("a {:?} input", input.dims()), |m| {
+            let y = m.forward_inference(&stack(kind, &[&input]));
+            unstack(kind, &y).pop().expect("one block in, one block out")
+        });
+        metrics::FORWARD.observe(t0.elapsed().as_secs_f64());
+        Ok(PendingResponse { result })
     }
 
     /// The admission check of [`ServeHandle::submit`] and
@@ -264,11 +157,7 @@ impl ServeHandle {
     /// `dims` ([`ModelEntry::check_dims`]). The TCP server runs it on a
     /// request header before it reads the payload.
     pub fn check_dims(&self, model: &str, dims: &[usize]) -> Result<(), ServeError> {
-        self.shared
-            .registry
-            .get(model)
-            .ok_or_else(|| ServeError::UnknownModel(model.to_string()))?
-            .check_dims(dims)
+        self.shared.entry(model)?.check_dims(dims)
     }
 
     /// Synchronous predict: [`ServeHandle::submit`] + wait.
@@ -276,22 +165,10 @@ impl ServeHandle {
         self.submit(model, input)?.wait()
     }
 
-    /// Manual-dispatch mode: execute the oldest queued request (no
-    /// waiting). Returns the number of requests completed: 1, or 0 if the
-    /// queue was empty. Also usable in auto mode for tests, though the
-    /// background dispatcher will race it.
-    pub fn dispatch_once(&self) -> usize {
-        dispatch_one(&self.shared)
-    }
-
     /// Opens a rollout session for `model` from `history`.
     pub fn open_session(&self, model: &str, history: &Tensor) -> Result<u64, ServeError> {
-        let entry = self
-            .shared
-            .registry
-            .get(model)
-            .ok_or_else(|| ServeError::UnknownModel(model.to_string()))?;
-        if self.shared.state.lock().unwrap().shutting_down {
+        let entry = self.shared.entry(model)?;
+        if self.shared.shutting_down.load(Ordering::Relaxed) {
             return Err(ServeError::ShuttingDown);
         }
         self.shared.sessions.open(entry, history)
@@ -309,62 +186,11 @@ impl ServeHandle {
 
     /// Current engine state.
     pub fn stats(&self) -> ServeStats {
-        let st = self.shared.state.lock().unwrap();
         ServeStats {
-            queued: st.queue.len(),
             sessions: self.shared.sessions.len(),
-            shutting_down: st.shutting_down,
+            shutting_down: self.shared.shutting_down.load(Ordering::Relaxed),
         }
     }
-}
-
-fn dispatcher_loop(sh: &Shared) {
-    loop {
-        if dispatch_one(sh) == 0 {
-            // Queue empty: exit if draining, otherwise sleep until work.
-            let mut st = sh.state.lock().unwrap();
-            while st.queue.is_empty() {
-                if st.shutting_down {
-                    return;
-                }
-                st = sh.cv.wait(st).unwrap();
-            }
-        }
-    }
-}
-
-/// Pops the oldest request and executes it. Returns the number of
-/// requests completed: 1, or 0 if the queue was empty.
-fn dispatch_one(sh: &Shared) -> usize {
-    let req = {
-        let mut st = sh.state.lock().unwrap();
-        let Some(req) = st.queue.pop_front() else {
-            return 0;
-        };
-        metrics::QUEUE_DEPTH.set(st.queue.len() as f64);
-        req
-    };
-    metrics::QUEUE_WAIT.observe(req.enqueued.elapsed().as_secs_f64());
-    let output = {
-        let _sp = ft_obs::span("serve/forward");
-        let t0 = Instant::now();
-        let r = run(&req);
-        metrics::FORWARD.observe(t0.elapsed().as_secs_f64());
-        r
-    };
-    req.slot.fill(output);
-    1
-}
-
-/// Stacks the request's input into a one-sample model tensor, runs one
-/// tape-free forward, and unstacks the predicted block.
-fn run(req: &Request) -> Result<Tensor, ServeError> {
-    let kind = req.entry.config().kind;
-    let on = format_args!("a {:?} input", req.input.dims());
-    req.entry.guarded(on, |m| {
-        let y = m.forward_inference(&stack(kind, &[&req.input]));
-        unstack(kind, &y).pop().expect("one block in, one block out")
-    })
 }
 
 #[cfg(test)]
@@ -405,22 +231,12 @@ mod tests {
     }
 
     #[test]
-    fn queued_predicts_equal_direct_forwards_bit_for_bit() {
-        let engine = ServeEngine::new(
-            tiny_registry(),
-            ServeConfig { auto_dispatch: false, ..Default::default() },
-        );
+    fn predicts_equal_direct_forwards_bit_for_bit() {
+        let engine = ServeEngine::new(tiny_registry(), ServeConfig::default());
         let h = engine.handle();
-        let pending: Vec<_> = (0..3).map(|s| h.submit("m", input_seeded(8, s)).unwrap()).collect();
-        assert_eq!(h.stats().queued, 3);
-        for left in (0..3).rev() {
-            assert_eq!(h.dispatch_once(), 1, "one request per dispatch");
-            assert_eq!(h.stats().queued, left);
-        }
-        assert_eq!(h.dispatch_once(), 0);
         let model = &tiny_registry().get("m").unwrap().model;
-        for (s, p) in pending.into_iter().enumerate() {
-            let served = p.wait().unwrap();
+        for s in 0..3 {
+            let served = h.predict("m", input_seeded(8, s)).unwrap();
             let direct = model.forward_inference(&input_seeded(8, s).reshape(&[1, 4, 8, 8]));
             assert_eq!(served.dims(), &[2, 8, 8]);
             assert_eq!(served.data(), direct.data(), "request {s}");
@@ -428,28 +244,19 @@ mod tests {
     }
 
     #[test]
-    fn mixed_shapes_are_served_one_per_dispatch_in_admission_order() {
-        let engine = ServeEngine::new(
-            tiny_registry(),
-            ServeConfig { auto_dispatch: false, ..Default::default() },
-        );
+    fn mixed_shapes_are_each_served_at_their_own_grid() {
+        let engine = ServeEngine::new(tiny_registry(), ServeConfig::default());
         let h = engine.handle();
-        let grids = [8, 16, 8, 16];
-        let pending: Vec<_> = grids.iter().map(|&g| h.submit("m", input(g)).unwrap()).collect();
-        for (k, &g) in grids.iter().enumerate() {
-            assert_eq!(h.dispatch_once(), 1);
-            let out = pending[k].try_take().expect("the oldest request is served").unwrap();
-            assert_eq!(out.dims(), &[2, g, g]);
-            assert!(pending[k + 1..].iter().all(|p| p.try_take().is_none()), "after {k}");
+        for g in [8, 16, 8, 16] {
+            assert_eq!(h.predict("m", input(g)).unwrap().dims(), &[2, g, g]);
         }
-        assert_eq!(h.dispatch_once(), 0);
     }
 
     #[test]
     fn typed_rejections() {
         let engine = ServeEngine::new(
             tiny_registry(),
-            ServeConfig { auto_dispatch: false, ..Default::default() },
+            ServeConfig::default(),
         );
         let h = engine.handle();
         assert!(matches!(
@@ -472,28 +279,15 @@ mod tests {
     }
 
     #[test]
-    fn auto_dispatch_round_trip() {
+    fn shutdown_refuses_new_work_and_keeps_what_was_served() {
         let mut engine = ServeEngine::new(tiny_registry(), ServeConfig::default());
         let h = engine.handle();
-        let out = h.predict("m", input(8)).unwrap();
-        assert_eq!(out.dims(), &[2, 8, 8]);
+        let served = h.submit("m", input(8)).unwrap();
         engine.shutdown();
+        assert!(h.stats().shutting_down);
+        assert_eq!(served.wait().unwrap().dims(), &[2, 8, 8]);
         assert!(matches!(h.predict("m", input(8)).unwrap_err(), ServeError::ShuttingDown));
-    }
-
-    #[test]
-    fn shutdown_drains_admitted_requests() {
-        let mut engine = ServeEngine::new(
-            tiny_registry(),
-            ServeConfig { auto_dispatch: false, ..Default::default() },
-        );
-        let h = engine.handle();
-        let pending: Vec<_> =
-            (0..5).map(|_| h.submit("m", input(8)).unwrap()).collect();
-        engine.shutdown();
-        for p in pending {
-            assert!(p.wait().is_ok(), "admitted requests must complete through drain");
-        }
+        assert!(matches!(h.open_session("m", &input(8)).unwrap_err(), ServeError::ShuttingDown));
     }
 
     /// [`tiny_registry`] plus `broken`, a model whose every forward
@@ -519,18 +313,14 @@ mod tests {
     #[test]
     fn panicking_forward_is_a_typed_error_and_the_engine_keeps_serving() {
         let reg = registry_with_broken_model();
-        let engine =
-            ServeEngine::new(reg, ServeConfig { auto_dispatch: false, ..Default::default() });
+        let engine = ServeEngine::new(reg, ServeConfig::default());
         let h = engine.handle();
-        let broken = h.submit("broken", input(8)).unwrap();
-        assert_eq!(h.dispatch_once(), 1, "the panic stays inside the dispatch");
+        let broken = h.submit("broken", input(8)).expect("the panic stays inside the forward");
         match broken.wait() {
             Err(ServeError::BadInput(msg)) => assert!(msg.contains("panicked"), "{msg}"),
             other => panic!("expected the typed panic error, got {other:?}"),
         }
-        let next = h.submit("m", input(8)).unwrap();
-        assert_eq!(h.dispatch_once(), 1);
-        let out = next.wait().expect("the next request is served");
+        let out = h.predict("m", input(8)).expect("the next request is served");
         assert_eq!(out.dims(), &[2, 8, 8]);
         assert!(out.all_finite());
     }
@@ -539,7 +329,7 @@ mod tests {
     fn session_matches_rollout() {
         let engine = ServeEngine::new(
             tiny_registry(),
-            ServeConfig { auto_dispatch: false, ..Default::default() },
+            ServeConfig::default(),
         );
         let h = engine.handle();
         let hist = input(8);
@@ -560,7 +350,7 @@ mod tests {
         ft_obs::set_enabled(true);
         let engine = ServeEngine::new(
             registry_with_broken_model(),
-            ServeConfig { auto_dispatch: false, ..Default::default() },
+            ServeConfig::default(),
         );
         let h = engine.handle();
         let hist = input(8);
@@ -588,10 +378,14 @@ mod tests {
         assert_eq!(h.session_step(again, 3).unwrap().data(), direct.data());
     }
 
-    fn tiny_3d_registry() -> ModelRegistry {
+    fn tiny_3d_model() -> Fno {
         let cfg = FnoConfig { kind: FnoKind::ThreeD, in_channels: 1, out_channels: 1, ..tiny_cfg() };
+        Fno::new(cfg, 5)
+    }
+
+    fn tiny_3d_registry() -> ModelRegistry {
         let mut reg = ModelRegistry::new();
-        reg.insert("m3", Fno::new(cfg, 5)).unwrap();
+        reg.insert("m3", tiny_3d_model()).unwrap();
         reg
     }
 
@@ -603,30 +397,60 @@ mod tests {
     }
 
     #[test]
-    fn queued_3d_predicts_equal_single_blocks_bit_for_bit() {
-        let engine = ServeEngine::new(
-            tiny_3d_registry(),
-            ServeConfig { auto_dispatch: false, ..Default::default() },
-        );
+    fn predicts_3d_equal_single_blocks_bit_for_bit() {
+        let engine = ServeEngine::new(tiny_3d_registry(), ServeConfig::default());
         let h = engine.handle();
-        let pending: Vec<_> = (0..3).map(|s| h.submit("m3", block_3d(s)).unwrap()).collect();
-        for _ in 0..3 {
-            assert_eq!(h.dispatch_once(), 1);
-        }
         let model = &tiny_3d_registry().get("m3").unwrap().model;
-        for (s, p) in pending.into_iter().enumerate() {
-            let served = p.wait().unwrap();
+        for s in 0..3 {
+            let served = h.predict("m3", block_3d(s)).unwrap();
             let direct = fno_core::rollout::predict_block_3d(model, &block_3d(s));
             assert_eq!(served.dims(), direct.dims());
             assert_eq!(served.data(), direct.data(), "request {s}");
         }
     }
 
+    /// Predicts from several threads, released together by a barrier, run
+    /// their forwards at the same time against a 2D and a 3D model; each
+    /// answer is its own input's direct forward, bit for bit.
+    #[test]
+    fn concurrent_predicts_equal_direct_calls_bit_for_bit() {
+        const THREADS: usize = 4;
+        const PER_THREAD: usize = 6;
+        let mut reg = tiny_registry();
+        reg.insert("m3", tiny_3d_model()).unwrap();
+        let engine = ServeEngine::new(reg, ServeConfig::default());
+        let (model, model_3d) = (&Fno::new(tiny_cfg(), 42), &tiny_3d_model());
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (h, start) = (engine.handle(), &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for k in 0..PER_THREAD {
+                        let seed = t * PER_THREAD + k;
+                        if (t + k) % 2 == 0 {
+                            let served = h.predict("m", input_seeded(8, seed)).unwrap();
+                            let x = input_seeded(8, seed).reshape(&[1, 4, 8, 8]);
+                            let direct = model.forward_inference(&x);
+                            assert_eq!(served.data(), direct.data(), "2D request {seed}");
+                        } else {
+                            let served = h.predict("m3", block_3d(seed)).unwrap();
+                            let direct =
+                                fno_core::rollout::predict_block_3d(model_3d, &block_3d(seed));
+                            assert_eq!(served.dims(), direct.dims());
+                            assert_eq!(served.data(), direct.data(), "3D request {seed}");
+                        }
+                    }
+                });
+            }
+        });
+    }
+
     #[test]
     fn zero_frame_3d_blocks_are_rejected_at_admission() {
         let engine = ServeEngine::new(
             tiny_3d_registry(),
-            ServeConfig { auto_dispatch: false, ..Default::default() },
+            ServeConfig::default(),
         );
         let h = engine.handle();
         let empty = Tensor::zeros(&[0, 6, 6]);
@@ -638,7 +462,7 @@ mod tests {
     fn session_3d_steps_continue_the_block_trajectory() {
         let engine = ServeEngine::new(
             tiny_3d_registry(),
-            ServeConfig { auto_dispatch: false, ..Default::default() },
+            ServeConfig::default(),
         );
         let h = engine.handle();
         let hist = block_3d(0);
@@ -665,7 +489,7 @@ mod tests {
     fn session_2d_discards_the_surplus_of_a_short_step() {
         let engine = ServeEngine::new(
             tiny_registry(),
-            ServeConfig { auto_dispatch: false, ..Default::default() },
+            ServeConfig::default(),
         );
         let h = engine.handle();
         let hist = input(8);
@@ -687,7 +511,7 @@ mod tests {
     fn oversized_session_step_is_rejected_and_the_session_continues() {
         let engine = ServeEngine::new(
             tiny_registry(),
-            ServeConfig { auto_dispatch: false, ..Default::default() },
+            ServeConfig::default(),
         );
         let h = engine.handle();
         let hist = input(8);

@@ -10,12 +10,11 @@
 //!   embedded self-describing [`fno_core::ModelMeta`] header and every
 //!   weight tensor *before* restoring them, so an architecture mismatch is
 //!   a typed error rather than a panic deep in `restore_params`;
-//! * [`engine`] — the serving core: a bounded request queue with admission
-//!   control (explicit [`ServeError::Overloaded`] when full), a dispatcher
-//!   that runs one request per tape-free
-//!   [`fno_core::ForecastModel::forward_inference`] call (one request, one
-//!   forward), and graceful drain on shutdown. [`engine::ServeHandle`] is
-//!   the cloneable in-process API;
+//! * [`engine`] — the serving core: admission (model, input shape,
+//!   draining flag), then one tape-free
+//!   [`fno_core::ForecastModel::forward_inference`] call per predict, run
+//!   on the calling thread (one request, one forward; no queue).
+//!   [`engine::ServeHandle`] is the cloneable in-process API;
 //! * [`session`] — stateful autoregressive rollout sessions: the server
 //!   keeps the temporal-channel window (2D) or space-time block (3D)
 //!   server-side and streams successive predicted frames; idle sessions
@@ -24,11 +23,12 @@
 //!   and the `serve-bench` load generator: one newline-delimited JSON
 //!   header per frame followed by a little-endian `f32` field payload;
 //! * [`server`] — the blocking TCP accept loop (thread per connection, at
-//!   most [`server::MAX_CONNECTIONS`] live) that exposes a
-//!   [`engine::ServeHandle`] over [`proto`].
+//!   most [`server::MAX_CONNECTIONS`] live, which also bounds the predicts
+//!   running at once) that exposes a [`engine::ServeHandle`] over
+//!   [`proto`].
 //!
 //! Everything is instrumented with `ft-obs`: per-stage latency histograms
-//! (queue wait, forward, serialize), request and rejection counters, and
+//! (forward, serialize), request and refused-connection counters, and
 //! flight-recorder events for overload and session eviction. With instrumentation disabled the hot
 //! path pays one atomic load per probe, like the rest of the workspace.
 
@@ -50,8 +50,9 @@ use std::fmt;
 /// A typed serving failure, returned to the caller of every request.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServeError {
-    /// The bounded request queue is full; the request was rejected at
-    /// admission and never executed. Clients should back off and retry.
+    /// The server already holds [`server::MAX_CONNECTIONS`] live
+    /// connections; this one was refused at accept and closed. Clients
+    /// should back off and retry.
     Overloaded,
     /// No model with this name is registered.
     UnknownModel(String),
@@ -68,7 +69,7 @@ pub enum ServeError {
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServeError::Overloaded => write!(f, "overloaded: request queue is full"),
+            ServeError::Overloaded => write!(f, "overloaded: connection limit reached"),
             ServeError::UnknownModel(name) => write!(f, "unknown model `{name}`"),
             ServeError::UnknownSession(id) => write!(f, "unknown session {id}"),
             ServeError::BadInput(msg) => write!(f, "bad input: {msg}"),
@@ -106,6 +107,3 @@ impl ServeError {
         }
     }
 }
-
-/// Default bound on the request queue (admission control).
-pub const DEFAULT_QUEUE_CAPACITY: usize = 64;

@@ -5,10 +5,8 @@
 
 use ft_obs::{Counter, Gauge, Histogram};
 
-/// Requests admitted into the queue (predict + session steps).
+/// Predicts admitted (past the admission check and the draining flag).
 pub static REQUESTS: Counter = Counter::new("serve.requests");
-/// Requests rejected at admission because the queue was full.
-pub static REJECTED: Counter = Counter::new("serve.rejected");
 /// Connections refused at accept because [`crate::server::MAX_CONNECTIONS`]
 /// were already live.
 pub static REJECTED_CONNECTIONS: Counter = Counter::new("serve.rejected.connections");
@@ -17,15 +15,11 @@ pub static SESSIONS_OPENED: Counter = Counter::new("serve.sessions.opened");
 /// Rollout sessions evicted (TTL expiry or LRU capacity).
 pub static SESSIONS_EVICTED: Counter = Counter::new("serve.sessions.evicted");
 
-/// Instantaneous queue depth, sampled at enqueue/dequeue.
-pub static QUEUE_DEPTH: Gauge = Gauge::new("serve.queue_depth");
 /// Live session count, sampled on open/close/evict.
 pub static LIVE_SESSIONS: Gauge = Gauge::new("serve.sessions.live");
 /// Live connection threads, sampled on every accept-loop turn.
 pub static CONNECTIONS: Gauge = Gauge::new("serve.connections");
 
-/// Time from admission to dequeue by the dispatcher.
-pub static QUEUE_WAIT: Histogram = Histogram::new("serve.queue_wait_seconds");
 /// Forward-pass time of one request.
 pub static FORWARD: Histogram = Histogram::new("serve.forward_seconds");
 /// Wire serialization time (header + payload encode) per response.

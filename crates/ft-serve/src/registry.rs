@@ -8,8 +8,8 @@
 //! fit the architecture it describes, is a typed [`CheckpointError`]:
 //! serving refuses to guess an architecture.
 //!
-//! Entries are immutable once registered and shared via `Arc`, so the
-//! dispatcher and every session hold cheap references.
+//! Entries are immutable once registered and shared via `Arc`, so every
+//! predict and every session holds a cheap reference.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -102,7 +102,7 @@ impl ModelEntry {
 
     /// Runs `f` on the model and turns a panic into a typed
     /// [`ServeError::BadInput`] that names the model and what it panicked
-    /// on, so one bad call leaves the dispatcher and the session store
+    /// on, so one bad call leaves the engine and the session store
     /// serving.
     pub(crate) fn guarded<T>(
         &self,

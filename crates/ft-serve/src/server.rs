@@ -6,9 +6,10 @@
 //! threads exit on client EOF or protocol error. At most
 //! [`MAX_CONNECTIONS`] connections are live at once; one past the cap is
 //! answered with the typed `overloaded` error frame and closed. This is
-//! deliberately the simplest thing that serves correctly: the engine
-//! underneath runs one request per forward in admission order, so
-//! connection-handling sophistication buys little at these request sizes.
+//! deliberately the simplest thing that serves correctly: a connection
+//! answers each request before it reads the next, and a predict runs its
+//! forward on its connection's thread, so the cap also bounds the
+//! forwards running at once.
 
 use std::io::{self, BufRead, BufReader, BufWriter};
 use std::net::{TcpListener, TcpStream};
@@ -22,18 +23,19 @@ use crate::engine::ServeHandle;
 use crate::proto::{self, Header, Value};
 use crate::{metrics, ServeError};
 
-/// Bound on live connections, the same as the queue and session defaults
-/// ([`crate::DEFAULT_QUEUE_CAPACITY`], [`crate::SessionConfig`]). Each
-/// live connection holds one thread.
+/// Bound on live connections, the same as the session default
+/// ([`crate::SessionConfig`]). Each live connection holds one thread and
+/// at most one request in flight.
 pub const MAX_CONNECTIONS: usize = 64;
 
 /// Runs the accept loop until a client sends a `shutdown` frame. Each
 /// connection is served on its own thread; finished threads are reaped
 /// on every loop turn, and the live count is the `serve.connections`
 /// gauge. A connection accepted while [`MAX_CONNECTIONS`] are live gets
-/// the `overloaded` error frame and is closed, and
-/// `serve.rejected.connections` counts it. Returns once the loop has
-/// stopped accepting and the live connection threads have finished.
+/// the `overloaded` error frame and is closed, `serve.rejected.connections`
+/// counts it, and a `serve_overload` flight event records the live count
+/// and the cap. Returns once the loop has stopped accepting and the live
+/// connection threads have finished, so every admitted request completes.
 pub fn serve_tcp(handle: ServeHandle, listener: TcpListener) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     let stop = Arc::new(AtomicBool::new(false));
@@ -44,6 +46,12 @@ pub fn serve_tcp(handle: ServeHandle, listener: TcpListener) -> io::Result<()> {
         match listener.accept() {
             Ok((mut stream, _addr)) if workers.len() >= MAX_CONNECTIONS => {
                 metrics::REJECTED_CONNECTIONS.inc();
+                ft_obs::flight::event_with(|| {
+                    ft_obs::Record::new("event")
+                        .str("kind", "serve_overload")
+                        .u64("connections", workers.len() as u64)
+                        .u64("capacity", MAX_CONNECTIONS as u64)
+                });
                 // Best effort: a client that is already gone misses the reply.
                 let _ = stream.set_nonblocking(false);
                 let _ = proto::write_err(&mut stream, &ServeError::Overloaded);

@@ -62,11 +62,8 @@ fn checkpoint_serves_identically_to_source_model() {
     );
     let want = model.infer(&batched);
 
-    let engine = ServeEngine::new(reg, ServeConfig { auto_dispatch: false, ..Default::default() });
-    let h = engine.handle();
-    let pending = h.submit("ck", x).unwrap();
-    assert_eq!(h.dispatch_once(), 1);
-    let got = pending.wait().unwrap();
+    let engine = ServeEngine::new(reg, ServeConfig::default());
+    let got = engine.handle().predict("ck", x).unwrap();
     // Engine output drops the batch axis; compare raw data.
     assert_eq!(got.len(), want.len());
     for (a, b) in got.data().iter().zip(want.data()) {

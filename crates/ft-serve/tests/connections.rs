@@ -3,8 +3,9 @@
 //! short-lived clients does not grow its state, and the live count is
 //! published as the `serve.connections` gauge; past
 //! [`MAX_CONNECTIONS`] live connections, a new one gets the typed
-//! `overloaded` frame and is closed. Its own test binary: the gauge and
-//! counters are process-global, so the tests here take one lock each.
+//! `overloaded` frame and is closed, and a `serve_overload` flight event
+//! records it. Its own test binary: the gauge, counters and flight ring
+//! are process-global, so the tests here take one lock each.
 
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -20,8 +21,8 @@ use ft_serve::{metrics, ModelRegistry, ServeConfig, ServeEngine};
 /// Serializes the tests: each reads the process-global gauge and counter.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// An engine with one tiny model under `default`, manual dispatch (no
-/// dispatcher thread), and its accept loop on a loopback port.
+/// An engine with one tiny model under `default`, and its accept loop on a
+/// loopback port.
 fn start_server() -> (ServeEngine, SocketAddr, JoinHandle<std::io::Result<()>>) {
     let cfg = FnoConfig {
         kind: FnoKind::TwoDChannels,
@@ -36,7 +37,7 @@ fn start_server() -> (ServeEngine, SocketAddr, JoinHandle<std::io::Result<()>>) 
     };
     let mut reg = ModelRegistry::new();
     reg.insert("default", Fno::new(cfg, 3)).unwrap();
-    let engine = ServeEngine::new(reg, ServeConfig { auto_dispatch: false, ..Default::default() });
+    let engine = ServeEngine::new(reg, ServeConfig::default());
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let handle = engine.handle();
@@ -85,9 +86,11 @@ fn finished_connections_are_reaped() {
 }
 
 /// Holds `MAX_CONNECTIONS` idle connections open: one more is answered
-/// with the typed `overloaded` frame and closed, and counted; once one of
-/// the held connections closes, a new one is served. The server runs the
-/// accept loop plus one thread per held connection, 65 threads at most.
+/// with the typed `overloaded` frame and closed, counted, and recorded as
+/// a `serve_overload` flight event with the live count and the cap; once
+/// one of the held connections closes, a new one is served. The server
+/// runs the accept loop plus one thread per held connection, 65 threads at
+/// most.
 #[test]
 fn connections_past_the_cap_get_overloaded() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -112,6 +115,13 @@ fn connections_past_the_cap_get_overloaded() {
     assert!(payload.is_none());
     assert!(proto::read_frame(&mut BufReader::new(&extra)).unwrap().is_none(), "closed");
     assert_eq!(metrics::REJECTED_CONNECTIONS.get(), rejected_before + 1);
+    let overload = format!(
+        "\"kind\":\"serve_overload\",\"connections\":{MAX_CONNECTIONS},\"capacity\":{MAX_CONNECTIONS}"
+    );
+    assert!(
+        ft_obs::flight::events().iter().any(|e| e.to_json().contains(&overload)),
+        "no {overload} flight event"
+    );
 
     // One held connection closes; its thread ends on EOF and the accept
     // loop reaps it, so a new connection is served. Until the reap, a new

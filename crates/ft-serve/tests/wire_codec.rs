@@ -144,7 +144,7 @@ fn response_frames_are_pinned() {
     assert_eq!(
         frame(|w| proto::write_err(w, &ServeError::Overloaded)),
         bytes(
-            r#"{"ok":false,"error":"overloaded","detail":"overloaded: request queue is full"}"#,
+            r#"{"ok":false,"error":"overloaded","detail":"overloaded: connection limit reached"}"#,
             &[]
         )
     );

@@ -88,15 +88,17 @@ cargo test -q --release --offline -p ft-nn --lib spectral::
 
 # Pinned to one core, `available_parallelism` (which honours the affinity
 # mask) sizes a width-1 pool: the plan-cache diagnostics, the parity
-# proptest, the fused pointwise-MLP tests, the spectral-layer parity tests
-# and the ISA parity tests must hold there as well as at the host's width.
-echo "==> diagnostics + parallel-parity proptest + pointwise MLP + spectral layer + ISA parity on one core (taskset -c 0)"
+# proptest, the fused pointwise-MLP tests, the spectral-layer parity tests,
+# the ISA parity tests and the serving engine's tests (concurrent predicts
+# included) must hold there as well as at the host's width.
+echo "==> diagnostics + parallel-parity proptest + pointwise MLP + spectral layer + ISA parity + serving engine on one core (taskset -c 0)"
 if command -v taskset >/dev/null 2>&1; then
     taskset -c 0 cargo test -q --offline --test diagnostics
     taskset -c 0 cargo test -q --release --offline -p fno-core --test parallel_parity
     taskset -c 0 cargo test -q --offline -p ft-nn --lib mlp::
     taskset -c 0 cargo test -q --release --offline -p ft-nn --lib spectral::
     taskset -c 0 cargo test -q --release --offline -p ft-nn --lib every_isa
+    taskset -c 0 cargo test -q --offline -p ft-serve --lib engine::
 else
     echo "taskset not found: one-core step skipped"
 fi
@@ -106,6 +108,12 @@ fi
 if [ "$LINT" = 1 ]; then
     echo "==> cargo clippy (workspace, all targets, warnings are errors)"
     cargo clippy --workspace --all-targets --offline -- -D warnings
+    # The compat shims are outside the workspace, so `--workspace` skips them.
+    echo "==> cargo clippy (compat shims, all targets, warnings are errors)"
+    for shim in rayon rand proptest; do
+        cargo clippy --all-targets --offline --manifest-path "crates/compat/$shim/Cargo.toml" \
+            --target-dir target -- -D warnings
+    done
 fi
 
 echo "==> cargo doc (no deps, warnings are errors)"

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! fno-serve --model model.ftc [--name default]
-//!           [--addr 127.0.0.1:7878] [--queue-capacity 64]
+//!           [--addr 127.0.0.1:7878]
 //!           [--max-sessions 64] [--session-ttl-secs 300] [--threads N]
 //!           [--metrics-out FILE] [--profile]
 //! ```
@@ -11,10 +11,10 @@
 //! default `default`), then serves the newline-delimited-JSON wire
 //! protocol documented in `ft_serve::proto` until a client sends a
 //! `shutdown` frame. Shutdown is graceful: the accept loop stops, open
-//! connections are joined, and every request already admitted to the
-//! queue completes before the process exits. At most 64 connections are
-//! served at once (`ft_serve::server::MAX_CONNECTIONS`); one more is
-//! answered with the typed `overloaded` error and closed.
+//! connections are joined, and every request already admitted completes
+//! before the process exits. At most 64 connections are served at once
+//! (`ft_serve::server::MAX_CONNECTIONS`); one more is answered with the
+//! typed `overloaded` error and closed.
 //!
 //! `--model` takes any `FTC1` file with model metadata: the
 //! `fno2dturb train --model` output or a trainer's `latest.ftc`. The
@@ -23,8 +23,9 @@
 //! refused with an `error:` line and a non-zero exit.
 //!
 //! `--threads N` sizes the global rayon pool once at startup; each
-//! request's forward parallelises across that pool. Requests run one per
-//! forward, oldest first. The observability options
+//! request's forward parallelises across that pool. A predict runs one
+//! forward on its connection's thread, so predicts on different
+//! connections run at the same time. The observability options
 //! mirror `fno2dturb`: `--metrics-out` opens a JSONL stream (first record
 //! is the run manifest), `--profile` prints the span/counter/histogram
 //! report to stderr on exit.
@@ -38,7 +39,7 @@ use fno2d_turbulence::{parse_opts, Opts};
 
 const USAGE: &str = "usage:
   fno-serve --model model.ftc [--name default]
-            [--addr 127.0.0.1:7878] [--queue-capacity 64]
+            [--addr 127.0.0.1:7878]
             [--max-sessions 64] [--session-ttl-secs 300] [--threads N]
             [--metrics-out FILE] [--profile]
 
@@ -47,8 +48,7 @@ little-endian f32 payloads) until a client sends a `shutdown` frame.";
 
 /// Options `fno-serve` takes a value for.
 const OPTIONS: &[&str] = &[
-    "model", "name", "addr", "queue-capacity", "max-sessions", "session-ttl-secs", "threads",
-    "metrics-out",
+    "model", "name", "addr", "max-sessions", "session-ttl-secs", "threads", "metrics-out",
 ];
 
 /// Options that are boolean flags (present/absent, no value argument).
@@ -128,8 +128,6 @@ fn run(opts: &Opts) -> Result<(), String> {
     );
 
     let cfg = ServeConfig {
-        queue_capacity: get(opts, "queue-capacity", fno2d_turbulence::serve::DEFAULT_QUEUE_CAPACITY)?,
-        auto_dispatch: true,
         session: SessionConfig {
             max_sessions: get(opts, "max-sessions", 64)?,
             ttl: Duration::from_secs(get(opts, "session-ttl-secs", 300u64)?),
@@ -143,7 +141,7 @@ fn run(opts: &Opts) -> Result<(), String> {
     eprintln!("fno-serve: listening on {local}");
 
     server::serve_tcp(engine.handle(), listener).map_err(|e| format!("serve: {e}"))?;
-    eprintln!("fno-serve: draining queue and shutting down");
+    eprintln!("fno-serve: connections finished; shutting down");
     engine.shutdown();
     Ok(())
 }

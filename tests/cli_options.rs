@@ -10,7 +10,7 @@ fn mistyped_options_are_refused_with_the_usage_text() {
     let fno_serve = env!("CARGO_BIN_EXE_fno-serve");
     let serve_bench = env!("CARGO_BIN_EXE_serve-bench");
     // Each row: binary, arguments, and the option it must refuse.
-    let runs: [(&str, &[&str], &str); 9] = [
+    let runs: [(&str, &[&str], &str); 10] = [
         (fno2dturb, &["train", "--data", "d.ftt", "--model", "m.ftc", "--epoch", "5"], "--epoch"),
         // `--epochs` is a `train` option; `rollout` does not take it.
         (fno2dturb, &["rollout", "--data", "d.ftt", "--model", "m.ftc", "--epochs", "5"], "--epochs"),
@@ -19,6 +19,7 @@ fn mistyped_options_are_refused_with_the_usage_text() {
         // Options of the removed request batching and in-process bench.
         (fno_serve, &["--model", "m.ftc", "--max-batch", "8"], "--max-batch"),
         (fno_serve, &["--model", "m.ftc", "--batch-window-us", "200"], "--batch-window-us"),
+        (fno_serve, &["--model", "m.ftc", "--queue-capacity", "8"], "--queue-capacity"),
         (serve_bench, &["--addr", "127.0.0.1:1", "--inproc"], "--inproc"),
         (serve_bench, &["--addr", "127.0.0.1:1", "--compare-batching"], "--compare-batching"),
         (serve_bench, &["--addr", "127.0.0.1:1", "--threads", "1"], "--threads"),
