@@ -25,6 +25,16 @@
 //! The tile kernels and their helpers are `#[inline(always)]` and run
 //! through [`Isa::run`], so they vectorize at the host's width (AVX2,
 //! AVX-512) with the bits of the baseline build (see `ft_tensor::isa`).
+//! They are register-blocked without changing any association. Row
+//! updates (`accumulate`) keep a 32-point stretch of running sums in
+//! registers across all their terms, so each term issues several
+//! independent adds. The backward keeps a block's GELU activations beside
+//! its pre-activation gradients and forms both weight-gradient blocks with
+//! `contract`: each loaded group of four points feeds a 4 × 2 block of dot
+//! products, every one of them summed in `dot`'s four-accumulator order,
+//! so the block's add chains overlap where a lone `dot` waits on each add.
+//! The first-layer bias gradients are the rows' serial sums, run side by
+//! side (`row_sums`).
 
 use ft_tensor::{Isa, Tensor};
 use rand::Rng;
@@ -83,8 +93,11 @@ fn scatter(data: &mut [f64], channels: usize, p: usize, item: usize, block: &[f6
 /// channel.
 const BLOCK: usize = 8;
 
-/// Points per register-resident stretch in [`accumulate`].
-const LANES: usize = 8;
+/// Points per register-resident stretch in [`accumulate`]: 32 points are
+/// 4 AVX-512 or 8 AVX2 registers, enough independent add chains to keep
+/// the adders busy. At the SSE2 baseline they fill all 16 registers and
+/// measured no slower than 8 points.
+const LANES: usize = 32;
 
 /// `dst[t] += w·rows[r][t]` for each `(w, r)` of `terms` in order, where
 /// `rows` is a `[n, dst.len()]` block. Every point gets the additions a
@@ -126,24 +139,124 @@ fn nonzero(terms: &mut Vec<(f64, usize)>, weights: impl Iterator<Item = f64>) {
     );
 }
 
+/// [`dot`]'s result from its four lane sums and the points past the last
+/// full group of four (`a_tail`, `b_tail`).
+#[inline(always)]
+fn finish(acc: [f64; 4], a_tail: &[f64], b_tail: &[f64]) -> f64 {
+    let tail: f64 = a_tail.iter().zip(b_tail).map(|(x, y)| x * y).sum();
+    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
+}
+
 /// `Σ a·b` over four interleaved accumulators — a fixed association, so
 /// the result depends on the inputs alone, and the loop vectorizes.
 #[inline(always)]
 fn dot(a: &[f64], b: &[f64]) -> f64 {
     let (ca, cb) = (a.chunks_exact(4), b.chunks_exact(4));
-    let tail: f64 = ca
-        .remainder()
-        .iter()
-        .zip(cb.remainder())
-        .map(|(x, y)| x * y)
-        .sum();
+    let (a_tail, b_tail) = (ca.remainder(), cb.remainder());
     let mut acc = [0.0; 4];
     for (x, y) in ca.zip(cb) {
         for j in 0..4 {
             acc[j] += x[j] * y[j];
         }
     }
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
+    finish(acc, a_tail, b_tail)
+}
+
+/// [`contract`]'s register block: `ROWS` rows of `u` by `COLS` rows of
+/// `v`, so each loaded group of four points feeds eight independent
+/// products. Its 32 accumulator lanes are 4 AVX-512 or 8 AVX2 registers;
+/// 4 × 4 and 2 × 4 measured no faster at any [`Isa`] level.
+const ROWS: usize = 4;
+/// See [`ROWS`].
+const COLS: usize = 2;
+
+/// [`dot`]'s four lane sums for every pair of an `R`-row block `u` and a
+/// `C`-row block `v` of equal-length rows, over their full groups of four
+/// points: `R · C` accumulator sets in registers, each updated in `dot`'s
+/// order.
+#[inline(always)]
+fn lane_sums<const R: usize, const C: usize>(u: [&[f64]; R], v: [&[f64]; C]) -> [[[f64; 4]; C]; R] {
+    let n = u[0].len() / 4;
+    let u = u.map(|row| &row.as_chunks::<4>().0[..n]);
+    let v = v.map(|row| &row.as_chunks::<4>().0[..n]);
+    let mut acc = [[[0.0; 4]; C]; R];
+    for i in 0..n {
+        for (acc, u) in acc.iter_mut().zip(&u) {
+            for (acc, v) in acc.iter_mut().zip(&v) {
+                for j in 0..4 {
+                    acc[j] += u[i][j] * v[i][j];
+                }
+            }
+        }
+    }
+    acc
+}
+
+/// `out[a·sa + b·sb] = dot(u[a], v[b])`, bit for bit, for every row `a` of
+/// the `[nu, len]` block `u` and every row `b` of the `[nv, len]` block
+/// `v`. Register-blocked: [`ROWS`] × [`COLS`] pairs share each load, and
+/// their independent add chains hide the adder latency that serializes a
+/// lone `dot`. Columns past the last full block go `ROWS` × 1, rows past
+/// the last full block go through `dot`. The `ROWS` × 1 arm runs at odd
+/// channel counts only, but it also steers code generation: in every
+/// rewrite that sent those columns to `dot` instead, LLVM packed the
+/// `ROWS` × `COLS` loop's accumulators across rows at one or both of the
+/// backward's call sites, with 18–39 shuffles per group of four points,
+/// and the backward measured up to 1.3× slower at AVX2 and AVX-512 (2-vCPU
+/// AVX-512 host).
+#[inline(always)]
+fn contract(u: &[f64], v: &[f64], len: usize, out: &mut [f64], (sa, sb): (usize, usize)) {
+    let (nu, nv) = (u.len() / len, v.len() / len);
+    let (ur, vr) = (
+        |a: usize| &u[a * len..][..len],
+        |b: usize| &v[b * len..][..len],
+    );
+    let t0 = len - len % 4;
+    let mut a = 0;
+    while a + ROWS <= nu {
+        let us: [&[f64]; ROWS] = std::array::from_fn(|r| ur(a + r));
+        let mut b = 0;
+        while b < nv {
+            let cols = if b + COLS <= nv { COLS } else { 1 };
+            let mut put = |r: usize, c: usize, acc: [f64; 4]| {
+                out[(a + r) * sa + (b + c) * sb] = finish(acc, &us[r][t0..], &vr(b + c)[t0..]);
+            };
+            if cols == COLS {
+                let acc = lane_sums(us, std::array::from_fn::<_, COLS, _>(|c| vr(b + c)));
+                for (r, acc) in acc.into_iter().enumerate() {
+                    for (c, acc) in acc.into_iter().enumerate() {
+                        put(r, c, acc);
+                    }
+                }
+            } else {
+                for (r, [acc]) in lane_sums(us, [vr(b)]).into_iter().enumerate() {
+                    put(r, 0, acc);
+                }
+            }
+            b += cols;
+        }
+        a += ROWS;
+    }
+    for a in a..nu {
+        for b in 0..nv {
+            out[a * sa + b * sb] = dot(ur(a), vr(b));
+        }
+    }
+}
+
+/// `out[r] = Σ_t rows[r][t]` for each row of the `[out.len(), len]` block
+/// `rows`, each summed point by point from `-0.0` as `Iterator::sum` sums
+/// it, the rows' chains interleaved so their adds overlap.
+#[inline(always)]
+fn row_sums(rows: &[f64], len: usize, out: &mut [f64]) {
+    let mut acc = [-0.0; BLOCK];
+    let acc = &mut acc[..out.len()];
+    for t in 0..len {
+        for (r, s) in acc.iter_mut().enumerate() {
+            *s += rows[r * len + t];
+        }
+    }
+    out.copy_from_slice(acc);
 }
 
 impl PointwiseMlp {
@@ -255,13 +368,15 @@ impl PointwiseMlp {
         for (b, go) in gb2.iter_mut().zip(g.chunks(len)) {
             *b = go.iter().sum();
         }
-        let (mut a, mut d, mut gz) = ([0.0; TILE], [0.0; TILE], [0.0; BLOCK * TILE]);
-        let (a, d) = (&mut a[..len], &mut d[..len]);
+        // Per block of hidden channels: their GELU activations and their
+        // gradients ∂L/∂z, each a `[kn, len]` block.
+        let (mut act, mut d, mut gz) = ([0.0; BLOCK * TILE], [0.0; TILE], [0.0; BLOCK * TILE]);
+        let d = &mut d[..len];
         let mut terms = Vec::new();
         for k0 in (0..hidden).step_by(BLOCK) {
             let kn = BLOCK.min(hidden - k0);
-            let gz = &mut gz[..kn * len];
-            for (j, gzk) in gz.chunks_mut(len).enumerate() {
+            let (act, gz) = (&mut act[..kn * len], &mut gz[..kn * len]);
+            for (j, (a, gzk)) in act.chunks_mut(len).zip(gz.chunks_mut(len)).enumerate() {
                 let k = k0 + j;
                 self.pre_activation(k, x, a, &mut terms);
                 for (av, dv) in a.iter_mut().zip(d.iter_mut()) {
@@ -275,14 +390,12 @@ impl PointwiseMlp {
                 for (gv, &dv) in gzk.iter_mut().zip(d.iter()) {
                     *gv *= dv;
                 }
-                for (o, go) in g.chunks(len).enumerate() {
-                    gw2[o * hidden + k] = dot(go, a);
-                }
-                for (i, xi) in x.chunks(len).enumerate() {
-                    gw1[k * c_in + i] = dot(gzk, xi);
-                }
-                gb1[k] = gzk.iter().sum();
             }
+            // gw2[o, k] = a_k·g_o and gw1[k, i] = gz_k·x_i (products
+            // commute exactly, so either operand order gives `dot`'s bits).
+            contract(act, g, len, &mut gw2[k0..], (1, hidden));
+            contract(gz, x, len, &mut gw1[k0 * c_in..], (c_in, 1));
+            row_sums(gz, len, &mut gb1[k0..k0 + kn]);
             for (i, row) in gx.chunks_mut(len).enumerate() {
                 nonzero(&mut terms, (k0..k0 + kn).map(|k| w1[k * c_in + i]));
                 accumulate(row, gz, &terms);
@@ -524,6 +637,88 @@ mod tests {
                 assert_same_bits(gx.data(), want_gx.data(), &format!("input gradient at {what}"));
                 assert_same_bits(&grads, &want_grads, &format!("parameter gradients at {what}"));
             }
+        }
+    }
+
+    #[test]
+    fn every_isa_contract_equals_dot_bit_for_bit() {
+        // 1..=9 rows on each side cover full register blocks, leftover
+        // columns and leftover rows; the lengths cover tails of 0–3 points.
+        for len in [1, 3, 4, 5, 31, 33, 256] {
+            for nu in 1..=9 {
+                for nv in 1..=9 {
+                    let u = rand_tensor(&[nu * len], (len * 100 + nu) as u64);
+                    let v = rand_tensor(&[nv * len], (len * 100 + 50 + nv) as u64);
+                    let (u, v) = (u.data(), v.data());
+                    for isa in Isa::supported() {
+                        // Both output layouts the backward uses.
+                        for (sa, sb) in [(nv, 1), (1, nu)] {
+                            let mut out = vec![f64::NAN; nu * nv];
+                            isa.run(
+                                #[inline(always)]
+                                || contract(u, v, len, &mut out, (sa, sb)),
+                            );
+                            for a in 0..nu {
+                                for b in 0..nv {
+                                    let want = dot(&u[a * len..][..len], &v[b * len..][..len]);
+                                    let got = out[a * sa + b * sb];
+                                    assert_eq!(
+                                        got.to_bits(),
+                                        want.to_bits(),
+                                        "{isa:?}, len {len}, {nu}×{nv} rows, pair ({a}, {b}), \
+                                         strides ({sa}, {sb}): {got:e} != {want:e}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// FNV-1a over the bit patterns of `values`.
+    fn bit_hash(values: &[f64]) -> u64 {
+        values
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn bits_are_pinned() {
+        // Widths that are not multiples of 4 (nor `hidden` of `BLOCK`), two
+        // weights zeroed, and 437-point planes: one full tile and a ragged
+        // 181-point one per sample. The hashes were recorded before the
+        // tile kernels were register-blocked; a kernel rewrite must leave
+        // them as they are, as must every `Isa` level.
+        let m = mlp(5, 21, 7, 31);
+        let x = rand_tensor(&[2, 5, 19, 23], 32);
+        let g = rand_tensor(&[2, 7, 19, 23], 33);
+        for isa in Isa::supported() {
+            let mut m = m.clone();
+            let y = m.infer_with(isa, &x);
+            m.forward(&x);
+            let gx = m.backward_with(isa, &g);
+            let mut hashes = vec![bit_hash(y.data()), bit_hash(gx.data())];
+            for p in snapshot_grads(&mut m) {
+                let ParamValue::Real(t) = p else {
+                    panic!("real parameters only")
+                };
+                hashes.push(bit_hash(t.data()));
+            }
+            // output, input gradient, fc1.w, fc1.b, fc2.w, fc2.b
+            let want: [u64; 6] = [
+                0x71dd_52bd_3ff6_b0a7,
+                0x44ef_a878_b39b_ee67,
+                0x7c35_e019_1643_37a3,
+                0x77f2_7364_92dc_a307,
+                0xe832_3295_e846_b839,
+                0x4dc8_ceb4_c2d1_028e,
+            ];
+            assert_eq!(hashes, want, "{isa:?}: {hashes:#x?}");
         }
     }
 

@@ -67,10 +67,12 @@ cargo test -q --release --offline -p ft-lbm
 echo "==> parallel-parity proptest (release)"
 cargo test -q --release --offline -p fno-core --test parallel_parity
 
-# The GELU kernel's bits are pinned (activation::tests): check them on the
-# optimized build too, where its slice loops are vectorized.
-echo "==> GELU accuracy and pinned bits (release)"
+# The GELU kernel's bits are pinned (activation::tests), and so are the
+# fused pointwise MLP's outputs and gradients (mlp::tests): check them on
+# the optimized build too, where their loops are vectorized.
+echo "==> GELU accuracy and pinned bits, pointwise MLP (release)"
 cargo test -q --release --offline -p ft-nn --lib activation::
+cargo test -q --release --offline -p ft-nn --lib mlp::
 
 # The GELU and fused-MLP kernels run compiled for the host's vector width
 # (`ft_tensor::Isa`: AVX2, AVX-512 where the host reports them). Every level
