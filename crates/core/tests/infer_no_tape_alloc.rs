@@ -3,10 +3,11 @@
 //! call and strictly below the training-mode `Layer::forward`, which
 //! stores an activation tape for backward.
 //!
-//! This file is its own test binary (same convention as
-//! `crates/ft-obs/tests/no_alloc.rs`): the counting global allocator sees
-//! every allocation in the process, so the measurement must not share a
-//! process with concurrently-allocating tests.
+//! This file is its own test binary with `harness = false` (same
+//! convention as `crates/ft-obs/tests/no_alloc.rs`): the counting global
+//! allocator sees every allocation in the process, so no test harness
+//! thread may allocate beside the measured window. Only `main` and the
+//! worker pool run here.
 
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,7 +47,11 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.load(Ordering::SeqCst) - before
 }
 
-#[test]
+fn main() {
+    forward_inference_allocates_no_gradient_tape();
+    println!("infer_no_tape_alloc: forward_inference_allocates_no_gradient_tape ok");
+}
+
 fn forward_inference_allocates_no_gradient_tape() {
     let cfg = FnoConfig {
         kind: FnoKind::TwoDChannels,

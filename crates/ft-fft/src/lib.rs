@@ -6,14 +6,16 @@
 //! external FFT crate is sanctioned for this build, so this crate implements:
 //!
 //! * an iterative **radix-2** Cooley-Tukey transform for power-of-two sizes
-//!   (the 64/128/256 spatial grids),
+//!   (the 64/128/256 spatial grids), run over a block of lines at once so
+//!   its butterflies vectorize across lines at the host's width,
 //! * a recursive **mixed-radix** transform for smooth sizes (factors 2/3/5/7,
 //!   e.g. the 10-snapshot temporal axis of the 3D FNO),
 //! * **Bluestein's** chirp-z algorithm for arbitrary (prime) sizes,
 //! * **real-input** transforms (`rfft`/`irfft`) with the half-spectrum
 //!   layout used by `torch.fft.rfftn`,
 //! * batched **N-dimensional** transforms over the trailing axes of a
-//!   [`ft_tensor::Tensor`]/[`ft_tensor::CTensor`], rayon-parallel over lines.
+//!   [`ft_tensor::Tensor`]/[`ft_tensor::CTensor`], rayon-parallel over lines;
+//!   a strided radix-2 axis is transformed in place, with no gather.
 //!
 //! Conventions match `torch.fft` defaults: the forward transform is
 //! unnormalized, the inverse carries the `1/n` factor (`norm="backward"`).
@@ -32,7 +34,7 @@ pub mod real;
 
 pub use nd::{fft2, fftn, ifft2, ifftn, irfft2, irfftn, rfft2, rfftn};
 pub use plan::{shared_plan, Fft};
-pub use real::{irfft, rfft, shared_real_plan, RealPlan};
+pub use real::{irfft, rfft, rows_per_task, shared_real_plan, RealPlan};
 
 use ft_tensor::Complex64;
 

@@ -7,12 +7,21 @@
 use ft_tensor::{CTensor, Complex64, Tensor};
 use rayon::prelude::*;
 
-use crate::plan::shared_plan;
-use crate::real::{rfft_len, shared_real_plan};
+use crate::plan::{shared_plan, Fft};
+use crate::radix2::LINES;
+use crate::real::{rfft_len, rows_per_task, shared_real_plan};
 use crate::Direction;
 
 /// In-place 1D transform along `axis` of a complex tensor, batched over all
-/// other axes. Parallelizes over the contiguous outer blocks.
+/// other axes.
+///
+/// A power-of-two length runs the line-blocked radix-2 kernel
+/// ([`crate::radix2`]). A strided axis transforms each `[n][inner]` chunk
+/// in place as one block of `inner` lines: no gather, no scatter, no line
+/// buffer; the chunks run in parallel. A contiguous last axis gathers
+/// [`LINES`] rows at a time, transposed, into one scratch per parallel
+/// batch. Other lengths (mixed-radix, Bluestein) transform a contiguous
+/// row in place and gather a strided line into a scratch line.
 pub fn fft_axis(ct: &mut CTensor, axis: usize, dir: Direction) {
     let dims = ct.dims().to_vec();
     assert!(axis < dims.len(), "axis {axis} out of range for rank {}", dims.len());
@@ -25,13 +34,31 @@ pub fn fft_axis(ct: &mut CTensor, axis: usize, dir: Direction) {
     let inner: usize = dims[axis + 1..].iter().product();
 
     // One cache lookup covers the whole batch; workers share the handle
-    // instead of paying a plan-cache probe per line. The strided path
-    // gathers each line into one buffer per parallel batch.
+    // instead of paying a plan-cache probe per line.
     let plan = shared_plan(n);
-    ct.data_mut().par_chunks_mut(block).for_each_init(Vec::new, |scratch, chunk| {
-        if inner == 1 {
-            plan.process(chunk, dir);
-        } else {
+    let data = ct.data_mut();
+    match &*plan {
+        Fft::Radix2(r) if inner > 1 => {
+            data.par_chunks_mut(block).for_each(|chunk| r.process_lines(chunk, inner, dir));
+        }
+        Fft::Radix2(r) => {
+            data.par_chunks_mut(LINES * n).for_each_init(Vec::new, |scratch, rows| {
+                let lines = rows.len() / n;
+                scratch.clear();
+                scratch.reserve(n * lines);
+                for t in 0..n {
+                    scratch.extend(rows.iter().skip(t).step_by(n));
+                }
+                r.process_lines(scratch, lines, dir);
+                for (t, block_row) in scratch.chunks_exact(lines).enumerate() {
+                    for (l, &z) in block_row.iter().enumerate() {
+                        rows[l * n + t] = z;
+                    }
+                }
+            });
+        }
+        _ if inner == 1 => data.par_chunks_mut(n).for_each(|row| plan.process(row, dir)),
+        _ => data.par_chunks_mut(block).for_each_init(Vec::new, |scratch, chunk| {
             scratch.resize(n, Complex64::ZERO);
             for i in 0..inner {
                 for t in 0..n {
@@ -42,8 +69,8 @@ pub fn fft_axis(ct: &mut CTensor, axis: usize, dir: Direction) {
                     chunk[i + t * inner] = scratch[t];
                 }
             }
-        }
-    });
+        }),
+    }
 }
 
 /// Full complex transform over the last `ndim` axes (batched over the rest).
@@ -88,12 +115,11 @@ pub fn rfftn(x: &Tensor, ndim: usize) -> CTensor {
 
     // Resolve the real plan once for the whole batch of rows.
     let rp = shared_real_plan(w);
+    let task = rows_per_task(rows);
     out_data
-        .par_chunks_mut(wh)
-        .zip(x.data().par_chunks(w))
-        .for_each_init(Vec::new, |scratch, (dst, src)| {
-            rp.rfft_into(src, dst, scratch);
-        });
+        .par_chunks_mut(task * wh)
+        .zip(x.data().par_chunks(task * w))
+        .for_each_init(Vec::new, |scratch, (dst, src)| rp.rfft_rows(src, dst, wh, scratch));
 
     let mut out = CTensor::from_vec(&out_dims, out_data);
     for a in (rank - ndim)..(rank - 1) {
@@ -125,12 +151,11 @@ pub fn irfftn(c: &CTensor, last_dim: usize, ndim: usize) -> Tensor {
     let mut out_data = vec![0.0f64; rows * last_dim];
     // Resolve the real plan once for the whole batch of rows.
     let rp = shared_real_plan(last_dim);
+    let task = rows_per_task(rows);
     out_data
-        .par_chunks_mut(last_dim)
-        .zip(work.data().par_chunks(wh))
-        .for_each_init(Vec::new, |scratch, (dst, src)| {
-            rp.irfft_into(src, dst, scratch);
-        });
+        .par_chunks_mut(task * last_dim)
+        .zip(work.data().par_chunks(task * wh))
+        .for_each_init(Vec::new, |scratch, (dst, src)| rp.irfft_rows(src, wh, dst, scratch));
     Tensor::from_vec(&out_dims, out_data)
 }
 

@@ -13,7 +13,7 @@ use ft_tensor::Complex64;
 
 use crate::bluestein::Bluestein;
 use crate::mixed::{smooth_factors, MixedRadix};
-use crate::radix2::Radix2;
+use crate::radix2::{Radix2, LINES};
 use crate::Direction;
 
 /// A planned 1D transform of a fixed size.
@@ -59,6 +59,28 @@ impl Fft {
             Fft::Radix2(p) => p.process(data, dir),
             Fft::Mixed(p) => p.process(data, dir),
             Fft::Bluestein(p) => p.process(data, dir),
+        }
+    }
+
+    /// Most lines one [`Fft::process_lines`] call takes: [`LINES`] for a
+    /// radix-2 plan, whose kernel runs over a block of lines, else 1.
+    pub fn block_lines(&self) -> usize {
+        match self {
+            Fft::Radix2(_) => LINES,
+            _ => 1,
+        }
+    }
+
+    /// In-place transform of the `lines` signals of a `[n][lines]` block
+    /// (line index fastest, see [`crate::radix2`]). Only a radix-2 plan
+    /// takes more than one line.
+    pub fn process_lines(&self, data: &mut [Complex64], lines: usize, dir: Direction) {
+        match self {
+            Fft::Radix2(p) => p.process_lines(data, lines, dir),
+            _ => {
+                assert_eq!(lines, 1, "only a radix-2 plan transforms a block of lines");
+                self.process(data, dir)
+            }
         }
     }
 }

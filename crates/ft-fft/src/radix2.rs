@@ -1,21 +1,41 @@
-//! Iterative radix-2 Cooley-Tukey transform for power-of-two sizes.
+//! Iterative radix-2 Cooley-Tukey transform for power-of-two sizes, run
+//! over a block of lines at once.
+//!
+//! The kernel transforms `lines` signals stored as one `[n][lines]` block,
+//! the line index fastest: sample `t` of line `l` is `data[t * lines + l]`.
+//! A strided tensor axis is already in that layout (`crate::nd::fft_axis`
+//! transforms each `[n][inner]` chunk in place); contiguous rows are
+//! gathered into it [`LINES`] at a time. The bit-reversal swaps whole rows
+//! of `lines` values, and each butterfly applies one twiddle to `lines`
+//! adjacent values with unit stride, so the innermost loop vectorizes
+//! across lines. [`Radix2::process`] is the one-line case of the same
+//! kernel.
+//!
+//! Every line gets exactly the operations a lone line gets, in the same
+//! order, whatever `lines` is and whichever [`Isa`] level runs: the block
+//! only changes which independent values sit side by side.
 
-use ft_tensor::Complex64;
+use ft_tensor::{Complex64, Isa};
 
 use crate::Direction;
 
+/// Lines a contiguous axis (or a batch of real rows) gathers into one
+/// `[n][LINES]` block. A block row is then 8 complex values (128 bytes,
+/// two AVX-512 registers): one whole iteration of the butterfly loop at
+/// the widest `Isa` level.
+pub const LINES: usize = 8;
+
 /// Precomputed state for a radix-2 transform of size `n = 2^k`.
-///
-/// Holds the bit-reversal permutation and the forward twiddle table
-/// (`e^{-2πi j/n}` for `j < n/2`); the inverse reuses the table conjugated.
 pub struct Radix2 {
     n: usize,
-    bitrev: Vec<u32>,
-    /// Forward twiddles ordered per stage: for stage length `len`, the
-    /// sub-table holds `e^{-2πi j/len}` for `j < len/2`.
-    twiddles: Vec<Complex64>,
-    /// Offset of each stage's sub-table inside `twiddles`.
-    stage_offsets: Vec<usize>,
+    /// Index pairs `(i, bitrev(i))` with `i < bitrev(i)`: the rows the
+    /// bit-reversal permutation swaps.
+    swaps: Vec<(usize, usize)>,
+    /// Forward twiddles, stage after stage: the stage of length `len` owns
+    /// `e^{-2πi j/len}` for `j < len/2`, at offset `len/2 − 1`.
+    forward: Vec<Complex64>,
+    /// The same table conjugated, for the inverse.
+    inverse: Vec<Complex64>,
 }
 
 impl Radix2 {
@@ -23,28 +43,28 @@ impl Radix2 {
     pub fn new(n: usize) -> Self {
         assert!(n.is_power_of_two(), "Radix2 requires a power-of-two size, got {n}");
         let bits = n.trailing_zeros();
-        let mut bitrev = vec![0u32; n];
-        for (i, r) in bitrev.iter_mut().enumerate() {
-            *r = (i as u32).reverse_bits() >> (32 - bits.max(1));
-        }
-        if n == 1 {
-            bitrev[0] = 0;
-        }
+        let swaps = (0..n)
+            .filter_map(|i| {
+                let j = if n == 1 { 0 } else { i.reverse_bits() >> (usize::BITS - bits) };
+                (i < j).then_some((i, j))
+            })
+            .collect();
 
-        let mut twiddles = Vec::new();
-        let mut stage_offsets = Vec::new();
+        // Each twiddle is exactly `cis(-2πj/len)`, j = 0 and the −i point
+        // included: `cis(-π/2).re` is 6.1e-17, not 0, so a special case
+        // for either would move bits.
+        let mut forward = Vec::with_capacity(n.saturating_sub(1));
         let mut len = 2usize;
         while len <= n {
-            stage_offsets.push(twiddles.len());
-            let half = len / 2;
-            for j in 0..half {
+            for j in 0..len / 2 {
                 let theta = -2.0 * std::f64::consts::PI * j as f64 / len as f64;
-                twiddles.push(Complex64::cis(theta));
+                forward.push(Complex64::cis(theta));
             }
             len *= 2;
         }
+        let inverse = forward.iter().map(|w| w.conj()).collect();
 
-        Radix2 { n, bitrev, twiddles, stage_offsets }
+        Radix2 { n, swaps, forward, inverse }
     }
 
     /// Transform size.
@@ -61,45 +81,85 @@ impl Radix2 {
 
     /// In-place transform of `data` (length must equal the planned size).
     pub fn process(&self, data: &mut [Complex64], dir: Direction) {
-        assert_eq!(data.len(), self.n, "buffer length must match plan size");
-        let n = self.n;
-        if n <= 1 {
+        self.process_lines(data, 1, dir);
+    }
+
+    /// In-place transform of the `lines` signals of a `[n][lines]` block
+    /// (see the module doc); `data.len()` must be `n · lines`.
+    pub fn process_lines(&self, data: &mut [Complex64], lines: usize, dir: Direction) {
+        self.process_lines_with(Isa::host(), data, lines, dir);
+    }
+
+    /// [`Radix2::process_lines`] compiled for `isa`.
+    fn process_lines_with(&self, isa: Isa, data: &mut [Complex64], lines: usize, dir: Direction) {
+        assert_eq!(data.len(), self.n * lines, "buffer length must be the plan size times lines");
+        if self.n <= 1 || lines == 0 {
             return;
         }
+        let (table, scale) = match dir {
+            Direction::Forward => (&self.forward[..], None),
+            Direction::Inverse => (&self.inverse[..], Some(1.0 / self.n as f64)),
+        };
+        isa.run(
+            #[inline(always)]
+            || butterflies(data, lines, &self.swaps, table, scale),
+        );
+    }
+}
 
-        // Bit-reversal permutation.
-        for i in 0..n {
-            let j = self.bitrev[i] as usize;
-            if i < j {
-                data.swap(i, j);
-            }
-        }
+/// One radix-2 butterfly: `(a, b) ← (a + w·b, a − w·b)`.
+#[inline(always)]
+fn butterfly(a: &mut Complex64, b: &mut Complex64, w: Complex64) {
+    let x = *a;
+    let y = *b * w;
+    *a = x + y;
+    *b = x - y;
+}
 
-        // Butterfly stages.
-        let forward = dir == Direction::Forward;
-        let mut stage = 0usize;
-        let mut len = 2usize;
-        while len <= n {
-            let half = len / 2;
-            let tw = &self.twiddles[self.stage_offsets[stage]..self.stage_offsets[stage] + half];
-            for start in (0..n).step_by(len) {
-                for j in 0..half {
-                    let w = if forward { tw[j] } else { tw[j].conj() };
-                    let a = data[start + j];
-                    let b = data[start + j + half] * w;
-                    data[start + j] = a + b;
-                    data[start + j + half] = a - b;
+/// The whole transform of a `[n][lines]` block: bit-reversal by rows, the
+/// butterfly stages with `table`'s twiddles, then the inverse's `1/n`.
+#[inline(always)]
+fn butterflies(
+    data: &mut [Complex64],
+    lines: usize,
+    swaps: &[(usize, usize)],
+    table: &[Complex64],
+    scale: Option<f64>,
+) {
+    let n = data.len() / lines;
+    for &(i, j) in swaps {
+        let (head, tail) = data.split_at_mut(j * lines);
+        head[i * lines..][..lines].swap_with_slice(&mut tail[..lines]);
+    }
+
+    let mut len = 2usize;
+    while len <= n {
+        let half = len / 2;
+        let tw = &table[half - 1..len - 1];
+        for group in data.chunks_exact_mut(len * lines) {
+            let (lo, hi) = group.split_at_mut(half * lines);
+            if lines == 1 {
+                // A lone line: the same butterflies, looped along the line
+                // rather than across a block of one.
+                for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
+                    butterfly(a, b, w);
+                }
+            } else {
+                for ((a_row, b_row), &w) in
+                    lo.chunks_exact_mut(lines).zip(hi.chunks_exact_mut(lines)).zip(tw)
+                {
+                    for (a, b) in a_row.iter_mut().zip(b_row.iter_mut()) {
+                        butterfly(a, b, w);
+                    }
                 }
             }
-            stage += 1;
-            len *= 2;
         }
+        len *= 2;
+    }
 
-        if dir == Direction::Inverse {
-            let inv = 1.0 / n as f64;
-            for z in data.iter_mut() {
-                *z *= inv;
-            }
+    if let Some(inv) = scale {
+        for z in data.iter_mut() {
+            *z *= inv;
         }
     }
 }
@@ -178,6 +238,44 @@ mod tests {
         for i in 0..n {
             let expect = fa[i] * 2.0 + fb[i];
             assert!((fab[i] - expect).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn every_isa_blocked_transform_equals_per_line_process_bit_for_bit() {
+        for bits in 0..=10 {
+            let n = 1usize << bits;
+            let plan = Radix2::new(n);
+            for lines in [1usize, 2, 3, 7, 8, 9, 17, 64] {
+                let signals: Vec<Vec<Complex64>> =
+                    (0..lines).map(|l| rand_signal(n, (1000 * n + l) as u64)).collect();
+                for dir in [Direction::Forward, Direction::Inverse] {
+                    let want: Vec<Vec<Complex64>> = signals
+                        .iter()
+                        .map(|s| {
+                            let mut s = s.clone();
+                            plan.process(&mut s, dir);
+                            s
+                        })
+                        .collect();
+                    for isa in Isa::supported() {
+                        let mut block: Vec<Complex64> =
+                            (0..n * lines).map(|i| signals[i % lines][i / lines]).collect();
+                        plan.process_lines_with(isa, &mut block, lines, dir);
+                        for (i, got) in block.iter().enumerate() {
+                            let want = want[i % lines][i / lines];
+                            assert!(
+                                got.re.to_bits() == want.re.to_bits()
+                                    && got.im.to_bits() == want.im.to_bits(),
+                                "{isa:?} n={n} lines={lines} {dir:?} line {} sample {}: \
+                                 {got:?} != {want:?}",
+                                i % lines,
+                                i / lines
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

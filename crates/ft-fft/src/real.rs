@@ -4,6 +4,14 @@
 //! `irfft` inverts it given the original length. Even sizes use the classic
 //! pack-into-half-size-complex trick (one complex FFT of size `n/2`); odd
 //! sizes fall back to a full complex transform.
+//!
+//! [`RealPlan::rfft_rows`] and [`RealPlan::irfft_rows`] transform a batch
+//! of rows. When the even path's half-size plan is radix-2, they take
+//! [`LINES`](crate::radix2::LINES) rows at a time: the pack writes, and the unpack reads, the
+//! transposed `[n/2][lines]` block the line-blocked kernel runs on, so a
+//! row is never gathered into a line of its own. Each row gets exactly the
+//! operations a lone row gets; the one-row calls
+//! ([`RealPlan::rfft_into`], [`RealPlan::irfft_into`]) are the same code.
 
 use std::sync::Arc;
 
@@ -16,6 +24,14 @@ use crate::Direction;
 #[inline]
 pub fn rfft_len(n: usize) -> usize {
     n / 2 + 1
+}
+
+/// Rows per parallel task when a batch of `rows` rows is split over the
+/// pool: enough tasks (`rayon::MIN_PARALLEL_ITEMS`) for the pool to share
+/// them out, each task a run of adjacent rows the batched row transforms
+/// take [`LINES`](crate::radix2::LINES) at a time.
+pub fn rows_per_task(rows: usize) -> usize {
+    (rows / rayon::MIN_PARALLEL_ITEMS).max(1)
 }
 
 /// Process-wide [`RealPlan`] cache behind [`shared_real_plan`]. Sizes recur
@@ -73,22 +89,9 @@ impl RealPlan {
     /// [`rfft`] of one row, writing into a buffer of length `n/2 + 1`;
     /// `scratch` is working space, reused across rows.
     pub fn rfft_into(&self, input: &[f64], out: &mut [Complex64], scratch: &mut Vec<Complex64>) {
-        let n = self.n;
-        assert_eq!(input.len(), n, "rfft input length");
-        assert_eq!(out.len(), rfft_len(n), "rfft output buffer length");
-        if n == 1 {
-            out[0] = Complex64::from_re(input[0]);
-            return;
-        }
-        if n % 2 == 0 {
-            self.rfft_even(input, out, cleared(scratch, n / 2));
-        } else {
-            // Odd length: embed into a complex transform and keep half.
-            let buf = cleared(scratch, n);
-            buf.extend(input.iter().map(|&x| Complex64::from_re(x)));
-            self.plan.process(buf, Direction::Forward);
-            out.copy_from_slice(&buf[..rfft_len(n)]);
-        }
+        assert_eq!(input.len(), self.n, "rfft input length");
+        assert_eq!(out.len(), rfft_len(self.n), "rfft output buffer length");
+        self.rfft_rows(input, out, rfft_len(self.n), scratch);
     }
 
     /// [`irfft`] of one row, writing the `n` reals into `out`; `scratch` is
@@ -108,72 +111,176 @@ impl RealPlan {
             rfft_len(n)
         );
         assert_eq!(out.len(), n, "irfft output buffer length");
-        if n == 1 {
-            out[0] = spectrum[0].re;
+        self.irfft_rows(spectrum, rfft_len(n), out, scratch);
+    }
+
+    /// [`rfft`] of every length-`n` row of `input`, keeping the first
+    /// `cols ≤ n/2 + 1` bins of each: row `r`'s bins go to
+    /// `out[r·cols..(r+1)·cols]`. `scratch` is working space.
+    pub fn rfft_rows(
+        &self,
+        input: &[f64],
+        out: &mut [Complex64],
+        cols: usize,
+        scratch: &mut Vec<Complex64>,
+    ) {
+        let n = self.n;
+        let rows = self.row_count(input.len(), out.len(), cols);
+        if rows == 0 {
             return;
         }
-        if n % 2 == 0 {
-            self.irfft_even(spectrum, out, cleared(scratch, n / 2));
+        let lines = self.plan.block_lines();
+        let batches = input.chunks(lines * n).zip(out.chunks_mut(lines * cols));
+        if n == 1 {
+            for (&x, o) in input.iter().zip(out.chunks_exact_mut(cols)) {
+                o[0] = Complex64::from_re(x);
+            }
+        } else if n % 2 == 0 {
+            for (src, dst) in batches {
+                self.rfft_even(src, dst, cols, cleared(scratch, src.len() / 2));
+            }
+        } else {
+            // Odd length: embed into a complex transform and keep half.
+            for (src, dst) in batches {
+                let buf = cleared(scratch, n);
+                buf.extend(src.iter().map(|&x| Complex64::from_re(x)));
+                self.plan.process(buf, Direction::Forward);
+                dst.copy_from_slice(&buf[..cols]);
+            }
+        }
+    }
+
+    /// [`irfft`] of every row of `spectrum`, each holding the first
+    /// `cols ≤ n/2 + 1` bins of a half spectrum whose later bins are zero:
+    /// row `r`'s `n` reals go to `out[r·n..(r+1)·n]`. `scratch` is working
+    /// space.
+    pub fn irfft_rows(
+        &self,
+        spectrum: &[Complex64],
+        cols: usize,
+        out: &mut [f64],
+        scratch: &mut Vec<Complex64>,
+    ) {
+        let n = self.n;
+        let rows = self.row_count(out.len(), spectrum.len(), cols);
+        if rows == 0 {
+            return;
+        }
+        let lines = self.plan.block_lines();
+        let batches = spectrum.chunks(lines * cols).zip(out.chunks_mut(lines * n));
+        if n == 1 {
+            for (o, s) in out.iter_mut().zip(spectrum) {
+                *o = s.re;
+            }
+        } else if n % 2 == 0 {
+            for (src, dst) in batches {
+                self.irfft_even(src, cols, dst, cleared(scratch, dst.len() / 2));
+            }
         } else {
             // Reconstruct the full Hermitian spectrum, then complex inverse.
-            let full = cleared(scratch, n);
-            full.resize(n, Complex64::ZERO);
-            full[0] = Complex64::from_re(spectrum[0].re);
-            for k in 1..spectrum.len() {
-                full[k] = spectrum[k];
-                full[n - k] = spectrum[k].conj();
-            }
-            self.plan.process(full, Direction::Inverse);
-            for (o, z) in out.iter_mut().zip(full.iter()) {
-                *o = z.re;
+            for (src, dst) in batches {
+                let full = cleared(scratch, n);
+                full.resize(n, Complex64::ZERO);
+                full[0] = Complex64::from_re(bin(src, cols, 0, 0).re);
+                for k in 1..rfft_len(n) {
+                    full[k] = bin(src, cols, 0, k);
+                    full[n - k] = bin(src, cols, 0, k).conj();
+                }
+                self.plan.process(full, Direction::Inverse);
+                for (o, z) in dst.iter_mut().zip(full.iter()) {
+                    *o = z.re;
+                }
             }
         }
     }
 
-    fn rfft_even(&self, input: &[f64], out: &mut [Complex64], z: &mut Vec<Complex64>) {
+    /// Row count of a batched call with `real` reals and `spectral` bins in
+    /// rows of `cols`, checking that the two agree.
+    fn row_count(&self, real: usize, spectral: usize, cols: usize) -> usize {
+        let n = self.n;
+        assert!(cols <= rfft_len(n), "{cols} columns exceed rfft_len({n}) = {}", rfft_len(n));
+        assert_eq!(real % n, 0, "real buffer of {real} is not whole rows of {n}");
+        let rows = real / n;
+        assert_eq!(spectral, rows * cols, "spectral buffer does not hold {rows} rows of {cols}");
+        assert!(cols > 0 || rows == 0, "rows need at least one column");
+        rows
+    }
+
+    /// Even-length forward of `src.len() / n` rows through the transposed
+    /// `[n/2][lines]` block `z`.
+    fn rfft_even(&self, src: &[f64], dst: &mut [Complex64], cols: usize, z: &mut Vec<Complex64>) {
         let n = self.n;
         let h = n / 2;
+        let lines = src.len() / n;
         let tw = &self.twiddles;
         // Pack even samples into the real part, odd into the imaginary part.
-        z.extend((0..h).map(|j| Complex64::new(input[2 * j], input[2 * j + 1])));
-        self.plan.process(z, Direction::Forward);
-
-        for (k, (o, &w)) in out[..h].iter_mut().zip(tw.iter()).enumerate() {
-            let zk = z[k];
-            let zc = z[(h - k) % h].conj();
-            let e = (zk + zc) * 0.5;
-            let od = (zk - zc).mul_neg_i() * 0.5;
-            *o = e + w * od;
+        for j in 0..h {
+            z.extend(src.chunks_exact(n).map(|x| Complex64::new(x[2 * j], x[2 * j + 1])));
         }
-        // Nyquist bin: X[n/2] = E[0] − O[0].
-        let z0 = z[0];
-        out[h] = Complex64::from_re(z0.re - z0.im);
+        self.plan.process_lines(z, lines, Direction::Forward);
+
+        for (l, o) in dst.chunks_exact_mut(cols).enumerate() {
+            for (k, (o, &w)) in o.iter_mut().zip(tw.iter()).enumerate() {
+                let zk = z[k * lines + l];
+                let zc = z[(h - k) % h * lines + l].conj();
+                let e = (zk + zc) * 0.5;
+                let od = (zk - zc).mul_neg_i() * 0.5;
+                *o = e + w * od;
+            }
+            // Nyquist bin: X[n/2] = E[0] − O[0].
+            if cols > h {
+                let z0 = z[l];
+                o[h] = Complex64::from_re(z0.re - z0.im);
+            }
+        }
     }
 
-    fn irfft_even(&self, spectrum: &[Complex64], out: &mut [f64], z: &mut Vec<Complex64>) {
+    /// Even-length inverse of `dst.len() / n` rows through the transposed
+    /// `[n/2][lines]` block `z`.
+    fn irfft_even(&self, src: &[Complex64], cols: usize, dst: &mut [f64], z: &mut Vec<Complex64>) {
         let n = self.n;
         let h = n / 2;
+        let lines = dst.len() / n;
         let tw = &self.twiddles;
         // Recover the packed half-size spectrum Z[k] = E[k] + i·W^{-k}·O-part.
         for (k, &w) in tw.iter().enumerate() {
-            // Force the Hermitian-redundant components to their consistent
-            // values so stray imaginary parts in bins 0 and n/2 cannot leak.
-            let xk = if k == 0 { Complex64::from_re(spectrum[0].re) } else { spectrum[k] };
-            let xc = if k == 0 {
-                Complex64::from_re(spectrum[h].re)
-            } else {
-                spectrum[h - k].conj()
-            };
-            let e = (xk + xc) * 0.5;
-            let o = (xk - xc) * 0.5 * w.conj();
-            z.push(e + o.mul_i());
+            for l in 0..lines {
+                // Force the Hermitian-redundant components to their
+                // consistent values so stray imaginary parts in bins 0 and
+                // n/2 cannot leak.
+                let xk = if k == 0 {
+                    Complex64::from_re(bin(src, cols, l, 0).re)
+                } else {
+                    bin(src, cols, l, k)
+                };
+                let xc = if k == 0 {
+                    Complex64::from_re(bin(src, cols, l, h).re)
+                } else {
+                    bin(src, cols, l, h - k).conj()
+                };
+                let e = (xk + xc) * 0.5;
+                let o = (xk - xc) * 0.5 * w.conj();
+                z.push(e + o.mul_i());
+            }
         }
-        self.plan.process(z, Direction::Inverse);
+        self.plan.process_lines(z, lines, Direction::Inverse);
 
-        for (j, zj) in z.iter().enumerate() {
-            out[2 * j] = zj.re;
-            out[2 * j + 1] = zj.im;
+        for (j, block_row) in z.chunks_exact(lines).enumerate() {
+            for (l, zj) in block_row.iter().enumerate() {
+                dst[l * n + 2 * j] = zj.re;
+                dst[l * n + 2 * j + 1] = zj.im;
+            }
         }
+    }
+}
+
+/// Bin `k` of row `row` in a batch of `cols`-bin rows: zero past `cols`.
+#[inline(always)]
+fn bin(rows: &[Complex64], cols: usize, row: usize, k: usize) -> Complex64 {
+    if k < cols {
+        rows[row * cols + k]
+    } else {
+        Complex64::ZERO
     }
 }
 
@@ -296,6 +403,53 @@ mod tests {
         }
         freq /= n as f64;
         assert!((time - freq).abs() < 1e-9 * time);
+    }
+
+    fn assert_same_bits(got: &[Complex64], want: &[Complex64], what: &str) {
+        for (k, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits(),
+                "{what}, bin {k}: {g:?} != {w:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn batched_rows_equal_single_rows_bit_for_bit() {
+        // Even lengths with a radix-2 half plan (2, 16, 64) and a mixed-radix
+        // one (12, 20), odd lengths (1, 7, 15), and row counts on both sides
+        // of the 8-row block; all bins kept, and a cropped few.
+        let mut scratch = Vec::new();
+        for n in [1usize, 2, 7, 12, 15, 16, 20, 64] {
+            let rp = RealPlan::new(n);
+            let full = rfft_len(n);
+            for rows in [1usize, 3, 8, 9, 13, 17] {
+                let input: Vec<f64> =
+                    (0..rows * n).map(|i| (i as f64 * 0.61).sin() + (i % 5) as f64 * 0.3).collect();
+                for cols in [1, full.div_ceil(2), full] {
+                    let what = format!("n={n} rows={rows} cols={cols}");
+                    let mut spec = vec![Complex64::ZERO; rows * cols];
+                    rp.rfft_rows(&input, &mut spec, cols, &mut scratch);
+                    let mut back = vec![0.0; rows * n];
+                    rp.irfft_rows(&spec, cols, &mut back, &mut scratch);
+                    for r in 0..rows {
+                        let mut one = vec![Complex64::ZERO; full];
+                        rp.rfft_into(&input[r * n..][..n], &mut one, &mut Vec::new());
+                        assert_same_bits(&spec[r * cols..][..cols], &one[..cols], &what);
+
+                        // The single-row inverse reads the cropped row
+                        // zero-padded to the full half spectrum.
+                        let mut padded = vec![Complex64::ZERO; full];
+                        padded[..cols].copy_from_slice(&spec[r * cols..][..cols]);
+                        let mut line = vec![0.0; n];
+                        rp.irfft_into(&padded, &mut line, &mut Vec::new());
+                        for (t, (g, w)) in back[r * n..][..n].iter().zip(&line).enumerate() {
+                            assert_eq!(g.to_bits(), w.to_bits(), "{what}, row {r}, sample {t}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

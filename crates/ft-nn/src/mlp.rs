@@ -484,6 +484,7 @@ mod tests {
     use crate::assert_same_bits;
     use crate::gradcheck::{check_input_gradient, check_param_gradients};
     use crate::serialize::{snapshot_grads, ParamValue};
+    use ft_tensor::bit_hash;
     use rand::distributions::Uniform;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -675,16 +676,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// FNV-1a over the bit patterns of `values`.
-    fn bit_hash(values: &[f64]) -> u64 {
-        values
-            .iter()
-            .flat_map(|v| v.to_bits().to_le_bytes())
-            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-            })
     }
 
     #[test]

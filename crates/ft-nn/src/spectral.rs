@@ -58,7 +58,7 @@
 //! FFT of the full last axis.
 
 use ft_fft::nd::fft_axis;
-use ft_fft::{shared_real_plan, Direction};
+use ft_fft::{rows_per_task, shared_real_plan, Direction};
 use ft_tensor::{CTensor, Complex64, Tensor};
 use rand::distributions::Uniform;
 use rand::Rng;
@@ -280,17 +280,11 @@ impl Truncation {
         *dims.last_mut().expect("rank ≥ 3") = kc;
         let mut out = CTensor::zeros(&dims);
         let rp = shared_real_plan(w);
-        let (block, mut lines) = row_tasks(x.len() / w, w);
+        let task = rows_per_task(x.len() / w);
         out.data_mut()
-            .par_chunks_mut(block * kc)
-            .zip(x.data().par_chunks(block * w))
-            .zip(lines.chunks_exact_mut(w / 2 + 1))
-            .for_each_init(Vec::new, |scratch, ((dst, src), line)| {
-                for (d, s) in dst.chunks_exact_mut(kc).zip(src.chunks_exact(w)) {
-                    rp.rfft_into(s, line, scratch);
-                    d.copy_from_slice(&line[..kc]);
-                }
-            });
+            .par_chunks_mut(task * kc)
+            .zip(x.data().par_chunks(task * w))
+            .for_each_init(Vec::new, |scratch, (dst, src)| rp.rfft_rows(src, dst, kc, scratch));
         out
     }
 
@@ -301,17 +295,11 @@ impl Truncation {
         *dims.last_mut().expect("rank ≥ 3") = w;
         let mut out = Tensor::zeros(&dims);
         let rp = shared_real_plan(w);
-        let (block, mut lines) = row_tasks(t.len() / kc, w);
+        let task = rows_per_task(t.len() / kc);
         out.data_mut()
-            .par_chunks_mut(block * w)
-            .zip(t.data().par_chunks(block * kc))
-            .zip(lines.chunks_exact_mut(w / 2 + 1))
-            .for_each_init(Vec::new, |scratch, ((dst, src), line)| {
-                for (d, s) in dst.chunks_exact_mut(w).zip(src.chunks_exact(kc)) {
-                    line[..kc].copy_from_slice(s);
-                    rp.irfft_into(line, d, scratch);
-                }
-            });
+            .par_chunks_mut(task * w)
+            .zip(t.data().par_chunks(task * kc))
+            .for_each_init(Vec::new, |scratch, (dst, src)| rp.irfft_rows(src, kc, dst, scratch));
         out
     }
 
@@ -365,15 +353,6 @@ impl Truncation {
         }
         self.irfft(g_hat)
     }
-}
-
-/// Splits a row transform over `rows` rows of length `w` into parallel
-/// tasks: returns the rows per task, enough tasks
-/// (`rayon::MIN_PARALLEL_ITEMS`) for the pool to share them out, and one
-/// zeroed half-spectrum line per task, in a single allocation.
-fn row_tasks(rows: usize, w: usize) -> (usize, Vec<Complex64>) {
-    let block = (rows / rayon::MIN_PARALLEL_ITEMS).max(1);
-    (block, vec![Complex64::ZERO; rows.div_ceil(block) * (w / 2 + 1)])
 }
 
 /// In-place FFT along `axis`, skipping a tensor that holds no lines (a grid

@@ -1,7 +1,8 @@
 //! Spectral grid bookkeeping: wavenumbers, dealias masks, Poisson inverse.
 
+use ft_fft::nd::fft_axis;
+use ft_fft::{ifft2, Direction};
 use ft_tensor::{CTensor, Complex64, Tensor};
-use ft_fft::{fft2, ifft2};
 
 /// Wavenumber tables and spectral operators for an `n × n` periodic box of
 /// physical side length `l`.
@@ -73,10 +74,15 @@ impl SpectralGrid {
         &self.dealias
     }
 
-    /// Forward transform of a real field into the full complex spectrum.
+    /// Forward transform of a real field into the full complex spectrum:
+    /// `fft2` of the field, transformed in place in its complex copy.
     pub fn to_spectral(&self, field: &Tensor) -> CTensor {
         assert_eq!(field.dims(), &[self.n, self.n], "field shape");
-        fft2(&CTensor::from_real(field))
+        let mut spec = CTensor::from_real(field);
+        for axis in 0..2 {
+            fft_axis(&mut spec, axis, Direction::Forward);
+        }
+        spec
     }
 
     /// Inverse transform back to a real field (imaginary residue dropped).
@@ -112,16 +118,15 @@ impl SpectralGrid {
     /// `û = i k_y ψ̂`, `v̂ = −i k_x ψ̂` with `ψ̂ = ω̂/k²`.
     pub fn velocity_spectra(&self, omega_hat: &CTensor) -> (CTensor, CTensor) {
         let n = self.n;
-        let psi = self.poisson_streamfunction(omega_hat);
-        let mut u = CTensor::zeros(&[n, n]);
+        // `u` starts as ψ̂ and is overwritten mode by mode.
+        let mut u = self.poisson_streamfunction(omega_hat);
         let mut v = CTensor::zeros(&[n, n]);
-        for iy in 0..n {
-            let ky = self.k[iy];
-            for ix in 0..n {
-                let kx = self.k[ix];
-                let p = psi.at(&[iy, ix]);
-                u[&[iy, ix][..]] = p.mul_i() * ky;
-                v[&[iy, ix][..]] = p.mul_neg_i() * kx;
+        let rows = u.data_mut().chunks_exact_mut(n).zip(v.data_mut().chunks_exact_mut(n));
+        for ((u_row, v_row), &ky) in rows.zip(&self.k) {
+            for ((u, v), &kx) in u_row.iter_mut().zip(v_row).zip(&self.k) {
+                let p = *u;
+                *u = p.mul_i() * ky;
+                *v = p.mul_neg_i() * kx;
             }
         }
         (u, v)
@@ -131,14 +136,12 @@ impl SpectralGrid {
     pub fn vorticity_spectrum(&self, ux: &Tensor, uy: &Tensor) -> CTensor {
         let n = self.n;
         let u_hat = self.to_spectral(ux);
-        let v_hat = self.to_spectral(uy);
-        let mut w = CTensor::zeros(&[n, n]);
-        for iy in 0..n {
-            let ky = self.k[iy];
-            for ix in 0..n {
-                let kx = self.k[ix];
-                w[&[iy, ix][..]] =
-                    v_hat.at(&[iy, ix]).mul_i() * kx - u_hat.at(&[iy, ix]).mul_i() * ky;
+        // `w` starts as v̂ and is overwritten mode by mode.
+        let mut w = self.to_spectral(uy);
+        let rows = w.data_mut().chunks_exact_mut(n).zip(u_hat.data().chunks_exact(n));
+        for ((w_row, u_row), &ky) in rows.zip(&self.k) {
+            for ((w, &u), &kx) in w_row.iter_mut().zip(u_row).zip(&self.k) {
+                *w = w.mul_i() * kx - u.mul_i() * ky;
             }
         }
         w
@@ -146,14 +149,24 @@ impl SpectralGrid {
 
     /// Spectral partial derivative along x of a spectrum (multiply by `i k_x`).
     pub fn ddx_spec(&self, spec: &CTensor) -> CTensor {
-        let n = self.n;
-        CTensor::from_fn(&[n, n], |i| spec.at(i).mul_i() * self.k[i[1]])
+        let mut out = spec.clone();
+        for row in out.data_mut().chunks_exact_mut(self.n) {
+            for (z, &kx) in row.iter_mut().zip(&self.k) {
+                *z = z.mul_i() * kx;
+            }
+        }
+        out
     }
 
     /// Spectral partial derivative along y of a spectrum (multiply by `i k_y`).
     pub fn ddy_spec(&self, spec: &CTensor) -> CTensor {
-        let n = self.n;
-        CTensor::from_fn(&[n, n], |i| spec.at(i).mul_i() * self.k[i[0]])
+        let mut out = spec.clone();
+        for (row, &ky) in out.data_mut().chunks_exact_mut(self.n).zip(&self.k) {
+            for z in row {
+                *z = z.mul_i() * ky;
+            }
+        }
+        out
     }
 }
 

@@ -3,9 +3,12 @@
 //! solvers and the FFT layer stay instrumented permanently without
 //! affecting tier-1 timings.
 //!
-//! This file is its own test binary (hence its own process): the counting
-//! global allocator below sees every allocation in the process, so the
-//! test must not share a process with tests that allocate concurrently.
+//! This file is its own test binary (hence its own process), built with
+//! `harness = false`: the counting global allocator below sees every
+//! allocation in the process, so nothing else may run beside the measured
+//! window. Under libtest the test would run on a spawned thread while the
+//! harness's main thread kept allocating for its own bookkeeping; a plain
+//! `main` has no such thread, so the count is exact under any load.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,12 +61,16 @@ fn instrumented_step(i: u64) {
     ft_obs::emit_with(|| ft_obs::Record::new("step").u64("i", i));
 }
 
-#[test]
+fn main() {
+    disabled_instrumentation_allocates_nothing();
+    println!("no_alloc: disabled_instrumentation_allocates_nothing ok");
+}
+
 fn disabled_instrumentation_allocates_nothing() {
     assert!(!ft_obs::enabled(), "instrumentation must start disabled");
 
     // Warm up once (outside the measured window) so any lazy runtime
-    // state of the harness itself is paid for up front.
+    // state is paid for up front.
     instrumented_step(0);
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);

@@ -37,14 +37,12 @@ impl CTensor {
         CTensor { shape, data }
     }
 
-    /// Builds a complex tensor by evaluating `f` at every multi-index.
+    /// Builds a complex tensor by evaluating `f` at every multi-index, in
+    /// row-major order.
     pub fn from_fn(dims: &[usize], mut f: impl FnMut(&[usize]) -> Complex64) -> Self {
         let shape = Shape::new(dims);
         let mut data = Vec::with_capacity(shape.len());
-        for lin in 0..shape.len() {
-            let idx = shape.multi_index(lin);
-            data.push(f(&idx));
-        }
+        shape.for_each_index(|idx| data.push(f(idx)));
         CTensor { shape, data }
     }
 

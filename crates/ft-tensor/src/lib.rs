@@ -47,9 +47,36 @@ pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
     diff <= tol * scale
 }
 
+/// FNV-1a over the little-endian bit patterns of `values`: the workspace's
+/// one fingerprint for "same bits" pins.
+pub fn bit_hash(values: &[f64]) -> u64 {
+    fnv1a(values.iter().copied())
+}
+
+/// [`bit_hash`] of a complex buffer, taken over its `re, im` pairs in order.
+pub fn complex_bit_hash(values: &[Complex64]) -> u64 {
+    fnv1a(values.iter().flat_map(|z| [z.re, z.im]))
+}
+
+fn fnv1a(values: impl Iterator<Item = f64>) -> u64 {
+    values
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bit_hash_is_fnv1a_over_le_bytes() {
+        // FNV-1a of no bytes is the offset basis.
+        assert_eq!(bit_hash(&[]), 0xcbf2_9ce4_8422_2325);
+        // Signed zeros differ in bits, so they differ in hash.
+        assert_ne!(bit_hash(&[0.0]), bit_hash(&[-0.0]));
+        let z = [Complex64::new(1.5, -0.0), Complex64::new(-2.0, 3.25)];
+        assert_eq!(complex_bit_hash(&z), bit_hash(&[1.5, -0.0, -2.0, 3.25]));
+    }
 
     #[test]
     fn approx_eq_absolute_and_relative() {

@@ -73,6 +73,22 @@ impl Shape {
         lin
     }
 
+    /// Calls `f` with every multi-index in row-major order (the order of
+    /// [`Shape::multi_index`] over `0..len()`), reusing one index buffer.
+    pub fn for_each_index(&self, mut f: impl FnMut(&[usize])) {
+        let mut idx = vec![0usize; self.dims.len()];
+        for _ in 0..self.len() {
+            f(&idx);
+            for (i, &d) in idx.iter_mut().zip(&self.dims).rev() {
+                *i += 1;
+                if *i < d {
+                    break;
+                }
+                *i = 0;
+            }
+        }
+    }
+
     /// Inverse of [`Shape::linear_index`]: the multi-index of linear position `lin`.
     pub fn multi_index(&self, mut lin: usize) -> Vec<usize> {
         assert!(lin < self.len().max(1), "linear index {lin} out of bounds");
@@ -113,6 +129,17 @@ impl From<Vec<usize>> for Shape {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn for_each_index_walks_multi_index_order() {
+        for dims in [vec![], vec![4], vec![2, 3, 4], vec![3, 0, 2], vec![1, 5, 1]] {
+            let s = Shape::new(&dims);
+            let mut seen = Vec::new();
+            s.for_each_index(|idx| seen.push(idx.to_vec()));
+            let want: Vec<Vec<usize>> = (0..s.len()).map(|lin| s.multi_index(lin)).collect();
+            assert_eq!(seen, want, "{dims:?}");
+        }
+    }
 
     #[test]
     fn strides_row_major() {

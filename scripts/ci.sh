@@ -39,6 +39,19 @@ cargo test -q --offline -p ft-tensor -p ft-data -p ft-nn
 echo "==> ft-obs suite"
 cargo test -q --offline -p ft-obs
 
+# The counting-allocator tests are plain `main` binaries (`harness =
+# false`): each counts every allocation in its process, so only its own
+# threads may run in the measured window, and every count is exact. A
+# count that depended on another thread's timing would show here as a
+# failure in some of the runs.
+echo "==> counting-allocator tests (no_alloc, alloc_stability, infer_no_tape_alloc, step_alloc), 20 runs each"
+for _ in $(seq 1 20); do
+    cargo test -q --offline -p ft-obs --test no_alloc >/dev/null
+    cargo test -q --offline -p ft-fft --test alloc_stability >/dev/null
+    cargo test -q --offline -p fno-core --test infer_no_tape_alloc >/dev/null
+    cargo test -q --offline -p ft-ns --test step_alloc >/dev/null
+done
+
 # The in-tree stand-ins for rayon, rand and proptest are excluded from the
 # workspace, so neither `cargo test` nor `-p` reaches their suites: among
 # them the pool's panic-propagation and nested-scope tests. They build into
@@ -54,6 +67,14 @@ cargo test -q --offline -p ft-bench
 # diagnostics. One of them takes minutes unoptimized.
 echo "==> ft-fft, ft-ns and ft-analysis suites (release)"
 cargo test -q --release --offline -p ft-fft -p ft-ns -p ft-analysis
+
+# The transforms' and the spectral solver's output bits are pinned
+# (`ft-fft/tests/bits.rs`, `ft-ns/tests/bits.rs`, hashes recorded before
+# the radix-2 kernel was line-blocked). The release run is in the suites
+# above; the pins must hold unoptimized as well.
+echo "==> pinned FFT and spectral-solver bits (debug)"
+cargo test -q --offline -p ft-fft --test bits
+cargo test -q --offline -p ft-ns --test bits
 
 # The LBM solver's unit tests: the entropic α solve against its bisection
 # oracle (a proptest over near- and far-from-equilibrium cells) and the
@@ -74,14 +95,16 @@ echo "==> GELU accuracy and pinned bits, pointwise MLP (release)"
 cargo test -q --release --offline -p ft-nn --lib activation::
 cargo test -q --release --offline -p ft-nn --lib mlp::
 
-# The GELU and fused-MLP kernels run compiled for the host's vector width
-# (`ft_tensor::Isa`: AVX2, AVX-512 where the host reports them). Every level
-# the host supports must give the baseline build's bits: the `every_isa`
-# tests run each level on the same inputs, optimized, where the wide
-# instantiations are vectorized.
+# The GELU, fused-MLP and radix-2 FFT kernels run compiled for the host's
+# vector width (`ft_tensor::Isa`: AVX2, AVX-512 where the host reports
+# them). Every level the host supports must give the baseline build's bits:
+# the `every_isa` tests run each level on the same inputs, optimized, where
+# the wide instantiations are vectorized (the FFT's compares a block of
+# lines with one `process` call per line).
 echo "==> ISA dispatch: every supported level gives the same bits (release)"
 cargo test -q --release --offline -p ft-tensor --lib isa::
 cargo test -q --release --offline -p ft-nn --lib every_isa
+cargo test -q --release --offline -p ft-fft --lib every_isa
 
 # The compact-spectrum SpectralConv must match its full-spectrum oracle bit
 # for bit (outputs and weight gradients) on the optimized build as well.
@@ -91,15 +114,20 @@ cargo test -q --release --offline -p ft-nn --lib spectral::
 # Pinned to one core, `available_parallelism` (which honours the affinity
 # mask) sizes a width-1 pool: the plan-cache diagnostics, the parity
 # proptest, the fused pointwise-MLP tests, the spectral-layer parity tests,
-# the ISA parity tests and the serving engine's tests (concurrent predicts
-# included) must hold there as well as at the host's width.
-echo "==> diagnostics + parallel-parity proptest + pointwise MLP + spectral layer + ISA parity + serving engine on one core (taskset -c 0)"
+# the ISA parity tests, the pinned FFT and solver bits, the batched real
+# rows and the serving engine's tests (concurrent predicts included) must
+# hold there as well as at the host's width.
+echo "==> diagnostics + parallel-parity proptest + pointwise MLP + spectral layer + ISA parity + FFT bits + serving engine on one core (taskset -c 0)"
 if command -v taskset >/dev/null 2>&1; then
     taskset -c 0 cargo test -q --offline --test diagnostics
     taskset -c 0 cargo test -q --release --offline -p fno-core --test parallel_parity
     taskset -c 0 cargo test -q --offline -p ft-nn --lib mlp::
     taskset -c 0 cargo test -q --release --offline -p ft-nn --lib spectral::
     taskset -c 0 cargo test -q --release --offline -p ft-nn --lib every_isa
+    taskset -c 0 cargo test -q --release --offline -p ft-fft --lib every_isa
+    taskset -c 0 cargo test -q --release --offline -p ft-fft --lib real::
+    taskset -c 0 cargo test -q --release --offline -p ft-fft --test bits
+    taskset -c 0 cargo test -q --release --offline -p ft-ns --test bits
     taskset -c 0 cargo test -q --offline -p ft-serve --lib engine::
 else
     echo "taskset not found: one-core step skipped"
