@@ -9,7 +9,6 @@
 //! flow's Lyapunov exponent until it saturates at climatological variance.
 
 use ft_tensor::Tensor;
-use rayon::prelude::*;
 
 use crate::model::ForecastModel;
 use crate::rollout::rollout;
@@ -29,7 +28,10 @@ pub struct EnsembleForecast {
 ///
 /// Member `m > 0` perturbs every history frame with a deterministic smooth
 /// field of L2 amplitude `delta0` (member 0 is unperturbed), mirroring the
-/// twin-trajectory protocol of Sec. IV. Members run in parallel.
+/// twin-trajectory protocol of Sec. IV. Members run concurrently, one
+/// pool task each in a `rayon::scope`; each lands in its own slot and the
+/// aggregation runs in member order, so the forecast is the same bit for
+/// bit at any pool width.
 pub fn ensemble_rollout<M: ForecastModel + Sync>(
     model: &M,
     history: &Tensor,
@@ -40,17 +42,14 @@ pub fn ensemble_rollout<M: ForecastModel + Sync>(
     assert!(members >= 1, "need at least one member");
     assert!(delta0 >= 0.0, "perturbation amplitude must be non-negative");
     let dims = history.dims().to_vec();
-    let frames: Vec<Tensor> = (0..members)
-        .into_par_iter()
-        .map(|m| {
-            let hist = if m == 0 {
-                history.clone()
-            } else {
-                perturb_history(history, delta0, m as u64)
-            };
-            rollout(model, &hist, horizon)
-        })
-        .collect();
+    let mut frames: Vec<Option<Tensor>> = vec![None; members];
+    rayon::scope(|scope| {
+        for (m, slot) in frames.iter_mut().enumerate() {
+            scope.spawn(move |_| *slot = Some(member_rollout(model, history, horizon, delta0, m)));
+        }
+    });
+    let frames: Vec<Tensor> =
+        frames.into_iter().map(|f| f.expect("every member's task has run")).collect();
 
     // Mean over members.
     let mut mean = Tensor::zeros(frames[0].dims());
@@ -74,6 +73,18 @@ pub fn ensemble_rollout<M: ForecastModel + Sync>(
     }
 
     EnsembleForecast { mean, spread, members }
+}
+
+/// Member `m`'s roll-out: the unperturbed history for member 0.
+fn member_rollout<M: ForecastModel>(
+    model: &M,
+    history: &Tensor,
+    horizon: usize,
+    delta0: f64,
+    m: usize,
+) -> Tensor {
+    let hist = if m == 0 { history.clone() } else { perturb_history(history, delta0, m as u64) };
+    rollout(model, &hist, horizon)
 }
 
 /// Perturbs every frame of a history stack with a smooth deterministic
@@ -133,6 +144,19 @@ mod tests {
         let det = rollout(&model, &h, 5);
         assert!(ens.mean.allclose(&det, 0.0));
         assert!(ens.spread.iter().all(|&s| s == 0.0));
+    }
+
+    #[test]
+    fn pooled_members_equal_serial_rollouts_bit_for_bit() {
+        let model = tiny_model();
+        let h = history();
+        let (horizon, members) = (3, 4);
+        let ens = ensemble_rollout(&model, &h, horizon, members, 1e-2);
+        let mut mean = Tensor::zeros(&[horizon, 8, 8]);
+        for m in 0..members {
+            mean.add_scaled(&member_rollout(&model, &h, horizon, 1e-2, m), 1.0 / members as f64);
+        }
+        assert_eq!(ft_tensor::bit_hash(ens.mean.data()), ft_tensor::bit_hash(mean.data()));
     }
 
     #[test]

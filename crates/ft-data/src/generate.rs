@@ -4,7 +4,6 @@ use ft_analysis::DiagnosticsProbe;
 use ft_lbm::{vorticity, IcSpec, Lbm, LbmConfig};
 use ft_ns::{ArakawaNs, PdeSolver, SpectralNs};
 use ft_tensor::Tensor;
-use rayon::prelude::*;
 
 /// Which solver drives the data generation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -121,7 +120,7 @@ pub struct TurbulenceDataset {
 }
 
 impl TurbulenceDataset {
-    /// Generates the full ensemble, one rayon task per sample, panicking
+    /// Generates the full ensemble, one pool task per sample, panicking
     /// with the sample index if a solver blows up (see
     /// [`TurbulenceDataset::try_generate`] for the recoverable form).
     pub fn generate(config: DatasetConfig) -> Self {
@@ -130,17 +129,28 @@ impl TurbulenceDataset {
 
     /// Generates the full ensemble, stopping with [`GenerateError`] if any
     /// sample's solver goes non-finite instead of baking NaN frames into
-    /// the dataset.
+    /// the dataset (the lowest failing sample's error).
+    ///
+    /// Each trajectory is a task of its own in one `rayon::scope`, so the
+    /// samples run concurrently on the pool. Each depends only on its
+    /// seed and lands in its own slot, so the dataset is the same bit for
+    /// bit at any pool width.
     pub fn try_generate(config: DatasetConfig) -> Result<Self, GenerateError> {
         assert!(config.samples > 0 && config.snapshots > 0, "empty dataset requested");
-        let trajs: Vec<Result<Tensor, GenerateError>> = (0..config.samples)
-            .into_par_iter()
-            .map(|s| {
-                generate_trajectory(&config, config.seed + s as u64)
-                    .map_err(|detail| GenerateError { sample: s, detail })
-            })
-            .collect();
-        let trajs = trajs.into_iter().collect::<Result<Vec<Tensor>, _>>()?;
+        let mut trajs: Vec<Option<Result<Tensor, GenerateError>>> = vec![None; config.samples];
+        let config_ref = &config;
+        rayon::scope(|scope| {
+            for (sample, slot) in trajs.iter_mut().enumerate() {
+                scope.spawn(move |_| {
+                    let traj = generate_trajectory(config_ref, config_ref.seed + sample as u64);
+                    *slot = Some(traj.map_err(|detail| GenerateError { sample, detail }));
+                });
+            }
+        });
+        let trajs = trajs
+            .into_iter()
+            .map(|t| t.expect("every sample's task has run"))
+            .collect::<Result<Vec<Tensor>, _>>()?;
         let velocity = Tensor::stack(&trajs);
         Ok(TurbulenceDataset { config, velocity })
     }
@@ -315,6 +325,21 @@ mod tests {
         assert_eq!(uy.dims(), &[24, 24]);
         let w = ds.vorticity_trajectory(0);
         assert_eq!(w.dims(), &[5, 24, 24]);
+    }
+
+    #[test]
+    fn pooled_generation_equals_a_serial_reference_bit_for_bit() {
+        for solver in [SolverKind::EntropicLbm, SolverKind::SpectralNs] {
+            let mut cfg = DatasetConfig::small(16, 3, 3);
+            cfg.burn_in_tc = 0.05;
+            cfg.solver = solver;
+            let serial: Vec<Tensor> = (0..cfg.samples)
+                .map(|s| generate_trajectory(&cfg, cfg.seed + s as u64).unwrap())
+                .collect();
+            let want = ft_tensor::bit_hash(Tensor::stack(&serial).data());
+            let ds = TurbulenceDataset::generate(cfg);
+            assert_eq!(ft_tensor::bit_hash(ds.velocity.data()), want, "{solver:?}");
+        }
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //! * **real-input** transforms (`rfft`/`irfft`) with the half-spectrum
 //!   layout used by `torch.fft.rfftn`,
 //! * batched **N-dimensional** transforms over the trailing axes of a
-//!   [`ft_tensor::Tensor`]/[`ft_tensor::CTensor`], rayon-parallel over lines;
-//!   a strided radix-2 axis is transformed in place, with no gather.
+//!   [`ft_tensor::Tensor`]/[`ft_tensor::CTensor`], rayon-parallel over lines
+//!   once a call holds [`MIN_PARALLEL_POINTS`] values (smaller calls run on
+//!   the calling thread); a strided radix-2 axis is transformed in place,
+//!   with no gather.
 //!
 //! Conventions match `torch.fft` defaults: the forward transform is
 //! unnormalized, the inverse carries the `1/n` factor (`norm="backward"`).
@@ -34,7 +36,7 @@ pub mod real;
 
 pub use nd::{fft2, fftn, ifft2, ifftn, irfft2, irfftn, rfft2, rfftn};
 pub use plan::{shared_plan, Fft};
-pub use real::{irfft, rfft, rows_per_task, shared_real_plan, RealPlan};
+pub use real::{irfft, rfft, rows_per_task, shared_real_plan, RealPlan, MIN_PARALLEL_POINTS};
 
 use ft_tensor::Complex64;
 

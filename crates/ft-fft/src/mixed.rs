@@ -3,8 +3,9 @@
 //! Handles any `n` whose prime factors are all ≤ [`MAX_RADIX`] — in this
 //! workspace chiefly the temporal axis of the 3D FNO (10 snapshots = 2·5).
 //! Larger prime factors are routed to Bluestein by the planner.
-
-use std::collections::HashMap;
+//!
+//! [`MixedRadix::process_in`] runs on a caller's working line, so a batch
+//! of rows that reuses one buffer allocates nothing per row.
 
 use ft_tensor::Complex64;
 
@@ -35,9 +36,11 @@ pub fn smooth_factors(mut n: usize) -> Option<Vec<usize>> {
 pub struct MixedRadix {
     n: usize,
     factors: Vec<usize>,
-    /// Forward twiddle tables: for every sub-transform size `m` occurring in
-    /// the recursion, `tables[&m][t] = e^{-2πi t/m}`.
-    tables: HashMap<usize, Vec<Complex64>>,
+    /// Forward twiddle table of every recursion level: level `i` transforms
+    /// size `m = n / (factors[0]·…·factors[i−1])` and combines with
+    /// `tables[i][t] = e^{-2πi t/m}`. Sizes fall strictly from level to
+    /// level, so each size has exactly one table.
+    tables: Vec<Vec<Complex64>>,
 }
 
 impl MixedRadix {
@@ -46,21 +49,17 @@ impl MixedRadix {
     pub fn new(n: usize) -> Self {
         let factors = smooth_factors(n)
             .unwrap_or_else(|| panic!("{n} has prime factors > {MAX_RADIX}; use Bluestein"));
-        let mut tables = HashMap::new();
         let mut m = n;
-        let mut i = 0usize;
-        loop {
-            tables.entry(m).or_insert_with(|| {
-                (0..m)
+        let tables = factors
+            .iter()
+            .map(|&r| {
+                let table = (0..m)
                     .map(|t| Complex64::cis(-2.0 * std::f64::consts::PI * t as f64 / m as f64))
-                    .collect()
-            });
-            if i >= factors.len() {
-                break;
-            }
-            m /= factors[i];
-            i += 1;
-        }
+                    .collect();
+                m /= r;
+                table
+            })
+            .collect();
         MixedRadix { n, factors, tables }
     }
 
@@ -77,13 +76,21 @@ impl MixedRadix {
     }
 
     /// In-place transform of `data` (length must equal the planned size).
+    /// Allocates its working line; batched callers use
+    /// [`MixedRadix::process_in`].
     pub fn process(&self, data: &mut [Complex64], dir: Direction) {
+        self.process_in(data, dir, &mut vec![Complex64::ZERO; self.n]);
+    }
+
+    /// [`MixedRadix::process`] on the caller's working line `work` of at
+    /// least the planned size (its contents are overwritten); allocates
+    /// nothing.
+    pub fn process_in(&self, data: &mut [Complex64], dir: Direction, work: &mut [Complex64]) {
         assert_eq!(data.len(), self.n, "buffer length must match plan size");
         if self.n <= 1 {
             return;
         }
-        let mut scratch = vec![Complex64::ZERO; self.n];
-        self.recurse(data, &mut scratch, &self.factors, dir);
+        self.recurse(data, &mut work[..self.n], 0, dir);
         if dir == Direction::Inverse {
             let inv = 1.0 / self.n as f64;
             for z in data.iter_mut() {
@@ -95,12 +102,12 @@ impl MixedRadix {
     /// Decimation-in-time recursion: split into `r` interleaved subsequences,
     /// transform each, then combine with size-`n` twiddles. The combine step
     /// is O(r·n), which is optimal-enough for the small radices involved.
-    fn recurse(&self, x: &mut [Complex64], scratch: &mut [Complex64], factors: &[usize], dir: Direction) {
+    fn recurse(&self, x: &mut [Complex64], scratch: &mut [Complex64], level: usize, dir: Direction) {
         let n = x.len();
         if n == 1 {
             return;
         }
-        let r = factors[0];
+        let r = self.factors[level];
         let m = n / r;
 
         // Gather the j-th subsequence (indices ≡ j mod r) into scratch.
@@ -113,11 +120,11 @@ impl MixedRadix {
         for j in 0..r {
             let (sub, rest) = scratch[j * m..].split_at_mut(m);
             let _ = rest;
-            self.recurse(sub, &mut x[..m], &factors[1..], dir);
+            self.recurse(sub, &mut x[..m], level + 1, dir);
         }
 
         // Combine: X[k] = Σ_j ω_n^{jk} S_j[k mod m].
-        let table = &self.tables[&n];
+        let table = &self.tables[level];
         let conj = dir == Direction::Inverse;
         for k in 0..n {
             let mut acc = scratch[k % m];

@@ -1,15 +1,17 @@
 //! Batched multi-dimensional transforms over the trailing axes of tensors.
 //!
 //! All functions treat leading axes as batch dimensions and parallelize over
-//! them with rayon. Real-input variants (`rfft*`) use the half-spectrum
-//! layout along the **last** axis, matching `torch.fft.rfftn` / `irfftn`.
+//! them with rayon once a call holds [`MIN_PARALLEL_POINTS`] values; a
+//! smaller call runs on the calling thread. Real-input variants (`rfft*`)
+//! use the half-spectrum layout along the **last** axis, matching
+//! `torch.fft.rfftn` / `irfftn`.
 
 use ft_tensor::{CTensor, Complex64, Tensor};
 use rayon::prelude::*;
 
 use crate::plan::{shared_plan, Fft};
 use crate::radix2::LINES;
-use crate::real::{rfft_len, rows_per_task, shared_real_plan};
+use crate::real::{rfft_len, shared_real_plan, MIN_PARALLEL_POINTS};
 use crate::Direction;
 
 /// In-place 1D transform along `axis` of a complex tensor, batched over all
@@ -21,7 +23,8 @@ use crate::Direction;
 /// buffer; the chunks run in parallel. A contiguous last axis gathers
 /// [`LINES`] rows at a time, transposed, into one scratch per parallel
 /// batch. Other lengths (mixed-radix, Bluestein) transform a contiguous
-/// row in place and gather a strided line into a scratch line.
+/// row in place and gather a strided line into a scratch line, which also
+/// holds a mixed-radix plan's working line.
 pub fn fft_axis(ct: &mut CTensor, axis: usize, dir: Direction) {
     let dims = ct.dims().to_vec();
     assert!(axis < dims.len(), "axis {axis} out of range for rank {}", dims.len());
@@ -37,39 +40,58 @@ pub fn fft_axis(ct: &mut CTensor, axis: usize, dir: Direction) {
     // instead of paying a plan-cache probe per line.
     let plan = shared_plan(n);
     let data = ct.data_mut();
+    let work = plan.work_len();
     match &*plan {
         Fft::Radix2(r) if inner > 1 => {
-            data.par_chunks_mut(block).for_each(|chunk| r.process_lines(chunk, inner, dir));
+            for_each_chunk(data, block, |_, chunk| r.process_lines(chunk, inner, dir));
         }
-        Fft::Radix2(r) => {
-            data.par_chunks_mut(LINES * n).for_each_init(Vec::new, |scratch, rows| {
-                let lines = rows.len() / n;
-                scratch.clear();
-                scratch.reserve(n * lines);
-                for t in 0..n {
-                    scratch.extend(rows.iter().skip(t).step_by(n));
-                }
-                r.process_lines(scratch, lines, dir);
-                for (t, block_row) in scratch.chunks_exact(lines).enumerate() {
-                    for (l, &z) in block_row.iter().enumerate() {
-                        rows[l * n + t] = z;
-                    }
-                }
-            });
-        }
-        _ if inner == 1 => data.par_chunks_mut(n).for_each(|row| plan.process(row, dir)),
-        _ => data.par_chunks_mut(block).for_each_init(Vec::new, |scratch, chunk| {
-            scratch.resize(n, Complex64::ZERO);
-            for i in 0..inner {
-                for t in 0..n {
-                    scratch[t] = chunk[i + t * inner];
-                }
-                plan.process(scratch, dir);
-                for t in 0..n {
-                    chunk[i + t * inner] = scratch[t];
+        Fft::Radix2(r) => for_each_chunk(data, LINES * n, |scratch, rows| {
+            let lines = rows.len() / n;
+            scratch.clear();
+            scratch.reserve(n * lines);
+            for t in 0..n {
+                scratch.extend(rows.iter().skip(t).step_by(n));
+            }
+            r.process_lines(scratch, lines, dir);
+            for (t, block_row) in scratch.chunks_exact(lines).enumerate() {
+                for (l, &z) in block_row.iter().enumerate() {
+                    rows[l * n + t] = z;
                 }
             }
         }),
+        _ if inner == 1 => for_each_chunk(data, n, |scratch, row| {
+            scratch.resize(work, Complex64::ZERO);
+            plan.process_lines(row, 1, dir, scratch);
+        }),
+        _ => for_each_chunk(data, block, |scratch, chunk| {
+            scratch.resize(n + work, Complex64::ZERO);
+            let (line, work) = scratch.split_at_mut(n);
+            for i in 0..inner {
+                for t in 0..n {
+                    line[t] = chunk[i + t * inner];
+                }
+                plan.process_lines(line, 1, dir, work);
+                for t in 0..n {
+                    chunk[i + t * inner] = line[t];
+                }
+            }
+        }),
+    }
+}
+
+/// Runs `f` on every `size`-chunk of `data` with one scratch buffer per
+/// batch of chunks: across the pool when `data` holds at least
+/// [`MIN_PARALLEL_POINTS`] values, else on the calling thread.
+fn for_each_chunk(
+    data: &mut [Complex64],
+    size: usize,
+    f: impl Fn(&mut Vec<Complex64>, &mut [Complex64]) + Sync,
+) {
+    if data.len() < MIN_PARALLEL_POINTS {
+        let mut scratch = Vec::new();
+        data.chunks_mut(size).for_each(|chunk| f(&mut scratch, chunk));
+    } else {
+        data.par_chunks_mut(size).for_each_init(Vec::new, f);
     }
 }
 
@@ -114,12 +136,7 @@ pub fn rfftn(x: &Tensor, ndim: usize) -> CTensor {
     let mut out_data = vec![Complex64::ZERO; rows * wh];
 
     // Resolve the real plan once for the whole batch of rows.
-    let rp = shared_real_plan(w);
-    let task = rows_per_task(rows);
-    out_data
-        .par_chunks_mut(task * wh)
-        .zip(x.data().par_chunks(task * w))
-        .for_each_init(Vec::new, |scratch, (dst, src)| rp.rfft_rows(src, dst, wh, scratch));
+    shared_real_plan(w).par_rfft_rows(x.data(), &mut out_data, wh);
 
     let mut out = CTensor::from_vec(&out_dims, out_data);
     for a in (rank - ndim)..(rank - 1) {
@@ -150,12 +167,7 @@ pub fn irfftn(c: &CTensor, last_dim: usize, ndim: usize) -> Tensor {
     let rows = work.len() / wh;
     let mut out_data = vec![0.0f64; rows * last_dim];
     // Resolve the real plan once for the whole batch of rows.
-    let rp = shared_real_plan(last_dim);
-    let task = rows_per_task(rows);
-    out_data
-        .par_chunks_mut(task * last_dim)
-        .zip(work.data().par_chunks(task * wh))
-        .for_each_init(Vec::new, |scratch, (dst, src)| rp.irfft_rows(src, wh, dst, scratch));
+    shared_real_plan(last_dim).par_irfft_rows(work.data(), wh, &mut out_data);
     Tensor::from_vec(&out_dims, out_data)
 }
 

@@ -71,16 +71,35 @@ impl Fft {
         }
     }
 
+    /// Working values [`Fft::process_lines`] needs: the planned size for a
+    /// mixed-radix plan, else none.
+    pub fn work_len(&self) -> usize {
+        match self {
+            Fft::Mixed(p) => p.len(),
+            _ => 0,
+        }
+    }
+
     /// In-place transform of the `lines` signals of a `[n][lines]` block
     /// (line index fastest, see [`crate::radix2`]). Only a radix-2 plan
-    /// takes more than one line.
-    pub fn process_lines(&self, data: &mut [Complex64], lines: usize, dir: Direction) {
+    /// takes more than one line. `work` holds at least
+    /// [`Fft::work_len`] values of the caller's working space, so a
+    /// mixed-radix line allocates nothing.
+    pub fn process_lines(
+        &self,
+        data: &mut [Complex64],
+        lines: usize,
+        dir: Direction,
+        work: &mut [Complex64],
+    ) {
+        assert!(
+            lines == 1 || matches!(self, Fft::Radix2(_)),
+            "only a radix-2 plan transforms a block of lines"
+        );
         match self {
             Fft::Radix2(p) => p.process_lines(data, lines, dir),
-            _ => {
-                assert_eq!(lines, 1, "only a radix-2 plan transforms a block of lines");
-                self.process(data, dir)
-            }
+            Fft::Mixed(p) => p.process_in(data, dir, work),
+            Fft::Bluestein(p) => p.process(data, dir),
         }
     }
 }

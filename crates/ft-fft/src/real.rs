@@ -12,10 +12,13 @@
 //! row is never gathered into a line of its own. Each row gets exactly the
 //! operations a lone row gets; the one-row calls
 //! ([`RealPlan::rfft_into`], [`RealPlan::irfft_into`]) are the same code.
+//! [`RealPlan::par_rfft_rows`] and [`RealPlan::par_irfft_rows`] split a
+//! batch across the pool once it holds [`MIN_PARALLEL_POINTS`] points.
 
 use std::sync::Arc;
 
 use ft_tensor::Complex64;
+use rayon::prelude::*;
 
 use crate::plan::{shared_plan, Fft, PlanCache};
 use crate::Direction;
@@ -26,12 +29,43 @@ pub fn rfft_len(n: usize) -> usize {
     n / 2 + 1
 }
 
-/// Rows per parallel task when a batch of `rows` rows is split over the
-/// pool: enough tasks (`rayon::MIN_PARALLEL_ITEMS`) for the pool to share
-/// them out, each task a run of adjacent rows the batched row transforms
-/// take [`LINES`](crate::radix2::LINES) at a time.
-pub fn rows_per_task(rows: usize) -> usize {
-    (rows / rayon::MIN_PARALLEL_ITEMS).max(1)
+/// Fewest points a batched transform must hold (its line count times the
+/// line length) before it splits across the pool; a smaller call runs as
+/// one task on the calling thread. A fork-join wakes a sleeping worker,
+/// and below this floor the wake costs more than the half of the work it
+/// takes away.
+///
+/// Measured on a 2-vCPU AVX-512 host shared with other tenants: batches of
+/// real rows through [`RealPlan::rfft_rows`], inline against 64 tasks on a
+/// width-2 pool, 500 µs between calls (the worker idle), medians of 200 calls in each
+/// of three runs:
+///
+/// | points (rows × n) | inline | 64 tasks |
+/// |---|---|---|
+/// | 8,192 (256 × 32, a 32² batch-1 layer) | 69–77 µs | 92–103 µs |
+/// | 16,384 (512 × 32) | 134–147 µs | 126–133 µs |
+/// | 16,384 (256 × 64) | 150–155 µs | 150–155 µs |
+/// | 16,384 (128 × 128) | 144–160 µs | 178–197 µs |
+/// | 32,768 (1024 × 32) | 287–321 µs | 192–217 µs |
+/// | 32,768 (512 × 64) | 280–299 µs | 214–216 µs |
+///
+/// The two tie near 16,384 points; the floor sits one doubling above, where
+/// the split wins clearly. The spectral layer's mode-mix loops count one
+/// point per complex multiply-add against the same floor.
+pub const MIN_PARALLEL_POINTS: usize = 1 << 15;
+
+/// Rows per parallel task for a batch of `rows` rows of `n` points: all of
+/// them (one task, run inline) when the batch holds fewer than
+/// [`MIN_PARALLEL_POINTS`] points, else enough tasks
+/// (`rayon::MIN_PARALLEL_ITEMS`) for the pool to share them out, each task
+/// a run of adjacent rows the batched row transforms take
+/// [`LINES`](crate::radix2::LINES) at a time.
+pub fn rows_per_task(rows: usize, n: usize) -> usize {
+    if rows * n < MIN_PARALLEL_POINTS {
+        rows.max(1)
+    } else {
+        (rows / rayon::MIN_PARALLEL_ITEMS).max(1)
+    }
 }
 
 /// Process-wide [`RealPlan`] cache behind [`shared_real_plan`]. Sizes recur
@@ -46,13 +80,22 @@ fn cleared(scratch: &mut Vec<Complex64>, n: usize) -> &mut Vec<Complex64> {
     scratch
 }
 
+/// Splits a scratch buffer holding `len` filled values into those values
+/// and `work` more values of working space behind them.
+fn with_work(buf: &mut Vec<Complex64>, work: usize) -> (&mut [Complex64], &mut [Complex64]) {
+    let len = buf.len();
+    buf.resize(len + work, Complex64::ZERO);
+    buf.split_at_mut(len)
+}
+
 /// A planned real transform of a fixed length: the complex plan plus the
 /// pack/unpack twiddle table, bundled so a batched n-d transform resolves
 /// them **once** and shares the handle across worker threads (everything
-/// inside is immutable). Row scratch is the caller's: a batched transform
-/// keeps one buffer per parallel batch (`for_each_init`), so its rows
-/// allocate nothing once that buffer has grown, and how much it allocates
-/// does not depend on which thread runs which batch.
+/// inside is immutable). Row scratch is the caller's, and it also holds a
+/// mixed-radix plan's working line: a batched transform keeps one buffer
+/// per parallel batch (`for_each_init`), so its rows allocate nothing once
+/// that buffer has grown, and how much it allocates does not depend on
+/// which thread runs which batch.
 pub struct RealPlan {
     n: usize,
     /// Even `n`: the half-size complex plan; odd `n`: the full-size plan.
@@ -114,6 +157,38 @@ impl RealPlan {
         self.irfft_rows(spectrum, rfft_len(n), out, scratch);
     }
 
+    /// [`RealPlan::rfft_rows`] split into [`rows_per_task`] tasks over the
+    /// pool, one scratch per parallel batch; a batch below
+    /// [`MIN_PARALLEL_POINTS`] runs on the calling thread.
+    pub fn par_rfft_rows(&self, input: &[f64], out: &mut [Complex64], cols: usize) {
+        let n = self.n;
+        let rows = input.len() / n;
+        let task = rows_per_task(rows, n);
+        if task >= rows {
+            self.rfft_rows(input, out, cols, &mut Vec::new());
+            return;
+        }
+        out.par_chunks_mut(task * cols)
+            .zip(input.par_chunks(task * n))
+            .for_each_init(Vec::new, |scratch, (dst, src)| self.rfft_rows(src, dst, cols, scratch));
+    }
+
+    /// [`RealPlan::irfft_rows`] split into [`rows_per_task`] tasks over the
+    /// pool, one scratch per parallel batch; a batch below
+    /// [`MIN_PARALLEL_POINTS`] runs on the calling thread.
+    pub fn par_irfft_rows(&self, spectrum: &[Complex64], cols: usize, out: &mut [f64]) {
+        let n = self.n;
+        let rows = out.len() / n;
+        let task = rows_per_task(rows, n);
+        if task >= rows {
+            self.irfft_rows(spectrum, cols, out, &mut Vec::new());
+            return;
+        }
+        out.par_chunks_mut(task * n)
+            .zip(spectrum.par_chunks(task * cols))
+            .for_each_init(Vec::new, |scratch, (dst, src)| self.irfft_rows(src, cols, dst, scratch));
+    }
+
     /// [`rfft`] of every length-`n` row of `input`, keeping the first
     /// `cols ≤ n/2 + 1` bins of each: row `r`'s bins go to
     /// `out[r·cols..(r+1)·cols]`. `scratch` is working space.
@@ -129,7 +204,7 @@ impl RealPlan {
         if rows == 0 {
             return;
         }
-        let lines = self.plan.block_lines();
+        let (lines, work) = (self.plan.block_lines(), self.plan.work_len());
         let batches = input.chunks(lines * n).zip(out.chunks_mut(lines * cols));
         if n == 1 {
             for (&x, o) in input.iter().zip(out.chunks_exact_mut(cols)) {
@@ -137,15 +212,16 @@ impl RealPlan {
             }
         } else if n % 2 == 0 {
             for (src, dst) in batches {
-                self.rfft_even(src, dst, cols, cleared(scratch, src.len() / 2));
+                self.rfft_even(src, dst, cols, cleared(scratch, src.len() / 2 + work));
             }
         } else {
             // Odd length: embed into a complex transform and keep half.
             for (src, dst) in batches {
-                let buf = cleared(scratch, n);
+                let buf = cleared(scratch, n + work);
                 buf.extend(src.iter().map(|&x| Complex64::from_re(x)));
-                self.plan.process(buf, Direction::Forward);
-                dst.copy_from_slice(&buf[..cols]);
+                let (line, work) = with_work(buf, work);
+                self.plan.process_lines(line, 1, Direction::Forward, work);
+                dst.copy_from_slice(&line[..cols]);
             }
         }
     }
@@ -166,7 +242,7 @@ impl RealPlan {
         if rows == 0 {
             return;
         }
-        let lines = self.plan.block_lines();
+        let (lines, work) = (self.plan.block_lines(), self.plan.work_len());
         let batches = spectrum.chunks(lines * cols).zip(out.chunks_mut(lines * n));
         if n == 1 {
             for (o, s) in out.iter_mut().zip(spectrum) {
@@ -174,19 +250,20 @@ impl RealPlan {
             }
         } else if n % 2 == 0 {
             for (src, dst) in batches {
-                self.irfft_even(src, cols, dst, cleared(scratch, dst.len() / 2));
+                self.irfft_even(src, cols, dst, cleared(scratch, dst.len() / 2 + work));
             }
         } else {
             // Reconstruct the full Hermitian spectrum, then complex inverse.
             for (src, dst) in batches {
-                let full = cleared(scratch, n);
-                full.resize(n, Complex64::ZERO);
+                let buf = cleared(scratch, n + work);
+                buf.resize(n, Complex64::ZERO);
+                let (full, work) = with_work(buf, work);
                 full[0] = Complex64::from_re(bin(src, cols, 0, 0).re);
                 for k in 1..rfft_len(n) {
                     full[k] = bin(src, cols, 0, k);
                     full[n - k] = bin(src, cols, 0, k).conj();
                 }
-                self.plan.process(full, Direction::Inverse);
+                self.plan.process_lines(full, 1, Direction::Inverse, work);
                 for (o, z) in dst.iter_mut().zip(full.iter()) {
                     *o = z.re;
                 }
@@ -217,7 +294,8 @@ impl RealPlan {
         for j in 0..h {
             z.extend(src.chunks_exact(n).map(|x| Complex64::new(x[2 * j], x[2 * j + 1])));
         }
-        self.plan.process_lines(z, lines, Direction::Forward);
+        let (z, work) = with_work(z, self.plan.work_len());
+        self.plan.process_lines(z, lines, Direction::Forward, work);
 
         for (l, o) in dst.chunks_exact_mut(cols).enumerate() {
             for (k, (o, &w)) in o.iter_mut().zip(tw.iter()).enumerate() {
@@ -263,7 +341,8 @@ impl RealPlan {
                 z.push(e + o.mul_i());
             }
         }
-        self.plan.process_lines(z, lines, Direction::Inverse);
+        let (z, work) = with_work(z, self.plan.work_len());
+        self.plan.process_lines(z, lines, Direction::Inverse, work);
 
         for (j, block_row) in z.chunks_exact(lines).enumerate() {
             for (l, zj) in block_row.iter().enumerate() {
@@ -449,6 +528,30 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn pooled_rows_equal_one_batch_bit_for_bit() {
+        // Below the parallel floor (one inline task) and above it (split
+        // into tasks), radix-2 and mixed-radix half plans, cropped columns.
+        for (n, rows) in [(32usize, 256usize), (32, 2048), (12, 4096)] {
+            assert_eq!(rows * n >= MIN_PARALLEL_POINTS, rows > 256, "n={n} rows={rows}");
+            let rp = RealPlan::new(n);
+            let cols = rfft_len(n) - 1;
+            let input: Vec<f64> = (0..rows * n).map(|i| (i as f64 * 0.29).sin()).collect();
+            let mut want = vec![Complex64::ZERO; rows * cols];
+            rp.rfft_rows(&input, &mut want, cols, &mut Vec::new());
+            let mut got = vec![Complex64::ZERO; rows * cols];
+            rp.par_rfft_rows(&input, &mut got, cols);
+            assert_same_bits(&got, &want, &format!("n={n} rows={rows}"));
+
+            let mut want_back = vec![0.0; rows * n];
+            rp.irfft_rows(&want, cols, &mut want_back, &mut Vec::new());
+            let mut back = vec![0.0; rows * n];
+            rp.par_irfft_rows(&want, cols, &mut back);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&back), bits(&want_back), "n={n} rows={rows}");
         }
     }
 

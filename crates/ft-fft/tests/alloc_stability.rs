@@ -4,29 +4,26 @@
 //! - a strided radix-2 `fft_axis` transforms each `[n][inner]` chunk in
 //!   place, so it allocates only its copy of the tensor's extents, however
 //!   many lines it transforms;
-//! - a contiguous radix-2 `fft_axis` adds one transposed `[n][8]` scratch
-//!   per parallel batch;
-//! - the batched real rows (`RealPlan::rfft_rows` / `irfft_rows`) with a
-//!   radix-2 half plan allocate nothing once their scratch has grown, for
-//!   any row count (here 11, not a multiple of the 8-row block). A
-//!   mixed-radix plan (the half plan of a length-12 row, the full plan of
-//!   a length-7 row) allocates its own working line in every `process`
-//!   call, so those rows count one each;
+//! - a contiguous radix-2 `fft_axis` adds one transposed `[n][8]` scratch;
+//! - the batched real rows (`RealPlan::rfft_rows` / `irfft_rows`) allocate
+//!   nothing once their scratch has grown, for any row count (here 11, not
+//!   a multiple of the 8-row block), whether the plan is radix-2 or
+//!   mixed-radix (the half plan of a length-12 row, the full plan of a
+//!   length-7 row): the scratch also holds the mixed-radix working line;
 //! - `rfftn` / `irfftn` allocate their outputs, shape bookkeeping and one
-//!   row scratch per parallel batch, and nothing that accretes.
+//!   row scratch, and nothing that accretes.
 //!
-//! Every parallel loop here runs inline, but on a pool wider than one
-//! thread the pool shim first collects the loop's items into one list
-//! (`item_list` below); a width-1 pool streams them. A regression to
-//! per-line or per-row buffers, or to per-call planning, changes these
-//! counts.
+//! Every call here holds fewer points than `ft_fft::MIN_PARALLEL_POINTS`,
+//! so it runs on the calling thread without going through the pool shim,
+//! and its count is the same at every pool width; that includes a 32²
+//! batch-1 layer's 256 rows. A regression to per-line or per-row buffers,
+//! to per-call planning, or to fanning out calls below the floor changes
+//! these counts.
 //!
 //! Own test binary with `harness = false` (same convention as
 //! `crates/ft-obs/tests/no_alloc.rs`): the counting global allocator sees
 //! every allocation in the process, so no libtest thread may run beside
-//! the measured windows. Shapes are kept below the rayon shim's inline
-//! threshold so nothing is queued on the worker pool (queueing a batch
-//! allocates).
+//! the measured windows.
 
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -76,10 +73,7 @@ fn assert_count(what: &str, want: u64, mut f: impl FnMut()) {
 }
 
 fn main() {
-    // The pool shim's item list: one per parallel loop on a wider pool.
-    let item_list = u64::from(rayon::current_num_threads() > 1);
-
-    // [B, C, H, W] batches, small enough that every parallel loop inlines.
+    // [B, C, H, W] batches below the parallel floor.
     let x = Tensor::from_fn(&[2, 2, 4, 8], |i| {
         (i[0] as f64 * 0.7 + i[1] as f64 * 1.3 + i[2] as f64 * 0.31 - i[3] as f64 * 0.17).sin()
     });
@@ -91,57 +85,65 @@ fn main() {
     });
 
     // Strided axis: 32 lines, then 128; only the extents copy allocates.
-    assert_count("strided fft_axis, 32 lines", 1 + item_list, || {
+    assert_count("strided fft_axis, 32 lines", 1, || {
         fft_axis(&mut small, 2, Direction::Forward)
     });
-    assert_count("strided fft_axis, 128 lines", 1 + item_list, || {
-        fft_axis(&mut big, 2, Direction::Forward)
-    });
-    // Contiguous axis: 32 rows, then 128, in one inline batch: the extents
-    // copy and one transposed scratch.
-    assert_count("contiguous fft_axis, 32 rows", 2 + item_list, || {
+    assert_count("strided fft_axis, 128 lines", 1, || fft_axis(&mut big, 2, Direction::Forward));
+    // Contiguous axis: 32 rows, then 128: the extents copy and one
+    // transposed scratch.
+    assert_count("contiguous fft_axis, 32 rows", 2, || {
         fft_axis(&mut small, 3, Direction::Inverse)
     });
-    assert_count("contiguous fft_axis, 128 rows", 2 + item_list, || {
+    assert_count("contiguous fft_axis, 128 rows", 2, || {
         fft_axis(&mut big, 3, Direction::Inverse)
     });
 
-    // Batched real rows with a warm scratch: 11 rows of each length; the
-    // mixed-radix plans allocate once per row.
+    // Batched real rows with a warm scratch: 11 rows of each length.
     let mut scratch = Vec::new();
-    for (n, per_call) in [(16usize, 0), (12, 11), (7, 11)] {
+    for n in [16usize, 12, 7] {
         let cols = n / 2 + 1;
         let rows = 11;
         let input: Vec<f64> = (0..rows * n).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut spec = vec![Complex64::ZERO; rows * cols];
         let mut back = vec![0.0; rows * n];
         let rp = shared_real_plan(n);
-        assert_count(&format!("rfft_rows, n = {n}, 11 rows"), per_call, || {
+        assert_count(&format!("rfft_rows, n = {n}, 11 rows"), 0, || {
             rp.rfft_rows(&input, &mut spec, cols, &mut scratch)
         });
-        assert_count(&format!("irfft_rows, n = {n}, 11 rows"), per_call, || {
+        assert_count(&format!("irfft_rows, n = {n}, 11 rows"), 0, || {
             rp.irfft_rows(&spec, cols, &mut back, &mut scratch)
         });
     }
 
-    // Out-of-place n-d transforms, two parallel loops each (the rows and
-    // the strided column pass). rfftn: its extents, output extents, output
-    // buffer, row scratch, the output's shape and the column pass's
-    // extents. irfftn: its extents, the working copy (shape and buffer),
-    // the column pass's extents, the output buffer, row scratch and the
-    // output's shape.
+    // Out-of-place n-d transforms (the rows and the strided column pass).
+    // rfftn: its extents, output extents, output buffer, row scratch, the
+    // output's shape and the column pass's extents. irfftn: its extents,
+    // the working copy (shape and buffer), the column pass's extents, the
+    // output buffer, row scratch and the output's shape.
     let spec = rfftn(&x, 2);
-    assert_count("rfftn [2, 2, 4, 8]", 6 + 2 * item_list, || {
+    assert_count("rfftn [2, 2, 4, 8]", 6, || {
         let _ = rfftn(&x, 2);
     });
-    assert_count("irfftn [2, 2, 4, 5]", 7 + 2 * item_list, || {
+    assert_count("irfftn [2, 2, 4, 5]", 7, || {
         let _ = irfftn(&spec, 8, 2);
     });
-    // A fresh, odd last-axis length (the full-complex fallback) plans once
-    // in the warm-up, then is just as stable: rfftn's six plus one
-    // mixed-radix working line per row (16 rows).
+    // A fresh, odd last-axis length (the full-complex fallback, mixed-radix
+    // rows) plans once in the warm-up, then allocates what rfftn [.., 8]
+    // does.
     let odd = Tensor::from_fn(&[2, 2, 4, 7], |i| (i[3] as f64 - i[2] as f64 * 0.4).cos());
-    assert_count("rfftn [2, 2, 4, 7]", 22 + 2 * item_list, || {
+    assert_count("rfftn [2, 2, 4, 7]", 6, || {
         let _ = rfftn(&odd, 2);
+    });
+    // A 32² batch-1 layer of 8 channels: 256 rows of 32 points, 8192 points
+    // in all, below the floor.
+    let layer = Tensor::from_fn(&[1, 8, 32, 32], |i| {
+        (i[1] as f64 * 0.9 + i[2] as f64 * 0.23 - i[3] as f64 * 0.41).sin()
+    });
+    let layer_spec = rfftn(&layer, 2);
+    assert_count("rfftn [1, 8, 32, 32]", 6, || {
+        let _ = rfftn(&layer, 2);
+    });
+    assert_count("irfftn [1, 8, 32, 17]", 7, || {
+        let _ = irfftn(&layer_spec, 32, 2);
     });
 }

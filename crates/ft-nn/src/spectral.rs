@@ -58,7 +58,7 @@
 //! FFT of the full last axis.
 
 use ft_fft::nd::fft_axis;
-use ft_fft::{rows_per_task, shared_real_plan, Direction};
+use ft_fft::{shared_real_plan, Direction, MIN_PARALLEL_POINTS};
 use ft_tensor::{CTensor, Complex64, Tensor};
 use rand::distributions::Uniform;
 use rand::Rng;
@@ -188,19 +188,18 @@ impl SpectralConv {
 
         // Ŷ = Σ_i X̂·W per (sample, output channel) plane, summed over
         // input channels in order.
-        if plane > 0 {
-            y_hat.data_mut().par_chunks_mut(plane).enumerate().for_each(|(bo, yp)| {
-                let (bi, o) = (bo / c_out, bo % c_out);
-                for i in 0..c_in {
-                    let xp = &xd[(bi * c_in + i) * plane..][..plane];
-                    let wi = (i * c_out + o) * wlen;
-                    for ((y, x), &(w_idx, neg)) in yp.iter_mut().zip(xp).zip(&kept) {
-                        let w = if neg { w2 } else { w1 };
-                        *y = x.mul_add(w[wi + w_idx], *y);
-                    }
+        let mix = x_hat.len() * c_out;
+        for_each_plane(y_hat.data_mut(), plane, mix, |bo, yp| {
+            let (bi, o) = (bo / c_out, bo % c_out);
+            for i in 0..c_in {
+                let xp = &xd[(bi * c_in + i) * plane..][..plane];
+                let wi = (i * c_out + o) * wlen;
+                for ((y, x), &(w_idx, neg)) in yp.iter_mut().zip(xp).zip(&kept) {
+                    let w = if neg { w2 } else { w1 };
+                    *y = x.mul_add(w[wi + w_idx], *y);
                 }
-            });
-        }
+            }
+        });
         (trunc.irfft(y_hat), x_hat)
     }
 }
@@ -279,12 +278,7 @@ impl Truncation {
         let mut dims = x.dims().to_vec();
         *dims.last_mut().expect("rank ≥ 3") = kc;
         let mut out = CTensor::zeros(&dims);
-        let rp = shared_real_plan(w);
-        let task = rows_per_task(x.len() / w);
-        out.data_mut()
-            .par_chunks_mut(task * kc)
-            .zip(x.data().par_chunks(task * w))
-            .for_each_init(Vec::new, |scratch, (dst, src)| rp.rfft_rows(src, dst, kc, scratch));
+        shared_real_plan(w).par_rfft_rows(x.data(), out.data_mut(), kc);
         out
     }
 
@@ -294,12 +288,7 @@ impl Truncation {
         let mut dims = t.dims().to_vec();
         *dims.last_mut().expect("rank ≥ 3") = w;
         let mut out = Tensor::zeros(&dims);
-        let rp = shared_real_plan(w);
-        let task = rows_per_task(t.len() / kc);
-        out.data_mut()
-            .par_chunks_mut(task * w)
-            .zip(t.data().par_chunks(task * kc))
-            .for_each_init(Vec::new, |scratch, (dst, src)| rp.irfft_rows(src, kc, dst, scratch));
+        shared_real_plan(w).par_irfft_rows(t.data(), kc, out.data_mut());
         out
     }
 
@@ -360,6 +349,26 @@ impl Truncation {
 fn fft_lines(t: &mut CTensor, axis: usize, dir: Direction) {
     if !t.is_empty() {
         fft_axis(t, axis, dir);
+    }
+}
+
+/// Runs `f(index, plane)` on every `plane`-long chunk of `data`: across the
+/// pool when the loop's `work` (its complex multiply-adds) reaches
+/// [`MIN_PARALLEL_POINTS`], else on the calling thread. Either way each
+/// plane gets the same operations in the same order.
+fn for_each_plane(
+    data: &mut [Complex64],
+    plane: usize,
+    work: usize,
+    f: impl Fn(usize, &mut [Complex64]) + Sync,
+) {
+    if plane == 0 {
+        return;
+    }
+    if work < MIN_PARALLEL_POINTS {
+        data.chunks_mut(plane).enumerate().for_each(|(i, p)| f(i, p));
+    } else {
+        data.par_chunks_mut(plane).enumerate().for_each(|(i, p)| f(i, p));
     }
 }
 
@@ -437,9 +446,11 @@ impl Layer for SpectralConv {
         // grad_X̂ = Σ_o conj(W)·grad_Ŷ per (sample, input channel) plane,
         // and grad_W = Σ_b conj(X̂)·grad_Ŷ per (input, output channel)
         // plane, each summed in index order.
+        // Both loops make b·c_in·c_out·plane multiply-adds.
         let mut gx_hat = CTensor::zeros(x_hat.dims());
+        let mix = x_hat.len() * c_out;
         if plane > 0 {
-            gx_hat.data_mut().par_chunks_mut(plane).enumerate().for_each(|(bi_i, gxp)| {
+            for_each_plane(gx_hat.data_mut(), plane, mix, |bi_i, gxp| {
                 let (bi, i) = (bi_i / c_in, bi_i % c_in);
                 for o in 0..c_out {
                     let gyp = &gyd[(bi * c_out + o) * plane..][..plane];
@@ -451,7 +462,7 @@ impl Layer for SpectralConv {
                 }
             });
             let mut gw = vec![Complex64::ZERO; c_in * c_out * plane];
-            gw.par_chunks_mut(plane).enumerate().for_each(|(io, gwp)| {
+            for_each_plane(&mut gw, plane, mix, |io, gwp| {
                 let (i, o) = (io / c_out, io % c_out);
                 for bi in 0..b {
                     let xp = &xd[(bi * c_in + i) * plane..][..plane];

@@ -1,7 +1,7 @@
 //! Pseudo-spectral vorticity–streamfunction solver with integrating-factor
 //! RK4 time stepping and 2/3-rule dealiasing.
 
-use ft_tensor::{CTensor, Tensor};
+use ft_tensor::{CTensor, Complex64, Tensor};
 
 use crate::forcing::Forcing;
 use crate::grid::SpectralGrid;
@@ -27,6 +27,18 @@ pub struct SpectralNs {
     dealias: bool,
     /// Optional live physics probe, ticked by guarded advances.
     probe: Option<ft_analysis::DiagnosticsProbe>,
+    /// Integrating factors of the last step, reused while its `dt` and the
+    /// drag stay the same (ν is fixed at construction).
+    factors: Option<Factors>,
+}
+
+/// The integrating factors `E½ = e^{−(νk² + drag)·dt/2}` and `E = E½²` of
+/// one step size and drag, per mode.
+struct Factors {
+    dt: f64,
+    drag: f64,
+    e_half: Vec<f64>,
+    e_full: Vec<f64>,
 }
 
 impl SpectralNs {
@@ -44,6 +56,7 @@ impl SpectralNs {
             drag: 0.0,
             dealias: true,
             probe: None,
+            factors: None,
         }
     }
 
@@ -142,58 +155,80 @@ impl SpectralNs {
     ///
     /// Writing `ĝ(t) = e^{νk²t} ω̂(t)`, the ODE becomes `dĝ/dt = e^{νk²t} N̂`.
     /// The four stages only ever need the factors `E½ = e^{−νk²dt/2}` and
-    /// `E = e^{−νk²dt}`.
+    /// `E = e^{−νk²dt}`, which are computed once per step size and drag.
+    /// The three stage arguments and the result share one buffer.
     pub fn step(&mut self, dt: f64) {
-        let n = self.grid.n();
-        let k2 = self.grid.k2().to_vec();
-        // Linear operator: viscous dissipation plus (optional) linear drag,
-        // both integrated exactly through the factor.
-        let e_half: Vec<f64> =
-            k2.iter().map(|&k| (-(self.nu * k + self.drag) * dt * 0.5).exp()).collect();
-        let e_full: Vec<f64> = e_half.iter().map(|&e| e * e).collect();
+        let stale = self.factors.as_ref().is_none_or(|f| f.dt != dt || f.drag != self.drag);
+        if stale {
+            // Linear operator: viscous dissipation plus (optional) linear
+            // drag, both integrated exactly through the factor.
+            let e_half: Vec<f64> = self
+                .grid
+                .k2()
+                .iter()
+                .map(|&k| (-(self.nu * k + self.drag) * dt * 0.5).exp())
+                .collect();
+            let e_full = e_half.iter().map(|&e| e * e).collect();
+            self.factors = Some(Factors { dt, drag: self.drag, e_half, e_full });
+        }
+        let Some(Factors { e_half, e_full, .. }) = &self.factors else {
+            unreachable!("factors were just computed")
+        };
 
         let w = &self.omega_hat;
-        let apply = |src: &CTensor, fac: &[f64]| -> CTensor {
-            let mut out = src.clone();
-            for (z, &f) in out.data_mut().iter_mut().zip(fac) {
-                *z *= f;
-            }
-            out
-        };
-        let axpy = |a: &CTensor, b: &CTensor, s: f64| -> CTensor {
-            let mut out = a.clone();
-            for (z, &bz) in out.data_mut().iter_mut().zip(b.data()) {
-                *z += bz * s;
-            }
-            out
-        };
+        let mut arg = w.clone();
+        let wd = w.data();
 
         // k1 at t_n.
         let k1 = self.nonlinear(w);
+        let k1d = k1.data();
         // k2 at t_n + dt/2, argument E½·(w + dt/2·k1).
-        let k2_stage = self.nonlinear(&apply(&axpy(w, &k1, dt * 0.5), &e_half));
+        fill(&mut arg, |idx| {
+            let mut z = wd[idx];
+            z += k1d[idx] * (dt * 0.5);
+            z *= e_half[idx];
+            z
+        });
+        let k2 = self.nonlinear(&arg);
+        let k2d = k2.data();
         // k3 at t_n + dt/2, argument E½·w + dt/2·k2.
-        let k3 = self.nonlinear(&axpy(&apply(w, &e_half), &k2_stage, dt * 0.5));
+        fill(&mut arg, |idx| {
+            let mut z = wd[idx];
+            z *= e_half[idx];
+            z += k2d[idx] * (dt * 0.5);
+            z
+        });
+        let k3 = self.nonlinear(&arg);
+        let k3d = k3.data();
         // k4 at t_n + dt, argument E·w + dt·E½·k3.
-        let k4 = self.nonlinear(&axpy(&apply(w, &e_full), &apply(&k3, &e_half), dt));
+        fill(&mut arg, |idx| {
+            let mut z = wd[idx];
+            z *= e_full[idx];
+            let mut k = k3d[idx];
+            k *= e_half[idx];
+            z += k * dt;
+            z
+        });
+        let k4 = self.nonlinear(&arg);
+        let k4d = k4.data();
 
         // ω̂(t+dt) = E·w + dt/6·(E·k1 + 2E½·k2 + 2E½·k3 + k4).
-        let mut out = CTensor::zeros(&[n, n]);
-        {
-            let o = out.data_mut();
-            let (wd, k1d, k2d, k3d, k4d) =
-                (w.data(), k1.data(), k2_stage.data(), k3.data(), k4.data());
-            for idx in 0..n * n {
-                let e = e_full[idx];
-                let eh = e_half[idx];
-                o[idx] = wd[idx] * e
-                    + (k1d[idx] * e + (k2d[idx] + k3d[idx]) * (2.0 * eh) + k4d[idx])
-                        * (dt / 6.0);
-            }
-        }
-        self.omega_hat = out;
+        fill(&mut arg, |idx| {
+            let e = e_full[idx];
+            let eh = e_half[idx];
+            wd[idx] * e + (k1d[idx] * e + (k2d[idx] + k3d[idx]) * (2.0 * eh) + k4d[idx]) * (dt / 6.0)
+        });
+        self.omega_hat = arg;
         self.time += dt;
         self.steps += 1;
+    }
+}
+
+/// Sets every mode of `t` from its flat index: the RK4 stage arguments
+/// are elementwise in ω̂ and the earlier stages.
+fn fill(t: &mut CTensor, f: impl Fn(usize) -> Complex64) {
+    for (idx, z) in t.data_mut().iter_mut().enumerate() {
+        *z = f(idx);
     }
 }
 
@@ -279,6 +314,32 @@ mod tests {
         let expect = w0.scale((-2.0 * nu * t).exp());
         let err = ns.vorticity().sub(&expect).norm_l2() / expect.norm_l2();
         assert!(err < 1e-8, "relative error {err}");
+    }
+
+    #[test]
+    fn cached_factors_follow_dt_and_drag() {
+        // A step after a change of dt or drag must use fresh factors: it
+        // equals, bit for bit, the same step with the cache emptied first.
+        let n = 16;
+        let run = |drop_cache: bool| {
+            let mut ns = SpectralNs::new(n, 2.0 * PI, 0.02);
+            ns.set_vorticity(&taylor_green_vorticity(n, 0.7).add(&Tensor::from_fn(&[n, n], |i| {
+                (2.0 * PI * (i[0] + 2 * i[1]) as f64 / n as f64).sin()
+            })));
+            let mut states = Vec::new();
+            for (dt, drag) in [(0.01, None), (0.01, None), (0.005, None), (0.005, Some(0.3))] {
+                if let Some(drag) = drag {
+                    ns.set_forcing(&Forcing { f_omega: Tensor::zeros(&[n, n]), drag });
+                }
+                if drop_cache {
+                    ns.factors = None;
+                }
+                ns.step(dt);
+                states.push(ft_tensor::complex_bit_hash(ns.omega_hat().data()));
+            }
+            states
+        };
+        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! A warm `SpectralNs::step` allocates a count that does not depend on the
-//! grid: the same at 32² as at 64². The step's buffers are whole fields
-//! (spectra, physical fields, the integrating factors), a fixed number per
-//! step; an allocation per mode or per line would scale the count with the
-//! grid (4× from 32² to 64²).
+//! A warm `SpectralNs::step` allocates an exact count that does not depend
+//! on the grid: the same at 32² as at 64². The step's buffers are whole
+//! fields (spectra and physical fields), a fixed number per step; an
+//! allocation per mode or per line would scale the count with the grid
+//! (4× from 32² to 64²). The integrating factors are cached across steps
+//! of one size, so a warm step computes and allocates none.
 //!
 //! Own test binary with `harness = false` (same convention as
 //! `crates/ft-obs/tests/no_alloc.rs`): the counting global allocator sees
 //! every allocation in the process, so no libtest thread may run beside the
-//! measured window. At these sizes every parallel loop of the step runs
-//! inline (below the rayon shim's threshold), so the pool queues nothing.
+//! measured window. At these sizes every transform holds fewer points than
+//! `ft_fft::MIN_PARALLEL_POINTS` and runs on the calling thread without the
+//! pool shim, so the count is the same at every pool width.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::f64::consts::PI;
@@ -57,6 +59,11 @@ fn warm_step_allocations(n: usize) -> u64 {
     ALLOCATIONS.load(Ordering::SeqCst) - before
 }
 
+/// Allocations of a warm step: two for the stage-argument buffer (its
+/// extents and its modes), which becomes the new state, and the rest for
+/// the four evaluations of the nonlinear term.
+const WARM_STEP_ALLOCATIONS: u64 = 198;
+
 fn main() {
     let small = warm_step_allocations(32);
     let large = warm_step_allocations(64);
@@ -64,5 +71,6 @@ fn main() {
         small, large,
         "a warm SpectralNs::step must allocate the same count at 32² and 64²"
     );
+    assert_eq!(small, WARM_STEP_ALLOCATIONS, "allocations of a warm SpectralNs::step");
     println!("step_alloc: a warm SpectralNs::step allocates {small} times at 32² and at 64²");
 }

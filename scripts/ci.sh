@@ -43,7 +43,8 @@ cargo test -q --offline -p ft-obs
 # false`): each counts every allocation in its process, so only its own
 # threads may run in the measured window, and every count is exact. A
 # count that depended on another thread's timing would show here as a
-# failure in some of the runs.
+# failure in some of the runs; so would a 32² predict that queued a task
+# on the pool (`infer_no_tape_alloc` counts allocations off `main`).
 echo "==> counting-allocator tests (no_alloc, alloc_stability, infer_no_tape_alloc, step_alloc), 20 runs each"
 for _ in $(seq 1 20); do
     cargo test -q --offline -p ft-obs --test no_alloc >/dev/null
@@ -116,8 +117,10 @@ cargo test -q --release --offline -p ft-nn --lib spectral::
 # proptest, the fused pointwise-MLP tests, the spectral-layer parity tests,
 # the ISA parity tests, the pinned FFT and solver bits, the batched real
 # rows and the serving engine's tests (concurrent predicts included) must
-# hold there as well as at the host's width.
-echo "==> diagnostics + parallel-parity proptest + pointwise MLP + spectral layer + ISA parity + FFT bits + serving engine on one core (taskset -c 0)"
+# hold there as well as at the host's width. So must the exact counts of
+# the transforms, of a 32² predict (nothing queued on the pool) and of a
+# solver step, which are the same at every pool width.
+echo "==> diagnostics + parallel-parity proptest + pointwise MLP + spectral layer + ISA parity + FFT bits + serving engine + allocation counts on one core (taskset -c 0)"
 if command -v taskset >/dev/null 2>&1; then
     taskset -c 0 cargo test -q --offline --test diagnostics
     taskset -c 0 cargo test -q --release --offline -p fno-core --test parallel_parity
@@ -129,6 +132,9 @@ if command -v taskset >/dev/null 2>&1; then
     taskset -c 0 cargo test -q --release --offline -p ft-fft --test bits
     taskset -c 0 cargo test -q --release --offline -p ft-ns --test bits
     taskset -c 0 cargo test -q --offline -p ft-serve --lib engine::
+    taskset -c 0 cargo test -q --offline -p ft-fft --test alloc_stability
+    taskset -c 0 cargo test -q --offline -p fno-core --test infer_no_tape_alloc
+    taskset -c 0 cargo test -q --offline -p ft-ns --test step_alloc
 else
     echo "taskset not found: one-core step skipped"
 fi
