@@ -42,9 +42,10 @@ impl D2Q9 {
 #[inline]
 pub fn equilibrium(rho: f64, ux: f64, uy: f64) -> [f64; 9] {
     // Finite out-of-range velocities are programming errors worth crashing
-    // on in debug builds; non-finite values are a blow-up in progress and
-    // must flow through (as NaN populations) to the `Lbm::try_run` guard,
-    // which reports them as a structured `SolverError` instead.
+    // on in debug builds for a direct caller; the solver's collision never
+    // passes one (it marks such a cell non-finite first, see
+    // `Lbm::collide`), and non-finite values flow through as NaN
+    // populations to the `Lbm::try_run` guard.
     debug_assert!(
         !(ux.is_finite() && uy.is_finite()) || (ux.abs() < 1.0 && uy.abs() < 1.0),
         "velocity outside lattice range"

@@ -333,6 +333,15 @@ impl Lbm {
                 // force-corrected velocity.
                 let ux = (jx + 0.5 * fx) / rho;
                 let uy = (jy + 0.5 * fy) / rho;
+                if !(ux.abs() < 1.0 && uy.abs() < 1.0) {
+                    // A velocity outside the lattice range (or already
+                    // non-finite) is a blow-up in progress, not a
+                    // programming error: mark the cell non-finite so
+                    // `try_run` reports `SolverError::BlowUp` in every
+                    // build, instead of the equilibrium's range check.
+                    cell.fill(f64::NAN);
+                    return;
+                }
                 let feq = equilibrium(rho, ux, uy);
                 let mut delta = [0.0f64; 9];
                 for i in 0..D2Q9::Q {
@@ -686,8 +695,10 @@ mod tests {
     fn entropic_outlives_bgk_at_marginal_resolution() {
         // `ablation_entropic`'s fast configuration: Re = 2·10⁴ on 32² at
         // u0 = 0.1 underresolves the flow (τ → 1/2). Same initial state,
-        // same equilibrium; only α differs. BGK (α = 2) loses finiteness
-        // near step 736, the entropic α keeps the run finite to the end.
+        // same equilibrium; only α differs. BGK (α = 2) drives a velocity
+        // out of lattice range after step 80, which the collision marks
+        // non-finite (blow-up at the step-96 probe); the entropic α keeps
+        // the run finite to the end.
         let (n, u0, reynolds) = (32, 0.1, 2e4);
         let (ux, uy) = IcSpec { k_min: 2, k_max: 8 }.generate(n, u0, 3);
         let run = |collision| {

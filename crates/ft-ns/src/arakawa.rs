@@ -193,9 +193,7 @@ impl PdeSolver for ArakawaNs {
     }
 
     fn velocity(&self) -> (Tensor, Tensor) {
-        let spec = self.grid.to_spectral(&self.omega);
-        let (uh, vh) = self.grid.velocity_spectra(&spec);
-        (self.grid.to_physical(&uh), self.grid.to_physical(&vh))
+        self.grid.velocity(&self.grid.to_spectral(&self.omega))
     }
 
     fn vorticity(&self) -> Tensor {

@@ -18,6 +18,14 @@
 //!
 //! Both expose the same velocity/vorticity state accessors, so the hybrid
 //! orchestrator in `fno-core` is generic over the choice via [`PdeSolver`].
+//!
+//! Both transform through [`SpectralGrid`], and every field they transform
+//! is real: a single field goes through the real transform, and two fields
+//! share one complex transform (`ifft2(H(x) + i·H(y))` inverse, one
+//! `fft2(x + i·y)` forward, see [`grid`]). A [`SpectralNs`] RK4 step runs 8
+//! complex and 4 real 2D transforms (two packed inverses and one real
+//! forward per stage), where one transform per field took 20 complex ones,
+//! and its stage and transform buffers belong to the solver.
 
 #![warn(missing_docs)]
 // Indexed loops mirror the discrete math in numeric kernels; clippy's

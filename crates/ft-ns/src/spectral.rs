@@ -30,6 +30,10 @@ pub struct SpectralNs {
     /// Integrating factors of the last step, reused while its `dt` and the
     /// drag stay the same (ν is fixed at construction).
     factors: Option<Factors>,
+    /// The step's three stage spectra, reused from step to step.
+    stages: [CTensor; 3],
+    /// Working buffers of the nonlinear term, reused from stage to stage.
+    rhs: Rhs,
 }
 
 /// The integrating factors `E½ = e^{−(νk² + drag)·dt/2}` and `E = E½²` of
@@ -41,13 +45,57 @@ struct Factors {
     e_full: Vec<f64>,
 }
 
+/// Buffers of one evaluation of the nonlinear term: the packed velocity
+/// `u + i·v`, the real advection field and its half spectrum. The packed
+/// vorticity gradient `ω_x + i·ω_y` takes the place of `ω̂` in the stage
+/// buffer itself, which the advection's spectrum then overwrites.
+struct Rhs {
+    uv: CTensor,
+    advection: Vec<f64>,
+    half: CTensor,
+}
+
+impl Rhs {
+    fn new(grid: &SpectralGrid) -> Self {
+        let n = grid.n();
+        Rhs {
+            uv: CTensor::zeros(&[n, n]),
+            advection: vec![0.0; n * n],
+            half: grid.half_spectrum(),
+        }
+    }
+
+    /// Replaces the vorticity spectrum in `w` by the right-hand side
+    /// `N̂(ω̂) = −(u·∇ω)̂`, dealiased when `dealias` is set, plus the
+    /// forcing.
+    ///
+    /// Two complex inverse transforms give `u`, `v`, `ω_x` and `ω_y`, and
+    /// one real forward transform brings the advection back.
+    fn eval(&mut self, g: &SpectralGrid, w: &mut CTensor, dealias: bool, forcing: Option<&CTensor>) {
+        self.uv.data_mut().copy_from_slice(w.data());
+        g.inverse_pair(&mut self.uv, |z, m| g.velocity_mode(z, m));
+        g.inverse_pair(w, |z, m| (z.mul_i() * m.kx, z.mul_i() * m.ky));
+        let fields = self.uv.data().iter().zip(w.data());
+        for (a, (uv, grad)) in self.advection.iter_mut().zip(fields) {
+            *a = -(uv.re * grad.re + uv.im * grad.im);
+        }
+        g.to_spectral_into(&self.advection, w, &mut self.half);
+        if dealias {
+            g.dealias(w);
+        }
+        if let Some(f) = forcing {
+            w.add_assign(f);
+        }
+    }
+}
+
 impl SpectralNs {
     /// Creates a solver at rest on an `n × n` grid with box side `l` and
     /// kinematic viscosity `nu`.
     pub fn new(n: usize, l: f64, nu: f64) -> Self {
         assert!(nu >= 0.0, "viscosity must be non-negative");
+        let grid = SpectralGrid::new(n, l);
         SpectralNs {
-            grid: SpectralGrid::new(n, l),
             nu,
             omega_hat: CTensor::zeros(&[n, n]),
             time: 0.0,
@@ -57,6 +105,9 @@ impl SpectralNs {
             dealias: true,
             probe: None,
             factors: None,
+            stages: std::array::from_fn(|_| CTensor::zeros(&[n, n])),
+            rhs: Rhs::new(&grid),
+            grid,
         }
     }
 
@@ -132,31 +183,15 @@ impl SpectralNs {
         0.5 * self.grid.dx() / umax.max(1e-12)
     }
 
-    /// Right-hand side `N̂(ω̂) = −(u·∇ω)̂`, dealiased.
-    fn nonlinear(&self, omega_hat: &CTensor) -> CTensor {
-        let g = &self.grid;
-        let (u_hat, v_hat) = g.velocity_spectra(omega_hat);
-        let u = g.to_physical(&u_hat);
-        let v = g.to_physical(&v_hat);
-        let wx = g.to_physical(&g.ddx_spec(omega_hat));
-        let wy = g.to_physical(&g.ddy_spec(omega_hat));
-        let advection = u.mul(&wx).add(&v.mul(&wy)).scale(-1.0);
-        let mut n_hat = g.to_spectral(&advection);
-        if self.dealias {
-            g.dealias(&mut n_hat);
-        }
-        if let Some(f) = &self.forcing_hat {
-            n_hat.add_assign(f);
-        }
-        n_hat
-    }
-
     /// One RK4 step of size `dt` with the exact viscous integrating factor.
     ///
     /// Writing `ĝ(t) = e^{νk²t} ω̂(t)`, the ODE becomes `dĝ/dt = e^{νk²t} N̂`.
     /// The four stages only ever need the factors `E½ = e^{−νk²dt/2}` and
     /// `E = e^{−νk²dt}`, which are computed once per step size and drag.
-    /// The three stage arguments and the result share one buffer.
+    /// Each stage argument is built in a stage buffer and replaced there by
+    /// its right-hand side; the three buffers hold `k1`, `k2` (later
+    /// `k2 + k3`) and `k3` (later `k4`), and the result is built over `k1`
+    /// and swapped in as the new state.
     pub fn step(&mut self, dt: f64) {
         let stale = self.factors.as_ref().is_none_or(|f| f.dt != dt || f.drag != self.drag);
         if stale {
@@ -171,64 +206,65 @@ impl SpectralNs {
             let e_full = e_half.iter().map(|&e| e * e).collect();
             self.factors = Some(Factors { dt, drag: self.drag, e_half, e_full });
         }
-        let Some(Factors { e_half, e_full, .. }) = &self.factors else {
+        let SpectralNs { grid, omega_hat, forcing_hat, dealias, factors, stages, rhs, .. } = self;
+        let Some(Factors { e_half, e_full, .. }) = factors else {
             unreachable!("factors were just computed")
         };
-
-        let w = &self.omega_hat;
-        let mut arg = w.clone();
-        let wd = w.data();
+        let mut nonlinear = |w: &mut CTensor| rhs.eval(grid, w, *dealias, forcing_hat.as_ref());
+        let [k1, k23, k34] = stages;
+        let wd = omega_hat.data();
 
         // k1 at t_n.
-        let k1 = self.nonlinear(w);
+        k1.data_mut().copy_from_slice(wd);
+        nonlinear(k1);
         let k1d = k1.data();
         // k2 at t_n + dt/2, argument E½·(w + dt/2·k1).
-        fill(&mut arg, |idx| {
+        update(k23, |idx, _| {
             let mut z = wd[idx];
             z += k1d[idx] * (dt * 0.5);
             z *= e_half[idx];
             z
         });
-        let k2 = self.nonlinear(&arg);
-        let k2d = k2.data();
+        nonlinear(k23);
+        let k2d = k23.data();
         // k3 at t_n + dt/2, argument E½·w + dt/2·k2.
-        fill(&mut arg, |idx| {
+        update(k34, |idx, _| {
             let mut z = wd[idx];
             z *= e_half[idx];
             z += k2d[idx] * (dt * 0.5);
             z
         });
-        let k3 = self.nonlinear(&arg);
-        let k3d = k3.data();
+        nonlinear(k34);
+        // k2 + k3, the only form the result needs them in.
+        update(k23, |idx, k2| k2 + k34.data()[idx]);
         // k4 at t_n + dt, argument E·w + dt·E½·k3.
-        fill(&mut arg, |idx| {
+        update(k34, |idx, mut k| {
             let mut z = wd[idx];
             z *= e_full[idx];
-            let mut k = k3d[idx];
             k *= e_half[idx];
             z += k * dt;
             z
         });
-        let k4 = self.nonlinear(&arg);
-        let k4d = k4.data();
+        nonlinear(k34);
+        let (k23d, k4d) = (k23.data(), k34.data());
 
-        // ω̂(t+dt) = E·w + dt/6·(E·k1 + 2E½·k2 + 2E½·k3 + k4).
-        fill(&mut arg, |idx| {
+        // ω̂(t+dt) = E·w + dt/6·(E·k1 + 2E½·(k2 + k3) + k4).
+        update(k1, |idx, k1| {
             let e = e_full[idx];
             let eh = e_half[idx];
-            wd[idx] * e + (k1d[idx] * e + (k2d[idx] + k3d[idx]) * (2.0 * eh) + k4d[idx]) * (dt / 6.0)
+            wd[idx] * e + (k1 * e + k23d[idx] * (2.0 * eh) + k4d[idx]) * (dt / 6.0)
         });
-        self.omega_hat = arg;
+        std::mem::swap(omega_hat, k1);
         self.time += dt;
         self.steps += 1;
     }
 }
 
-/// Sets every mode of `t` from its flat index: the RK4 stage arguments
-/// are elementwise in ω̂ and the earlier stages.
-fn fill(t: &mut CTensor, f: impl Fn(usize) -> Complex64) {
+/// Sets every mode of `t` from its flat index and its current value: the
+/// RK4 stage arguments are elementwise in ω̂ and the earlier stages.
+fn update(t: &mut CTensor, f: impl Fn(usize, Complex64) -> Complex64) {
     for (idx, z) in t.data_mut().iter_mut().enumerate() {
-        *z = f(idx);
+        *z = f(idx, *z);
     }
 }
 
@@ -240,8 +276,7 @@ impl PdeSolver for SpectralNs {
     }
 
     fn velocity(&self) -> (Tensor, Tensor) {
-        let (u_hat, v_hat) = self.grid.velocity_spectra(&self.omega_hat);
-        (self.grid.to_physical(&u_hat), self.grid.to_physical(&v_hat))
+        self.grid.velocity(&self.omega_hat)
     }
 
     fn vorticity(&self) -> Tensor {

@@ -1,9 +1,9 @@
 //! A warm `SpectralNs::step` allocates an exact count that does not depend
-//! on the grid: the same at 32² as at 64². The step's buffers are whole
-//! fields (spectra and physical fields), a fixed number per step; an
-//! allocation per mode or per line would scale the count with the grid
-//! (4× from 32² to 64²). The integrating factors are cached across steps
-//! of one size, so a warm step computes and allocates none.
+//! on the grid: the same at 32² as at 64². The stage and transform
+//! buffers belong to the solver, and the integrating factors are cached
+//! across steps of one size, so a warm step allocates only the transforms'
+//! small per-call scratch; an allocation per mode or per line would scale
+//! the count with the grid (4× from 32² to 64²).
 //!
 //! Own test binary with `harness = false` (same convention as
 //! `crates/ft-obs/tests/no_alloc.rs`): the counting global allocator sees
@@ -59,10 +59,13 @@ fn warm_step_allocations(n: usize) -> u64 {
     ALLOCATIONS.load(Ordering::SeqCst) - before
 }
 
-/// Allocations of a warm step: two for the stage-argument buffer (its
-/// extents and its modes), which becomes the new state, and the rest for
-/// the four evaluations of the nonlinear term.
-const WARM_STEP_ALLOCATIONS: u64 = 198;
+/// Allocations of a warm step: the stage buffers and the nonlinear term's
+/// buffers belong to the solver, so only the transforms allocate, eight per
+/// evaluation of the nonlinear term: the extents `fft_axis` copies for
+/// each of its five axis passes (two per packed inverse transform, one for
+/// the column pass of the real forward transform), the row scratch of the
+/// two contiguous-axis passes, and the row scratch of the real rows.
+const WARM_STEP_ALLOCATIONS: u64 = 32;
 
 fn main() {
     let small = warm_step_allocations(32);

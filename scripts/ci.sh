@@ -70,18 +70,26 @@ echo "==> ft-fft, ft-ns and ft-analysis suites (release)"
 cargo test -q --release --offline -p ft-fft -p ft-ns -p ft-analysis
 
 # The transforms' and the spectral solver's output bits are pinned
-# (`ft-fft/tests/bits.rs`, `ft-ns/tests/bits.rs`, hashes recorded before
-# the radix-2 kernel was line-blocked). The release run is in the suites
-# above; the pins must hold unoptimized as well.
-echo "==> pinned FFT and spectral-solver bits (debug)"
+# (`ft-fft/tests/bits.rs`, `ft-ns/tests/bits.rs`), and the solver's packed
+# transforms are held to rounding of a one-field-per-transform oracle
+# (`ft-ns/tests/packed_oracle.rs`). The release runs are in the suites
+# above; both must hold unoptimized as well.
+echo "==> pinned FFT and spectral-solver bits, packed-transform oracle (debug)"
 cargo test -q --offline -p ft-fft --test bits
 cargo test -q --offline -p ft-ns --test bits
+cargo test -q --offline -p ft-ns --test packed_oracle
 
 # The LBM solver's unit tests: the entropic α solve against its bisection
 # oracle (a proptest over near- and far-from-equilibrium cells) and the
 # physics checks, optimized, as the solver runs in data generation.
 echo "==> ft-lbm unit tests (release)"
 cargo test -q --release --offline -p ft-lbm
+
+# Unoptimized, the lattice equilibrium checks its velocity range: a BGK
+# run that blows up (`entropic_outlives_bgk_at_marginal_resolution`) must
+# still end in `SolverError::BlowUp`, not in that check.
+echo "==> ft-lbm unit tests (debug)"
+cargo test -q --offline -p ft-lbm --lib
 
 # The data-parallel determinism contract (DESIGN.md §13) is timing-
 # sensitive by nature, so the bitwise parity proptest also runs under
@@ -115,12 +123,13 @@ cargo test -q --release --offline -p ft-nn --lib spectral::
 # Pinned to one core, `available_parallelism` (which honours the affinity
 # mask) sizes a width-1 pool: the plan-cache diagnostics, the parity
 # proptest, the fused pointwise-MLP tests, the spectral-layer parity tests,
-# the ISA parity tests, the pinned FFT and solver bits, the batched real
-# rows and the serving engine's tests (concurrent predicts included) must
-# hold there as well as at the host's width. So must the exact counts of
+# the ISA parity tests, the pinned FFT and solver bits, the solver's
+# packed-transform oracle, the batched real rows and the serving engine's
+# tests (concurrent predicts included) must hold there as well as at the
+# host's width. So must the exact counts of
 # the transforms, of a 32² predict (nothing queued on the pool) and of a
 # solver step, which are the same at every pool width.
-echo "==> diagnostics + parallel-parity proptest + pointwise MLP + spectral layer + ISA parity + FFT bits + serving engine + allocation counts on one core (taskset -c 0)"
+echo "==> diagnostics + parallel-parity proptest + pointwise MLP + spectral layer + ISA parity + FFT bits + packed-transform oracle + serving engine + allocation counts on one core (taskset -c 0)"
 if command -v taskset >/dev/null 2>&1; then
     taskset -c 0 cargo test -q --offline --test diagnostics
     taskset -c 0 cargo test -q --release --offline -p fno-core --test parallel_parity
@@ -131,6 +140,7 @@ if command -v taskset >/dev/null 2>&1; then
     taskset -c 0 cargo test -q --release --offline -p ft-fft --lib real::
     taskset -c 0 cargo test -q --release --offline -p ft-fft --test bits
     taskset -c 0 cargo test -q --release --offline -p ft-ns --test bits
+    taskset -c 0 cargo test -q --release --offline -p ft-ns --test packed_oracle
     taskset -c 0 cargo test -q --offline -p ft-serve --lib engine::
     taskset -c 0 cargo test -q --offline -p ft-fft --test alloc_stability
     taskset -c 0 cargo test -q --offline -p fno-core --test infer_no_tape_alloc
