@@ -97,6 +97,12 @@ cargo test -q --offline -p ft-lbm --lib
 echo "==> parallel-parity proptest (release)"
 cargo test -q --release --offline -p fno-core --test parallel_parity
 
+# The model's inference, gradients and rollout, a short training run's
+# model file and both LBM collisions are pinned (`tests/golden_bits.rs`);
+# `cargo test` above ran them unoptimized, they must hold optimized too.
+echo "==> golden bits: model, trainer, LBM (release)"
+cargo test -q --release --offline --test golden_bits
+
 # The GELU kernel's bits are pinned (activation::tests), and so are the
 # fused pointwise MLP's outputs and gradients (mlp::tests): check them on
 # the optimized build too, where their loops are vectorized.
@@ -121,7 +127,8 @@ echo "==> spectral layer: full-spectrum parity and adjoints (release)"
 cargo test -q --release --offline -p ft-nn --lib spectral::
 
 # Pinned to one core, `available_parallelism` (which honours the affinity
-# mask) sizes a width-1 pool: the plan-cache diagnostics, the parity
+# mask) sizes a width-1 pool: the plan-cache diagnostics, the golden bits
+# of the model, trainer and LBM, the parity
 # proptest, the fused pointwise-MLP tests, the spectral-layer parity tests,
 # the ISA parity tests, the pinned FFT and solver bits, the solver's
 # packed-transform oracle, the batched real rows and the serving engine's
@@ -129,9 +136,10 @@ cargo test -q --release --offline -p ft-nn --lib spectral::
 # host's width. So must the exact counts of
 # the transforms, of a 32² predict (nothing queued on the pool) and of a
 # solver step, which are the same at every pool width.
-echo "==> diagnostics + parallel-parity proptest + pointwise MLP + spectral layer + ISA parity + FFT bits + packed-transform oracle + serving engine + allocation counts on one core (taskset -c 0)"
+echo "==> diagnostics + golden bits + parallel-parity proptest + pointwise MLP + spectral layer + ISA parity + FFT bits + packed-transform oracle + serving engine + allocation counts on one core (taskset -c 0)"
 if command -v taskset >/dev/null 2>&1; then
     taskset -c 0 cargo test -q --offline --test diagnostics
+    taskset -c 0 cargo test -q --offline --test golden_bits
     taskset -c 0 cargo test -q --release --offline -p fno-core --test parallel_parity
     taskset -c 0 cargo test -q --offline -p ft-nn --lib mlp::
     taskset -c 0 cargo test -q --release --offline -p ft-nn --lib spectral::
