@@ -1,6 +1,7 @@
 //! Global-norm gradient clipping (the `torch.nn.utils.clip_grad_norm_`
 //! analogue), a standard guard for long-schedule training runs.
 
+use ft_tensor::Element;
 use rayon::prelude::*;
 
 use crate::param::ParamMut;
@@ -28,6 +29,11 @@ fn chunked_sum_sq<T: Sync>(data: &[T], sq: impl Fn(&T) -> f64 + Sync) -> f64 {
     let partials: Vec<f64> =
         data.par_chunks(CHUNK).map(|c| c.iter().map(&sq).sum::<f64>()).collect();
     partials.into_iter().sum()
+}
+
+/// `data *= s` elementwise, [`CHUNK`]-parallel.
+fn scale_chunked<T: Element>(data: &mut [T], s: f64) {
+    data.par_chunks_mut(CHUNK).for_each(|c| c.iter_mut().for_each(|g| *g *= s));
 }
 
 /// Euclidean norm of all gradients in the model (complex entries contribute
@@ -59,14 +65,8 @@ pub fn clip_grad_norm(model: &mut dyn Layer, max_norm: f64) -> f64 {
     if norm > max_norm {
         let scale = max_norm / norm;
         model.visit_params(&mut |p| match p {
-            ParamMut::Real { grad, .. } => grad
-                .data_mut()
-                .par_chunks_mut(CHUNK)
-                .for_each(|c| c.iter_mut().for_each(|g| *g *= scale)),
-            ParamMut::Complex { grad, .. } => grad
-                .data_mut()
-                .par_chunks_mut(CHUNK)
-                .for_each(|c| c.iter_mut().for_each(|g| *g *= scale)),
+            ParamMut::Real { grad, .. } => scale_chunked(grad.data_mut(), scale),
+            ParamMut::Complex { grad, .. } => scale_chunked(grad.data_mut(), scale),
         });
     }
     norm

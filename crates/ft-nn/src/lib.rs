@@ -88,7 +88,7 @@ pub trait Layer {
     fn zero_grad(&mut self) {
         self.visit_params(&mut |p| match p {
             ParamMut::Real { grad, .. } => grad.fill(0.0),
-            ParamMut::Complex { grad, .. } => grad.fill_zero(),
+            ParamMut::Complex { grad, .. } => grad.fill(ft_tensor::Complex64::ZERO),
         });
     }
 }

@@ -1,51 +1,29 @@
 //! Learnable parameters and the optimizer-facing visitor type.
 
-use ft_tensor::{CTensor, Tensor};
+use ft_tensor::{Array, CTensor, Complex64, Element, Tensor};
 
-/// A real learnable parameter with its gradient accumulator.
+/// A learnable parameter with its gradient accumulator: real (`Param`, the
+/// default) or complex ([`CParam`]).
 #[derive(Clone)]
-pub struct Param {
+pub struct Param<T: Element = f64> {
     /// Current value.
-    pub value: Tensor,
-    /// Accumulated gradient (same shape).
-    pub grad: Tensor,
+    pub value: Array<T>,
+    /// Accumulated gradient (same shape). A complex parameter's is the
+    /// real-pair gradient `∂L/∂Re + i ∂L/∂Im`.
+    pub grad: Array<T>,
 }
 
-impl Param {
+/// A complex learnable parameter (the spectral weights).
+pub type CParam = Param<Complex64>;
+
+impl<T: Element> Param<T> {
     /// Creates a parameter from an initial value, zeroed gradient.
-    pub fn new(value: Tensor) -> Self {
-        let grad = Tensor::zeros(value.dims());
+    pub fn new(value: Array<T>) -> Self {
+        let grad = Array::zeros(value.dims());
         Param { value, grad }
     }
 
-    /// Number of scalar entries.
-    pub fn len(&self) -> usize {
-        self.value.len()
-    }
-
-    /// `true` when the parameter is empty.
-    pub fn is_empty(&self) -> bool {
-        self.value.is_empty()
-    }
-}
-
-/// A complex learnable parameter with its (real-pair) gradient accumulator.
-#[derive(Clone)]
-pub struct CParam {
-    /// Current value.
-    pub value: CTensor,
-    /// Accumulated real-pair gradient `∂L/∂Re + i ∂L/∂Im` (same shape).
-    pub grad: CTensor,
-}
-
-impl CParam {
-    /// Creates a parameter from an initial value, zeroed gradient.
-    pub fn new(value: CTensor) -> Self {
-        let grad = CTensor::zeros(value.dims());
-        CParam { value, grad }
-    }
-
-    /// Number of complex entries (each counts as one parameter, the
+    /// Number of entries (a complex entry counts as one parameter, the
     /// Table I convention).
     pub fn len(&self) -> usize {
         self.value.len()

@@ -14,7 +14,7 @@
 use std::io;
 
 use ft_tensor::codec::{invalid, Reader, Writer};
-use ft_tensor::{CTensor, Complex64, Tensor};
+use ft_tensor::{Array, CTensor, Complex64, Element, Tensor};
 
 use crate::param::ParamMut;
 use crate::Layer;
@@ -77,39 +77,47 @@ pub fn load_param_values_from(r: &mut &[u8]) -> io::Result<Vec<ParamValue>> {
         .collect()
 }
 
-/// An in-memory snapshot of every parameter value (not gradients), used by
-/// early stopping to restore the best-seen weights.
+/// One parameter tensor copied out of a model: its values
+/// ([`snapshot_params`]: the weights early stopping restores and
+/// checkpoints store) or its gradient ([`snapshot_grads`]: the per-sample
+/// contributions data-parallel training tree-reduces).
 #[derive(Clone, Debug)]
 pub enum ParamValue {
-    /// Real tensor value.
+    /// Real tensor.
     Real(Tensor),
-    /// Complex tensor value.
+    /// Complex tensor.
     Complex(CTensor),
 }
 
-/// Captures all parameter values of a model.
-pub fn snapshot_params(model: &mut dyn Layer) -> Vec<ParamValue> {
+/// Copies every parameter's value, or with `grads` its gradient, out of a
+/// model.
+fn snapshot(model: &mut dyn Layer, grads: bool) -> Vec<ParamValue> {
     let mut out = Vec::new();
-    model.visit_params(&mut |p| match p {
-        ParamMut::Real { value, .. } => out.push(ParamValue::Real(value.clone())),
-        ParamMut::Complex { value, .. } => out.push(ParamValue::Complex(value.clone())),
+    model.visit_params(&mut |p| {
+        out.push(match p {
+            ParamMut::Real { value, grad } => {
+                ParamValue::Real(if grads { grad } else { value }.clone())
+            }
+            ParamMut::Complex { value, grad } => {
+                ParamValue::Complex(if grads { grad } else { value }.clone())
+            }
+        })
     });
     out
 }
 
-/// Restores a snapshot taken from the *same* model architecture. Panics on
-/// any kind or shape mismatch.
-pub fn restore_params(model: &mut dyn Layer, snapshot: &[ParamValue]) {
+/// Overwrites every parameter's value, or with `grads` its gradient, with
+/// a snapshot of the same architecture. Panics on any kind or shape
+/// mismatch.
+fn load(model: &mut dyn Layer, snapshot: &[ParamValue], grads: bool) {
     let mut i = 0usize;
     model.visit_params(&mut |p| {
         match (&snapshot[i], p) {
-            (ParamValue::Real(v), ParamMut::Real { value, .. }) => {
-                assert_eq!(v.dims(), value.dims(), "snapshot shape mismatch at {i}");
-                value.data_mut().copy_from_slice(v.data());
+            (ParamValue::Real(v), ParamMut::Real { value, grad }) => {
+                copy_checked(if grads { grad } else { value }, v, i)
             }
-            (ParamValue::Complex(v), ParamMut::Complex { value, .. }) => {
-                assert_eq!(v.dims(), value.dims(), "snapshot shape mismatch at {i}");
-                value.data_mut().copy_from_slice(v.data());
+            (ParamValue::Complex(v), ParamMut::Complex { value, grad }) => {
+                copy_checked(if grads { grad } else { value }, v, i)
             }
             _ => panic!("snapshot parameter kind mismatch at {i}"),
         }
@@ -118,16 +126,35 @@ pub fn restore_params(model: &mut dyn Layer, snapshot: &[ParamValue]) {
     assert_eq!(i, snapshot.len(), "snapshot length mismatch");
 }
 
+/// `dst ← src` for snapshot entry `i`, which must have `dst`'s shape.
+fn copy_checked<T: Element>(dst: &mut Array<T>, src: &Array<T>, i: usize) {
+    assert_eq!(src.dims(), dst.dims(), "snapshot shape mismatch at {i}");
+    dst.data_mut().copy_from_slice(src.data());
+}
+
+/// `acc += other` elementwise for snapshot entry `i`, which must have
+/// `acc`'s shape.
+fn add_checked<T: Element>(acc: &mut Array<T>, other: &Array<T>, i: usize) {
+    assert_eq!(acc.dims(), other.dims(), "snapshot shape mismatch at {i}");
+    acc.add_assign(other);
+}
+
+/// Captures all parameter values of a model.
+pub fn snapshot_params(model: &mut dyn Layer) -> Vec<ParamValue> {
+    snapshot(model, false)
+}
+
+/// Restores a snapshot taken from the *same* model architecture. Panics on
+/// any kind or shape mismatch.
+pub fn restore_params(model: &mut dyn Layer, snapshot: &[ParamValue]) {
+    load(model, snapshot, false)
+}
+
 /// Captures all gradient accumulators of a model (the gradient-side
 /// counterpart of [`snapshot_params`]). Data-parallel training uses these
 /// as the per-shard contributions to the reduced batch gradient.
 pub fn snapshot_grads(model: &mut dyn Layer) -> Vec<ParamValue> {
-    let mut out = Vec::new();
-    model.visit_params(&mut |p| match p {
-        ParamMut::Real { grad, .. } => out.push(ParamValue::Real(grad.clone())),
-        ParamMut::Complex { grad, .. } => out.push(ParamValue::Complex(grad.clone())),
-    });
-    out
+    snapshot(model, true)
 }
 
 /// Elementwise `acc += other` over matching snapshots. Panics on kind or
@@ -137,18 +164,8 @@ pub fn add_param_values(acc: &mut [ParamValue], other: &[ParamValue]) {
     assert_eq!(acc.len(), other.len(), "snapshot length mismatch");
     for (i, (a, b)) in acc.iter_mut().zip(other).enumerate() {
         match (a, b) {
-            (ParamValue::Real(a), ParamValue::Real(b)) => {
-                assert_eq!(a.dims(), b.dims(), "snapshot shape mismatch at {i}");
-                for (x, y) in a.data_mut().iter_mut().zip(b.data()) {
-                    *x += y;
-                }
-            }
-            (ParamValue::Complex(a), ParamValue::Complex(b)) => {
-                assert_eq!(a.dims(), b.dims(), "snapshot shape mismatch at {i}");
-                for (x, y) in a.data_mut().iter_mut().zip(b.data()) {
-                    *x += *y;
-                }
-            }
+            (ParamValue::Real(a), ParamValue::Real(b)) => add_checked(a, b, i),
+            (ParamValue::Complex(a), ParamValue::Complex(b)) => add_checked(a, b, i),
             _ => panic!("snapshot parameter kind mismatch at {i}"),
         }
     }
@@ -169,22 +186,7 @@ pub fn scale_param_values(values: &mut [ParamValue], s: f64) {
 /// [`snapshot_grads`] (from the same architecture). Panics on any kind or
 /// shape mismatch.
 pub fn load_grads(model: &mut dyn Layer, snapshot: &[ParamValue]) {
-    let mut i = 0usize;
-    model.visit_params(&mut |p| {
-        match (&snapshot[i], p) {
-            (ParamValue::Real(v), ParamMut::Real { grad, .. }) => {
-                assert_eq!(v.dims(), grad.dims(), "snapshot shape mismatch at {i}");
-                grad.data_mut().copy_from_slice(v.data());
-            }
-            (ParamValue::Complex(v), ParamMut::Complex { grad, .. }) => {
-                assert_eq!(v.dims(), grad.dims(), "snapshot shape mismatch at {i}");
-                grad.data_mut().copy_from_slice(v.data());
-            }
-            _ => panic!("snapshot parameter kind mismatch at {i}"),
-        }
-        i += 1;
-    });
-    assert_eq!(i, snapshot.len(), "snapshot length mismatch");
+    load(model, snapshot, true)
 }
 
 #[cfg(test)]

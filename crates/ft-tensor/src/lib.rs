@@ -1,9 +1,13 @@
 //! Dense numerical tensors for the fno2d-turbulence workspace.
 //!
 //! This crate provides the small linear-algebra substrate everything else is
-//! built on: a [`Complex64`] scalar type, row-major dense [`Tensor`] (real,
-//! `f64`) and [`CTensor`] (complex) containers with shape/stride index math,
-//! elementwise and reduction operations, and rayon-parallel helpers. Its
+//! built on: a [`Complex64`] scalar type, one row-major dense container,
+//! [`Array`], generic over its [`Element`] (`f64` or [`Complex64`]; the
+//! aliases [`Tensor`] and [`CTensor`] name the two), with shape/stride
+//! index math, elementwise and reduction operations, and rayon-parallel
+//! helpers. A method both element types need is written once on
+//! `Array<T>`; the real-only statistics and the complex-only conversions
+//! sit on the aliases. Its
 //! [`codec`] module is the workspace's one bounded little-endian binary
 //! reader and writer, shared by every on-disk format. Its [`isa`] module
 //! is the one runtime dispatch point that compiles a hot kernel for the
@@ -23,17 +27,17 @@
 
 pub mod codec;
 pub mod complex;
-pub mod ctensor;
+#[cfg(test)]
+mod ctensor;
 pub mod isa;
 pub mod ops;
 pub mod shape;
 pub mod tensor;
 
 pub use complex::Complex64;
-pub use ctensor::CTensor;
 pub use isa::Isa;
 pub use shape::Shape;
-pub use tensor::Tensor;
+pub use tensor::{Array, CTensor, Element, Tensor};
 
 /// Returns `true` when `a` and `b` agree to within `tol` absolutely or
 /// relative to the larger magnitude, whichever is looser.

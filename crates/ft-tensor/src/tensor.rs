@@ -1,43 +1,109 @@
-//! Owned, contiguous, row-major real (`f64`) tensor.
+//! Owned, contiguous, row-major tensors: one container, [`Array`], generic
+//! over its [`Element`] — real [`Tensor`] (`f64`) and complex [`CTensor`]
+//! ([`Complex64`]).
 
 use std::fmt;
-use std::ops::{Index, IndexMut};
+use std::iter::Sum;
+use std::ops::{Add, AddAssign, Index, IndexMut, Mul, MulAssign, Sub};
 
 use rand::distributions::Distribution;
 use rand::Rng;
 use rayon::prelude::*;
 
+use crate::complex::Complex64;
 use crate::shape::Shape;
 
-/// Dense row-major tensor of `f64` values.
+/// A tensor element: `f64` or [`Complex64`]. The arithmetic comes from the
+/// operator traits, so every generic method computes exactly what the
+/// element's own operators do, bit for bit.
+pub trait Element:
+    Copy
+    + PartialEq
+    + fmt::Debug
+    + Send
+    + Sync
+    + Sum
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + AddAssign
+    + MulAssign<f64>
+{
+    /// The additive identity.
+    const ZERO: Self;
+    /// Squared magnitude (`x²`, or `re² + im²`).
+    fn norm_sqr(self) -> f64;
+    /// `true` when every component is finite.
+    fn is_finite(self) -> bool;
+    /// [`crate::approx_eq`] on every component.
+    fn approx_eq(self, other: Self, tol: f64) -> bool;
+}
+
+impl Element for f64 {
+    const ZERO: f64 = 0.0;
+    #[inline]
+    fn norm_sqr(self) -> f64 {
+        self * self
+    }
+    #[inline]
+    fn is_finite(self) -> bool {
+        f64::is_finite(self)
+    }
+    #[inline]
+    fn approx_eq(self, other: f64, tol: f64) -> bool {
+        crate::approx_eq(self, other, tol)
+    }
+}
+
+impl Element for Complex64 {
+    const ZERO: Complex64 = Complex64::ZERO;
+    #[inline]
+    fn norm_sqr(self) -> f64 {
+        Complex64::norm_sqr(self)
+    }
+    #[inline]
+    fn is_finite(self) -> bool {
+        Complex64::is_finite(self)
+    }
+    #[inline]
+    fn approx_eq(self, other: Complex64, tol: f64) -> bool {
+        crate::approx_eq(self.re, other.re, tol) && crate::approx_eq(self.im, other.im, tol)
+    }
+}
+
+/// Dense row-major tensor of [`Element`] values.
 ///
 /// The data is always contiguous; the shape describes how the flat buffer is
 /// interpreted. All indexing is bounds-checked in debug and release (the hot
 /// numeric kernels in other crates operate on the flat slice directly).
 #[derive(Clone, PartialEq)]
-pub struct Tensor {
+pub struct Array<T: Element> {
     shape: Shape,
-    data: Vec<f64>,
+    data: Vec<T>,
 }
 
-impl Tensor {
+/// Real (`f64`) tensor.
+pub type Tensor = Array<f64>;
+
+/// Complex tensor, the spectral-domain counterpart of [`Tensor`].
+pub type CTensor = Array<Complex64>;
+
+impl<T: Element> Array<T> {
     /// A tensor of zeros with the given shape.
     pub fn zeros(dims: &[usize]) -> Self {
-        let shape = Shape::new(dims);
-        let data = vec![0.0; shape.len()];
-        Tensor { shape, data }
+        Self::full(dims, T::ZERO)
     }
 
     /// A tensor with every element equal to `value`.
-    pub fn full(dims: &[usize], value: f64) -> Self {
+    pub fn full(dims: &[usize], value: T) -> Self {
         let shape = Shape::new(dims);
         let data = vec![value; shape.len()];
-        Tensor { shape, data }
+        Array { shape, data }
     }
 
     /// Wraps an existing buffer. Panics when the buffer length does not
     /// match the shape volume.
-    pub fn from_vec(dims: &[usize], data: Vec<f64>) -> Self {
+    pub fn from_vec(dims: &[usize], data: Vec<T>) -> Self {
         let shape = Shape::new(dims);
         assert_eq!(
             data.len(),
@@ -47,23 +113,16 @@ impl Tensor {
             shape,
             shape.len()
         );
-        Tensor { shape, data }
+        Array { shape, data }
     }
 
     /// Builds a tensor by evaluating `f` at every multi-index, in
     /// row-major order.
-    pub fn from_fn(dims: &[usize], mut f: impl FnMut(&[usize]) -> f64) -> Self {
+    pub fn from_fn(dims: &[usize], mut f: impl FnMut(&[usize]) -> T) -> Self {
         let shape = Shape::new(dims);
         let mut data = Vec::with_capacity(shape.len());
         shape.for_each_index(|idx| data.push(f(idx)));
-        Tensor { shape, data }
-    }
-
-    /// Samples every element i.i.d. from `dist`.
-    pub fn random<D: Distribution<f64>>(dims: &[usize], dist: &D, rng: &mut impl Rng) -> Self {
-        let shape = Shape::new(dims);
-        let data = (0..shape.len()).map(|_| dist.sample(rng)).collect();
-        Tensor { shape, data }
+        Array { shape, data }
     }
 
     /// The tensor's shape.
@@ -92,30 +151,30 @@ impl Tensor {
 
     /// Read-only view of the flat buffer (row-major).
     #[inline]
-    pub fn data(&self) -> &[f64] {
+    pub fn data(&self) -> &[T] {
         &self.data
     }
 
     /// Mutable view of the flat buffer (row-major).
     #[inline]
-    pub fn data_mut(&mut self) -> &mut [f64] {
+    pub fn data_mut(&mut self) -> &mut [T] {
         &mut self.data
     }
 
     /// Consumes the tensor and returns its flat buffer.
-    pub fn into_vec(self) -> Vec<f64> {
+    pub fn into_vec(self) -> Vec<T> {
         self.data
     }
 
     /// Element at a multi-index.
     #[inline]
-    pub fn at(&self, idx: &[usize]) -> f64 {
+    pub fn at(&self, idx: &[usize]) -> T {
         self.data[self.shape.linear_index(idx)]
     }
 
     /// Mutable element at a multi-index.
     #[inline]
-    pub fn at_mut(&mut self, idx: &[usize]) -> &mut f64 {
+    pub fn at_mut(&mut self, idx: &[usize]) -> &mut T {
         let lin = self.shape.linear_index(idx);
         &mut self.data[lin]
     }
@@ -135,29 +194,24 @@ impl Tensor {
     }
 
     /// Applies `f` to every element, returning a new tensor.
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> Self {
-        Tensor {
+    pub fn map(&self, f: impl Fn(T) -> T) -> Self {
+        Array {
             shape: self.shape.clone(),
             data: self.data.iter().map(|&x| f(x)).collect(),
         }
     }
 
     /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
+    pub fn map_inplace(&mut self, f: impl Fn(T) -> T) {
         for x in &mut self.data {
             *x = f(*x);
         }
     }
 
-    /// Applies `f` in parallel chunks — worthwhile for multi-megabyte fields.
-    pub fn par_map_inplace(&mut self, f: impl Fn(f64) -> f64 + Sync) {
-        self.data.par_iter_mut().for_each(|x| *x = f(*x));
-    }
-
     /// Combines two same-shaped tensors elementwise.
-    pub fn zip_map(&self, other: &Tensor, f: impl Fn(f64, f64) -> f64) -> Self {
+    pub fn zip_map(&self, other: &Self, f: impl Fn(T, T) -> T) -> Self {
         self.assert_same_shape(other);
-        Tensor {
+        Array {
             shape: self.shape.clone(),
             data: self
                 .data
@@ -169,26 +223,139 @@ impl Tensor {
     }
 
     /// Elementwise sum.
-    pub fn add(&self, other: &Tensor) -> Self {
+    pub fn add(&self, other: &Self) -> Self {
         self.zip_map(other, |a, b| a + b)
     }
 
     /// Elementwise difference.
-    pub fn sub(&self, other: &Tensor) -> Self {
+    pub fn sub(&self, other: &Self) -> Self {
         self.zip_map(other, |a, b| a - b)
     }
 
     /// Elementwise (Hadamard) product.
-    pub fn mul(&self, other: &Tensor) -> Self {
+    pub fn mul(&self, other: &Self) -> Self {
         self.zip_map(other, |a, b| a * b)
     }
 
     /// `self += other`, elementwise.
-    pub fn add_assign(&mut self, other: &Tensor) {
+    pub fn add_assign(&mut self, other: &Self) {
         self.assert_same_shape(other);
         for (a, &b) in self.data.iter_mut().zip(&other.data) {
             *a += b;
         }
+    }
+
+    /// Multiplies every element by the real scalar `s` in place.
+    pub fn scale_inplace(&mut self, s: f64) {
+        for x in &mut self.data {
+            *x *= s;
+        }
+    }
+
+    /// Sets every element to `value`, keeping the allocation.
+    pub fn fill(&mut self, value: T) {
+        for x in &mut self.data {
+            *x = value;
+        }
+    }
+
+    /// Sum of all elements.
+    pub fn sum(&self) -> T {
+        self.data.iter().copied().sum()
+    }
+
+    /// Euclidean (Frobenius) norm `sqrt(Σ |x|²)` of the flattened tensor.
+    pub fn norm_l2(&self) -> f64 {
+        self.data.iter().map(|&x| x.norm_sqr()).sum::<f64>().sqrt()
+    }
+
+    /// `true` when every element of both tensors agrees to within `tol`
+    /// (componentwise absolute/relative, see [`crate::approx_eq`]).
+    pub fn allclose(&self, other: &Self, tol: f64) -> bool {
+        self.shape == other.shape
+            && self.data.iter().zip(&other.data).all(|(&a, &b)| a.approx_eq(b, tol))
+    }
+
+    /// `true` when every component of every element is finite.
+    pub fn all_finite(&self) -> bool {
+        self.data.iter().all(|&x| x.is_finite())
+    }
+
+    /// Copies the `i`-th sub-tensor along axis 0 (e.g. one sample of a batch).
+    pub fn index_axis0(&self, i: usize) -> Self {
+        let dims = self.shape.dims();
+        assert!(!dims.is_empty(), "cannot index axis 0 of a scalar tensor");
+        assert!(i < dims[0], "index {i} out of bounds for axis 0 extent {}", dims[0]);
+        let sub_len: usize = dims[1..].iter().product();
+        let start = i * sub_len;
+        Self::from_vec(&dims[1..], self.data[start..start + sub_len].to_vec())
+    }
+
+    /// Copies the contiguous range `start..start+len` of sub-tensors along
+    /// axis 0 (e.g. a window of snapshots from a trajectory).
+    pub fn slice_axis0(&self, start: usize, len: usize) -> Self {
+        let dims = self.shape.dims();
+        assert!(!dims.is_empty(), "cannot slice axis 0 of a scalar tensor");
+        assert!(
+            start + len <= dims[0],
+            "slice {start}..{} out of bounds for axis 0 extent {}",
+            start + len,
+            dims[0]
+        );
+        let sub_len: usize = dims[1..].iter().product();
+        let mut out_dims = vec![len];
+        out_dims.extend_from_slice(&dims[1..]);
+        Self::from_vec(
+            &out_dims,
+            self.data[start * sub_len..(start + len) * sub_len].to_vec(),
+        )
+    }
+
+    /// Overwrites the `i`-th sub-tensor along axis 0.
+    pub fn set_axis0(&mut self, i: usize, sub: &Self) {
+        let dims = self.shape.dims().to_vec();
+        assert!(!dims.is_empty(), "cannot index axis 0 of a scalar tensor");
+        assert!(i < dims[0], "index {i} out of bounds for axis 0 extent {}", dims[0]);
+        assert_eq!(sub.dims(), &dims[1..], "sub-tensor shape mismatch");
+        let sub_len = sub.len();
+        let start = i * sub_len;
+        self.data[start..start + sub_len].copy_from_slice(&sub.data);
+    }
+
+    /// Stacks equal-shaped tensors along a new leading axis.
+    pub fn stack(parts: &[Self]) -> Self {
+        assert!(!parts.is_empty(), "cannot stack zero tensors");
+        let first = &parts[0];
+        let mut dims = vec![parts.len()];
+        dims.extend_from_slice(first.dims());
+        let mut data = Vec::with_capacity(first.len() * parts.len());
+        for p in parts {
+            assert_eq!(p.dims(), first.dims(), "stack requires equal shapes");
+            data.extend_from_slice(&p.data);
+        }
+        Self::from_vec(&dims, data)
+    }
+
+    fn assert_same_shape(&self, other: &Self) {
+        assert_eq!(
+            self.shape, other.shape,
+            "shape mismatch: {} vs {}",
+            self.shape, other.shape
+        );
+    }
+}
+
+impl Tensor {
+    /// Samples every element i.i.d. from `dist`.
+    pub fn random<D: Distribution<f64>>(dims: &[usize], dist: &D, rng: &mut impl Rng) -> Self {
+        let shape = Shape::new(dims);
+        let data = (0..shape.len()).map(|_| dist.sample(rng)).collect();
+        Tensor { shape, data }
+    }
+
+    /// Applies `f` in parallel chunks — worthwhile for multi-megabyte fields.
+    pub fn par_map_inplace(&mut self, f: impl Fn(f64) -> f64 + Sync) {
+        self.data.par_iter_mut().for_each(|x| *x = f(*x));
     }
 
     /// `self += s * other`, elementwise (axpy).
@@ -202,25 +369,6 @@ impl Tensor {
     /// Multiplies every element by `s`, returning a new tensor.
     pub fn scale(&self, s: f64) -> Self {
         self.map(|x| x * s)
-    }
-
-    /// Multiplies every element by `s` in place.
-    pub fn scale_inplace(&mut self, s: f64) {
-        for x in &mut self.data {
-            *x *= s;
-        }
-    }
-
-    /// Sets every element to zero, keeping the allocation.
-    pub fn fill(&mut self, value: f64) {
-        for x in &mut self.data {
-            *x = value;
-        }
-    }
-
-    /// Sum of all elements.
-    pub fn sum(&self) -> f64 {
-        self.data.iter().sum()
     }
 
     /// Arithmetic mean of all elements (NaN for empty tensors).
@@ -250,126 +398,63 @@ impl Tensor {
         self.data.iter().copied().fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Euclidean (Frobenius) norm of the flattened tensor.
-    pub fn norm_l2(&self) -> f64 {
-        self.data.iter().map(|&x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Inner product of the flattened tensors.
     pub fn dot(&self, other: &Tensor) -> f64 {
         self.assert_same_shape(other);
         self.data.iter().zip(&other.data).map(|(&a, &b)| a * b).sum()
     }
+}
 
-    /// `true` when every element of both tensors agrees to within `tol`.
-    pub fn allclose(&self, other: &Tensor, tol: f64) -> bool {
-        self.shape == other.shape
-            && self
-                .data
-                .iter()
-                .zip(&other.data)
-                .all(|(&a, &b)| crate::approx_eq(a, b, tol))
-    }
-
-    /// `true` when every element is finite.
-    pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
-    }
-
-    /// Copies the `i`-th sub-tensor along axis 0 (e.g. one sample of a batch).
-    pub fn index_axis0(&self, i: usize) -> Tensor {
-        let dims = self.shape.dims();
-        assert!(!dims.is_empty(), "cannot index axis 0 of a scalar tensor");
-        assert!(i < dims[0], "index {i} out of bounds for axis 0 extent {}", dims[0]);
-        let sub_len: usize = dims[1..].iter().product();
-        let start = i * sub_len;
-        Tensor::from_vec(&dims[1..], self.data[start..start + sub_len].to_vec())
-    }
-
-    /// Copies the contiguous range `start..start+len` of sub-tensors along
-    /// axis 0 (e.g. a window of snapshots from a trajectory).
-    pub fn slice_axis0(&self, start: usize, len: usize) -> Tensor {
-        let dims = self.shape.dims();
-        assert!(!dims.is_empty(), "cannot slice axis 0 of a scalar tensor");
-        assert!(
-            start + len <= dims[0],
-            "slice {start}..{} out of bounds for axis 0 extent {}",
-            start + len,
-            dims[0]
-        );
-        let sub_len: usize = dims[1..].iter().product();
-        let mut out_dims = vec![len];
-        out_dims.extend_from_slice(&dims[1..]);
-        Tensor::from_vec(
-            &out_dims,
-            self.data[start * sub_len..(start + len) * sub_len].to_vec(),
-        )
-    }
-
-    /// Overwrites the `i`-th sub-tensor along axis 0.
-    pub fn set_axis0(&mut self, i: usize, sub: &Tensor) {
-        let dims = self.shape.dims().to_vec();
-        assert!(!dims.is_empty(), "cannot index axis 0 of a scalar tensor");
-        assert!(i < dims[0], "index {i} out of bounds for axis 0 extent {}", dims[0]);
-        assert_eq!(sub.dims(), &dims[1..], "sub-tensor shape mismatch");
-        let sub_len = sub.len();
-        let start = i * sub_len;
-        self.data[start..start + sub_len].copy_from_slice(&sub.data);
-    }
-
-    /// Stacks equal-shaped tensors along a new leading axis.
-    pub fn stack(parts: &[Tensor]) -> Tensor {
-        assert!(!parts.is_empty(), "cannot stack zero tensors");
-        let first = &parts[0];
-        let mut dims = vec![parts.len()];
-        dims.extend_from_slice(first.dims());
-        let mut data = Vec::with_capacity(first.len() * parts.len());
-        for p in parts {
-            assert_eq!(p.dims(), first.dims(), "stack requires equal shapes");
-            data.extend_from_slice(&p.data);
+impl CTensor {
+    /// Embeds a real tensor (zero imaginary parts).
+    pub fn from_real(t: &Tensor) -> Self {
+        CTensor {
+            shape: t.shape.clone(),
+            data: t.data.iter().map(|&x| Complex64::from_re(x)).collect(),
         }
-        Tensor::from_vec(&dims, data)
     }
 
-    fn assert_same_shape(&self, other: &Tensor) {
-        assert_eq!(
-            self.shape, other.shape,
-            "shape mismatch: {} vs {}",
-            self.shape, other.shape
-        );
+    /// Real parts, as a real tensor.
+    pub fn re(&self) -> Tensor {
+        Tensor::from_vec(self.dims(), self.data.iter().map(|z| z.re).collect())
+    }
+
+    /// Imaginary parts, as a real tensor.
+    pub fn im(&self) -> Tensor {
+        Tensor::from_vec(self.dims(), self.data.iter().map(|z| z.im).collect())
+    }
+
+    /// Elementwise conjugate.
+    pub fn conj(&self) -> Self {
+        self.map(Complex64::conj)
     }
 }
 
-impl Index<&[usize]> for Tensor {
-    type Output = f64;
+impl<T: Element> Index<&[usize]> for Array<T> {
+    type Output = T;
     #[inline]
-    fn index(&self, idx: &[usize]) -> &f64 {
+    fn index(&self, idx: &[usize]) -> &T {
         &self.data[self.shape.linear_index(idx)]
     }
 }
 
-impl IndexMut<&[usize]> for Tensor {
+impl<T: Element> IndexMut<&[usize]> for Array<T> {
     #[inline]
-    fn index_mut(&mut self, idx: &[usize]) -> &mut f64 {
+    fn index_mut(&mut self, idx: &[usize]) -> &mut T {
         let lin = self.shape.linear_index(idx);
         &mut self.data[lin]
     }
 }
 
-impl fmt::Debug for Tensor {
+impl<T: Element> fmt::Debug for Array<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Tensor(shape={}, ", self.shape)?;
-        if self.data.len() <= 8 {
-            write!(f, "data={:?})", self.data)
+        write!(f, "Array(shape={}, ", self.shape)?;
+        let d = &self.data;
+        if d.len() <= 8 {
+            write!(f, "data={d:?})")
         } else {
-            write!(
-                f,
-                "data=[{:.4}, {:.4}, … {} elems … , {:.4}])",
-                self.data[0],
-                self.data[1],
-                self.data.len(),
-                self.data[self.data.len() - 1]
-            )
+            let (n, last) = (d.len(), d[d.len() - 1]);
+            write!(f, "data=[{:.4?}, {:.4?}, … {n} elems … , {last:.4?}])", d[0], d[1])
         }
     }
 }
