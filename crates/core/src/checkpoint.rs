@@ -15,8 +15,8 @@
 //! The CRC covers the payload; the loader verifies magic, exact length,
 //! and checksum before parsing a single field, so any corruption —
 //! truncation, bit flips, wrong file — is rejected with
-//! [`std::io::ErrorKind::InvalidData`] instead of a panic or a silently
-//! wrong resume. Writes go through a temp file in the target directory
+//! [`CheckpointError::Corrupt`] (`InvalidData` as an `io::Error`) instead
+//! of a panic or a silently wrong resume. Writes go through a temp file in the target directory
 //! followed by an atomic rename, so a crash mid-write never leaves a
 //! half-written file under the checkpoint's final name.
 //!
@@ -46,9 +46,10 @@ const MAGIC: &[u8; 4] = b"FTC1";
 /// [`CheckpointError::UnsupportedVersion`].
 const VERSION: u32 = 2;
 
-/// Typed failure modes of [`Checkpoint::load_typed`] and
+/// Typed failure modes of [`Checkpoint::load`] and
 /// [`Checkpoint::validate_meta`]. Converts into `io::Error(InvalidData)`
-/// for callers on the legacy `io::Result` path.
+/// (or the underlying error, for [`CheckpointError::Io`]) for callers on
+/// an `io::Result` path such as [`crate::Trainer::resume_from`].
 #[derive(Debug)]
 pub enum CheckpointError {
     /// Filesystem-level failure reading the file.
@@ -272,18 +273,11 @@ impl Checkpoint {
     }
 
     /// Loads and validates a checkpoint. Magic, length, and CRC are checked
-    /// before any field is parsed; every failure mode maps to
-    /// `InvalidData` (or the underlying `io::Error` for filesystem
-    /// problems). See [`Checkpoint::load_typed`] for structured errors.
-    pub fn load(path: impl AsRef<Path>) -> io::Result<Checkpoint> {
-        Self::load_typed(path).map_err(io::Error::from)
-    }
-
-    /// [`Checkpoint::load`] with typed failure modes: header/CRC problems
-    /// are [`CheckpointError::Corrupt`], unknown payload versions are
+    /// before any field is parsed: header/CRC problems are
+    /// [`CheckpointError::Corrupt`], unknown payload versions are
     /// [`CheckpointError::UnsupportedVersion`], filesystem problems are
     /// [`CheckpointError::Io`].
-    pub fn load_typed(path: impl AsRef<Path>) -> Result<Checkpoint, CheckpointError> {
+    pub fn load(path: impl AsRef<Path>) -> Result<Checkpoint, CheckpointError> {
         let path = path.as_ref();
         let bad = |msg: &str| CheckpointError::Corrupt(msg.to_string());
         let bytes = fs::read(path)?;
@@ -707,7 +701,7 @@ mod tests {
         bytes[4..8].copy_from_slice(&crc.to_le_bytes());
         std::fs::write(&p, &bytes).unwrap();
         assert!(matches!(
-            Checkpoint::load_typed(&p),
+            Checkpoint::load(&p),
             Err(CheckpointError::UnsupportedVersion(1))
         ));
         std::fs::remove_file(&p).ok();
@@ -751,10 +745,9 @@ mod tests {
                 corrupt[byte] ^= 1 << bit;
                 std::fs::write(&p, &corrupt).unwrap();
                 let err = Checkpoint::load(&p).unwrap_err();
-                assert_eq!(
-                    err.kind(),
-                    io::ErrorKind::InvalidData,
-                    "byte {byte} bit {bit} must be InvalidData, got {err}"
+                assert!(
+                    matches!(err, CheckpointError::Corrupt(_)),
+                    "byte {byte} bit {bit} must be Corrupt, got {err}"
                 );
             }
         }
@@ -770,7 +763,7 @@ mod tests {
         for cut in [0, 3, 15, 16, bytes.len() / 2, bytes.len() - 1] {
             std::fs::write(&p, &bytes[..cut]).unwrap();
             let err = Checkpoint::load(&p).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut at {cut}");
+            assert!(matches!(err, CheckpointError::Corrupt(_)), "cut at {cut}: {err}");
         }
         std::fs::remove_file(&p).ok();
     }

@@ -107,7 +107,7 @@ impl Fno {
     /// are the weights restored: a file that does not fit is a typed
     /// [`CheckpointError`], never a panic.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
-        let ck = Checkpoint::load_typed(path)?;
+        let ck = Checkpoint::load(path)?;
         let config = ck.meta.as_ref().ok_or(CheckpointError::MetaMissing)?.to_config();
         ck.validate_meta(&config)?;
         let mut model = Fno::new(config, 0);

@@ -216,7 +216,7 @@ impl<M: ForecastModel> Trainer<M> {
     /// weights do not fit this model tensor by tensor, are rejected here
     /// with `InvalidData`.
     pub fn resume_from(mut self, path: impl AsRef<Path>) -> io::Result<Self> {
-        let ck = Checkpoint::load_typed(path)?;
+        let ck = Checkpoint::load(path)?;
         ck.check_params(&mut self.model)?;
         self.resume = Some(ck);
         Ok(self)

@@ -1,5 +1,5 @@
 //! Bounded allocation in the binary loaders. `load_tensor` (FTT1),
-//! `load_param_values_from` (FTW1) and `Checkpoint::load_typed` (FTC1)
+//! `load_param_values_from` (FTW1) and `Checkpoint::load` (FTC1)
 //! must turn hostile bytes — random input, single-bit flips (with the FTC1
 //! CRC resealed), truncations, and length fields set to 2^20, 2^32 or
 //! `u64::MAX` — into a value or a typed error, never a panic, and while
@@ -93,7 +93,7 @@ fn check(format: Format, bytes: &[u8], case: &str) {
         Format::Ftw1 => load_param_values_from(&mut &bytes[..])
             .err()
             .filter(|e| e.kind() != ErrorKind::InvalidData),
-        Format::Ftc1 => match Checkpoint::load_typed(&path) {
+        Format::Ftc1 => match Checkpoint::load(&path) {
             Err(CheckpointError::Io(e)) => Some(e),
             _ => None,
         },
