@@ -26,7 +26,7 @@ use crate::Direction;
 /// row in place and gather a strided line into a scratch line, which also
 /// holds a mixed-radix plan's working line.
 pub fn fft_axis(ct: &mut CTensor, axis: usize, dir: Direction) {
-    let dims = ct.dims().to_vec();
+    let dims = ct.dims();
     assert!(axis < dims.len(), "axis {axis} out of range for rank {}", dims.len());
     let n = dims[axis];
     if n <= 1 {

@@ -60,12 +60,11 @@ fn warm_step_allocations(n: usize) -> u64 {
 }
 
 /// Allocations of a warm step: the stage buffers and the nonlinear term's
-/// buffers belong to the solver, so only the transforms allocate, eight per
-/// evaluation of the nonlinear term: the extents `fft_axis` copies for
-/// each of its five axis passes (two per packed inverse transform, one for
-/// the column pass of the real forward transform), the row scratch of the
-/// two contiguous-axis passes, and the row scratch of the real rows.
-const WARM_STEP_ALLOCATIONS: u64 = 32;
+/// buffers belong to the solver, so only the transforms allocate, three per
+/// evaluation of the nonlinear term: the row scratch of the two
+/// contiguous-axis `fft_axis` passes (one per packed inverse transform) and
+/// the row scratch of the real rows.
+const WARM_STEP_ALLOCATIONS: u64 = 12;
 
 fn main() {
     let small = warm_step_allocations(32);
