@@ -8,6 +8,7 @@
 //! energy/enstrophy error curves (Fig. 9) can be derived.
 
 use ft_analysis::stats::GlobalDiagnostics;
+use ft_analysis::{report_blowup, sample_finite};
 use ft_ns::{PdeSolver, SolverError};
 use ft_tensor::Tensor;
 
@@ -159,8 +160,9 @@ impl<'a, S: PdeSolver, M: ForecastModel> HybridScheme<'a, S, M> {
                 let py = win_y.advance(self.model, take);
                 for t in 0..take {
                     let (ux, uy) = (px.index_axis0(t), py.index_axis0(t));
-                    if check_every.is_some() && !(frame_finite(&ux) && frame_finite(&uy)) {
-                        ft_ns::report_blowup("hybrid.fno", produced as u64, "fno velocity");
+                    let finite = |t: &Tensor| sample_finite(t.data(), 64);
+                    if check_every.is_some() && !(finite(&ux) && finite(&uy)) {
+                        report_blowup("hybrid.fno", produced as u64, "fno velocity");
                         return Err(SolverError::BlowUp {
                             step: produced as u64,
                             field: "fno velocity",
@@ -205,16 +207,6 @@ impl<'a, S: PdeSolver, M: ForecastModel> HybridScheme<'a, S, M> {
         let cfl_dt = 2.0;
         (dt_frame / cfl_dt).ceil().max(1.0) as usize
     }
-}
-
-/// Strided finiteness probe of one emitted frame (~64 samples).
-fn frame_finite(t: &Tensor) -> bool {
-    let data = t.data();
-    if data.is_empty() {
-        return true;
-    }
-    let stride = (data.len() / 64).max(1);
-    data.iter().step_by(stride).all(|x| x.is_finite()) && data[data.len() - 1].is_finite()
 }
 
 #[cfg(test)]

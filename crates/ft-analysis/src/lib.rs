@@ -13,13 +13,17 @@
 //!   diagnostic for spectral bias of ML surrogates;
 //! * [`probe`] — a [`DiagnosticsProbe`] that periodically measures a live
 //!   velocity field (energy, enstrophy, spectral tail, divergence
-//!   residual) and streams `physics` records through the `ft-obs` sink.
+//!   residual) and streams `physics` records through the `ft-obs` sink;
+//! * [`blowup`] — the one [`SolverError`], finiteness probe and
+//!   flight-recorder report that the guarded loops of every solver family
+//!   (LBM, Navier-Stokes, the hybrid march) share.
 
 #![warn(missing_docs)]
 // Indexed loops mirror the discrete math in numeric kernels; clippy's
 // iterator rewrites obscure the stencil/butterfly structure.
 #![allow(clippy::needless_range_loop, clippy::manual_is_multiple_of)]
 
+pub mod blowup;
 pub mod higher_order;
 pub mod lyapunov;
 pub mod probe;
@@ -27,6 +31,7 @@ pub mod separation;
 pub mod spectrum;
 pub mod stats;
 
+pub use blowup::{report_blowup, sample_finite, SolverError};
 pub use higher_order::{excess_kurtosis, pdf, structure_function};
 pub use lyapunov::{lyapunov_exponent, LyapunovEstimate};
 pub use probe::{DiagnosticsProbe, PhysicsDiagnostics};

@@ -1,6 +1,7 @@
 //! The entropic lattice Boltzmann solver: collide-and-stream on a periodic
 //! box, with the entropic α-stabilizer.
 
+pub use ft_analysis::SolverError;
 use ft_tensor::Tensor;
 use rayon::prelude::*;
 
@@ -17,31 +18,6 @@ static LBM_MLUPS: ft_obs::Gauge = ft_obs::Gauge::new("lbm.mlups");
 /// gauge averages a whole run; this catches the p99/max tail (allocator
 /// stalls, thread-pool contention) a mean hides.
 static LBM_STEP_SECONDS: ft_obs::Histogram = ft_obs::Histogram::new("lbm.step_seconds");
-
-/// Structured failure of an LBM integration. Raised by [`Lbm::try_run`]
-/// instead of letting NaN populations propagate into sampled fields.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SolverError {
-    /// A non-finite distribution value appeared during stepping.
-    BlowUp {
-        /// Collide-stream steps completed when the blow-up was detected.
-        step: u64,
-        /// Which state field went non-finite.
-        field: &'static str,
-    },
-}
-
-impl std::fmt::Display for SolverError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SolverError::BlowUp { step, field } => {
-                write!(f, "LBM blow-up: non-finite {field} after {step} steps")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SolverError {}
 
 /// Collision operator selection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -249,10 +225,7 @@ impl Lbm {
     /// non-finite population across the lattice within a few steps, so a
     /// sparse probe catches a blow-up almost immediately.
     pub fn check_finite(&self) -> Result<(), &'static str> {
-        let stride = (self.f.len() / 64).max(1);
-        let ok = self.f.iter().step_by(stride).all(|x| x.is_finite())
-            && self.f.last().is_none_or(|x| x.is_finite());
-        if ok {
+        if ft_analysis::sample_finite(&self.f, 64) {
             Ok(())
         } else {
             Err("distribution")
@@ -273,16 +246,8 @@ impl Lbm {
             self.run(m);
             done += m;
             if let Err(field) = self.check_finite() {
-                let step = self.steps;
-                ft_obs::flight::event_with(|| {
-                    ft_obs::Record::new("event")
-                        .str("kind", "solver_blowup")
-                        .str("source", "lbm")
-                        .u64("step", step)
-                        .str("field", field)
-                });
-                let _ = ft_obs::flight::dump("solver_blowup");
-                return Err(SolverError::BlowUp { step, field });
+                ft_analysis::report_blowup("lbm", self.steps, field);
+                return Err(SolverError::BlowUp { step: self.steps, field });
             }
             if self.probe.as_mut().is_some_and(|p| p.advance(m as u64)) {
                 let (ux, uy) = self.velocity();

@@ -222,7 +222,7 @@ impl PdeSolver for ArakawaNs {
     }
 
     fn check_finite(&self) -> Result<(), &'static str> {
-        if crate::sample_finite(self.omega.data(), 64) {
+        if ft_analysis::sample_finite(self.omega.data(), 64) {
             Ok(())
         } else {
             Err("vorticity")

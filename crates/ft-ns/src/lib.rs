@@ -42,34 +42,10 @@ pub use forcing::Forcing;
 pub use grid::SpectralGrid;
 pub use spectral::SpectralNs;
 
-use ft_analysis::DiagnosticsProbe;
+pub use ft_analysis::SolverError;
+
+use ft_analysis::{report_blowup, DiagnosticsProbe};
 use ft_tensor::Tensor;
-
-/// Structured failure of a PDE integration. Solvers raise this instead of
-/// letting NaN/Inf fields propagate into rollouts or hybrid forecasts.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SolverError {
-    /// A field went non-finite during time stepping (CFL violation,
-    /// unstable parameters, or poisoned initial data).
-    BlowUp {
-        /// Steps completed when the blow-up was detected.
-        step: u64,
-        /// Which state field went non-finite.
-        field: &'static str,
-    },
-}
-
-impl std::fmt::Display for SolverError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SolverError::BlowUp { step, field } => {
-                write!(f, "solver blow-up: non-finite {field} after {step} steps")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SolverError {}
 
 /// Common interface of the PDE solvers, as consumed by the hybrid
 /// FNO-PDE orchestrator.
@@ -135,21 +111,6 @@ pub trait PdeSolver {
     }
 }
 
-/// Records a `solver_blowup` event in the flight recorder and dumps the
-/// ring — a blow-up is exactly the anomaly the recorder exists for. No-op
-/// while instrumentation is disabled. Shared by the guarded entry points
-/// here and in `ft-lbm`/`fno-core`.
-pub fn report_blowup(source: &str, step: u64, field: &str) {
-    ft_obs::flight::event_with(|| {
-        ft_obs::Record::new("event")
-            .str("kind", "solver_blowup")
-            .str("source", source)
-            .u64("step", step)
-            .str("field", field)
-    });
-    let _ = ft_obs::flight::dump("solver_blowup");
-}
-
 /// Time steps integrated by any [`PdeSolver::advance`] in the process;
 /// ticks only while `ft-obs` instrumentation is enabled.
 static NS_STEPS: ft_obs::Counter = ft_obs::Counter::new("ns.steps");
@@ -186,14 +147,4 @@ pub(crate) fn record_advance(steps: usize, secs: f64, gauge: &'static ft_obs::Ga
     if secs > 0.0 && steps > 0 {
         gauge.set(steps as f64 / secs);
     }
-}
-
-/// Strided finiteness probe over ~`samples` evenly spaced entries
-/// (plus the final one). Shared by the solver `check_finite` impls.
-pub(crate) fn sample_finite(data: &[f64], samples: usize) -> bool {
-    if data.is_empty() {
-        return true;
-    }
-    let stride = (data.len() / samples.max(1)).max(1);
-    data.iter().step_by(stride).all(|x| x.is_finite()) && data[data.len() - 1].is_finite()
 }
