@@ -272,4 +272,9 @@ if ! grep -q '^error:' "$SMOKE_DIR/truncated.log" || grep -q 'panicked' "$SMOKE_
     exit 1
 fi
 
+# Rust line counts outside perfbench/, per crate (no gate: simplicity
+# changes quote these numbers).
+echo "==> Rust line counts (scripts/loc.sh)"
+scripts/loc.sh
+
 echo "CI OK"
