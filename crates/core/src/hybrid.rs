@@ -160,8 +160,8 @@ impl<'a, S: PdeSolver, M: ForecastModel> HybridScheme<'a, S, M> {
                 let py = win_y.advance(self.model, take);
                 for t in 0..take {
                     let (ux, uy) = (px.index_axis0(t), py.index_axis0(t));
-                    let finite = |t: &Tensor| sample_finite(t.data(), 64);
-                    if check_every.is_some() && !(finite(&ux) && finite(&uy)) {
+                    let finite = || sample_finite(ux.data(), 64) && sample_finite(uy.data(), 64);
+                    if check_every.is_some() && !finite() {
                         report_blowup("hybrid.fno", produced as u64, "fno velocity");
                         return Err(SolverError::BlowUp {
                             step: produced as u64,
