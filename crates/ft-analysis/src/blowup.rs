@@ -7,6 +7,8 @@
 //! [`SolverError::BlowUp`]. The same loops tick a
 //! [`crate::DiagnosticsProbe`].
 
+use ft_tensor::Element;
+
 /// Structured failure of a solver integration. Guarded entry points raise
 /// this instead of letting NaN/Inf fields propagate into sampled datasets,
 /// rollouts or hybrid forecasts.
@@ -50,10 +52,10 @@ pub fn report_blowup(source: &str, step: u64, field: &str) {
 }
 
 /// Strided finiteness probe over ~`samples` evenly spaced entries (plus
-/// the final one), not a full scan: a blow-up spreads across the field
-/// within a step or a few, so a sparse sample catches it at most a few
-/// steps late. `true` for empty data.
-pub fn sample_finite(data: &[f64], samples: usize) -> bool {
+/// the final one) of a real or complex field, not a full scan: a blow-up
+/// spreads across the field within a step or a few, so a sparse sample
+/// catches it at most a few steps late. `true` for empty data.
+pub fn sample_finite<T: Element>(data: &[T], samples: usize) -> bool {
     if data.is_empty() {
         return true;
     }
@@ -64,10 +66,11 @@ pub fn sample_finite(data: &[f64], samples: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ft_tensor::Complex64;
 
     #[test]
     fn sample_finite_sees_the_sampled_entries_and_the_last() {
-        assert!(sample_finite(&[], 64));
+        assert!(sample_finite::<f64>(&[], 64));
         let mut data = vec![0.0; 640];
         assert!(sample_finite(&data, 64));
         data[639] = f64::NAN;
@@ -78,5 +81,7 @@ mod tests {
         data[10] = 0.0;
         data[11] = f64::NAN;
         assert!(sample_finite(&data, 64), "a sparse probe, not a full scan");
+        let z = [Complex64::ZERO, Complex64::new(0.0, f64::NAN)];
+        assert!(!sample_finite(&z, 64), "a complex entry is finite only in both parts");
     }
 }

@@ -305,14 +305,7 @@ impl PdeSolver for SpectralNs {
     }
 
     fn check_finite(&self) -> Result<(), &'static str> {
-        let data = self.omega_hat.data();
-        let stride = (data.len() / 64).max(1);
-        let ok = data
-            .iter()
-            .step_by(stride)
-            .chain(data.last())
-            .all(|z| z.re.is_finite() && z.im.is_finite());
-        if ok {
+        if ft_analysis::sample_finite(self.omega_hat.data(), 64) {
             Ok(())
         } else {
             Err("vorticity spectrum")
