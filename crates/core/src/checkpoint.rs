@@ -35,7 +35,9 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use ft_nn::{load_param_values_from, save_param_values_to, AdamState, Layer, ParamMut, ParamValue};
+use ft_nn::{
+    load_param_values_from, save_param_values_to, AdamState, Layer, ParamKind, ParamValue,
+};
 use ft_tensor::codec::{invalid, Reader, Writer};
 
 use crate::config::{FnoConfig, FnoKind};
@@ -243,19 +245,25 @@ impl Checkpoint {
     /// every training-state field empty (`lr_scale` is the neutral 1). The
     /// bytes then depend on the weights alone.
     pub fn model_file(meta: ModelMeta, params: Vec<ParamValue>) -> Self {
+        Checkpoint { params, ..Self::empty(Some(meta)) }
+    }
+
+    /// A run that has not started: no weights and every training-state
+    /// field empty (`lr_scale` is the neutral 1).
+    pub(crate) fn empty(meta: Option<ModelMeta>) -> Self {
         Checkpoint {
             epochs_done: 0,
             rng_state: 0,
             lr_scale: 1.0,
             stale: 0,
             sched_epoch: 0,
-            adam: AdamState { m: Vec::new(), v: Vec::new(), t: 0 },
+            adam: AdamState::default(),
             train_loss: Vec::new(),
             eval_history: Vec::new(),
             recoveries: Vec::new(),
             best: None,
-            params,
-            meta: Some(meta),
+            params: Vec::new(),
+            meta,
         }
     }
 
@@ -341,7 +349,7 @@ impl Checkpoint {
                 return Err(CheckpointError::MetaMismatch { field, expected, found });
             }
         }
-        let stored: usize = self.params.iter().map(param_numel).sum();
+        let stored: usize = self.params.iter().map(|p| p.dims().iter().product::<usize>()).sum();
         // Checked, so a corrupt metadata section that still passes the
         // CRC cannot overflow the closed form.
         let declared = expected.checked_param_count();
@@ -361,12 +369,7 @@ impl Checkpoint {
     /// [`CheckpointError::MetaMismatch`] naming the first disagreement.
     pub fn check_params(&self, model: &mut dyn Layer) -> Result<(), CheckpointError> {
         let mut live: Vec<(u64, Vec<usize>)> = Vec::new();
-        model.visit_params(&mut |p| {
-            live.push(match p {
-                ParamMut::Real { value, .. } => (0, value.dims().to_vec()),
-                ParamMut::Complex { value, .. } => (1, value.dims().to_vec()),
-            })
-        });
+        model.visit_params(&mut |p| live.push((kind_code(&p), p.dims().to_vec())));
         let mismatch = |field, expected: u64, found: u64| {
             Err(CheckpointError::MetaMismatch { field, expected, found })
         };
@@ -374,10 +377,7 @@ impl Checkpoint {
             return mismatch("param_tensors", live.len() as u64, self.params.len() as u64);
         }
         for ((kind, dims), stored) in live.iter().zip(&self.params) {
-            let (stored_kind, stored_dims) = match stored {
-                ParamValue::Real(t) => (0, t.dims()),
-                ParamValue::Complex(t) => (1, t.dims()),
-            };
+            let (stored_kind, stored_dims) = (kind_code(stored), stored.dims());
             if *kind != stored_kind {
                 return mismatch("param_kind", *kind, stored_kind);
             }
@@ -555,13 +555,9 @@ impl Checkpoint {
     }
 }
 
-/// Element count of one stored parameter under the Table-I `numel`
-/// convention (a complex entry counts once).
-fn param_numel(p: &ParamValue) -> usize {
-    match p {
-        ParamValue::Real(t) => t.len(),
-        ParamValue::Complex(t) => t.len(),
-    }
+/// FTW1's kind byte of a parameter: 0 real, 1 complex.
+fn kind_code<R, C>(p: &ParamKind<R, C>) -> u64 {
+    u64::from(matches!(p, ParamKind::Complex(_)))
 }
 
 /// Writes `epoch-NNNNN.ftc`, refreshes `latest.ftc`, and prunes old files

@@ -275,7 +275,7 @@ impl Layer for DeepONet {
         self.trunk1.visit_params(f);
         self.trunk2.visit_params(f);
         self.trunk3.visit_params(f);
-        f(ParamMut::Real { value: &mut self.bias.value, grad: &mut self.bias.grad });
+        f(ParamMut::Real(&mut self.bias));
     }
 
     fn param_count(&self) -> usize {

@@ -246,30 +246,25 @@ impl<M: ForecastModel> Trainer<M> {
         // both layouts ([C, H, W] and [1, X, Y, T] use square grids).
         let grid = train_pairs[0].input.dims().iter().rev().nth(1).copied().unwrap_or(0) as u64;
 
-        let mut train_loss = Vec::with_capacity(self.cfg.epochs);
-        let mut eval_history = Vec::new();
-        let mut best: Option<(usize, f64, Vec<ft_nn::ParamValue>)> = None;
-        let mut stale = 0usize;
-        let mut last_epoch = 0usize;
-        let mut recoveries: Vec<RecoveryEvent> = Vec::new();
-        let mut epochs: Vec<EpochMetrics> = Vec::new();
-        let mut start_epoch = 0usize;
-
-        if let Some(ck) = self.resume.take() {
-            ft_nn::restore_params(&mut self.model, &ck.params);
-            opt.import_state(ck.adam);
+        // The run's resumable state, in the form a checkpoint stores it:
+        // the loop updates its histories, best snapshot and counters in
+        // place, and each save fills in the rest and writes it as it is.
+        let mut run = Checkpoint::empty(self.model.model_meta());
+        if let Some(mut ck) = self.resume.take() {
+            ft_nn::restore_params(&mut self.model, &std::mem::take(&mut ck.params));
+            opt.import_state(std::mem::take(&mut ck.adam));
             sched.set_epoch(ck.sched_epoch);
             sched.set_base_scale(ck.lr_scale);
             opt.lr = sched.lr();
             rng = StdRng::from_state(ck.rng_state);
-            train_loss = ck.train_loss;
-            eval_history = ck.eval_history.iter().map(|&(e, v)| (e as usize, v)).collect();
-            best = ck.best.map(|(e, v, snap)| (e as usize, v, snap));
-            stale = ck.stale as usize;
-            recoveries = ck.recoveries;
-            start_epoch = ck.epochs_done as usize;
-            last_epoch = start_epoch.saturating_sub(1);
+            run = Checkpoint { meta: run.meta, ..ck };
         }
+        if let Some(meta) = &mut run.meta {
+            meta.grid = grid;
+        }
+        let start_epoch = run.epochs_done as usize;
+        let mut last_epoch = start_epoch.saturating_sub(1);
+        let mut epochs: Vec<EpochMetrics> = Vec::new();
 
         // Data-parallel worker replicas for batch sharding, built once and
         // re-synced from a parameter snapshot every batch. More replicas
@@ -367,7 +362,7 @@ impl<M: ForecastModel> Trainer<M> {
                 sched.scale_base(0.5);
                 opt.lr = sched.lr();
                 TRAIN_RECOVERIES.inc();
-                recoveries.push(RecoveryEvent { epoch, batch, cause, lr: opt.lr });
+                run.recoveries.push(RecoveryEvent { epoch, batch, cause, lr: opt.lr });
                 // Flight-record the anomaly: the rollback itself, the LR
                 // halving it caused, and a dump of the moments before it.
                 ft_obs::flight::event_with(|| {
@@ -396,14 +391,14 @@ impl<M: ForecastModel> Trainer<M> {
                 if let Some(Err(e)) = ft_obs::flight::dump("health_monitor") {
                     eprintln!("warning: flight-recorder dump failed: {e}");
                 }
-                if recoveries.len() > self.cfg.max_recoveries {
+                if run.recoveries.len() > self.cfg.max_recoveries {
                     // Retries exhausted: stop with the last good weights.
                     break 'training;
                 }
                 skip.push(batch);
             };
             sched.step(&mut opt);
-            train_loss.push(epoch_mean);
+            run.train_loss.push(epoch_mean);
 
             let epoch_wall = epoch_start.elapsed().as_secs_f64();
             let samples_per_sec =
@@ -428,7 +423,7 @@ impl<M: ForecastModel> Trainer<M> {
                     .f64("loss", epoch_mean)
                     .f64("grad_norm", epoch_grad_norm)
                     .f64("lr", epoch_lr)
-                    .u64("recoveries", recoveries.len() as u64)
+                    .u64("recoveries", run.recoveries.len() as u64)
             });
             if self.cfg.probe_every > 0
                 && !test_pairs.is_empty()
@@ -448,35 +443,25 @@ impl<M: ForecastModel> Trainer<M> {
             {
                 let _eval_span = ft_obs::span("eval");
                 let err = evaluate(&self.model, test_pairs);
-                eval_history.push((epoch, err));
+                run.eval_history.push((epoch as u64, err));
                 let improved =
-                    err.is_finite() && best.as_ref().map(|(_, b, _)| err < *b).unwrap_or(true);
+                    err.is_finite() && run.best.as_ref().map(|(_, b, _)| err < *b).unwrap_or(true);
                 if improved {
-                    best = Some((epoch, err, ft_nn::snapshot_params(&mut self.model)));
-                    stale = 0;
+                    run.best = Some((epoch as u64, err, ft_nn::snapshot_params(&mut self.model)));
+                    run.stale = 0;
                 } else if err.is_finite() {
-                    stale += 1;
-                    if self.cfg.early_stop_patience > 0 && stale >= self.cfg.early_stop_patience {
+                    run.stale += 1;
+                    let patience = self.cfg.early_stop_patience as u64;
+                    if patience > 0 && run.stale >= patience {
                         break 'training;
                     }
                 }
             }
 
-            if let Some(ckc) = self.ckpt.clone() {
+            if let Some(ckc) = &self.ckpt {
                 if ckc.every > 0 && (epoch + 1) % ckc.every == 0 {
-                    let ck = self.make_checkpoint(
-                        epoch as u64 + 1,
-                        grid,
-                        &rng,
-                        &opt,
-                        &sched,
-                        stale,
-                        &train_loss,
-                        &eval_history,
-                        &best,
-                        &recoveries,
-                    );
-                    save_periodic(&ck, &ckc).expect("failed to write training checkpoint");
+                    run.epochs_done = epoch as u64 + 1;
+                    save(&mut run, &mut self.model, &rng, &opt, &sched, ckc);
                 }
             }
         }
@@ -484,26 +469,15 @@ impl<M: ForecastModel> Trainer<M> {
         // Final checkpoint so `latest.ftc` always reflects the run's end
         // state (written before the best-weights restore below, which is
         // re-derived on resume from the embedded best snapshot).
-        if let Some(ckc) = self.ckpt.clone() {
-            let ck = self.make_checkpoint(
-                train_loss.len() as u64,
-                grid,
-                &rng,
-                &opt,
-                &sched,
-                stale,
-                &train_loss,
-                &eval_history,
-                &best,
-                &recoveries,
-            );
-            save_periodic(&ck, &ckc).expect("failed to write training checkpoint");
+        if let Some(ckc) = &self.ckpt {
+            run.epochs_done = run.train_loss.len() as u64;
+            save(&mut run, &mut self.model, &rng, &opt, &sched, ckc);
         }
 
         // Restore the best-seen weights when validation tracking is on.
-        let best_epoch = if let Some((epoch, _, snap)) = &best {
+        let best_epoch = if let Some((epoch, _, snap)) = &run.best {
             ft_nn::restore_params(&mut self.model, snap);
-            *epoch
+            *epoch as usize
         } else {
             last_epoch
         };
@@ -517,12 +491,12 @@ impl<M: ForecastModel> Trainer<M> {
 
         let test_error = evaluate(&self.model, test_pairs);
         TrainReport {
-            train_loss,
+            train_loss: run.train_loss,
             test_error,
             wall_seconds: start.elapsed().as_secs_f64(),
-            eval_history,
+            eval_history: run.eval_history.into_iter().map(|(e, v)| (e as usize, v)).collect(),
             best_epoch,
-            recoveries,
+            recoveries: run.recoveries,
             epochs,
         }
     }
@@ -556,44 +530,27 @@ impl<M: ForecastModel> Trainer<M> {
                 .f64("div_residual", m.div_residual)
         });
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn make_checkpoint(
-        &mut self,
-        epochs_done: u64,
-        grid: u64,
-        rng: &StdRng,
-        opt: &Adam,
-        sched: &StepLr,
-        stale: usize,
-        train_loss: &[f64],
-        eval_history: &[(usize, f64)],
-        best: &Option<(usize, f64, Vec<ft_nn::ParamValue>)>,
-        recoveries: &[RecoveryEvent],
-    ) -> Checkpoint {
-        Checkpoint {
-            epochs_done,
-            rng_state: rng.state(),
-            // The checkpoint's `lr_scale` field stores the scheduler's
-            // accumulated external multiplier (recovery halvings); resume
-            // feeds it back through `StepLr::set_base_scale`.
-            lr_scale: sched.base_scale(),
-            stale: stale as u64,
-            sched_epoch: sched.epoch(),
-            adam: opt.export_state(),
-            train_loss: train_loss.to_vec(),
-            eval_history: eval_history.iter().map(|&(e, v)| (e as u64, v)).collect(),
-            recoveries: recoveries.to_vec(),
-            best: best
-                .as_ref()
-                .map(|(e, v, snap)| (*e as u64, *v, snap.clone())),
-            params: ft_nn::snapshot_params(&mut self.model),
-            meta: self.model.model_meta().map(|mut m| {
-                m.grid = grid;
-                m
-            }),
-        }
-    }
+/// Fills the fields of `run` that live outside the loop's state (RNG,
+/// scheduler, optimizer, weights) and writes it as a periodic checkpoint.
+fn save(
+    run: &mut Checkpoint,
+    model: &mut dyn ft_nn::Layer,
+    rng: &StdRng,
+    opt: &Adam,
+    sched: &StepLr,
+    ckc: &CheckpointConfig,
+) {
+    run.rng_state = rng.state();
+    // The checkpoint's `lr_scale` field stores the scheduler's accumulated
+    // external multiplier (recovery halvings); resume feeds it back
+    // through `StepLr::set_base_scale`.
+    run.lr_scale = sched.base_scale();
+    run.sched_epoch = sched.epoch();
+    run.adam = opt.export_state();
+    run.params = ft_nn::snapshot_params(model);
+    save_periodic(run, ckc).expect("failed to write training checkpoint");
 }
 
 /// Mean one-shot relative-L2 error of a model over a set of pairs.

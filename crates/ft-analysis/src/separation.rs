@@ -26,16 +26,6 @@ pub fn correlation_with_initial(traj: &Tensor) -> Vec<f64> {
         .collect()
 }
 
-/// Time (index into the trajectory) at which the correlation with the
-/// initial condition first drops below `threshold`; `None` when it never
-/// does. A practical decorrelation-horizon estimate used to sanity-check
-/// the Lyapunov time.
-pub fn decorrelation_index(traj: &Tensor, threshold: f64) -> Option<usize> {
-    correlation_with_initial(traj)
-        .iter()
-        .position(|&c| c < threshold)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,16 +63,6 @@ mod tests {
         for c in &corr {
             assert!((-1.0..=1.0 + 1e-12).contains(c));
         }
-    }
-
-    #[test]
-    fn decorrelation_index_finds_threshold_crossing() {
-        let traj = drifting_trajectory();
-        let corr = correlation_with_initial(&traj);
-        let idx = decorrelation_index(&traj, 0.9).expect("crosses 0.9");
-        assert!(corr[idx] < 0.9);
-        assert!(corr[idx - 1] >= 0.9);
-        assert_eq!(decorrelation_index(&traj, -2.0), None);
     }
 
     #[test]

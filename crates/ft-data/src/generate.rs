@@ -67,23 +67,6 @@ impl DatasetConfig {
             probe_every: 0,
         }
     }
-
-    /// The paper's full-scale configuration: 256² grid, 5000 samples,
-    /// 201 snapshots, Re ≈ 7500, entropic LBM.
-    pub fn paper_scale() -> Self {
-        DatasetConfig {
-            n_grid: 256,
-            samples: 5000,
-            snapshots: 201,
-            dt_sample_tc: 0.005,
-            burn_in_tc: 0.5,
-            reynolds: 7500.0,
-            ic: IcSpec::default(),
-            solver: SolverKind::EntropicLbm,
-            seed: 0,
-            probe_every: 0,
-        }
-    }
 }
 
 /// How many solver steps pass between finiteness probes during guarded

@@ -31,11 +31,6 @@ impl BodyForce {
         });
         BodyForce { fx, fy: Tensor::zeros(&[n, n]) }
     }
-
-    /// `true` when the force vanishes identically.
-    pub fn is_zero(&self) -> bool {
-        self.fx.norm_l2() == 0.0 && self.fy.norm_l2() == 0.0
-    }
 }
 
 /// Guo population source for one cell.
@@ -87,11 +82,9 @@ mod tests {
     #[test]
     fn constructors() {
         let u = BodyForce::uniform(8, 1e-5, 0.0);
-        assert!(!u.is_zero());
         assert_eq!(u.fx.at(&[3, 4]), 1e-5);
         let k = BodyForce::kolmogorov(16, 2, 1e-4);
         assert!(k.fy.norm_l2() == 0.0);
         assert!(k.fx.mean().abs() < 1e-12, "zero-mean shear forcing");
-        assert!(BodyForce::uniform(4, 0.0, 0.0).is_zero());
     }
 }

@@ -117,11 +117,6 @@ impl Lbm {
         self.force = Some(force);
     }
 
-    /// Removes any installed body force.
-    pub fn clear_force(&mut self) {
-        self.force = None;
-    }
-
     /// The configuration this solver was built with.
     pub fn config(&self) -> &LbmConfig {
         &self.cfg
@@ -978,20 +973,5 @@ mod tests {
         let expect = Tensor::from_fn(&[n, n], |i| amp * tau * (kf * i[0] as f64).sin());
         let err = ux.sub(&expect).norm_l2() / expect.norm_l2();
         assert!(err < 0.02, "Kolmogorov profile error {err}");
-    }
-
-    #[test]
-    fn clear_force_stops_acceleration() {
-        use crate::force::BodyForce;
-        let n = 8;
-        let cfg = LbmConfig { n, nu: 0.02, u0: 0.05, collision: Collision::Bgk };
-        let mut lbm = Lbm::new(cfg);
-        lbm.set_force(BodyForce::uniform(n, 1e-6, 0.0));
-        lbm.run(50);
-        lbm.clear_force();
-        let (ux1, _) = lbm.velocity();
-        lbm.run(50);
-        let (ux2, _) = lbm.velocity();
-        assert!((ux2.mean() - ux1.mean()).abs() < 1e-15, "no further acceleration");
     }
 }

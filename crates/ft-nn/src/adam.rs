@@ -1,9 +1,10 @@
 //! Adam optimizer (Kingma & Ba), matching PyTorch semantics: complex
 //! parameters are optimized as independent real pairs.
 
+use ft_tensor::Element;
 use rayon::prelude::*;
 
-use crate::param::ParamMut;
+use crate::param::{each, Param};
 use crate::Layer;
 
 /// Parameter blocks of this many entries update in parallel. The Adam
@@ -13,7 +14,7 @@ const BLOCK: usize = 1024;
 
 /// Snapshot of an [`Adam`] optimizer's mutable state, used by training
 /// checkpoints to resume bit-identically.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct AdamState {
     /// First-moment estimate per real degree of freedom, per parameter.
     pub m: Vec<Vec<f64>>,
@@ -100,49 +101,43 @@ impl Adam {
             let m = &mut m_store[idx];
             let v = &mut v_store[idx];
             assert_eq!(m.len(), dof, "parameter {idx} changed size between steps");
-
-            match p {
-                ParamMut::Real { value, grad } => {
-                    value
-                        .data_mut()
-                        .par_chunks_mut(BLOCK)
-                        .zip(grad.data().par_chunks(BLOCK))
-                        .zip(m.par_chunks_mut(BLOCK))
-                        .zip(v.par_chunks_mut(BLOCK))
-                        .for_each(|(((vals, gs), ms), vs)| {
-                            for (((val, &g), mj), vj) in
-                                vals.iter_mut().zip(gs).zip(ms.iter_mut()).zip(vs.iter_mut())
-                            {
-                                update(val, mj, vj, g);
-                            }
-                        });
-                }
-                ParamMut::Complex { value, grad } => {
-                    // One complex entry owns two real degrees of freedom, so
-                    // the moment blocks are twice the value/grad block size.
-                    value
-                        .data_mut()
-                        .par_chunks_mut(BLOCK)
-                        .zip(grad.data().par_chunks(BLOCK))
-                        .zip(m.par_chunks_mut(2 * BLOCK))
-                        .zip(v.par_chunks_mut(2 * BLOCK))
-                        .for_each(|(((vals, gs), ms), vs)| {
-                            for (k, (val, g)) in vals.iter_mut().zip(gs).enumerate() {
-                                update(&mut val.re, &mut ms[2 * k], &mut vs[2 * k], g.re);
-                                update(&mut val.im, &mut ms[2 * k + 1], &mut vs[2 * k + 1], g.im);
-                            }
-                        });
-                }
-            }
+            each!(p, p => step_param(p, m, v, update));
             idx += 1;
         });
     }
 }
 
+/// Runs `update(value, m, v, grad)` on every real degree of freedom of `p`
+/// (a complex entry's re, then its im), in `BLOCK`-entry chunks that may
+/// run on worker threads.
+fn step_param<T: Element>(
+    p: &mut Param<T>,
+    m: &mut [f64],
+    v: &mut [f64],
+    update: impl Fn(&mut f64, &mut f64, &mut f64, f64) + Sync,
+) {
+    let n = T::COMPONENTS;
+    p.value
+        .data_mut()
+        .par_chunks_mut(BLOCK)
+        .zip(p.grad.data().par_chunks(BLOCK))
+        .zip(m.par_chunks_mut(n * BLOCK))
+        .zip(v.par_chunks_mut(n * BLOCK))
+        .for_each(|(((vals, gs), ms), vs)| {
+            for (((val, g), mj), vj) in
+                vals.iter_mut().zip(gs).zip(ms.chunks_exact_mut(n)).zip(vs.chunks_exact_mut(n))
+            {
+                for c in 0..n {
+                    update(val.component_mut(c), &mut mj[c], &mut vj[c], g.component(c));
+                }
+            }
+        });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::param::Param;
+    use crate::param::{CParam, ParamMut};
     use ft_tensor::{CTensor, Complex64, Tensor};
 
     /// Trivial model: L = ½(x − a)² + ½|z − c|², minimized at a = x, z = c.
@@ -172,8 +167,8 @@ mod tests {
             g.clone()
         }
         fn visit_params(&mut self, f: &mut dyn FnMut(ParamMut<'_>)) {
-            f(ParamMut::Real { value: &mut self.a.value, grad: &mut self.a.grad });
-            f(ParamMut::Complex { value: &mut self.z.value, grad: &mut self.z.grad });
+            f(ParamMut::Real(&mut self.a));
+            f(ParamMut::Complex(&mut self.z));
         }
         fn param_count(&self) -> usize {
             2
@@ -220,5 +215,58 @@ mod tests {
         opt.step(&mut model);
         let moved = (model.a.value.data()[0] - 2.0).abs();
         assert!((moved - 0.01).abs() < 1e-6, "first step {moved}");
+    }
+
+    /// A real parameter and a complex one, updated side by side.
+    struct Twin {
+        re: Param,
+        z: CParam,
+    }
+
+    impl Layer for Twin {
+        fn forward(&mut self, x: &Tensor) -> Tensor {
+            x.clone()
+        }
+        fn backward(&mut self, g: &Tensor) -> Tensor {
+            g.clone()
+        }
+        fn visit_params(&mut self, f: &mut dyn FnMut(ParamMut<'_>)) {
+            f(ParamMut::Real(&mut self.re));
+            f(ParamMut::Complex(&mut self.z));
+        }
+        fn param_count(&self) -> usize {
+            self.re.len() + self.z.len()
+        }
+    }
+
+    /// A complex parameter of `n` entries and a real one holding the same
+    /// `2n` values, re and im interleaved, end bit-identical after the same
+    /// gradients: Adam treats a complex entry as two independent real
+    /// degrees of freedom. `n` spans more than one update block.
+    #[test]
+    fn complex_entries_update_as_interleaved_real_pairs() {
+        let n = BLOCK + 300;
+        let val = |k: usize| (k as f64 * 0.37).sin() * 2.0;
+        let grad = |k: usize, step: usize| ((k * 7 + step * 3) as f64 * 0.11).cos() * 0.5;
+        let mut model = Twin {
+            re: Param::new(Tensor::from_fn(&[2 * n], |i| val(i[0]))),
+            z: CParam::new(CTensor::from_fn(&[n], |i| {
+                Complex64::new(val(2 * i[0]), val(2 * i[0] + 1))
+            })),
+        };
+        let mut opt = Adam::new(0.03);
+        for step in 0..5 {
+            model.re.grad = Tensor::from_fn(&[2 * n], |i| grad(i[0], step));
+            model.z.grad = CTensor::from_fn(&[n], |i| {
+                Complex64::new(grad(2 * i[0], step), grad(2 * i[0] + 1, step))
+            });
+            opt.step(&mut model);
+        }
+        let pairs: Vec<f64> = model.z.value.data().iter().flat_map(|z| [z.re, z.im]).collect();
+        assert_eq!(pairs.len(), model.re.value.len());
+        for (k, (a, b)) in pairs.iter().zip(model.re.value.data()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "degree of freedom {k}");
+        }
+        assert_ne!(model.re.value.data()[0], val(0), "the parameters moved");
     }
 }

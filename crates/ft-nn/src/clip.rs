@@ -1,10 +1,16 @@
-//! Global-norm gradient clipping (the `torch.nn.utils.clip_grad_norm_`
-//! analogue), a standard guard for long-schedule training runs.
+//! The global gradient norm, and global-norm clipping.
+//!
+//! The trainer reads [`global_grad_norm`] after every batch: a non-finite
+//! norm makes its health monitor roll the epoch back, and the last finite
+//! one is the epoch's `grad_norm`. The trainer does not clip.
+//! [`clip_grad_norm`] (the `torch.nn.utils.clip_grad_norm_` analogue) has
+//! no caller in the program; it stays only for perfbench's `nn.clip_ms`
+//! probe, and goes when that probe does.
 
 use ft_tensor::Element;
 use rayon::prelude::*;
 
-use crate::param::ParamMut;
+use crate::param::each;
 use crate::Layer;
 
 /// Partial-sum chunk size for the norm reduction, and the parallel grain
@@ -15,19 +21,20 @@ const CHUNK: usize = 4096;
 
 /// Distribution of per-parameter-tensor gradient norms (every weight and
 /// bias contributes one sample per [`global_grad_norm`] call). A fattening
-/// p99 localizes which scale of exploding gradients the clipper is
-/// fighting, where the global norm alone cannot.
+/// p99 shows that some parameter tensors' gradients are exploding, where
+/// the global norm alone cannot say how many.
 static LAYER_GRAD_NORM: ft_obs::Histogram = ft_obs::Histogram::new("nn.layer_grad_norm");
 
-/// Sum of `sq` over `data` with a fixed, data-length-only association:
-/// [`CHUNK`]-sized partials (computed possibly in parallel, collected in
-/// index order) folded sequentially. Deterministic for any thread count.
-fn chunked_sum_sq<T: Sync>(data: &[T], sq: impl Fn(&T) -> f64 + Sync) -> f64 {
+/// Sum of [`Element::norm_sqr`] over `data` with a fixed, data-length-only
+/// association: [`CHUNK`]-sized partials (computed possibly in parallel,
+/// collected in index order) folded sequentially. Deterministic for any
+/// thread count.
+fn chunked_sum_sq<T: Element>(data: &[T]) -> f64 {
     if data.len() <= CHUNK {
-        return data.iter().map(&sq).sum();
+        return data.iter().map(|g| g.norm_sqr()).sum();
     }
     let partials: Vec<f64> =
-        data.par_chunks(CHUNK).map(|c| c.iter().map(&sq).sum::<f64>()).collect();
+        data.par_chunks(CHUNK).map(|c| c.iter().map(|g| g.norm_sqr()).sum::<f64>()).collect();
     partials.into_iter().sum()
 }
 
@@ -44,10 +51,7 @@ pub fn global_grad_norm(model: &mut dyn Layer) -> f64 {
     let observe = ft_obs::enabled();
     let mut acc = 0.0;
     model.visit_params(&mut |p| {
-        let sq = match p {
-            ParamMut::Real { grad, .. } => chunked_sum_sq(grad.data(), |g| g * g),
-            ParamMut::Complex { grad, .. } => chunked_sum_sq(grad.data(), |g| g.norm_sqr()),
-        };
+        let sq = each!(p, p => chunked_sum_sq(p.grad.data()));
         if observe {
             LAYER_GRAD_NORM.observe(sq.sqrt());
         }
@@ -64,10 +68,7 @@ pub fn clip_grad_norm(model: &mut dyn Layer, max_norm: f64) -> f64 {
     let norm = global_grad_norm(model);
     if norm > max_norm {
         let scale = max_norm / norm;
-        model.visit_params(&mut |p| match p {
-            ParamMut::Real { grad, .. } => scale_chunked(grad.data_mut(), scale),
-            ParamMut::Complex { grad, .. } => scale_chunked(grad.data_mut(), scale),
-        });
+        model.visit_params(&mut |p| each!(p, p => scale_chunked(p.grad.data_mut(), scale)));
     }
     norm
 }

@@ -6,9 +6,9 @@
 //! gradients (real and complex, the latter componentwise) and the input
 //! gradient.
 
-use ft_tensor::Tensor;
+use ft_tensor::{Element, Tensor};
 
-use crate::param::ParamMut;
+use crate::param::{components, each};
 use crate::Layer;
 
 /// Maximum number of entries probed per parameter tensor (larger tensors
@@ -29,29 +29,13 @@ fn assert_close(analytic: f64, numeric: f64, tol: f64, what: &str) {
     );
 }
 
-/// Counts the parameter tensors of a layer.
-fn param_tensor_count(layer: &mut dyn Layer) -> usize {
-    let mut n = 0;
-    layer.visit_params(&mut |_| n += 1);
-    n
-}
-
 /// Adds `delta` to one real degree of freedom of parameter tensor `k`:
-/// entry `j`, component `c` (0 = re, 1 = im; ignored for real params).
+/// entry `j`, component `c` (see [`Element::component`]).
 fn nudge(layer: &mut dyn Layer, k: usize, j: usize, c: usize, delta: f64) {
     let mut i = 0;
     layer.visit_params(&mut |p| {
         if i == k {
-            match p {
-                ParamMut::Real { value, .. } => value.data_mut()[j] += delta,
-                ParamMut::Complex { value, .. } => {
-                    if c == 0 {
-                        value.data_mut()[j].re += delta;
-                    } else {
-                        value.data_mut()[j].im += delta;
-                    }
-                }
-            }
+            each!(p, p => *p.value.data_mut()[j].component_mut(c) += delta);
         }
         i += 1;
     });
@@ -63,16 +47,7 @@ fn read_grad(layer: &mut dyn Layer, k: usize, j: usize, c: usize) -> f64 {
     let mut i = 0;
     layer.visit_params(&mut |p| {
         if i == k {
-            out = match p {
-                ParamMut::Real { grad, .. } => grad.data()[j],
-                ParamMut::Complex { grad, .. } => {
-                    if c == 0 {
-                        grad.data()[j].re
-                    } else {
-                        grad.data()[j].im
-                    }
-                }
-            };
+            out = each!(p, p => p.grad.data()[j].component(c));
         }
         i += 1;
     });
@@ -86,28 +61,12 @@ pub fn check_param_gradients(layer: &mut dyn Layer, x: &Tensor, eps: f64, tol: f
     let y = layer.forward(x);
     let _ = layer.backward(&y);
 
-    let n_params = param_tensor_count(layer);
-    for k in 0..n_params {
-        // Determine this parameter's entry count and kind.
-        let mut len = 0;
-        let mut is_complex = false;
-        let mut i = 0;
-        layer.visit_params(&mut |p| {
-            if i == k {
-                match p {
-                    ParamMut::Real { value, .. } => len = value.len(),
-                    ParamMut::Complex { value, .. } => {
-                        len = value.len();
-                        is_complex = true;
-                    }
-                }
-            }
-            i += 1;
-        });
-
+    // Entry count and real components per entry of each parameter tensor.
+    let mut shapes = Vec::new();
+    layer.visit_params(&mut |p| shapes.push(each!(p, p => (p.len(), components(&p.value)))));
+    for (k, (len, comps)) in shapes.into_iter().enumerate() {
         let stride = (len / MAX_PROBES).max(1);
         for j in (0..len).step_by(stride) {
-            let comps = if is_complex { 2 } else { 1 };
             for c in 0..comps {
                 let analytic = read_grad(layer, k, j, c);
                 nudge(layer, k, j, c, eps);
@@ -148,7 +107,7 @@ pub fn check_input_gradient(layer: &mut dyn Layer, x: &Tensor, eps: f64, tol: f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::param::Param;
+    use crate::param::{Param, ParamMut};
 
     /// A deliberately simple layer (y = a·x² elementwise) with a known
     /// gradient, to validate the checker itself — including that it *fails*
@@ -180,7 +139,7 @@ mod tests {
             x.zip_map(g, |xv, gv| factor * 2.0 * a * xv * gv)
         }
         fn visit_params(&mut self, f: &mut dyn FnMut(ParamMut<'_>)) {
-            f(ParamMut::Real { value: &mut self.a.value, grad: &mut self.a.grad });
+            f(ParamMut::Real(&mut self.a));
         }
         fn param_count(&self) -> usize {
             1

@@ -26,7 +26,11 @@
 //!   convention).
 //!
 //! Gradient convention for complex quantities: the "real-pair gradient"
-//! `g = ∂L/∂Re(z) + i·∂L/∂Im(z)`, which is what optimizers consume.
+//! `g = ∂L/∂Re(z) + i·∂L/∂Im(z)`, which is what optimizers consume. A
+//! complex entry is two real degrees of freedom, re then im
+//! ([`ft_tensor::Element::COMPONENTS`], [`ft_tensor::Element::component`]),
+//! so [`Adam`], [`global_grad_norm`] and [`gradcheck`] run one generic
+//! path for real and complex parameters ([`ParamKind`]).
 
 #![warn(missing_docs)]
 // Indexed loops mirror the discrete math in numeric kernels; clippy's
@@ -52,13 +56,13 @@ pub use clip::{clip_grad_norm, global_grad_norm};
 pub use linear::Linear;
 pub use loss::RelativeL2;
 pub use mlp::PointwiseMlp;
-pub use param::{CParam, Param, ParamMut};
+pub use param::{CParam, Param, ParamKind, ParamMut, ParamValue};
 pub use loss::Mse;
 pub use norm::InstanceNorm;
 pub use scheduler::StepLr;
 pub use serialize::{
     add_param_values, load_grads, load_param_values_from, restore_params, save_param_values_to,
-    scale_param_values, snapshot_grads, snapshot_params, ParamValue,
+    scale_param_values, snapshot_grads, snapshot_params,
 };
 pub use spectral::SpectralConv;
 
@@ -86,10 +90,7 @@ pub trait Layer {
 
     /// Clears all gradient accumulators.
     fn zero_grad(&mut self) {
-        self.visit_params(&mut |p| match p {
-            ParamMut::Real { grad, .. } => grad.fill(0.0),
-            ParamMut::Complex { grad, .. } => grad.fill(ft_tensor::Complex64::ZERO),
-        });
+        self.visit_params(&mut |p| param::each!(p, p => p.grad.fill(Default::default())));
     }
 }
 

@@ -160,8 +160,8 @@ impl Layer for Linear {
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamMut<'_>)) {
-        f(ParamMut::Real { value: &mut self.weight.value, grad: &mut self.weight.grad });
-        f(ParamMut::Real { value: &mut self.bias.value, grad: &mut self.bias.grad });
+        f(ParamMut::Real(&mut self.weight));
+        f(ParamMut::Real(&mut self.bias));
     }
 
     fn param_count(&self) -> usize {

@@ -42,7 +42,7 @@ use rayon::prelude::*;
 
 use crate::activation::{self, Gelu};
 use crate::linear::Linear;
-use crate::param::ParamMut;
+use crate::param::{Param, ParamMut};
 use crate::Layer;
 
 /// Grid points per tile. A constant, so tile boundaries — and with them
@@ -441,7 +441,7 @@ impl PointwiseMlp {
             scatter(gx.data_mut(), c_in, p, item, block);
             let mut rest = part.as_slice();
             self.visit_params(&mut |pm| {
-                let ParamMut::Real { grad, .. } = pm else {
+                let ParamMut::Real(Param { grad, .. }) = pm else {
                     unreachable!("PointwiseMlp has real parameters only")
                 };
                 let (head, tail) = rest.split_at(grad.len());
@@ -483,7 +483,8 @@ mod tests {
     use super::*;
     use crate::assert_same_bits;
     use crate::gradcheck::{check_input_gradient, check_param_gradients};
-    use crate::serialize::{snapshot_grads, ParamValue};
+    use crate::param::ParamValue;
+    use crate::serialize::snapshot_grads;
     use ft_tensor::bit_hash;
     use rand::distributions::Uniform;
     use rand::rngs::StdRng;
@@ -726,8 +727,8 @@ mod tests {
         let mut m = mlp(3, 7, 2, 6);
         let mut shapes = Vec::new();
         m.visit_params(&mut |p| {
-            if let ParamMut::Real { value, .. } = p {
-                shapes.push(value.dims().to_vec());
+            if let ParamMut::Real(p) = p {
+                shapes.push(p.value.dims().to_vec());
             }
         });
         assert_eq!(shapes, vec![vec![7, 3], vec![7], vec![2, 7], vec![2]]);

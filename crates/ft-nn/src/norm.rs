@@ -159,8 +159,8 @@ impl Layer for InstanceNorm {
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamMut<'_>)) {
-        f(ParamMut::Real { value: &mut self.gamma.value, grad: &mut self.gamma.grad });
-        f(ParamMut::Real { value: &mut self.beta.value, grad: &mut self.beta.grad });
+        f(ParamMut::Real(&mut self.gamma));
+        f(ParamMut::Real(&mut self.beta));
     }
 
     fn param_count(&self) -> usize {

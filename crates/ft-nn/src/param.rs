@@ -35,34 +35,92 @@ impl<T: Element> Param<T> {
     }
 }
 
+/// A parameter, or a tensor copied out of one, tagged real or complex: the
+/// one type that carries the real/complex split. [`ParamMut`] borrows a
+/// whole parameter, [`ParamValue`] owns a copy of its value or gradient.
+#[derive(Clone, Debug)]
+pub enum ParamKind<R, C> {
+    /// A real parameter (`f64` entries).
+    Real(R),
+    /// A complex parameter (optimized as independent real pairs).
+    Complex(C),
+}
+
 /// Mutable view of one parameter, as handed to optimizers by
 /// [`crate::Layer::visit_params`].
-pub enum ParamMut<'a> {
-    /// A real tensor parameter.
-    Real {
-        /// Parameter value.
-        value: &'a mut Tensor,
-        /// Gradient accumulator.
-        grad: &'a mut Tensor,
-    },
-    /// A complex tensor parameter (optimized as independent real pairs).
-    Complex {
-        /// Parameter value.
-        value: &'a mut CTensor,
-        /// Real-pair gradient accumulator.
-        grad: &'a mut CTensor,
-    },
+pub type ParamMut<'a> = ParamKind<&'a mut Param, &'a mut CParam>;
+
+/// One parameter tensor copied out of a model: its values
+/// ([`crate::snapshot_params`]: the weights early stopping restores and
+/// checkpoints store) or its gradient ([`crate::snapshot_grads`]: the
+/// per-sample contributions data-parallel training tree-reduces).
+pub type ParamValue = ParamKind<Tensor, CTensor>;
+
+/// Runs `$body` with `$x` bound to the payload of whichever arm `$value`
+/// holds: the real/complex dispatch, written once. The body is compiled
+/// once per arm, so generic code over `Param<T>` / `Array<T>` serves
+/// both. With a leading `map`, the result goes back into the same arm.
+macro_rules! each {
+    (map $value:expr, $x:pat => $body:expr) => {
+        match $value {
+            $crate::param::ParamKind::Real($x) => $crate::param::ParamKind::Real($body),
+            $crate::param::ParamKind::Complex($x) => $crate::param::ParamKind::Complex($body),
+        }
+    };
+    ($value:expr, $x:pat => $body:expr) => {
+        match $value {
+            $crate::param::ParamKind::Real($x) => $body,
+            $crate::param::ParamKind::Complex($x) => $body,
+        }
+    };
+}
+pub(crate) use each;
+
+impl<R, C> ParamKind<R, C> {
+    /// Borrows the payload.
+    pub(crate) fn as_ref(&self) -> ParamKind<&R, &C> {
+        each!(map self, x => x)
+    }
+
+    /// Borrows the payload mutably.
+    pub(crate) fn as_mut(&mut self) -> ParamKind<&mut R, &mut C> {
+        each!(map self, x => x)
+    }
+
+    /// Pairs the payloads of two values of the same kind; `None` when one
+    /// is real and the other complex.
+    pub(crate) fn zip<S, D>(self, other: ParamKind<S, D>) -> Option<ParamKind<(R, S), (C, D)>> {
+        match (self, other) {
+            (ParamKind::Real(a), ParamKind::Real(b)) => Some(ParamKind::Real((a, b))),
+            (ParamKind::Complex(a), ParamKind::Complex(b)) => Some(ParamKind::Complex((a, b))),
+            _ => None,
+        }
+    }
 }
 
 impl ParamMut<'_> {
     /// Number of *real* degrees of freedom (complex entries count two) —
     /// what an elementwise optimizer iterates over.
     pub fn real_dof(&self) -> usize {
-        match self {
-            ParamMut::Real { value, .. } => value.len(),
-            ParamMut::Complex { value, .. } => 2 * value.len(),
-        }
+        each!(self, p => p.len() * components(&p.value))
     }
+
+    /// The parameter's shape.
+    pub fn dims(&self) -> &[usize] {
+        each!(self, p => p.value.dims())
+    }
+}
+
+impl ParamValue {
+    /// The tensor's shape.
+    pub fn dims(&self) -> &[usize] {
+        each!(self, t => t.dims())
+    }
+}
+
+/// Real components per entry of `a` ([`Element::COMPONENTS`]).
+pub(crate) fn components<T: Element>(_: &Array<T>) -> usize {
+    T::COMPONENTS
 }
 
 #[cfg(test)]
@@ -85,9 +143,7 @@ mod tests {
             vec![Complex64::new(1.0, 2.0), Complex64::ZERO],
         ));
         assert_eq!(c.len(), 2);
-        let mut value = c.value.clone();
-        let mut grad = c.grad.clone();
-        let view = ParamMut::Complex { value: &mut value, grad: &mut grad };
-        assert_eq!(view.real_dof(), 4);
+        let mut c = c;
+        assert_eq!(ParamMut::Complex(&mut c).real_dof(), 4);
     }
 }

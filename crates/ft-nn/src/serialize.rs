@@ -16,7 +16,7 @@ use std::io;
 use ft_tensor::codec::{invalid, Reader, Writer};
 use ft_tensor::{Array, CTensor, Complex64, Element, Tensor};
 
-use crate::param::ParamMut;
+use crate::param::{each, Param, ParamValue};
 use crate::Layer;
 
 const MAGIC: &[u8; 4] = b"FTW1";
@@ -77,32 +77,20 @@ pub fn load_param_values_from(r: &mut &[u8]) -> io::Result<Vec<ParamValue>> {
         .collect()
 }
 
-/// One parameter tensor copied out of a model: its values
-/// ([`snapshot_params`]: the weights early stopping restores and
-/// checkpoints store) or its gradient ([`snapshot_grads`]: the per-sample
-/// contributions data-parallel training tree-reduces).
-#[derive(Clone, Debug)]
-pub enum ParamValue {
-    /// Real tensor.
-    Real(Tensor),
-    /// Complex tensor.
-    Complex(CTensor),
+/// The value of `p`, or with `grads` its gradient.
+fn pick<T: Element>(p: &mut Param<T>, grads: bool) -> &mut Array<T> {
+    if grads {
+        &mut p.grad
+    } else {
+        &mut p.value
+    }
 }
 
 /// Copies every parameter's value, or with `grads` its gradient, out of a
 /// model.
 fn snapshot(model: &mut dyn Layer, grads: bool) -> Vec<ParamValue> {
     let mut out = Vec::new();
-    model.visit_params(&mut |p| {
-        out.push(match p {
-            ParamMut::Real { value, grad } => {
-                ParamValue::Real(if grads { grad } else { value }.clone())
-            }
-            ParamMut::Complex { value, grad } => {
-                ParamValue::Complex(if grads { grad } else { value }.clone())
-            }
-        })
-    });
+    model.visit_params(&mut |p| out.push(each!(map p, p => pick(p, grads).clone())));
     out
 }
 
@@ -112,31 +100,20 @@ fn snapshot(model: &mut dyn Layer, grads: bool) -> Vec<ParamValue> {
 fn load(model: &mut dyn Layer, snapshot: &[ParamValue], grads: bool) {
     let mut i = 0usize;
     model.visit_params(&mut |p| {
-        match (&snapshot[i], p) {
-            (ParamValue::Real(v), ParamMut::Real { value, grad }) => {
-                copy_checked(if grads { grad } else { value }, v, i)
-            }
-            (ParamValue::Complex(v), ParamMut::Complex { value, grad }) => {
-                copy_checked(if grads { grad } else { value }, v, i)
-            }
-            _ => panic!("snapshot parameter kind mismatch at {i}"),
-        }
+        let pair = snapshot[i].as_ref().zip(p).unwrap_or_else(|| kind_mismatch(i));
+        each!(pair, (src, p) => {
+            let dst = pick(p, grads);
+            assert_eq!(src.dims(), dst.dims(), "snapshot shape mismatch at {i}");
+            dst.data_mut().copy_from_slice(src.data());
+        });
         i += 1;
     });
     assert_eq!(i, snapshot.len(), "snapshot length mismatch");
 }
 
-/// `dst ← src` for snapshot entry `i`, which must have `dst`'s shape.
-fn copy_checked<T: Element>(dst: &mut Array<T>, src: &Array<T>, i: usize) {
-    assert_eq!(src.dims(), dst.dims(), "snapshot shape mismatch at {i}");
-    dst.data_mut().copy_from_slice(src.data());
-}
-
-/// `acc += other` elementwise for snapshot entry `i`, which must have
-/// `acc`'s shape.
-fn add_checked<T: Element>(acc: &mut Array<T>, other: &Array<T>, i: usize) {
-    assert_eq!(acc.dims(), other.dims(), "snapshot shape mismatch at {i}");
-    acc.add_assign(other);
+/// Snapshot entry `i` is real where its counterpart is complex, or the reverse.
+fn kind_mismatch(i: usize) -> ! {
+    panic!("snapshot parameter kind mismatch at {i}")
 }
 
 /// Captures all parameter values of a model.
@@ -163,11 +140,11 @@ pub fn snapshot_grads(model: &mut dyn Layer) -> Vec<ParamValue> {
 pub fn add_param_values(acc: &mut [ParamValue], other: &[ParamValue]) {
     assert_eq!(acc.len(), other.len(), "snapshot length mismatch");
     for (i, (a, b)) in acc.iter_mut().zip(other).enumerate() {
-        match (a, b) {
-            (ParamValue::Real(a), ParamValue::Real(b)) => add_checked(a, b, i),
-            (ParamValue::Complex(a), ParamValue::Complex(b)) => add_checked(a, b, i),
-            _ => panic!("snapshot parameter kind mismatch at {i}"),
-        }
+        let pair = a.as_mut().zip(b.as_ref()).unwrap_or_else(|| kind_mismatch(i));
+        each!(pair, (a, b) => {
+            assert_eq!(a.dims(), b.dims(), "snapshot shape mismatch at {i}");
+            a.add_assign(b);
+        });
     }
 }
 
@@ -175,10 +152,7 @@ pub fn add_param_values(acc: &mut [ParamValue], other: &[ParamValue]) {
 /// averaging after a tree reduction).
 pub fn scale_param_values(values: &mut [ParamValue], s: f64) {
     for v in values {
-        match v {
-            ParamValue::Real(t) => t.scale_inplace(s),
-            ParamValue::Complex(t) => t.scale_inplace(s),
-        }
+        each!(v, t => t.scale_inplace(s));
     }
 }
 
@@ -193,6 +167,7 @@ pub fn load_grads(model: &mut dyn Layer, snapshot: &[ParamValue]) {
 mod tests {
     use super::*;
     use crate::linear::Linear;
+    use crate::param::ParamMut;
     use crate::spectral::SpectralConv;
     use crate::Layer;
     use ft_tensor::Tensor;
@@ -269,8 +244,8 @@ mod tests {
         let snap = snapshot_params(&mut a);
         // Perturb the weights, then restore.
         a.visit_params(&mut |p| {
-            if let ParamMut::Real { value, .. } = p {
-                value.scale_inplace(1.5);
+            if let ParamMut::Real(p) = p {
+                p.value.scale_inplace(1.5);
             }
         });
         assert!(!a.forward(&x).allclose(&y0, 1e-12));

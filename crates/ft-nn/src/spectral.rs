@@ -487,8 +487,8 @@ impl Layer for SpectralConv {
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(ParamMut<'_>)) {
-        f(ParamMut::Complex { value: &mut self.weights1.value, grad: &mut self.weights1.grad });
-        f(ParamMut::Complex { value: &mut self.weights2.value, grad: &mut self.weights2.grad });
+        f(ParamMut::Complex(&mut self.weights1));
+        f(ParamMut::Complex(&mut self.weights2));
     }
 
     fn param_count(&self) -> usize {

@@ -298,9 +298,9 @@ mod tests {
         let mut broken = Fno::new(FnoConfig { lifting_channels: 64, ..tiny_cfg() }, 7);
         let mut k = 0;
         ft_nn::Layer::visit_params(&mut broken, &mut |p| {
-            if let ft_nn::ParamMut::Real { value, .. } = p {
+            if let ft_nn::ParamMut::Real(p) = p {
                 if k == 1 {
-                    *value = Tensor::zeros(&[0]);
+                    p.value = Tensor::zeros(&[0]);
                 }
                 k += 1;
             }

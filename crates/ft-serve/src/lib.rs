@@ -94,16 +94,4 @@ impl ServeError {
             ServeError::Protocol(_) => "protocol",
         }
     }
-
-    /// Reconstructs the error class from a wire `code` (detail is lost).
-    pub fn from_code(code: &str, detail: &str) -> ServeError {
-        match code {
-            "overloaded" => ServeError::Overloaded,
-            "unknown_model" => ServeError::UnknownModel(detail.to_string()),
-            "unknown_session" => ServeError::UnknownSession(0),
-            "bad_input" => ServeError::BadInput(detail.to_string()),
-            "shutting_down" => ServeError::ShuttingDown,
-            _ => ServeError::Protocol(detail.to_string()),
-        }
-    }
 }

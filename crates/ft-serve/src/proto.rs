@@ -313,11 +313,6 @@ mod tests {
         assert_eq!(h["ok"], Value::Bool(false));
         assert_eq!(h["error"].as_str(), Some("overloaded"));
         assert!(payload.is_none());
-        let e = ServeError::from_code(
-            h["error"].as_str().unwrap(),
-            h.get("detail").and_then(Value::as_str).unwrap_or(""),
-        );
-        assert_eq!(e, ServeError::Overloaded);
     }
 
     #[test]

@@ -31,6 +31,14 @@ pub trait Element:
 {
     /// The additive identity.
     const ZERO: Self;
+    /// Real components per element: 1, or 2 for a complex entry (re, then
+    /// im). An optimizer updates each component as its own real degree of
+    /// freedom.
+    const COMPONENTS: usize;
+    /// Component `c` (`c < COMPONENTS`).
+    fn component(self, c: usize) -> f64;
+    /// Component `c`, mutably.
+    fn component_mut(&mut self, c: usize) -> &mut f64;
     /// Squared magnitude (`x²`, or `re² + im²`).
     fn norm_sqr(self) -> f64;
     /// `true` when every component is finite.
@@ -41,6 +49,15 @@ pub trait Element:
 
 impl Element for f64 {
     const ZERO: f64 = 0.0;
+    const COMPONENTS: usize = 1;
+    #[inline]
+    fn component(self, _c: usize) -> f64 {
+        self
+    }
+    #[inline]
+    fn component_mut(&mut self, _c: usize) -> &mut f64 {
+        self
+    }
     #[inline]
     fn norm_sqr(self) -> f64 {
         self * self
@@ -57,6 +74,15 @@ impl Element for f64 {
 
 impl Element for Complex64 {
     const ZERO: Complex64 = Complex64::ZERO;
+    const COMPONENTS: usize = 2;
+    #[inline]
+    fn component(self, c: usize) -> f64 {
+        if c == 0 { self.re } else { self.im }
+    }
+    #[inline]
+    fn component_mut(&mut self, c: usize) -> &mut f64 {
+        if c == 0 { &mut self.re } else { &mut self.im }
+    }
     #[inline]
     fn norm_sqr(self) -> f64 {
         Complex64::norm_sqr(self)

@@ -8,11 +8,21 @@
 #   scripts/loc.sh
 #
 # A crate is its directory under crates/ (crates/compat/<name> for the
-# stand-in crates); the root package is src/ and examples/.
+# stand-in crates); the root package is src/ and examples/. In a copy
+# without .git (a `git archive` export), every .rs file outside perfbench/
+# and target/ directories counts instead of the tracked ones.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-git ls-files -- '*.rs' ':!:perfbench/**' | while IFS= read -r f; do
+rust_files() {
+    if [ -e .git ]; then
+        git ls-files -- '*.rs' ':!:perfbench/**'
+    else
+        find . \( -name target -o -path ./perfbench \) -prune -o -name '*.rs' -print | sed 's|^\./||'
+    fi
+}
+
+rust_files | while IFS= read -r f; do
     case "$f" in
         crates/compat/*) crate=$(echo "$f" | cut -d/ -f1-3) ;;
         crates/*) crate=$(echo "$f" | cut -d/ -f1-2) ;;

@@ -51,8 +51,8 @@ fn visit_params_covers_every_parameter() {
     let mut complex_entries = 0usize;
     model.visit_params(&mut |p| {
         real_dof += p.real_dof();
-        if let fno2d_turbulence::nn::ParamMut::Complex { value, .. } = p {
-            complex_entries += value.len();
+        if let fno2d_turbulence::nn::ParamMut::Complex(p) = p {
+            complex_entries += p.len();
         }
     });
     // param_count counts complex entries once; real_dof counts them twice.
