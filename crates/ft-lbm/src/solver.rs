@@ -500,13 +500,12 @@ fn bracket_alpha<'a>(f: &'a [f64; 9], delta: &'a [f64; 9]) -> Alpha<'a> {
     // nontrivial root lies in (1, ∞). Bracket it: grow `hi` until G(hi) > 0
     // or positivity fails (then the root is capped by the barrier).
     let noise = 1e-13 * h0.abs().max(1.0);
-    let lo0 = 1.0;
     let mut hi = 2.0;
     let (mut g_hi, mut slope_hi) = gap.eval(hi);
     if g_hi.abs() <= noise {
         return Alpha::Done(2.0); // entropy equality already holds at BGK within noise
     }
-    let mut lo = lo0;
+    let mut lo = 1.0;
     if g_hi < 0.0 {
         // Root above 2: expand, guarded by positivity (G = ∞ past the barrier).
         for _ in 0..20 {
@@ -525,13 +524,12 @@ fn bracket_alpha<'a>(f: &'a [f64; 9], delta: &'a [f64; 9]) -> Alpha<'a> {
         if g_hi < 0.0 {
             return Alpha::Done(hi); // never found a sign change; cap at the expanded value
         }
+        // `lo` is an earlier `hi`, whose G was ≤ 0 (or NaN): no G(lo) check.
     } else if !g_hi.is_finite() {
         // α = 2 already infeasible: largest feasible α in (1, 2).
-        return Alpha::Done(gap.barrier(lo0, 2.0));
-    }
-
-    if gap.g(lo) > 0.0 {
-        // Degenerate bracket (can only arise from noise); BGK is safe.
+        return Alpha::Done(gap.barrier(lo, 2.0));
+    } else if gap.g(lo) > 0.0 {
+        // Degenerate bracket G(1) > 0 (can only arise from noise); BGK is safe.
         return Alpha::Done(2.0);
     }
     Alpha::Root(gap, Bracket { lo, hi, g_hi, slope_hi, noise })
