@@ -90,20 +90,91 @@ pub fn moments(f: &[f64; 9]) -> (f64, f64, f64) {
     (rho, jx, jy)
 }
 
-/// Discrete H-function `H(f) = Σ f_i ln(f_i / w_i)`.
+/// Discrete H-function `H(f) = Σ f_i ln(f_i / w_i)`, with this crate's
+/// own `ln` (no libm).
 ///
 /// Returns `f64::INFINITY` when any population is non-positive, which the
 /// entropic collision uses as a positivity barrier.
-#[inline]
 pub fn h_function(f: &[f64; 9]) -> f64 {
-    let mut h = 0.0;
+    entropy(&f.map(|v| [v]), &[[0.0]; 9]).0[0]
+}
+
+/// `H(g) = Σ gᵢ ln(gᵢ/wᵢ)` and `Σ dᵢ ln(gᵢ/wᵢ)` in each of `L` lanes,
+/// population-major (`g[i][l]` is lane `l`'s population `i`), from one
+/// [`ln`] per population. Both are `+∞` in a lane with a population
+/// `≤ 0`. A lane's bits depend on its own populations alone, so `L` cells
+/// at once give the bits of `L` one-lane calls.
+#[inline(always)]
+pub(crate) fn entropy<const L: usize>(
+    g: &[[f64; L]; 9],
+    d: &[[f64; L]; 9],
+) -> ([f64; L], [f64; L]) {
+    let mut h = [0.0; L];
+    let mut slope = [0.0; L];
+    let mut barrier = [false; L];
     for i in 0..9 {
-        if f[i] <= 0.0 {
-            return f64::INFINITY;
+        for l in 0..L {
+            let log = ln(g[i][l] / D2Q9::W[i]);
+            h[l] += g[i][l] * log;
+            slope[l] += d[i][l] * log;
+            barrier[l] |= g[i][l] <= 0.0;
         }
-        h += f[i] * (f[i] / D2Q9::W[i]).ln();
     }
-    h
+    let bar = |v: [f64; L]| std::array::from_fn(|l| if barrier[l] { f64::INFINITY } else { v[l] });
+    (bar(h), bar(slope))
+}
+
+/// `ln x` for positive finite `x`, subnormals included, within 1 ulp:
+/// fdlibm's `__ieee754_log` (Sun Microsystems, 1993) in straight lines.
+/// With `x = 2ᵏ(1 + f)`, `1 + f` in `[√2/2, √2)` and `s = f/(2 + f)`,
+/// `ln(1 + f) = f − s(f − R)` (fdlibm's `hfsq` form near `f` = 0.4 and
+/// −0.29), `R` a degree-14 minimax polynomial in `s`, plus `k·ln 2` in two
+/// parts; a subnormal `x` is scaled by 2⁵⁴ first. IEEE `+ − × ÷` and bit
+/// operations only, with no libm call, table, branch (selects) or `mul_add`
+/// (see [`ft_tensor::Isa`]): a loop over it vectorizes with the scalar bits
+/// at every width, and its bits do not depend on the host's libm. Zero,
+/// negative, infinite and NaN inputs give unspecified values;
+/// [`h_function`] and the α solve select their positivity barrier there.
+#[inline(always)]
+pub(crate) fn ln(x: f64) -> f64 {
+    const TWO54: f64 = 18_014_398_509_481_984.0;
+    // 2⁵² as an f64: `2⁵² + m` holds the integer `m < 2⁵²` in its mantissa.
+    const TWO52: f64 = 4_503_599_627_370_496.0;
+    const LN2_HI: f64 = f64::from_bits(0x3FE6_2E42_FEE0_0000);
+    const LN2_LO: f64 = f64::from_bits(0x3DEA_39EF_3579_3C76);
+    const LG1: f64 = f64::from_bits(0x3FE5_5555_5555_5593);
+    const LG2: f64 = f64::from_bits(0x3FD9_9999_9997_FA04);
+    const LG3: f64 = f64::from_bits(0x3FD2_4924_9422_9359);
+    const LG4: f64 = f64::from_bits(0x3FCC_71C5_1D8E_78AF);
+    const LG5: f64 = f64::from_bits(0x3FC7_4664_96CB_03DE);
+    const LG6: f64 = f64::from_bits(0x3FC3_9A09_D078_C69F);
+    const LG7: f64 = f64::from_bits(0x3FC2_F112_DF3E_5244);
+    let subnormal = x < f64::MIN_POSITIVE;
+    let x = if subnormal { x * TWO54 } else { x };
+    let bits = x.to_bits();
+    let mant = bits & 0x000F_FFFF_FFFF_FFFF;
+    // 1 when the mantissa reaches √2 − 1 (fdlibm's `0x95f64` test on the
+    // high word): then `1 + f` is the mantissa halved, in [√2/2, 1).
+    let half = (mant + (0x95F64 << 32)) >> 52;
+    let f = f64::from_bits(mant | ((0x3FF ^ half) << 52)) - 1.0;
+    // k = biased exponent + half − 1023 (− 54 for a subnormal), exactly.
+    let k_biased = ((bits >> 52) & 0x7FF) + half;
+    let bias = if subnormal { TWO52 + 1077.0 } else { TWO52 + 1023.0 };
+    let dk = f64::from_bits(TWO52.to_bits() | k_biased) - bias;
+    let s = f / (2.0 + f);
+    let z = s * s;
+    let w = z * z;
+    let t1 = w * (LG2 + w * (LG4 + w * LG6));
+    let t2 = z * (LG1 + w * (LG3 + w * (LG5 + w * LG7)));
+    let r = t2 + t1;
+    let hfsq = 0.5 * f * f;
+    // fdlibm's `i > 0`: the high word's mantissa bits in [0x6147a, 0x6b851].
+    let tail = if (mant >> 32).wrapping_sub(0x6147A) <= 0x6B851 - 0x6147A {
+        hfsq - (s * (hfsq + r) + dk * LN2_LO)
+    } else {
+        s * (f - r) - dk * LN2_LO
+    };
+    dk * LN2_HI - (tail - f)
 }
 
 #[cfg(test)]
@@ -195,6 +266,66 @@ mod tests {
         let (r1, jx1, jy1) = moments(&g);
         assert!((r0 - r1).abs() < 1e-12 && (jx0 - jx1).abs() < 1e-12 && (jy0 - jy1).abs() < 1e-12);
         assert!(h_function(&g) > h0);
+    }
+
+    /// Geometric over [1e-310, 1e300], subnormals included, then dense
+    /// over [0.5, 2.5], where `ln` crosses 0 and fdlibm switches forms.
+    fn ln_inputs() -> impl Iterator<Item = f64> {
+        let geometric = (0..=100_000).map(|k| 10f64.powf(-310.0 + 610.0 * k as f64 / 100_000.0));
+        let dense = (0..=100_000).map(|k| 0.5 + 2.0 * k as f64 / 100_000.0);
+        geometric.chain(dense)
+    }
+
+    #[test]
+    fn ln_within_one_ulp_of_libm() {
+        for x in ln_inputs() {
+            let (got, want) = (ln(x), x.ln());
+            assert!(
+                got.to_bits().abs_diff(want.to_bits()) <= 1,
+                "ln({x:e}) = {got:e}, libm {want:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn ln_bits_are_pinned() {
+        // Subnormals, 1, the barrier side of the collision's populations
+        // near 1e-17, 1 ± 0.2, and 1.4 in fdlibm's `hfsq` form (one ulp
+        // from this host's libm, 0x3fd588c2d913348f).
+        let pinned = [
+            (5e-324, 0xc087_4385_446d_71c3),
+            (1e-310, 0xc086_4e69_394d_9508),
+            (1.0, 0),
+            (1e-17, 0xc043_926c_d770_aa67),
+            (2.5e-17, 0xc043_1d23_d3ad_26e5),
+            (0.8, 0xbfcc_8ff7_c79a_9a20),
+            (1.2, 0x3fc7_5650_11e4_9675),
+            (1.4, 0x3fd5_88c2_d913_348e),
+        ];
+        for (x, bits) in pinned {
+            assert_eq!(
+                ln(x).to_bits(),
+                bits,
+                "ln({x:e}) = {:e} ({:#018x})",
+                ln(x),
+                ln(x).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn every_isa_ln_gives_the_scalar_bits() {
+        // `black_box` keeps the reference loop scalar; the dispatched one
+        // vectorizes at each level's width, with a ragged tail.
+        let x: Vec<f64> = ln_inputs().step_by(7).collect();
+        let want: Vec<u64> = x.iter().map(|&v| ln(std::hint::black_box(v)).to_bits()).collect();
+        for isa in ft_tensor::Isa::supported() {
+            let got: Vec<u64> = isa.run(
+                #[inline(always)]
+                || x.iter().map(|&v| ln(v).to_bits()).collect(),
+            );
+            assert!(got == want, "{isa:?}");
+        }
     }
 
     #[test]

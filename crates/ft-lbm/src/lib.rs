@@ -14,16 +14,21 @@
 //!   `1e-13·max(|H(f)|, 1)` noise floor ([`solver::entropic_alpha`]).
 //!   α = 2 recovers BGK; the solver departs from 2 only under strong
 //!   nonequilibrium, which is exactly what keeps underresolved turbulence
-//!   stable,
+//!   stable. The logarithm is computed in-tree (`lattice::ln`, no libm),
+//!   so the solver's bits do not depend on the host,
 //! * periodic streaming, macroscopic moment extraction, and finite
 //!   difference curl/divergence for the sampled fields,
 //! * the paper's random solenoidal initial conditions (a random band-limited
 //!   streamfunction), and the burn-in / sampling protocol of Sec. III.
 //!
 //! The solver has one relaxation, `f ← f + αβ(f^eq − f)` toward the
-//! product-form equilibrium, with α = 2 (BGK) or the entropic root. It is
-//! allocation-free per step; collision is rayon-parallel over cells and
-//! streaming over the nine population planes.
+//! product-form equilibrium, with α = 2 (BGK) or the entropic root. It
+//! allocates no buffers per step. Collision works in place, rayon-parallel
+//! over groups of eight neighbouring cells, each group one contiguous run
+//! per population plane. A group solves its eight α in lockstep, on the
+//! stack, compiled for the host's vector width ([`ft_tensor::Isa`]), with
+//! the bits of eight one-cell calls. Streaming is parallel over the nine
+//! population planes.
 
 #![warn(missing_docs)]
 // Indexed loops mirror the discrete math in numeric kernels; clippy's

@@ -2,11 +2,11 @@
 //! box, with the entropic α-stabilizer.
 
 pub use ft_analysis::SolverError;
-use ft_tensor::Tensor;
+use ft_tensor::{Isa, Tensor};
 use rayon::prelude::*;
 
 use crate::force::{guo_source, BodyForce};
-use crate::lattice::{equilibrium, h_function, moments, D2Q9};
+use crate::lattice::{entropy, equilibrium, moments, D2Q9};
 
 /// Total collide-stream site updates (`steps × n²`) across all [`Lbm`]
 /// instances; ticks only while `ft-obs` instrumentation is enabled.
@@ -74,7 +74,8 @@ impl LbmConfig {
 ///
 /// Populations are stored structure-of-arrays: nine contiguous planes of
 /// `n·n` values, so streaming is a cache-friendly shifted copy per plane and
-/// collision reads one strided gather per cell.
+/// collision reads and writes a group of eight neighbouring cells as one
+/// contiguous run per plane.
 pub struct Lbm {
     cfg: LbmConfig,
     /// `Q` planes, each `n·n`, row-major (y major, x minor).
@@ -180,7 +181,7 @@ impl Lbm {
 
     /// Advances the solution by one collide-and-stream step.
     pub fn step(&mut self) {
-        self.collide();
+        self.collide::<LANES>(Isa::host());
         self.stream();
         self.steps += 1;
     }
@@ -262,76 +263,27 @@ impl Lbm {
     }
 
     /// Collision: `f ← f + αβ (f^eq − f)` with α = 2 (BGK) or the entropic
-    /// root, rayon-parallel over cells.
-    fn collide(&mut self) {
-        let n = self.cfg.n;
-        let plane = n * n;
+    /// root, in place, in parallel groups of `L` neighbouring cells, each
+    /// group compiled for `isa`. A group is its cells' run of `L` values in
+    /// each plane (the last run may be shorter), so groups are disjoint.
+    /// Every cell gets the bits of a one-cell group at [`Isa::Base`].
+    fn collide<const L: usize>(&mut self, isa: Isa) {
+        let plane = self.cfg.n * self.cfg.n;
         let beta = self.cfg.omega() / 2.0;
-        let collision = self.cfg.collision;
-
-        // Each cell gathers its nine populations from the planes, relaxes
-        // them and writes them to its own slot of the cell-major scratch
-        // (disjoint writes, so cells run in parallel); a serial pass then
-        // scatters the scratch back plane-major.
-        let f = &mut self.f;
+        let entropic = self.cfg.collision == Collision::Entropic;
         let force = self.force.as_ref();
-        let scratch = &mut self.scratch;
-        scratch
-            .par_chunks_mut(D2Q9::Q)
-            .enumerate()
-            .for_each(|(idx, cell)| {
-                let mut fi = [0.0f64; 9];
-                for i in 0..D2Q9::Q {
-                    fi[i] = f[i * plane + idx];
-                }
-                let (rho, jx, jy) = moments(&fi);
-                let (fx, fy) = match force {
-                    Some(fc) => (fc.fx.data()[idx], fc.fy.data()[idx]),
-                    None => (0.0, 0.0),
-                };
-                // Guo velocity shift: equilibrium evaluated at the
-                // force-corrected velocity.
-                let ux = (jx + 0.5 * fx) / rho;
-                let uy = (jy + 0.5 * fy) / rho;
-                if !(ux.abs() < 1.0 && uy.abs() < 1.0) {
-                    // A velocity outside the lattice range (or already
-                    // non-finite) is a blow-up in progress, not a
-                    // programming error: mark the cell non-finite so
-                    // `try_run` reports `SolverError::BlowUp` in every
-                    // build, instead of the equilibrium's range check.
-                    cell.fill(f64::NAN);
-                    return;
-                }
-                let feq = equilibrium(rho, ux, uy);
-                let mut delta = [0.0f64; 9];
-                for i in 0..D2Q9::Q {
-                    delta[i] = feq[i] - fi[i];
-                }
-                let alpha = if collision == Collision::Entropic {
-                    entropic_alpha(&fi, &delta)
-                } else {
-                    2.0
-                };
-                let ab = alpha * beta;
-                if fx != 0.0 || fy != 0.0 {
-                    let src = guo_source(0.5 * ab, ux, uy, fx, fy);
-                    for i in 0..D2Q9::Q {
-                        cell[i] = fi[i] + ab * delta[i] + src[i];
-                    }
-                } else {
-                    for i in 0..D2Q9::Q {
-                        cell[i] = fi[i] + ab * delta[i];
-                    }
-                }
-            });
-        // Scatter back to plane-major layout.
-        for i in 0..D2Q9::Q {
-            let (head, _) = f.split_at_mut((i + 1) * plane);
-            let dst = &mut head[i * plane..];
-            for idx in 0..plane {
-                dst[idx] = scratch[idx * D2Q9::Q + i];
-            }
-        }
+        let mut planes = self.f.chunks_mut(plane).map(|p| p.chunks_mut(L));
+        let mut planes: [_; 9] = std::array::from_fn(|_| planes.next().expect("nine planes"));
+        let groups = std::iter::from_fn(|| {
+            let runs = planes.each_mut().map(Iterator::next);
+            runs[0].is_some().then(|| runs.map(|run| run.expect("planes of equal length")))
+        });
+        (0..plane.div_ceil(L)).into_par_iter().zip(groups).for_each(|(g, cells)| {
+            isa.run(
+                #[inline(always)]
+                || collide_group::<L>(cells, g * L, beta, entropic, force),
+            )
+        });
     }
 
     /// Streaming: periodic shift of each plane by its lattice velocity.
@@ -390,180 +342,305 @@ impl Lbm {
     }
 }
 
+/// Cells a collision group takes: one AVX-512 register of `f64` per
+/// population, so each `G(α)` evaluation is nine vector `ln`s.
+const LANES: usize = 8;
+
+/// Collides one group in place: `cells[i]` holds population `i` of the
+/// cells from index `first` on.
+#[inline(always)]
+fn collide_group<const L: usize>(
+    mut cells: [&mut [f64]; 9],
+    first: usize,
+    beta: f64,
+    entropic: bool,
+    force: Option<&BodyForce>,
+) {
+    let len = cells[0].len();
+    let mut f = [[0.0; L]; 9];
+    for i in 0..D2Q9::Q {
+        f[i][..len].copy_from_slice(cells[i]);
+    }
+    // Lanes past the group's end and lost cells keep Δ = 0, so their α
+    // solve ends at once.
+    let mut delta = [[0.0; L]; 9];
+    // Guo-shifted velocity and force per lane; `None` marks a lost cell.
+    let mut flow = [None; L];
+    for l in 0..len {
+        let fi: [f64; 9] = std::array::from_fn(|i| f[i][l]);
+        let (rho, jx, jy) = moments(&fi);
+        let (fx, fy) = match force {
+            Some(fc) => (fc.fx.data()[first + l], fc.fy.data()[first + l]),
+            None => (0.0, 0.0),
+        };
+        // Guo velocity shift: equilibrium evaluated at the force-corrected
+        // velocity.
+        let ux = (jx + 0.5 * fx) / rho;
+        let uy = (jy + 0.5 * fy) / rho;
+        // A velocity outside the lattice range (or non-finite) is a blow-up
+        // in progress: the cell is marked non-finite below, so `try_run`
+        // reports `SolverError::BlowUp` in every build.
+        if ux.abs() < 1.0 && uy.abs() < 1.0 {
+            let feq = equilibrium(rho, ux, uy);
+            for i in 0..D2Q9::Q {
+                delta[i][l] = feq[i] - fi[i];
+            }
+            flow[l] = Some((ux, uy, fx, fy));
+        }
+    }
+    let alpha = if entropic { entropic_alphas(&f, &delta) } else { [2.0; L] };
+    for l in 0..len {
+        let Some((ux, uy, fx, fy)) = flow[l] else {
+            cells.iter_mut().for_each(|c| c[l] = f64::NAN);
+            continue;
+        };
+        let ab = alpha[l] * beta;
+        if fx != 0.0 || fy != 0.0 {
+            let src = guo_source(0.5 * ab, ux, uy, fx, fy);
+            for i in 0..D2Q9::Q {
+                cells[i][l] = f[i][l] + ab * delta[i][l] + src[i];
+            }
+        } else {
+            for i in 0..D2Q9::Q {
+                cells[i][l] = f[i][l] + ab * delta[i][l];
+            }
+        }
+    }
+}
+
 /// Solves the entropy equality `H(f + αΔ) = H(f)` for the nontrivial root α.
 ///
 /// `G(α) = H(f + αΔ) − H(f)` is convex with `G(0) = 0` and `G(1) ≤ 0`, so
 /// the root lies above 1. The solve first brackets it: α = 2 (BGK) is
 /// tried, then grown by ×1.25 while `G < 0`; a population reaching zero
 /// first (the positivity barrier, `G = ∞`) caps α at the largest feasible
-/// value instead. Newton's method then runs from the bracket's right end,
-/// where `G > 0`, so convexity makes its iterates fall monotonically onto
-/// the root; a step that rounding throws outside the bracket is replaced by
-/// a bisection step. Iteration stops once `|G| ≤ 1e-13·max(|H(f)|, 1)` and
-/// takes one last Newton step from the `G`, `G′` already in hand.
+/// value instead. An unexpanded bracket `[1, 2]` checks `G(1) ≤ 0`; after
+/// an expansion `lo` is an earlier `hi`, whose `G` was already found
+/// `≤ 0`, so it is not evaluated again. Newton's method then runs from the
+/// bracket's right end, where `G > 0`, so convexity makes its iterates
+/// fall monotonically onto the root; a step that rounding throws outside
+/// the bracket is replaced by a bisection step. Iteration stops once
+/// `|G| ≤ 1e-13·max(|H(f)|, 1)` and takes one last Newton step from the
+/// `G`, `G′` already in hand.
 ///
 /// Returns 2 when the nonequilibrium is tiny or `G(2)` is already within
 /// that noise floor (the entropic correction is then meaningless), and for a
 /// degenerate bracket with `G(1) > 0`, which only a `Δ` that does not point
 /// at the equilibrium can produce.
+///
+/// This is the one-lane call of the solve the collision runs on eight
+/// cells in lockstep: the populations are stored population-major, each
+/// lane carries its own phase of the search, and every `G` evaluation is
+/// one vectorized in-tree `ln` per population across the lanes. A lane
+/// performs exactly this call's operations in its order, so its α has
+/// this call's bits.
 pub fn entropic_alpha(f: &[f64; 9], delta: &[f64; 9]) -> f64 {
-    match bracket_alpha(f, delta) {
-        Alpha::Done(alpha) => alpha,
-        Alpha::Root(gap, bracket) => newton_root(&gap, bracket),
-    }
+    entropic_alphas(&f.map(|v| [v]), &delta.map(|d| [d]))[0]
 }
 
-/// `G(α) = H(f + αΔ) − H(f)` for one cell.
-struct EntropyGap<'a> {
-    f: &'a [f64; 9],
-    delta: &'a [f64; 9],
-    h0: f64,
+/// [`entropic_alpha`] for `L` cells in lockstep, population-major.
+#[inline(always)]
+fn entropic_alphas<const L: usize>(f: &[[f64; L]; 9], delta: &[[f64; L]; 9]) -> [f64; L] {
+    let (h0, _) = entropy(f, &[[0.0; L]; 9]);
+    let column = |a: &[[f64; L]; 9], l: usize| -> [f64; 9] { std::array::from_fn(|i| a[i][l]) };
+    let lanes = std::array::from_fn(|l| Lane::start(&column(f, l), &column(delta, l), h0[l]));
+    solve(&EntropyGap { f, delta, h0 }, lanes)
 }
 
-impl EntropyGap<'_> {
-    /// `G(α)` and `G′(α) = Σ Δᵢ ln((fᵢ + αΔᵢ)/wᵢ)` from one `ln` per
-    /// population (the `ΣΔᵢ` term of the derivative is zero: collision
-    /// conserves mass). Both are `+∞` past the positivity barrier, and `G`
-    /// has the bits of [`h_function`]`(f + αΔ) − H(f)`.
-    #[inline]
-    fn eval(&self, alpha: f64) -> (f64, f64) {
-        let mut h = 0.0;
-        let mut slope = 0.0;
-        for i in 0..9 {
-            let fa = self.f[i] + alpha * self.delta[i];
-            if fa <= 0.0 {
-                return (f64::INFINITY, f64::INFINITY);
-            }
-            let log = (fa / D2Q9::W[i]).ln();
-            h += fa * log;
-            slope += self.delta[i] * log;
+/// Runs each lane to [`Phase::Done`], one lockstep `G` evaluation at a
+/// time, and returns the α of each.
+#[inline(always)]
+fn solve<const L: usize>(gap: &EntropyGap<'_, L>, mut lanes: [Lane; L]) -> [f64; L] {
+    loop {
+        lanes.iter_mut().for_each(Lane::next);
+        if lanes.iter().all(|lane| lane.phase == Phase::Done) {
+            return lanes.map(|lane| lane.alpha);
         }
-        (h - self.h0, slope)
-    }
-
-    fn g(&self, alpha: f64) -> f64 {
-        self.eval(alpha).0
-    }
-
-    /// The largest feasible α in `[lo, hi]`, `lo` feasible and `hi` not, by
-    /// 60 bisections against feasibility.
-    fn barrier(&self, mut lo: f64, mut hi: f64) -> f64 {
-        for _ in 0..60 {
-            let mid = 0.5 * (lo + hi);
-            if self.g(mid).is_finite() {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
+        let (g, slope) = gap.eval(&lanes.map(|lane| lane.alpha));
+        for l in 0..L {
+            lanes[l].take(g[l], slope[l]);
         }
-        lo
     }
 }
 
-/// A sign-change bracket `G(lo) ≤ 0 < G(hi)` of the entropy root, with `G`
-/// and `G′` at `hi` (finite: every α in the bracket is feasible).
-struct Bracket {
+/// `G(α) = H(f + αΔ) − H(f)` for `L` cells, population-major.
+struct EntropyGap<'a, const L: usize> {
+    f: &'a [[f64; L]; 9],
+    delta: &'a [[f64; L]; 9],
+    h0: [f64; L],
+}
+
+impl<const L: usize> EntropyGap<'_, L> {
+    /// `G(α)` and `G′(α) = Σ Δᵢ ln((fᵢ + αΔᵢ)/wᵢ)` in each lane from one
+    /// `ln` per population (the `ΣΔᵢ` term of the derivative is zero:
+    /// collision conserves mass). Both are `+∞` past the positivity
+    /// barrier, and `G` has the bits of
+    /// [`h_function`](crate::lattice::h_function)`(f + αΔ) − H(f)`.
+    #[inline(always)]
+    fn eval(&self, alpha: &[f64; L]) -> ([f64; L], [f64; L]) {
+        let fa = std::array::from_fn(|i| {
+            std::array::from_fn(|l| self.f[i][l] + alpha[l] * self.delta[i][l])
+        });
+        let (h, slope) = entropy(&fa, self.delta);
+        (std::array::from_fn(|l| h[l] - self.h0[l]), slope)
+    }
+}
+
+/// Root iterates Newton's method may take. It needs about three; the
+/// bisection fallback reaches one ulp of a bracket no wider than the
+/// ×1.25²⁰ expansion within 64 halvings.
+const MAX_ROOT_STEPS: u8 = 64;
+
+/// Where one cell's α solve stands; the count is of `G` evaluations made
+/// in the phase so far.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Phase {
+    /// α is decided.
+    Done,
+    /// `G(2)` is next.
+    Two,
+    /// Growing the bracket above 2 while `G(hi) ≤ 0`.
+    Expand(u8),
+    /// `G(1)` is next: a sign change in `[1, 2]` needs `G(1) ≤ 0`.
+    One,
+    /// Bisecting `[lo, hi]` for the largest feasible α.
+    Barrier(u8),
+    /// Newton's method on the bracket `[lo, hi]`.
+    Newton(u8),
+}
+
+/// One cell's α solve between `G` evaluations.
+#[derive(Clone, Copy, Debug)]
+struct Lane {
+    phase: Phase,
+    /// Where `G` is evaluated next; in [`Phase::Newton`], the iterate whose
+    /// `G` and `G′` are held; once done, the result.
+    alpha: f64,
     lo: f64,
     hi: f64,
-    g_hi: f64,
-    slope_hi: f64,
+    /// `G` and `G′` at the Newton iterate (at `hi` = 2 while `G(1)` is
+    /// checked).
+    g: f64,
+    slope: f64,
     /// `|G|` below this is rounding noise: `1e-13·max(|H(f)|, 1)`.
     noise: f64,
 }
 
-/// Outcome of the bracketing phase: an α decided by a guard, or a root
-/// left for the solve.
-enum Alpha<'a> {
-    Done(f64),
-    Root(EntropyGap<'a>, Bracket),
-}
-
-/// The guards and the bracket search of [`entropic_alpha`].
-fn bracket_alpha<'a>(f: &'a [f64; 9], delta: &'a [f64; 9]) -> Alpha<'a> {
-    let dnorm: f64 = delta.iter().map(|d| d * d).sum::<f64>().sqrt();
-    let fnorm: f64 = f.iter().map(|v| v * v).sum::<f64>().sqrt();
-    // Tiny nonequilibrium: G(2) is below floating-point noise; the entropic
-    // correction is meaningless and BGK is exact to machine precision.
-    if dnorm < 1e-7 * fnorm.max(1e-300) {
-        return Alpha::Done(2.0);
+impl Lane {
+    /// The guards of [`entropic_alpha`]: done at α = 2, or `G(2)` next.
+    fn start(f: &[f64; 9], delta: &[f64; 9], h0: f64) -> Lane {
+        let dnorm: f64 = delta.iter().map(|d| d * d).sum::<f64>().sqrt();
+        let fnorm: f64 = f.iter().map(|v| v * v).sum::<f64>().sqrt();
+        // Tiny nonequilibrium: G(2) is below floating-point noise and BGK
+        // is exact to machine precision. Already infeasible populations
+        // (shouldn't happen in a stable run) fall back to BGK rather than
+        // propagate infinities.
+        let done = dnorm < 1e-7 * fnorm.max(1e-300) || !h0.is_finite();
+        Lane {
+            phase: if done { Phase::Done } else { Phase::Two },
+            alpha: 2.0,
+            lo: 1.0,
+            hi: 2.0,
+            g: 0.0,
+            slope: 0.0,
+            noise: 1e-13 * h0.abs().max(1.0),
+        }
     }
 
-    let h0 = h_function(f);
-    if !h0.is_finite() {
-        // Already infeasible populations (shouldn't happen in a stable run);
-        // fall back to BGK rather than propagate infinities.
-        return Alpha::Done(2.0);
+    /// Ends a converged (or capped) Newton phase with one last Newton step
+    /// from the `G`, `G′` in hand, kept if it stays in the bracket; else
+    /// moves to the next iterate. Other phases have their next α already.
+    fn next(&mut self) {
+        let Phase::Newton(steps) = self.phase else { return };
+        let Lane { alpha, lo, hi, g, slope, noise, .. } = *self;
+        let step = alpha - g / slope;
+        if g.abs() <= noise || steps == MAX_ROOT_STEPS {
+            self.alpha = if step >= lo && step <= hi { step } else { alpha };
+            self.phase = Phase::Done;
+        } else {
+            self.alpha = if step > lo && step < hi { step } else { 0.5 * (lo + hi) };
+        }
     }
-    let gap = EntropyGap { f, delta, h0 };
 
-    // G is convex with G(0) = 0 and G(1) = H(f^eq) − H(f) ≤ 0, so the
-    // nontrivial root lies in (1, ∞). Bracket it: grow `hi` until G(hi) > 0
-    // or positivity fails (then the root is capped by the barrier).
-    let noise = 1e-13 * h0.abs().max(1.0);
-    let mut hi = 2.0;
-    let (mut g_hi, mut slope_hi) = gap.eval(hi);
-    if g_hi.abs() <= noise {
-        return Alpha::Done(2.0); // entropy equality already holds at BGK within noise
-    }
-    let mut lo = 1.0;
-    if g_hi < 0.0 {
-        // Root above 2: expand, guarded by positivity (G = ∞ past the barrier).
-        for _ in 0..20 {
-            lo = hi;
-            hi *= 1.25;
-            (g_hi, slope_hi) = gap.eval(hi);
-            if g_hi > 0.0 {
-                break;
+    /// Takes `G` and `G′` at `self.alpha` and sets up the next evaluation.
+    fn take(&mut self, g: f64, slope: f64) {
+        match self.phase {
+            Phase::Done => {}
+            Phase::Two if g.abs() <= self.noise => {
+                // The entropy equality already holds at BGK within noise.
+                self.phase = Phase::Done;
+            }
+            Phase::Two if g < 0.0 => self.expand(0),
+            // α = 2 infeasible: the largest feasible α in (1, 2).
+            Phase::Two if !g.is_finite() => self.bisect(),
+            Phase::Two => {
+                (self.g, self.slope) = (g, slope);
+                self.alpha = 1.0;
+                self.phase = Phase::One;
+            }
+            // At most 20 steps of ×1.25.
+            Phase::Expand(n) if g > 0.0 || n == 20 => {
+                if !g.is_finite() {
+                    // The positivity barrier comes before the entropy root.
+                    self.bisect();
+                } else if g < 0.0 {
+                    // Never found a sign change: cap at the expanded value.
+                    self.phase = Phase::Done;
+                } else {
+                    (self.g, self.slope) = (g, slope);
+                    self.phase = Phase::Newton(0);
+                }
+            }
+            Phase::Expand(n) => self.expand(n),
+            Phase::One if g > 0.0 => {
+                // Degenerate bracket (can only arise from noise); BGK is safe.
+                self.alpha = 2.0;
+                self.phase = Phase::Done;
+            }
+            Phase::One => {
+                self.alpha = self.hi;
+                self.phase = Phase::Newton(0);
+            }
+            Phase::Barrier(n) => {
+                if g.is_finite() {
+                    self.lo = self.alpha;
+                } else {
+                    self.hi = self.alpha;
+                }
+                // 60 halvings in all.
+                if n + 1 == 60 {
+                    self.alpha = self.lo;
+                    self.phase = Phase::Done;
+                } else {
+                    self.alpha = 0.5 * (self.lo + self.hi);
+                    self.phase = Phase::Barrier(n + 1);
+                }
+            }
+            Phase::Newton(n) => {
+                (self.g, self.slope) = (g, slope);
+                if !g.is_finite() || g > 0.0 {
+                    self.hi = self.alpha;
+                } else {
+                    self.lo = self.alpha;
+                }
+                self.phase = Phase::Newton(n + 1);
             }
         }
-        if !g_hi.is_finite() {
-            // Positivity barrier before the entropy root: the largest
-            // feasible α.
-            return Alpha::Done(gap.barrier(lo, hi).max(1.0));
-        }
-        if g_hi < 0.0 {
-            return Alpha::Done(hi); // never found a sign change; cap at the expanded value
-        }
-        // `lo` is an earlier `hi`, whose G was ≤ 0 (or NaN): no G(lo) check.
-    } else if !g_hi.is_finite() {
-        // α = 2 already infeasible: largest feasible α in (1, 2).
-        return Alpha::Done(gap.barrier(lo, 2.0));
-    } else if gap.g(lo) > 0.0 {
-        // Degenerate bracket G(1) > 0 (can only arise from noise); BGK is safe.
-        return Alpha::Done(2.0);
     }
-    Alpha::Root(gap, Bracket { lo, hi, g_hi, slope_hi, noise })
-}
 
-/// Root iterates [`newton_root`] may take. Newton needs about three; the
-/// bisection fallback reaches one ulp of a bracket no wider than the
-/// ×1.25²⁰ expansion within 64 halvings.
-const MAX_ROOT_STEPS: usize = 64;
-
-/// Newton's method on `G` from the bracket's right end (see
-/// [`entropic_alpha`]).
-fn newton_root(gap: &EntropyGap<'_>, bracket: Bracket) -> f64 {
-    let Bracket { mut lo, mut hi, g_hi, slope_hi, noise } = bracket;
-    let (mut alpha, mut g, mut slope) = (hi, g_hi, slope_hi);
-    for _ in 0..MAX_ROOT_STEPS {
-        if g.abs() <= noise {
-            break;
-        }
-        let step = alpha - g / slope;
-        alpha = if step > lo && step < hi { step } else { 0.5 * (lo + hi) };
-        (g, slope) = gap.eval(alpha);
-        if !g.is_finite() || g > 0.0 {
-            hi = alpha;
-        } else {
-            lo = alpha;
-        }
+    /// One more ×1.25 step of the bracket above 2.
+    fn expand(&mut self, n: u8) {
+        self.lo = self.hi;
+        self.hi *= 1.25;
+        self.alpha = self.hi;
+        self.phase = Phase::Expand(n + 1);
     }
-    // Polish: one more Newton step from the G and G′ in hand.
-    let polished = alpha - g / slope;
-    if polished >= lo && polished <= hi {
-        polished
-    } else {
-        alpha
+
+    /// Starts the bisection of `[lo, hi]` (`lo` feasible, `hi` not) for
+    /// the positivity barrier.
+    fn bisect(&mut self) {
+        self.alpha = 0.5 * (self.lo + self.hi);
+        self.phase = Phase::Barrier(0);
     }
 }
 
@@ -572,6 +649,7 @@ mod tests {
     use super::*;
     use crate::fields::vorticity;
     use crate::ic::IcSpec;
+    use crate::lattice::h_function;
     use std::f64::consts::PI;
 
     fn taylor_green(n: usize, u0: f64) -> (Tensor, Tensor) {
@@ -705,9 +783,74 @@ mod tests {
         }
     }
 
+    /// One cell's `G`: the lanes' [`EntropyGap`] at one lane.
+    struct CellGap<'a> {
+        f: &'a [f64; 9],
+        delta: &'a [f64; 9],
+        h0: f64,
+    }
+
+    impl CellGap<'_> {
+        fn eval(&self, alpha: f64) -> (f64, f64) {
+            let (f, delta) = (self.f.map(|v| [v]), self.delta.map(|d| [d]));
+            let (g, slope) = EntropyGap { f: &f, delta: &delta, h0: [self.h0] }.eval(&[alpha]);
+            (g[0], slope[0])
+        }
+
+        fn g(&self, alpha: f64) -> f64 {
+            self.eval(alpha).0
+        }
+    }
+
+    /// A sign-change bracket `G(lo) ≤ 0 < G(hi)` of the entropy root, with
+    /// `G` and `G′` at `hi`: a lane as it enters [`Phase::Newton`].
+    #[derive(Clone, Copy)]
+    struct Bracket {
+        lo: f64,
+        hi: f64,
+        g_hi: f64,
+        slope_hi: f64,
+        noise: f64,
+    }
+
+    /// Outcome of the bracketing phases: an α decided by a guard, or a root
+    /// left for Newton's method.
+    enum Alpha<'a> {
+        Done(f64),
+        Root(CellGap<'a>, Bracket),
+    }
+
+    /// One lane of [`entropic_alpha`] run up to its Newton phase.
+    fn bracket_alpha<'a>(f: &'a [f64; 9], delta: &'a [f64; 9]) -> Alpha<'a> {
+        let gap = gap(f, delta);
+        let mut lane = Lane::start(f, delta, gap.h0);
+        loop {
+            match lane.phase {
+                Phase::Done => return Alpha::Done(lane.alpha),
+                Phase::Newton(_) => {
+                    let Lane { lo, hi, g, slope, noise, .. } = lane;
+                    return Alpha::Root(gap, Bracket { lo, hi, g_hi: g, slope_hi: slope, noise });
+                }
+                _ => {
+                    let (g, slope) = gap.eval(lane.alpha);
+                    lane.take(g, slope);
+                }
+            }
+        }
+    }
+
+    /// One lane of [`entropic_alpha`] run from its Newton phase on.
+    fn newton_root(gap: &CellGap<'_>, bracket: Bracket) -> f64 {
+        let Bracket { lo, hi, g_hi, slope_hi, noise } = bracket;
+        let lane =
+            Lane { phase: Phase::Newton(0), alpha: hi, lo, hi, g: g_hi, slope: slope_hi, noise };
+        let (f, delta) = (gap.f.map(|v| [v]), gap.delta.map(|d| [d]));
+        solve(&EntropyGap { f: &f, delta: &delta, h0: [gap.h0] }, [lane])[0]
+    }
+
     /// The root solve `entropic_alpha` replaced: 50 bisections of the
     /// bracket, kept as the oracle for the Newton solve.
-    fn bisection_root(gap: &EntropyGap<'_>, bracket: Bracket) -> f64 {
+    fn bisection_root(gap: &CellGap<'_>, bracket: Bracket) -> f64 {
         let Bracket { mut lo, mut hi, .. } = bracket;
         for _ in 0..50 {
             let mid = 0.5 * (lo + hi);
@@ -736,8 +879,8 @@ mod tests {
         std::array::from_fn(|i| eq[i] - f[i])
     }
 
-    fn gap<'a>(f: &'a [f64; 9], delta: &'a [f64; 9]) -> EntropyGap<'a> {
-        EntropyGap { f, delta, h0: h_function(f) }
+    fn gap<'a>(f: &'a [f64; 9], delta: &'a [f64; 9]) -> CellGap<'a> {
+        CellGap { f, delta, h0: h_function(f) }
     }
 
     /// The largest feasible α, `min fᵢ/(−Δᵢ)` over `Δᵢ < 0`.
@@ -841,6 +984,251 @@ mod tests {
         let (g_alpha, slope) = gap.eval(alpha);
         assert!(g_alpha.abs() <= noise, "G(α) = {g_alpha:e}");
         assert!((alpha - oracle).abs() <= noise / slope, "{alpha} vs {oracle}");
+    }
+
+    /// The phases one lane of [`entropic_alpha`] passes through, counts
+    /// dropped, and the lane's α.
+    fn trace(f: &[f64; 9], delta: &[f64; 9]) -> (Vec<Phase>, f64) {
+        let gap = gap(f, delta);
+        let mut lane = Lane::start(f, delta, gap.h0);
+        let mut phases = vec![lane.phase];
+        loop {
+            lane.next();
+            if lane.phase != Phase::Done {
+                let (g, slope) = gap.eval(lane.alpha);
+                lane.take(g, slope);
+            }
+            let kind = match lane.phase {
+                Phase::Expand(_) => Phase::Expand(0),
+                Phase::Barrier(_) => Phase::Barrier(0),
+                Phase::Newton(_) => Phase::Newton(0),
+                phase => phase,
+            };
+            if phases.last() != Some(&kind) {
+                phases.push(kind);
+            }
+            if lane.phase == Phase::Done {
+                return (phases, lane.alpha);
+            }
+        }
+    }
+
+    /// One cell for each way [`entropic_alpha`] can end, each checked to
+    /// end that way: `(f, Δ)`.
+    fn every_branch() -> Vec<([f64; 9], [f64; 9])> {
+        let depleted = {
+            // Diagonals depleted by half into the rest population.
+            let mut f = equilibrium(1.0, 0.05, -0.02);
+            for i in 5..9 {
+                let m = 0.5 * f[i];
+                f[i] -= m;
+                f[0] += m;
+            }
+            f
+        };
+        let near = |eps: f64| {
+            let feq = equilibrium(1.1, 0.04, -0.03);
+            std::array::from_fn(|i| {
+                feq[i] * (1.0 + eps * [0.3, -0.8, 0.5, 0.9, -0.2, -0.6, 0.7, 0.1, -0.4][i])
+            })
+        };
+        let emptied_rest = {
+            let mut f = equilibrium(1.0, 0.05, -0.02);
+            let m = 0.9 * f[0];
+            f[0] -= m;
+            for i in 1..5 {
+                f[i] += m / 4.0;
+            }
+            f
+        };
+        let starved_axis = {
+            let feq = equilibrium(1.0, 0.0, 0.0);
+            let mut f = feq;
+            f[1] = 0.02;
+            f[3] += feq[1] - 0.02;
+            f
+        };
+        let degenerate = {
+            let f = equilibrium(1.0, 0.1, 0.05);
+            let mut g = f;
+            g[1] *= 0.9;
+            g[3] *= 1.1;
+            (f, to_equilibrium(&g).map(|d| -2.5 * d))
+        };
+        let mut nan = near(0.05);
+        nan[4] = f64::NAN;
+        let eq = equilibrium(1.0, 0.03, -0.02);
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        use Phase::{Barrier, Done, Expand, Newton, One, Two};
+        let (expand, barrier, newton) = (Expand(0), Barrier(0), Newton(0));
+        // The phases each cell passes through, and α against 2 (against
+        // 2·1.25²⁰ at the 20-step cap, the one path from expanding straight
+        // to done).
+        let cases = [
+            ("tiny Δ", eq, to_equilibrium(&eq), vec![Done], (Equal, 2.0)),
+            (
+                "G(2) within noise",
+                near(1e-6),
+                to_equilibrium(&near(1e-6)),
+                vec![Two, Done],
+                (Equal, 2.0),
+            ),
+            (
+                "a root below 2",
+                near(-0.05),
+                to_equilibrium(&near(-0.05)),
+                vec![Two, One, newton, Done],
+                (Less, 2.0),
+            ),
+            (
+                "expansion above 2",
+                depleted,
+                to_equilibrium(&depleted),
+                vec![Two, expand, newton, Done],
+                (Greater, 2.0),
+            ),
+            (
+                "the barrier below 2",
+                emptied_rest,
+                to_equilibrium(&emptied_rest),
+                vec![Two, barrier, Done],
+                (Less, 2.0),
+            ),
+            (
+                "the barrier above 2",
+                starved_axis,
+                to_equilibrium(&starved_axis),
+                vec![Two, expand, barrier, Done],
+                (Greater, 2.0),
+            ),
+            (
+                "the 20-step cap",
+                depleted,
+                to_equilibrium(&depleted).map(|d| d / 200.0),
+                vec![Two, expand, Done],
+                (Equal, 2.0 * 1.25f64.powi(20)),
+            ),
+            (
+                "a degenerate bracket",
+                degenerate.0,
+                degenerate.1,
+                vec![Two, One, Done],
+                (Equal, 2.0),
+            ),
+            ("NaN populations", nan, to_equilibrium(&near(0.05)), vec![Done], (Equal, 2.0)),
+        ];
+        cases
+            .into_iter()
+            .map(|(what, f, delta, path, (side, of))| {
+                let (phases, alpha) = trace(&f, &delta);
+                assert!(
+                    phases == path && alpha.partial_cmp(&of) == Some(side),
+                    "{what}: {phases:?}, α = {alpha}"
+                );
+                (f, delta)
+            })
+            .collect()
+    }
+
+    /// Cells near and far from equilibrium, as in the Newton-vs-bisection
+    /// proptest, from a fixed LCG.
+    fn random_cells(count: usize) -> Vec<([f64; 9], [f64; 9])> {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut uniform = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        (0..count)
+            .map(|_| {
+                let feq = equilibrium(
+                    0.5 + 1.5 * uniform(),
+                    0.6 * uniform() - 0.3,
+                    0.6 * uniform() - 0.3,
+                );
+                let eps = 0.95 * 10f64.powf(-7.0 * uniform());
+                let f: [f64; 9] =
+                    std::array::from_fn(|i| feq[i] * (1.0 + eps * (2.0 * uniform() - 1.0)));
+                (f, to_equilibrium(&f))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_isa_lanes_give_the_one_lane_alpha() {
+        // Each way a solve ends in every lane position, beside the others:
+        // group r holds cases r, r + 1, … (mod the case count). Then random
+        // cells, eight at a time.
+        let cases = every_branch();
+        let m = cases.len();
+        let rotations = (0..m).flat_map(|r| (0..LANES).map(move |k| (r + k) % m));
+        let cells: Vec<_> = rotations.map(|k| cases[k]).chain(random_cells(512)).collect();
+        assert_eq!(cells.len() % LANES, 0);
+        for group in cells.chunks(LANES) {
+            let f = std::array::from_fn(|i| std::array::from_fn(|l| group[l].0[i]));
+            let delta = std::array::from_fn(|i| std::array::from_fn(|l| group[l].1[i]));
+            let want: [u64; LANES] =
+                std::array::from_fn(|l| entropic_alpha(&group[l].0, &group[l].1).to_bits());
+            for isa in Isa::supported() {
+                let got: [f64; LANES] = isa.run(
+                    #[inline(always)]
+                    || entropic_alphas(&f, &delta),
+                );
+                assert_eq!(got.map(f64::to_bits), want, "{isa:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_isa_collision_groups_match_one_cell_groups() {
+        // 15² = 225 cells: 28 groups of eight and a ragged one. An
+        // underresolved entropic run puts α off 2; then one cell is NaN, one
+        // leaves the lattice range, and some hold the populations of
+        // `every_branch` (the collision makes their Δ).
+        let n = 15;
+        let plane = n * n;
+        let cfg = LbmConfig { n, nu: 2e-4, u0: 0.1, collision: Collision::Entropic };
+        let (ux, uy) = IcSpec { k_min: 2, k_max: 6 }.generate(n, cfg.u0, 5);
+        let mut lbm = Lbm::new(cfg.clone());
+        lbm.set_velocity(&ux, &uy);
+        lbm.run(30);
+        let mut f = lbm.f.clone();
+        let mut put =
+            |idx: usize, cell: [f64; 9]| (0..9).for_each(|i| f[i * plane + idx] = cell[i]);
+        put(17, [f64::NAN; 9]);
+        put(100, std::array::from_fn(|i| if i == 1 { 1.0 } else { 0.0 }));
+        for (k, (cell, _)) in every_branch().into_iter().enumerate() {
+            put(40 + 3 * k, cell);
+        }
+        let force = BodyForce::kolmogorov(n, 1, 1e-5);
+        let collided = |collision, force: Option<&BodyForce>, isa, one: bool| {
+            let mut lbm = Lbm::new(LbmConfig { collision, ..cfg.clone() });
+            if let Some(fc) = force {
+                lbm.set_force(fc.clone());
+            }
+            lbm.f.copy_from_slice(&f);
+            if one {
+                lbm.collide::<1>(isa);
+            } else {
+                lbm.collide::<LANES>(isa);
+            }
+            lbm.f.into_iter().map(f64::to_bits).collect::<Vec<_>>()
+        };
+        let (entropic, bgk) = (Collision::Entropic, Collision::Bgk);
+        for (collision, force) in [(entropic, None), (entropic, Some(&force)), (bgk, None)] {
+            let want = collided(collision, force, Isa::Base, true);
+            assert!(f64::from_bits(want[17]).is_nan() && f64::from_bits(want[100]).is_nan());
+            for isa in Isa::supported() {
+                let got = collided(collision, force, isa, false);
+                assert!(got == want, "{isa:?}, {collision:?}");
+            }
+        }
+        // α departs from 2 in many cells, so the entropic solve is exercised.
+        let entropic = collided(entropic, None, Isa::Base, true);
+        let bgk = collided(bgk, None, Isa::Base, true);
+        let moved = (0..plane).filter(|&idx| entropic[idx] != bgk[idx]).count();
+        assert!(moved > plane / 4, "α ≠ 2 in {moved} of {plane} cells");
     }
 
     proptest::proptest! {

@@ -80,8 +80,9 @@ cargo test -q --offline -p ft-ns --test bits
 cargo test -q --offline -p ft-ns --test packed_oracle
 
 # The LBM solver's unit tests: the entropic α solve against its bisection
-# oracle (a proptest over near- and far-from-equilibrium cells) and the
-# physics checks, optimized, as the solver runs in data generation.
+# oracle (a proptest over near- and far-from-equilibrium cells), its
+# lockstep lanes against one-lane calls, the in-tree `ln` and the physics
+# checks, optimized, as the solver runs in data generation.
 echo "==> ft-lbm unit tests (release)"
 cargo test -q --release --offline -p ft-lbm
 
@@ -110,16 +111,21 @@ echo "==> GELU accuracy and pinned bits, pointwise MLP (release)"
 cargo test -q --release --offline -p ft-nn --lib activation::
 cargo test -q --release --offline -p ft-nn --lib mlp::
 
-# The GELU, fused-MLP and radix-2 FFT kernels run compiled for the host's
-# vector width (`ft_tensor::Isa`: AVX2, AVX-512 where the host reports
-# them). Every level the host supports must give the baseline build's bits:
-# the `every_isa` tests run each level on the same inputs, optimized, where
-# the wide instantiations are vectorized (the FFT's compares a block of
-# lines with one `process` call per line).
+# The GELU, fused-MLP and radix-2 FFT kernels and the LBM collision's
+# groups of eight cells run compiled for the host's vector width
+# (`ft_tensor::Isa`: AVX2, AVX-512 where the host reports them). Every
+# level the host supports must give the baseline build's bits: the
+# `every_isa` tests run each level on the same inputs, optimized, where the
+# wide instantiations are vectorized (the FFT's compares a block of lines
+# with one `process` call per line, the LBM's its lanes with one-lane
+# calls). The collision's in-tree `ln` is held within 1 ulp of libm and its
+# bits are pinned (`lattice::tests::ln`).
 echo "==> ISA dispatch: every supported level gives the same bits (release)"
 cargo test -q --release --offline -p ft-tensor --lib isa::
 cargo test -q --release --offline -p ft-nn --lib every_isa
 cargo test -q --release --offline -p ft-fft --lib every_isa
+cargo test -q --release --offline -p ft-lbm --lib every_isa
+cargo test -q --release --offline -p ft-lbm --lib lattice::tests::ln
 
 # The compact-spectrum SpectralConv must match its full-spectrum oracle bit
 # for bit (outputs and weight gradients) on the optimized build as well.
@@ -130,13 +136,14 @@ cargo test -q --release --offline -p ft-nn --lib spectral::
 # mask) sizes a width-1 pool: the plan-cache diagnostics, the golden bits
 # of the model, trainer and LBM, the parity
 # proptest, the fused pointwise-MLP tests, the spectral-layer parity tests,
-# the ISA parity tests, the pinned FFT and solver bits, the solver's
+# the ISA parity tests (the LBM's lanes included), the LBM's `ln`, the
+# pinned FFT and solver bits, the solver's
 # packed-transform oracle, the batched real rows and the serving engine's
 # tests (concurrent predicts included) must hold there as well as at the
 # host's width. So must the exact counts of
 # the transforms, of a 32² predict (nothing queued on the pool) and of a
 # solver step, which are the same at every pool width.
-echo "==> diagnostics + golden bits + parallel-parity proptest + pointwise MLP + spectral layer + ISA parity + FFT bits + packed-transform oracle + serving engine + allocation counts on one core (taskset -c 0)"
+echo "==> diagnostics + golden bits + parallel-parity proptest + pointwise MLP + spectral layer + ISA parity + LBM ln + FFT bits + packed-transform oracle + serving engine + allocation counts on one core (taskset -c 0)"
 if command -v taskset >/dev/null 2>&1; then
     taskset -c 0 cargo test -q --offline --test diagnostics
     taskset -c 0 cargo test -q --offline --test golden_bits
@@ -145,6 +152,8 @@ if command -v taskset >/dev/null 2>&1; then
     taskset -c 0 cargo test -q --release --offline -p ft-nn --lib spectral::
     taskset -c 0 cargo test -q --release --offline -p ft-nn --lib every_isa
     taskset -c 0 cargo test -q --release --offline -p ft-fft --lib every_isa
+    taskset -c 0 cargo test -q --release --offline -p ft-lbm --lib every_isa
+    taskset -c 0 cargo test -q --release --offline -p ft-lbm --lib lattice::tests::ln
     taskset -c 0 cargo test -q --release --offline -p ft-fft --lib real::
     taskset -c 0 cargo test -q --release --offline -p ft-fft --test bits
     taskset -c 0 cargo test -q --release --offline -p ft-ns --test bits

@@ -161,9 +161,13 @@ fn lbm_bgk_and_entropic_velocities() {
         let (y, x) = (2.0 * PI * i[0] as f64 / n as f64, 2.0 * PI * i[1] as f64 / n as f64);
         -0.04 * x.cos() * y.sin() + 0.01 * (3.0 * x).cos()
     });
+    // The entropic row moved once, when the collision's `ln` became the
+    // in-tree one of `ft-lbm`'s lattice module (libm's gave
+    // 0x1f8f0a7ff3660fd9, 0.4550235610184611; the velocities moved by
+    // 1.2e-12 in relative L2).
     let pinned = [
         (Collision::Bgk, "BGK", 0xa0bbf125a42fdde8, 0.4550357762203753),
-        (Collision::Entropic, "entropic", 0x1f8f0a7ff3660fd9, 0.4550235610184611),
+        (Collision::Entropic, "entropic", 0xec8bb6642d987683, 0.45502356101846353),
     ];
     for (collision, name, hash, norm) in pinned {
         let mut cfg = LbmConfig::with_reynolds(n, 2000.0);
