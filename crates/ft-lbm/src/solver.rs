@@ -550,6 +550,7 @@ impl Lane {
     /// Ends a converged (or capped) Newton phase with one last Newton step
     /// from the `G`, `G′` in hand, kept if it stays in the bracket; else
     /// moves to the next iterate. Other phases have their next α already.
+    #[inline(always)]
     fn next(&mut self) {
         let Phase::Newton(steps) = self.phase else { return };
         let Lane { alpha, lo, hi, g, slope, noise, .. } = *self;
@@ -563,6 +564,7 @@ impl Lane {
     }
 
     /// Takes `G` and `G′` at `self.alpha` and sets up the next evaluation.
+    #[inline(always)]
     fn take(&mut self, g: f64, slope: f64) {
         match self.phase {
             Phase::Done => {}
